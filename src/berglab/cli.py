@@ -63,8 +63,8 @@ def _context(cfg, scale: float):
             base_r, base_a = BIDISC_RADIAL_ORDER, BIDISC_ANGULAR_ORDER
         else:
             base_r, base_a = DEFAULT_RADIAL_ORDER, DEFAULT_ANGULAR_ORDER
-        radial = max(2, int(np.ceil((radial or base_r) * scale)))
-        angular = max(4, int(np.ceil((angular or base_a) * scale)))
+        radial = max(2, int(np.ceil((base_r if radial is None else radial) * scale)))
+        angular = max(4, int(np.ceil((base_a if angular is None else angular) * scale)))
     rule = build_rule(cfg.space, radial, angular)
     basis = BasisSpec(cfg.space, cfg.n_modes)
     return basis, rule
@@ -471,18 +471,20 @@ def main(argv: Optional[list] = None) -> int:
         if args.resolution_scale <= 0:
             raise ConfigError("resolution scale must be positive")
         claim, payload, header, rows, code = _RUNNERS[args.command](cfg, args)
+        envelope = report_envelope(args.command, claim, cfg.echo(), cfg.seed, payload)
+        stem = args.command.replace("-", "_")
+        json_path = os.path.join(args.out, f"{stem}.json")
+        csv_path = os.path.join(args.out, f"{stem}.csv")
+        # raises ValueError on NaN/infinity before writing, so the CSV is never
+        # left behind without its JSON
+        write_json_atomic(json_path, envelope)
+        write_csv_atomic(csv_path, header, rows)
     except (ConfigError, ValueError) as exc:
         details = getattr(exc, "details", {"error": str(exc)})
         json.dump({"command": args.command, **details}, sys.stderr, indent=2,
                   sort_keys=True, default=str)
         sys.stderr.write("\n")
         return 2
-    envelope = report_envelope(args.command, claim, cfg.echo(), cfg.seed, payload)
-    stem = args.command.replace("-", "_")
-    json_path = os.path.join(args.out, f"{stem}.json")
-    csv_path = os.path.join(args.out, f"{stem}.csv")
-    write_json_atomic(json_path, envelope)
-    write_csv_atomic(csv_path, header, rows)
     print(f"{args.command}: wrote {json_path} and {csv_path} (exit {code})")
     return code
 

@@ -151,6 +151,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     n_modes = int(merged.get("n_modes", 24))
     if n_modes < 1:
         raise ConfigError("n_modes must be >= 1")
+    for key in ("radial_order", "angular_order"):
+        value = merged.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)
+                                  or value < 1):
+            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
     cfg = ExperimentConfig(
         space=space,
         n_modes=n_modes,

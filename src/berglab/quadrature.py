@@ -99,8 +99,8 @@ def build_rule(
 ) -> QuadratureRule:
     """Tensor sigma-rule on the full domain (or a radial sub-annulus)."""
     if space.kind == KIND_BIDISC:
-        nr = radial_order or BIDISC_RADIAL_ORDER
-        na = angular_order or BIDISC_ANGULAR_ORDER
+        nr = BIDISC_RADIAL_ORDER if radial_order is None else radial_order
+        na = BIDISC_ANGULAR_ORDER if angular_order is None else angular_order
         a1, a2 = space.alphas
         n1, w1 = _polar_grid(*_radial_rule(KIND_DISC, a1, nr, t_interval), na)
         n2, w2 = _polar_grid(*_radial_rule(KIND_DISC, a2, nr, t_interval), na)
@@ -109,8 +109,8 @@ def build_rule(
         )
         weights = np.repeat(w1, w2.size) * np.tile(w2, w1.size)
         return QuadratureRule(space, nodes, weights, nr, na)
-    nr = radial_order or DEFAULT_RADIAL_ORDER
-    na = angular_order or DEFAULT_ANGULAR_ORDER
+    nr = DEFAULT_RADIAL_ORDER if radial_order is None else radial_order
+    na = DEFAULT_ANGULAR_ORDER if angular_order is None else angular_order
     t, wt = _radial_rule(space.kind, space.alpha, nr, t_interval)
     nodes, weights = _polar_grid(t, wt, na)
     return QuadratureRule(space, nodes, weights, nr, na)

@@ -64,6 +64,10 @@ def _atomic_write(path: str, data: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
+        # mkstemp creates the file 0600; give the report the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,7 +76,9 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n")
+    """Strict JSON: a NaN or infinity raises ValueError before anything is written."""
+    _atomic_write(path, json.dumps(jsonable(payload), sort_keys=True, indent=2,
+                                   allow_nan=False) + "\n")
 
 
 def write_csv_atomic(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

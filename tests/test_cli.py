@@ -140,6 +140,39 @@ def test_unreadable_symbol_reference_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_nan_payload_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def runner(cfg, args):
+        return "axioms", {"value": float("nan")}, ["value"], [[float("nan")]], 0
+
+    monkeypatch.setitem(cli._RUNNERS, "kernel", runner)
+    out = tmp_path / "out"
+    assert cli.main(["kernel", "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["command"] == "kernel"
+    assert "error" in payload
+    assert not out.exists()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """--threads must reach the environment before numpy first loads."""
+    code = (
+        "import sys\n"
+        "import berglab.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded by import berglab.cli'\n"
+        "import berglab\n"
+        "from berglab import cli\n"
+        "assert cli.main is berglab.cli.main\n"
+        "assert berglab.disc_space(0.0, d=2).d == 2\n"
+        "assert all(hasattr(berglab, name) for name in berglab.__all__)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # The launcher pip writes for a ``[project.scripts]`` entry ``module:func``.

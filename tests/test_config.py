@@ -35,6 +35,8 @@ def test_space_block_round_trip():
 
 def test_bad_values_rejected():
     for raw in ({"n_modes": 0}, {"p": 1.0}, {"p": 0.5},
+                {"radial_order": 0}, {"angular_order": 0},
+                {"radial_order": -3}, {"angular_order": 12.5}, {"radial_order": "40"},
                 {"space": {"kind": "nope"}},
                 {"operator": {"type": "warp"}},
                 {"operator": {"type": "toeplitz", "symbol": "missing"}},
@@ -120,6 +122,24 @@ def test_atomic_json_and_csv(tmp_path):
     write_csv_atomic(str(cpath), ["a", "b"], [[1, "x"], [2.5, "y"]])
     lines = cpath.read_text().strip().splitlines()
     assert lines[0] == "a,b" and lines[2] == "2.5,y"
+
+
+def test_reports_get_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_json_atomic(str(tmp_path / "r.json"), {"x": 1})
+        write_csv_atomic(str(tmp_path / "r.csv"), ["a"], [[1]])
+    finally:
+        os.umask(old)
+    for name in ("r.json", "r.csv"):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == 0o644
+
+
+def test_json_rejects_nan_and_writes_nothing(tmp_path):
+    for bad in (float("nan"), float("inf"), complex(1.0, float("-inf"))):
+        with pytest.raises(ValueError):
+            write_json_atomic(str(tmp_path / "r.json"), {"x": bad})
+    assert not list(tmp_path.iterdir())
 
 
 def test_report_envelope_structure():

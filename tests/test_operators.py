@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from berglab import spaces
 from berglab.coeffs import (BasisSpec, CoeffFunction, eval_coeffs, from_flat,
                             kernel_as_coeffs, kernel_coeff_vector,
-                            random_coeff_function, random_polynomial)
+                            random_coeff_function, random_polynomial,
+                            scalar_basis_matrix)
 from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
                                certified_projector, conjugate_operator,
                                constant_symbol, hankel_apply,
@@ -187,6 +188,63 @@ def test_translation_at_origin_is_parity(disc_basis, fock_basis):
         U = translation_matrix(basis, 0.0)
         signs = np.repeat((-1.0) ** np.arange(basis.n_modes), basis.space.d)
         assert np.abs(U.mat - np.diag(signs)).max() < 1e-10
+
+
+# Reference for the spectral translation path: the compression <U_z e_k, e_m>
+# integrated on a tensor rule sized from the modal spread of phi_z, so that
+# the angular grid resolves every coefficient the truncation can see.
+
+def _modal_spread(space, r, n_modes):
+    """Upper estimate of the Taylor support of U_z applied to the top mode."""
+    if space.kind == spaces.KIND_DISC:
+        growth = (1.0 + r) / max(1.0 - r, 1e-3)
+        return int(np.ceil((n_modes + 3) * growth)) + 16
+    # fock: displaced mode m spreads by O(|z| sqrt(m)) around m + |z|^2
+    return int(np.ceil(n_modes + r * r + 10.0 * r * np.sqrt(n_modes) + 16))
+
+
+def _translation_rule(space, r, n_modes):
+    spread = _modal_spread(space, r, n_modes)
+    na = int(min(2048, 2 ** np.ceil(np.log2(2 * (spread + n_modes) + 8))))
+    nr = int(max(40, (spread + n_modes) // 4 + 8))
+    return build_rule(space, nr, na)
+
+
+def _quadrature_translation(space, n_modes, z):
+    basis1 = BasisSpec(space, n_modes)
+    rule = _translation_rule(space, abs(z), n_modes)
+    phi = spaces.involution(space, z, rule.nodes)
+    kz = spaces.normalized_kernel_eval(space, z, rule.nodes)
+    E_out = scalar_basis_matrix(basis1, rule.nodes)
+    E_in = scalar_basis_matrix(basis1, phi)
+    return (E_out.conj() * rule.sigma_weights[None, :]) @ (E_in * kz[None, :]).T
+
+
+def _oracle_cases():
+    """Disc (alpha 0, 1.5) and Fock points at three angles, one bidisc pair."""
+    cases = []
+    for label, space, radii in (
+            ("disc", spaces.disc_space(0.0, d=1), (0.0, 0.3, 0.6, 0.9)),
+            ("disc1.5", spaces.disc_space(1.5, d=1), (0.0, 0.3, 0.6, 0.9)),
+            ("fock", spaces.fock_space(d=1), (0.0, 1.0, 2.0, 3.0))):
+        for r in radii:
+            for th in ((0.0,) if r == 0 else (0.0, 2.1, -0.7)):
+                cases.append(pytest.param(space, r * np.exp(1j * th), 24,
+                                          id=f"{label}-r{r}-th{th}"))
+    cases.append(pytest.param(spaces.bidisc_space(0.0, 0.5, d=1), np.array([0.6, 0.9j]), 12,
+                              id="bidisc-0.6-0.9j"))
+    return cases
+
+
+@pytest.mark.parametrize("space, z, n_modes", _oracle_cases())
+def test_translation_matches_quadrature_oracle(space, z, n_modes):
+    U = translation_matrix(BasisSpec(space, n_modes), z).mat
+    if space.kind == spaces.KIND_BIDISC:
+        ref = np.kron(_quadrature_translation(space.factor(0), n_modes, z[0]),
+                      _quadrature_translation(space.factor(1), n_modes, z[1]))
+    else:
+        ref = _quadrature_translation(space, n_modes, z)
+    assert np.abs(U - ref).max() <= 1e-12
 
 
 def test_translation_certificate_frozen_profile():
