@@ -55,23 +55,26 @@ def _parse_matrix(space: SpaceSpec, data) -> np.ndarray:
 
 
 def parse_symbol(space: SpaceSpec, name: str, spec: dict) -> MatrixSymbol:
+    """Symbol from its config spec; any malformed field raises ConfigError."""
+    try:
+        return _parse_symbol(space, name, spec)
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(f"symbol {name!r}: {reason}") from exc
+
+
+def _parse_symbol(space: SpaceSpec, name: str, spec: dict) -> MatrixSymbol:
     kind = spec.get("type")
     if kind == "poly":
+        keys = ("a1", "b1", "a2", "b2") if space.nfactors == 2 else ("a", "b")
         entries: Dict = {}
         for item in spec.get("entries", []):
-            i, k = int(item["i"]), int(item["k"])
-            if not (0 <= i < space.d and 0 <= k < space.d):
-                raise ConfigError(f"symbol {name!r}: entry ({i},{k}) outside d={space.d}")
             terms = {}
             for t in item.get("terms", []):
-                if space.nfactors == 2:
-                    powers = (int(t["a1"]), int(t["b1"]), int(t["a2"]), int(t["b2"]))
-                else:
-                    powers = (int(t["a"]), int(t["b"]))
-                if any(p < 0 for p in powers):
-                    raise ConfigError(f"symbol {name!r}: negative power {powers}")
-                terms[powers] = _parse_scalar_point(t["c"])
-            entries[(i, k)] = terms
+                terms[tuple(t[key] for key in keys)] = _parse_scalar_point(t["c"])
+            entries[(item["i"], item["k"])] = terms
         return poly_symbol(space, entries, label=name)
     if kind == "ball":
         if space.nfactors != 1:

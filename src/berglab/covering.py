@@ -220,9 +220,8 @@ def localization_error(T: OperatorMatrix, covering: Covering) -> float:
     for j in range(covering.n_cells):
         gmask = covering.enlargement[j]
         scalar_g = (Ew[:, gmask]) @ E[:, gmask].T       # compression to 1_{G_j}
-        block = A @ np.kron(scalar_g, np.eye(d))
         rows = np.where(covering.cell_index == j)[0]
         row_idx = (rows[:, None] * d + np.arange(d)[None, :]).ravel()
-        L[row_idx, :] = block[row_idx, :]
+        L[row_idx, :] = A[row_idx] @ np.kron(scalar_g, np.eye(d))
     w = np.repeat(np.sqrt(rule.sigma_weights), d)
     return float(np.linalg.norm(w[:, None] * (A - L), 2))

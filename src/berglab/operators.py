@@ -4,8 +4,11 @@ All operators are dense matrices on the flattened index (mode m, component k)
 -> m * d + k.  Scalar constructions tensor with I_d via np.kron, which matches
 that ordering.
 
-Toeplitz assembly T_F = P M_F splits the symbol into a smooth part sampled on
-the global rule and ball-indicator parts integrated on region-aligned rules
+Toeplitz assembly T_F = P M_F is exact for polynomial symbols: the term
+z^a conj(z)^b maps e_n to c_n c_m / c_{n+a}^2 e_m with m = n + a - b (a
+monomial moment), so these entries use no quadrature rule at all.  Other
+smooth symbols (pullbacks, user-supplied functions) are sampled on the global
+rule, and ball-indicator parts are integrated on region-aligned rules
 (sampling an indicator on the global grid would lose ~3 digits).
 
 Translation operators U_z f = (f o phi_z) k_z are compressions of unitaries.
@@ -27,8 +30,9 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from . import spaces
-from .coeffs import (BasisSpec, CoeffFunction, basis_normalizer, from_flat,
-                     project_grid_function, scalar_basis_matrix)
+from .coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers,
+                     basis_normalizer, from_flat, project_grid_function,
+                     scalar_basis_matrix)
 from .quadrature import QuadratureRule, ball_rule, metric_ball_euclidean
 from .spaces import KIND_BIDISC, KIND_DISC, KIND_FOCK, SpaceSpec
 
@@ -46,7 +50,11 @@ class BallPart:
 
 @dataclass
 class MatrixSymbol:
-    """d x d matrix symbol: optional smooth part plus ball-indicator parts."""
+    """d x d matrix symbol: optional smooth part plus ball-indicator parts.
+
+    poly, when set, holds the monomial terms that smooth samples; Toeplitz
+    assembly then works from poly exactly and never calls smooth.
+    """
 
     space: SpaceSpec
     smooth: Optional[Callable[[np.ndarray], np.ndarray]] = None  # points -> (n, d, d)
@@ -69,9 +77,6 @@ class MatrixSymbol:
     def sup_norm(self, rule: QuadratureRule) -> float:
         vals = self.eval(rule.nodes)
         return float(np.max(np.linalg.norm(vals, 2, axis=(1, 2))))
-
-    def adjoint_values(self, points) -> np.ndarray:
-        return np.conj(np.swapaxes(self.eval(points), 1, 2))
 
 
 def _compile_poly(space: SpaceSpec, entries: Dict[Tuple[int, int], Dict[tuple, complex]]):
@@ -101,13 +106,28 @@ def _compile_poly(space: SpaceSpec, entries: Dict[Tuple[int, int], Dict[tuple, c
     return smooth
 
 
+def _is_index(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
+
+
 def poly_symbol(space: SpaceSpec, entries: Dict[Tuple[int, int], Dict[tuple, complex]],
                 label: str = "") -> MatrixSymbol:
     """Polynomial symbol: entries[(i, k)] maps power tuples to coefficients.
 
     Power tuples are (a, b) for z^a conj(z)^b on one-factor spaces and
-    (a1, b1, a2, b2) on the bidisc.
+    (a1, b1, a2, b2) on the bidisc, with non-negative integer powers; every
+    (i, k) must index a d x d matrix.  Anything else raises ValueError.
     """
+    n_powers = 2 * space.nfactors
+    for key, terms in entries.items():
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(_is_index(j) and j < space.d for j in key)):
+            raise ValueError(f"entry {key!r} outside d={space.d}")
+        for powers in terms:
+            if not (isinstance(powers, tuple) and len(powers) == n_powers
+                    and all(_is_index(p) for p in powers)):
+                raise ValueError(f"entry {key!r}: power tuple {powers!r} is not "
+                                 f"{n_powers} non-negative integers")
     return MatrixSymbol(space, smooth=_compile_poly(space, entries), poly=dict(entries), label=label)
 
 
@@ -119,8 +139,7 @@ def constant_symbol(space: SpaceSpec, matrix, label: str = "") -> MatrixSymbol:
         (i, k): {((0, 0) if space.nfactors == 1 else (0, 0, 0, 0)): m[i, k]}
         for i in range(space.d) for k in range(space.d) if m[i, k] != 0
     }
-    sym = poly_symbol(space, entries, label=label)
-    return sym
+    return poly_symbol(space, entries, label=label)
 
 
 def ball_indicator_symbol(space: SpaceSpec, center: complex, radius: float, matrix,
@@ -224,26 +243,56 @@ def scalar_block_to_operator(basis: BasisSpec, scalar: np.ndarray, label: str = 
 # ---------------------------------------------------------------------------
 # Toeplitz operators
 
-def _scalar_gram_with_weight(basis: BasisSpec, rule: QuadratureRule, wvals: np.ndarray) -> np.ndarray:
-    E = scalar_basis_matrix(basis, rule.nodes)
-    return (E.conj() * (rule.sigma_weights * wvals)[None, :]) @ E.T
+def _factor_monomial_block(space1: SpaceSpec, n_modes: int, a: int, b: int) -> np.ndarray:
+    """Exact <z^a conj(z)^b e_n, e_m> on one factor: c_n c_m / c_{n+a}^2 at m = n + a - b.
+
+    The integral of |z|^(2k) against sigma is 1/c_k^2 on the disc (any alpha)
+    and on the Fock space, so no quadrature enters.
+    """
+    logc = _factor_log_normalizers(space1.kind, space1.alpha, n_modes + a)
+    n = np.arange(max(0, b - a), min(n_modes, n_modes + b - a))
+    m = n + a - b
+    out = np.zeros((n_modes, n_modes))
+    out[m, n] = np.exp(logc[n] + logc[m] - 2.0 * logc[n + a])
+    return out
+
+
+def _monomial_block(basis: BasisSpec, powers: tuple) -> np.ndarray:
+    """Scalar block of one monomial term; the Kronecker product of its factors on the bidisc."""
+    space = basis.space
+    if space.nfactors == 1:
+        return _factor_monomial_block(space, basis.n_modes, *powers)
+    a1, b1, a2, b2 = powers
+    return np.kron(_factor_monomial_block(space.factor(0), basis.n_modes, a1, b1),
+                   _factor_monomial_block(space.factor(1), basis.n_modes, a2, b2))
 
 
 def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol) -> OperatorMatrix:
     """T_F = P M_F on the truncated space.
 
-    Polynomial entries are exact whenever radial exactness (degree in t up to
-    2*radial_order - 1) and angular separation (frequency spread less than
-    angular_order) hold; ball parts are assembled on their own region rules.
+    Polynomial symbols (symbol.poly) are assembled exactly from monomial
+    moments and do not depend on the rule.  Other smooth symbols are sampled
+    on the rule, one GEMM per nonzero (i, k) entry; they are exact whenever
+    radial exactness (degree in t up to 2*radial_order - 1) and angular
+    separation (frequency spread less than angular_order) hold.  Ball parts
+    are assembled on their own region rules.
     """
     d = basis.space.d
     n = basis.n_scalar
-    T4 = np.zeros((n, d, n, d), dtype=complex)
-    if symbol.smooth is not None:
+    T = np.zeros((basis.dim, basis.dim), dtype=complex)
+    T4 = T.reshape(n, d, n, d)
+    if symbol.poly is not None:
+        for (i, k), terms in symbol.poly.items():
+            for powers, c in terms.items():
+                T4[:, i, :, k] += c * _monomial_block(basis, powers)
+    elif symbol.smooth is not None:
         vals = symbol.smooth(rule.nodes)
         E = scalar_basis_matrix(basis, rule.nodes)
         Ew = E.conj() * rule.sigma_weights[None, :]
-        T4 += np.einsum("an,nik,bn->aibk", Ew, vals, E, optimize=True)
+        for i in range(d):
+            for k in range(d):
+                if np.any(vals[:, i, k]):
+                    T4[:, i, :, k] = (Ew * vals[None, :, i, k]) @ E.T
     for b in symbol.balls:
         brule = ball_rule(basis.space, b.center, b.radius,
                           radial_order=max(rule.radial_order, basis.n_modes + 8),
@@ -251,8 +300,7 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
         Eb = scalar_basis_matrix(basis, brule.nodes)
         scalar = (Eb.conj() * brule.sigma_weights[None, :]) @ Eb.T
         T4 += np.einsum("ab,ik->aibk", scalar, b.value)
-    return OperatorMatrix(basis, T4.reshape(basis.dim, basis.dim),
-                          label=f"T[{symbol.label or 'F'}]")
+    return OperatorMatrix(basis, T, label=f"T[{symbol.label or 'F'}]")
 
 
 @dataclass

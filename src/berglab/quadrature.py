@@ -97,7 +97,15 @@ def build_rule(
     angular_order: Optional[int] = None,
     t_interval=None,
 ) -> QuadratureRule:
-    """Tensor sigma-rule on the full domain (or a radial sub-annulus)."""
+    """Tensor sigma-rule on the full domain (or a radial sub-annulus).
+
+    Orders left as None take the space's defaults; any other value must be a
+    positive integer (ValueError otherwise), since zero nodes make no rule.
+    """
+    for name, order in (("radial_order", radial_order), ("angular_order", angular_order)):
+        if order is not None and (isinstance(order, bool)
+                                  or not isinstance(order, (int, np.integer)) or order < 1):
+            raise ValueError(f"{name} must be a positive integer, got {order!r}")
     if space.kind == KIND_BIDISC:
         nr = BIDISC_RADIAL_ORDER if radial_order is None else radial_order
         na = BIDISC_ANGULAR_ORDER if angular_order is None else angular_order

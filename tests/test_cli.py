@@ -140,6 +140,33 @@ def test_unreadable_symbol_reference_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _drift_with_term(**changes):
+    """BASE_CONFIG's drift symbol with its first entry or term edited; None deletes."""
+    entry = {"i": 0, "k": 0, "terms": [{"a": 1, "b": 0, "c": 1.0}]}
+    for key, value in changes.items():
+        target = entry["terms"][0] if key in ("a", "b", "c") else entry
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return dict(BASE_CONFIG, symbols={**BASE_CONFIG["symbols"],
+                                      "drift": {"type": "poly", "entries": [entry]}})
+
+
+@pytest.mark.parametrize("changes", [
+    {"i": None}, {"k": None}, {"c": None}, {"a": None}, {"a": "one"},
+], ids=["no-i", "no-k", "no-c", "no-a", "non-numeric-a"])
+def test_malformed_poly_symbol_exits_2_and_writes_nothing(changes, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_drift_with_term(**changes)))
+    out = tmp_path / "out"
+    assert cli.main(["toeplitz", "--config", str(path), "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["command"] == "toeplitz"
+    assert "drift" in payload["error"]
+    assert not out.exists()
+
+
 def test_nan_payload_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
     def runner(cfg, args):
         return "axioms", {"value": float("nan")}, ["value"], [[float("nan")]], 0

@@ -35,6 +35,25 @@ def test_poly_symbol_eval(disc):
     assert np.allclose(np.delete(vals.reshape(2, -1), 1, axis=1), 0.0)
 
 
+@pytest.mark.parametrize("space_name, entries", [
+    ("disc", {(0, 0): {(-1, 0): 1.0}}),
+    ("disc", {(0, 0): {(1,): 1.0}}),
+    ("disc", {(0, 0): {(1, 0, 0, 0): 1.0}}),
+    ("disc", {(0, 0): {(1.0, 0): 1.0}}),
+    ("disc", {(0, 0): {(True, 0): 1.0}}),
+    ("disc", {(0, 0): {("1", 0): 1.0}}),
+    ("bidisc", {(0, 0): {(1, 0): 1.0}}),
+    ("bidisc", {(0, 0): {(1, 0, -2, 0): 1.0}}),
+    ("disc", {(2, 0): {(0, 0): 1.0}}),
+    ("disc", {(0, -1): {(0, 0): 1.0}}),
+    ("disc", {(0,): {(0, 0): 1.0}}),
+], ids=["negative", "short", "bidisc-powers-on-disc", "float", "bool", "str",
+        "disc-powers-on-bidisc", "negative-bidisc", "i-outside-d", "k-negative", "short-key"])
+def test_poly_symbol_rejects_bad_keys(space_name, entries, disc, bidisc):
+    with pytest.raises(ValueError):
+        poly_symbol({"disc": disc, "bidisc": bidisc}[space_name], entries)
+
+
 def test_constant_symbol_matches_matrix(fock):
     M = np.array([[1.0, 2.0j], [0.0, -0.5]])
     sym = constant_symbol(fock, M)
@@ -151,6 +170,71 @@ def test_bidisc_constant_and_shift(bidisc_basis, bidisc_rule):
     expect = np.sqrt((0 + 1.0) / (0 + 2.0 + a1))
     assert T4[1, 0, 0, 0, 0, 0] == pytest.approx(expect, rel=1e-8)
     assert abs(T4[0, 1, 0, 0, 0, 0]) < 1e-10
+
+
+# Reference for the exact polynomial path and the per-entry GEMM path: every
+# smooth symbol sampled on the rule and contracted in one 4-index einsum.
+
+def _einsum_toeplitz(basis, rule, symbol):
+    vals = symbol.smooth(rule.nodes)
+    E = scalar_basis_matrix(basis, rule.nodes)
+    Ew = E.conj() * rule.sigma_weights[None, :]
+    return np.einsum("an,nik,bn->aibk", Ew, vals, E,
+                     optimize=True).reshape(basis.dim, basis.dim)
+
+
+def _random_poly_entries(space, rng, n_terms=3, max_power=3):
+    n_powers = 2 * space.nfactors
+    return {(i, k): {tuple(int(p) for p in rng.integers(0, max_power + 1, n_powers)):
+                     complex(*rng.standard_normal(2)) for _ in range(n_terms)}
+            for i in range(space.d) for k in range(space.d)}
+
+
+_POLY_SPACES = {
+    "disc": (spaces.disc_space(0.0, d=2), (8, 16, 32)),
+    "disc1.5": (spaces.disc_space(1.5, d=2), (8, 16, 32)),
+    "fock": (spaces.fock_space(d=2), (8, 16, 32)),
+    "bidisc": (spaces.bidisc_space(0.0, 0.5, d=2), (4, 6)),
+}
+
+
+@pytest.mark.parametrize("label, n_modes", [
+    (label, n) for label, (_, sizes) in _POLY_SPACES.items() for n in sizes])
+def test_poly_toeplitz_matches_einsum_oracle(label, n_modes):
+    space = _POLY_SPACES[label][0]
+    basis = BasisSpec(space, n_modes)
+    rule = build_rule(space)
+    rng = np.random.default_rng(n_modes)
+    for _ in range(2):
+        sym = poly_symbol(space, _random_poly_entries(space, rng))
+        ref = _einsum_toeplitz(basis, rule, sym)
+        T = toeplitz_matrix(basis, rule, sym).mat
+        assert np.abs(T - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("label", list(_POLY_SPACES))
+def test_poly_toeplitz_does_not_depend_on_the_rule(label):
+    space, sizes = _POLY_SPACES[label]
+    basis = BasisSpec(space, sizes[0])
+    sym = poly_symbol(space, _random_poly_entries(space, np.random.default_rng(5)))
+    coarse = toeplitz_matrix(basis, build_rule(space, 4, 8), sym).mat
+    fine = toeplitz_matrix(basis, build_rule(space), sym).mat
+    assert np.array_equal(coarse, fine)
+
+
+@pytest.mark.parametrize("label, z", [
+    ("disc", 0.4 * np.exp(0.7j)), ("disc1.5", -0.3j), ("fock", 1.2 - 0.5j),
+    ("bidisc", np.array([0.3, 0.2j]))])
+def test_pullback_toeplitz_matches_einsum_oracle(label, z):
+    space, sizes = _POLY_SPACES[label]
+    basis = BasisSpec(space, sizes[0])
+    rule = build_rule(space)
+    sym = pullback_symbol(poly_symbol(space, _random_poly_entries(
+        space, np.random.default_rng(6), max_power=2)), z)
+    assert sym.poly is None
+    ref = _einsum_toeplitz(basis, rule, sym)
+    T = toeplitz_matrix(basis, rule, sym).mat
+    assert np.abs(T - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------

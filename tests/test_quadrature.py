@@ -21,6 +21,16 @@ def test_sigma_is_probability(all_spaces):
         assert np.all(rule.sigma_weights > 0)
 
 
+@pytest.mark.parametrize("orders", [
+    {"radial_order": 0}, {"angular_order": 0}, {"radial_order": -2},
+    {"angular_order": 8.0}, {"radial_order": "40"}, {"angular_order": True},
+])
+def test_build_rule_rejects_empty_or_non_integer_orders(all_spaces, orders):
+    for sp in all_spaces:
+        with pytest.raises(ValueError):
+            build_rule(sp, **orders)
+
+
 def test_disc_radial_moments(disc, disc_weighted):
     # int |w|^(2m) dsigma = m! Gamma(a+2) / Gamma(m+a+2)
     for sp in (disc, disc_weighted):
