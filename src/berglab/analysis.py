@@ -8,13 +8,13 @@ randomness is seeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import spaces
-from .coeffs import BasisSpec, CoeffFunction, from_flat, kernel_coeff_vector, scalar_basis_matrix
+from .coeffs import BasisSpec, kernel_coeff_vector, scalar_basis_matrix
 from .operators import OperatorMatrix, conjugate_operator, translation_matrix
 from .quadrature import QuadratureRule
 from .spaces import KIND_BIDISC, KIND_DISC, KIND_FOCK, SpaceSpec
@@ -136,9 +136,7 @@ def rkt_boundedness_check(basis: BasisSpec, rule: QuadratureRule, T: OperatorMat
             H = U.mat @ (A.mat @ X)                       # (dim, d) columns
             C = H.reshape(basis.n_scalar, d, d)           # (mode, component, probe i)
             S = np.einsum("mu,mki->uki", E, C)            # samples (node, component, i)
-            integrand = np.sum(np.abs(S), axis=1) ** p    # (node, i)
-            vals[side].append(
-                np.sum(rule.sigma_weights[:, None] * integrand, axis=0) ** (1.0 / p))
+            vals[side].append(_lp_norm(rule, np.sum(np.abs(S), axis=1), p))
     kap = space.kappa
     return (RktReport("adjoint_side", p, list(z_grid), np.array(vals["adjoint_side"]), kap),
             RktReport("direct_side", p, list(z_grid), np.array(vals["direct_side"]), kap))
@@ -214,8 +212,7 @@ def hankel_rkt_check(rule: QuadratureRule, F, p: float = 4.0,
         moved = spaces.involution(space, z, rule.nodes)
         Fz = F.eval(np.atleast_1d(z) if space.nfactors == 1 else z)[0]
         delta = Fz[None, :, :] - F.eval(moved)
-        integrand = np.sum(np.abs(delta), axis=2) ** p      # (node, i)
-        out.append(np.sum(rule.sigma_weights[:, None] * integrand, axis=0) ** (1.0 / p))
+        out.append(_lp_norm(rule, np.sum(np.abs(delta), axis=2), p))
     return RktReport("oscillation", p, list(z_grid), np.array(out), space.kappa)
 
 
@@ -427,12 +424,9 @@ def berezin_injectivity_probe(space: SpaceSpec, d: int, n_small: int,
     """
     if n_small * d > 8:
         raise ValueError("small-instance probe requires n_small * d <= 8")
-    probe_space = space
-    if space.d != d:
-        probe_space = spaces.with_component_dim(space, d)
-    basis = BasisSpec(probe_space, n_small)
+    basis = BasisSpec(replace(space, d=d), n_small)
     if grid is None:
-        grid = _spiral_grid(probe_space, max(9, basis.n_scalar ** 2 + 1))
+        grid = _spiral_grid(basis.space, max(9, basis.n_scalar ** 2 + 1))
     if len(grid) < basis.n_scalar ** 2:
         raise ValueError("grid too small to resolve all mode pairs")
     n = basis.n_scalar

@@ -54,20 +54,11 @@ def _context(cfg, scale: float):
     from .coeffs import BasisSpec
     from .quadrature import build_rule
 
-    radial = cfg.radial_order
-    angular = cfg.angular_order
+    rule = build_rule(cfg.space, cfg.radial_order, cfg.angular_order)
     if scale != 1.0:
-        from .quadrature import (BIDISC_ANGULAR_ORDER, BIDISC_RADIAL_ORDER,
-                                 DEFAULT_ANGULAR_ORDER, DEFAULT_RADIAL_ORDER)
-        if cfg.space.nfactors == 2:
-            base_r, base_a = BIDISC_RADIAL_ORDER, BIDISC_ANGULAR_ORDER
-        else:
-            base_r, base_a = DEFAULT_RADIAL_ORDER, DEFAULT_ANGULAR_ORDER
-        radial = max(2, int(np.ceil((base_r if radial is None else radial) * scale)))
-        angular = max(4, int(np.ceil((base_a if angular is None else angular) * scale)))
-    rule = build_rule(cfg.space, radial, angular)
-    basis = BasisSpec(cfg.space, cfg.n_modes)
-    return basis, rule
+        rule = build_rule(cfg.space, max(2, int(np.ceil(rule.radial_order * scale))),
+                          max(4, int(np.ceil(rule.angular_order * scale))))
+    return BasisSpec(cfg.space, cfg.n_modes), rule
 
 
 def _operator(cfg, basis, rule):
@@ -178,7 +169,6 @@ def _run_berezin(cfg, args):
 def _run_rkt(cfg, args):
     from .analysis import (hankel_rkt_check, rkt_boundedness_check,
                            rkt_product_check, rkt_toeplitz_symbol_check)
-    from .config import ConfigError
 
     basis, rule = _context(cfg, args.resolution_scale)
     zg = _zgrid(cfg, basis)
@@ -220,12 +210,13 @@ def _run_rkt(cfg, args):
 
 
 def _run_essnorm(cfg, args):
-    from .analysis import boundary_shells, essential_norm_estimate
+    from .analysis import boundary_shells, default_probe_set, essential_norm_estimate
 
     basis, rule = _context(cfg, args.resolution_scale)
     T = _operator(cfg, basis, rule)
     shells = boundary_shells(cfg.space, radii=cfg.shells)
-    rep = essential_norm_estimate(T, boundary_grid=shells, seed=cfg.seed)
+    probes = default_probe_set(basis, seed=cfg.seed, n_random=cfg.n_random_probes)
+    rep = essential_norm_estimate(T, boundary_grid=shells, probe_set=probes)
     payload = rep.as_dict()
     payload["threshold"] = cfg.essnorm_threshold
     payload["below_threshold"] = rep.estimate < cfg.essnorm_threshold
@@ -235,9 +226,6 @@ def _run_essnorm(cfg, args):
 
 
 def _run_rf(cfg, args):
-    import numpy as np
-
-    from .config import ConfigError
     from .quadrature import rudin_forelli
 
     basis, rule = _context(cfg, args.resolution_scale)
@@ -355,7 +343,7 @@ def _run_verify_axioms(cfg, args):
     import numpy as np
 
     from . import spaces
-    from .coeffs import scalar_basis_matrix
+    from .coeffs import rule_inner, scalar_basis_matrix
     from .operators import (certified_projector, translation_certificate,
                             translation_matrix)
     from .quadrature import integrate_lambda, integrate_sigma
@@ -381,7 +369,7 @@ def _run_verify_axioms(cfg, args):
            abs(integrate_sigma(rule, np.ones(rule.n_nodes)) - 1.0), 1e-12)
 
     E = scalar_basis_matrix(basis, rule.nodes)
-    G = (E.conj() * rule.sigma_weights[None, :]) @ E.T
+    G = rule_inner(E, rule.sigma_weights, E.T)
     record("basis_orthonormality", np.abs(G - np.eye(basis.n_scalar)).max(), 1e-10)
 
     z, w = rand_points(400), rand_points(400)

@@ -55,31 +55,24 @@ def basis_normalizer(basis: BasisSpec) -> np.ndarray:
     """c_m for every scalar mode, ordered as the flattened mode list."""
     sp = basis.space
     if sp.kind == KIND_BIDISC:
-        a1, a2 = sp.alphas
-        c1 = np.exp(_factor_log_normalizers(KIND_DISC, a1, basis.n_modes))
-        c2 = np.exp(_factor_log_normalizers(KIND_DISC, a2, basis.n_modes))
+        c1, c2 = (basis_normalizer(BasisSpec(sp.factor(i), basis.n_modes)) for i in range(2))
         return np.outer(c1, c2).ravel()
     return np.exp(_factor_log_normalizers(sp.kind, sp.alpha, basis.n_modes))
 
 
-def _factor_power_matrix(pts: np.ndarray, n: int) -> np.ndarray:
-    return pts[None, :] ** np.arange(n)[:, None]
+def _factor_basis_matrix(space1: SpaceSpec, n: int, pts: np.ndarray) -> np.ndarray:
+    """e_m(p) = c_m p^m on one factor: shape (n, n_points)."""
+    return basis_normalizer(BasisSpec(space1, n))[:, None] * pts[None, :] ** np.arange(n)[:, None]
 
 
 def scalar_basis_matrix(basis: BasisSpec, points) -> np.ndarray:
-    """Evaluations e_m(p): shape (n_scalar, n_points)."""
+    """Evaluations e_m(p): shape (n_scalar, n_points); a product of factors on the bidisc."""
     sp = basis.space
-    pts = spaces.as_points(sp, points)
+    pts = spaces.as_points(sp, points).reshape(-1, sp.nfactors)
     if sp.kind == KIND_BIDISC:
-        pts = pts.reshape(-1, 2)
-        a1, a2 = sp.alphas
-        e1 = np.exp(_factor_log_normalizers(KIND_DISC, a1, basis.n_modes))[:, None] \
-            * _factor_power_matrix(pts[:, 0], basis.n_modes)
-        e2 = np.exp(_factor_log_normalizers(KIND_DISC, a2, basis.n_modes))[:, None] \
-            * _factor_power_matrix(pts[:, 1], basis.n_modes)
+        e1, e2 = (_factor_basis_matrix(sp.factor(i), basis.n_modes, pts[:, i]) for i in range(2))
         return (e1[:, None, :] * e2[None, :, :]).reshape(basis.n_scalar, pts.shape[0])
-    pts = pts.reshape(-1)
-    return basis_normalizer(basis)[:, None] * _factor_power_matrix(pts, basis.n_modes)
+    return _factor_basis_matrix(sp, basis.n_modes, pts[:, 0])
 
 
 @dataclass
@@ -120,29 +113,27 @@ def eval_coeffs(f: CoeffFunction, points) -> np.ndarray:
     return E.T @ f.coeffs
 
 
+def rule_inner(E: np.ndarray, weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Weighted inner products sum_u conj(E[m, u]) weights[u] samples[u, ...] on a rule.
+
+    E holds the basis evaluated at the rule's nodes (scalar_basis_matrix);
+    with samples = E.T this is the weighted Gram matrix.
+    """
+    return (E.conj() * weights) @ samples
+
+
 def project_grid_function(basis: BasisSpec, rule: QuadratureRule, samples) -> CoeffFunction:
     """Orthogonal projection of grid samples onto the truncated analytic space.
 
-    samples: (n_nodes,) scalar or (n_nodes, d).
+    samples: (n_nodes, d), or (n_nodes,) scalar samples, which land in component 0.
     """
     s = np.asarray(samples, dtype=complex)
     if s.ndim == 1:
-        # scalar samples land in component 0
-        coeffs = np.zeros((basis.n_scalar, basis.space.d), dtype=complex)
-        coeffs[:, 0] = project_scalar_samples(basis, rule, s)
-        return CoeffFunction(basis, coeffs)
+        s = np.pad(s[:, None], ((0, 0), (0, basis.space.d - 1)))
     if s.shape != (rule.n_nodes, basis.space.d):
         raise ValueError("samples must be (n_nodes,) or (n_nodes, d)")
     E = scalar_basis_matrix(basis, rule.nodes)
-    coeffs = (E.conj() * rule.sigma_weights[None, :]) @ s
-    return CoeffFunction(basis, coeffs)
-
-
-def project_scalar_samples(basis: BasisSpec, rule: QuadratureRule, samples) -> np.ndarray:
-    """Scalar-mode projection coefficients <f, e_m> for scalar grid samples."""
-    s = np.asarray(samples, dtype=complex).reshape(-1)
-    E = scalar_basis_matrix(basis, rule.nodes)
-    return (E.conj() * rule.sigma_weights[None, :]) @ s
+    return CoeffFunction(basis, rule_inner(E, rule.sigma_weights, s))
 
 
 def kernel_coeff_vector(basis: BasisSpec, z, normalized: bool = True, renormalize: bool = True) -> np.ndarray:
@@ -205,23 +196,3 @@ def random_polynomial(basis: BasisSpec, rng: np.random.Generator, degree: int,
     if unit:
         c /= np.linalg.norm(c)
     return CoeffFunction(basis, c)
-
-
-# ---------------------------------------------------------------------------
-# serialization (schema: space, shape, re, im)
-
-def coeff_function_to_dict(f: CoeffFunction) -> dict:
-    return {
-        "space": spaces.space_to_dict(f.basis.space),
-        "n_modes": f.basis.n_modes,
-        "shape": list(f.coeffs.shape),
-        "re": f.coeffs.real.tolist(),
-        "im": f.coeffs.imag.tolist(),
-    }
-
-
-def coeff_function_from_dict(data: dict) -> CoeffFunction:
-    sp = spaces.space_from_dict(data["space"])
-    basis = BasisSpec(sp, int(data["n_modes"]))
-    coeffs = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-    return CoeffFunction(basis, coeffs)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -184,6 +184,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
     if cfg.p <= 1.0:
         raise ConfigError("p must exceed 1")
+    if cfg.n_random_probes < 0:
+        raise ConfigError("n_random_probes must be >= 0")
     # resolve every declared symbol and the operator references up front
     for name in cfg.symbol_specs:
         cfg.symbol(name)

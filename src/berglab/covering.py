@@ -24,12 +24,22 @@ from typing import List, Optional
 import numpy as np
 
 from . import spaces
-from .coeffs import BasisSpec, scalar_basis_matrix
+from .coeffs import rule_inner, scalar_basis_matrix
 from .operators import OperatorMatrix
 from .quadrature import QuadratureRule, build_rule
-from .spaces import KIND_BIDISC, KIND_DISC, KIND_FOCK, SpaceSpec
+from .spaces import KIND_DISC, KIND_FOCK, SpaceSpec
 
 _TWO_PI = 2.0 * np.pi
+
+
+def _diameter(space1: SpaceSpec, pts: np.ndarray) -> float:
+    """Max pairwise metric distance of single-factor points.
+
+    The pairwise matrix is reduced 256 rows at a time, so memory stays linear
+    in the number of points (a cell can hold the whole rule).
+    """
+    return max(float(np.max(spaces.metric(space1, pts[i:i + 256, None], pts[None, :])))
+               for i in range(0, pts.shape[0], 256))
 
 
 @dataclass
@@ -62,14 +72,9 @@ class Covering:
             if sel.shape[0] < 2:
                 continue
             if self.space.nfactors == 2:
-                diam = 0.0
-                for i in range(2):
-                    uniq = np.unique(sel[:, i])
-                    diam = max(diam, float(np.max(spaces.metric(
-                        self.space.factor(i), uniq[:, None], uniq[None, :]))))
-                out[j] = diam
+                out[j] = max(_diameter(self.space.factor(i), np.unique(sel[:, i])) for i in range(2))
             else:
-                out[j] = float(np.max(spaces.metric(self.space, sel[:, None], sel[None, :])))
+                out[j] = _diameter(self.space, sel)
         return out
 
     def multiplicity_per_node(self) -> np.ndarray:
@@ -196,12 +201,6 @@ def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = 
 # ---------------------------------------------------------------------------
 # localization
 
-def _grid_map(basis: BasisSpec, rule: QuadratureRule, T: OperatorMatrix) -> np.ndarray:
-    """Coefficient -> grid-sample matrix of T (rows: node-major, component-minor)."""
-    E = scalar_basis_matrix(basis, rule.nodes)
-    return np.kron(E.T, np.eye(basis.space.d)) @ T.mat
-
-
 def localization_error(T: OperatorMatrix, covering: Covering) -> float:
     """Distance from T to its covering localization, in grid space.
 
@@ -214,12 +213,11 @@ def localization_error(T: OperatorMatrix, covering: Covering) -> float:
     rule = covering.rule
     d = basis.space.d
     E = scalar_basis_matrix(basis, rule.nodes)
-    Ew = E.conj() * rule.sigma_weights[None, :]
-    A = _grid_map(basis, rule, T)
+    A = np.kron(E.T, np.eye(d)) @ T.mat     # coefficients -> grid samples (node, component)
     L = np.zeros_like(A)
     for j in range(covering.n_cells):
         gmask = covering.enlargement[j]
-        scalar_g = (Ew[:, gmask]) @ E[:, gmask].T       # compression to 1_{G_j}
+        scalar_g = rule_inner(E[:, gmask], rule.sigma_weights[gmask], E[:, gmask].T)  # 1_{G_j}
         rows = np.where(covering.cell_index == j)[0]
         row_idx = (rows[:, None] * d + np.arange(d)[None, :]).ravel()
         L[row_idx, :] = A[row_idx] @ np.kron(scalar_g, np.eye(d))

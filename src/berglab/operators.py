@@ -32,8 +32,8 @@ from scipy.special import eval_genlaguerre, gammaln
 from . import spaces
 from .coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers,
                      basis_normalizer, from_flat, project_grid_function,
-                     scalar_basis_matrix)
-from .quadrature import QuadratureRule, ball_rule, metric_ball_euclidean
+                     rule_inner, scalar_basis_matrix)
+from .quadrature import QuadratureRule, ball_rule, euclidean_ball
 from .spaces import KIND_BIDISC, KIND_DISC, KIND_FOCK, SpaceSpec
 
 
@@ -83,23 +83,16 @@ def _compile_poly(space: SpaceSpec, entries: Dict[Tuple[int, int], Dict[tuple, c
     d = space.d
 
     def smooth(pts: np.ndarray) -> np.ndarray:
-        if space.nfactors == 2:
-            p = pts.reshape(-1, 2)
-            n = p.shape[0]
-        else:
-            p = pts.reshape(-1)
-            n = p.shape[0]
-        out = np.zeros((n, d, d), dtype=complex)
+        p = pts.reshape(-1, space.nfactors)
+        out = np.zeros((p.shape[0], d, d), dtype=complex)
         for (i, k), terms in entries.items():
-            acc = np.zeros(n, dtype=complex)
+            acc = np.zeros(p.shape[0], dtype=complex)
             for powers, c in terms.items():
-                if space.nfactors == 2:
-                    a1, b1, a2, b2 = powers
-                    acc += c * p[:, 0] ** a1 * np.conj(p[:, 0]) ** b1 \
-                        * p[:, 1] ** a2 * np.conj(p[:, 1]) ** b2
-                else:
-                    a, b = powers
-                    acc += c * p ** a * np.conj(p) ** b
+                term = c
+                for j in range(space.nfactors):   # powers are (a, b) per factor
+                    a, b = powers[2 * j:2 * j + 2]
+                    term = term * p[:, j] ** a * np.conj(p[:, j]) ** b
+                acc += term
             out[:, i, k] = acc
         return out
 
@@ -149,8 +142,7 @@ def ball_indicator_symbol(space: SpaceSpec, center: complex, radius: float, matr
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (space.d, space.d):
         raise ValueError("ball symbol needs a d x d matrix")
-    if ball_metric == "invariant":
-        center, radius = metric_ball_euclidean(space, center, radius)
+    center, radius = euclidean_ball(space, center, radius, ball_metric)
     return MatrixSymbol(space, balls=[BallPart(complex(center), float(radius), m)], label=label)
 
 
@@ -288,18 +280,16 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
     elif symbol.smooth is not None:
         vals = symbol.smooth(rule.nodes)
         E = scalar_basis_matrix(basis, rule.nodes)
-        Ew = E.conj() * rule.sigma_weights[None, :]
         for i in range(d):
             for k in range(d):
                 if np.any(vals[:, i, k]):
-                    T4[:, i, :, k] = (Ew * vals[None, :, i, k]) @ E.T
+                    T4[:, i, :, k] = rule_inner(E, rule.sigma_weights * vals[:, i, k], E.T)
     for b in symbol.balls:
         brule = ball_rule(basis.space, b.center, b.radius,
                           radial_order=max(rule.radial_order, basis.n_modes + 8),
                           angular_order=max(rule.angular_order, 2 * basis.n_modes + 8))
         Eb = scalar_basis_matrix(basis, brule.nodes)
-        scalar = (Eb.conj() * brule.sigma_weights[None, :]) @ Eb.T
-        T4 += np.einsum("ab,ik->aibk", scalar, b.value)
+        T4 += np.einsum("ab,ik->aibk", rule_inner(Eb, brule.sigma_weights, Eb.T), b.value)
     return OperatorMatrix(basis, T, label=f"T[{symbol.label or 'F'}]")
 
 

@@ -175,18 +175,19 @@ def ball_rule(
     return QuadratureRule(space, nodes, weights, radial_order, angular_order, label="ball")
 
 
-def sigma_ball_mass(space, center, radius, ball_metric="euclidean", radial_order=40, angular_order=64):
+def euclidean_ball(space: SpaceSpec, center: complex, radius: float, ball_metric: str):
+    """Euclidean center/radius of a ball given in the "euclidean" or "invariant" metric."""
+    if ball_metric not in ("euclidean", "invariant"):
+        raise ValueError(f"unknown ball metric {ball_metric!r}")
     if ball_metric == "invariant":
-        center, radius = metric_ball_euclidean(space, center, radius)
+        return metric_ball_euclidean(space, center, radius)
+    return center, radius
+
+
+def sigma_ball_mass(space, center, radius, ball_metric="euclidean", radial_order=40, angular_order=64):
+    center, radius = euclidean_ball(space, center, radius, ball_metric)
     rule = ball_rule(space, center, radius, radial_order, angular_order)
     return float(np.real(integrate_sigma(rule, np.ones(rule.n_nodes))))
-
-
-def lambda_ball_mass(space, center, radius, ball_metric="euclidean", radial_order=40, angular_order=64):
-    if ball_metric == "invariant":
-        center, radius = metric_ball_euclidean(space, center, radius)
-    rule = ball_rule(space, center, radius, radial_order, angular_order)
-    return float(np.real(integrate_lambda(rule, np.ones(rule.n_nodes))))
 
 
 # ---------------------------------------------------------------------------

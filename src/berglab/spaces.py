@@ -59,12 +59,14 @@ class SpaceSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.alpha <= -1:
-            raise ValueError("disc weight must satisfy alpha > -1")
+        if min(self.alphas) <= -1:
+            raise ValueError("disc weights must satisfy alpha > -1 and alpha2 > -1")
         if self.d < 1:
             raise ValueError("component dimension d must be >= 1")
         if not (0 < self.r_max < 1):
             raise ValueError("r_max must lie in (0, 1)")
+        if not self.fock_probe_radius > 0:
+            raise ValueError("fock_probe_radius must be positive")
 
     @property
     def nfactors(self) -> int:
@@ -74,11 +76,6 @@ class SpaceSpec:
     def alphas(self):
         a2 = self.alpha if self.alpha2 is None else self.alpha2
         return (self.alpha, a2)
-
-    @property
-    def strong(self) -> bool:
-        # every model here realizes the structural axioms with equality
-        return True
 
     @property
     def kappa(self) -> float:
@@ -115,10 +112,6 @@ def bidisc_space(alpha: float = 0.0, alpha2: Optional[float] = None, d: int = 4,
     return SpaceSpec(KIND_BIDISC, alpha=alpha, alpha2=alpha2, d=d, **kw)
 
 
-def with_component_dim(space: SpaceSpec, d: int) -> SpaceSpec:
-    return replace(space, d=d)
-
-
 def as_points(space: SpaceSpec, z) -> np.ndarray:
     """Normalize point input to a complex ndarray; bidisc gets a trailing 2-axis."""
     z = np.asarray(z, dtype=complex)
@@ -128,13 +121,9 @@ def as_points(space: SpaceSpec, z) -> np.ndarray:
     return z
 
 
-def in_domain(space: SpaceSpec, z) -> np.ndarray:
-    z = as_points(space, z)
-    if space.kind == KIND_DISC:
-        return np.abs(z) < 1.0
-    if space.kind == KIND_FOCK:
-        return np.isfinite(z.real) & np.isfinite(z.imag)
-    return np.all(np.abs(z) < 1.0, axis=-1)
+def _on_factors(fn, space: SpaceSpec, *points) -> list:
+    """fn on each disc factor of the bidisc, at that factor's coordinates."""
+    return [fn(space.factor(i), *(p[..., i] for p in points)) for i in range(2)]
 
 
 def point_radius(space: SpaceSpec, z) -> np.ndarray:
@@ -171,9 +160,7 @@ def kernel_eval(space: SpaceSpec, z, w) -> np.ndarray:
         return (1.0 - w * np.conj(z)) ** (-(2.0 + space.alpha))
     if space.kind == KIND_FOCK:
         return np.exp(w * np.conj(z))
-    a1, a2 = space.alphas
-    k1 = (1.0 - w[..., 0] * np.conj(z[..., 0])) ** (-(2.0 + a1))
-    k2 = (1.0 - w[..., 1] * np.conj(z[..., 1])) ** (-(2.0 + a2))
+    k1, k2 = _on_factors(kernel_eval, space, z, w)
     return k1 * k2
 
 
@@ -184,9 +171,7 @@ def kernel_norm(space: SpaceSpec, z) -> np.ndarray:
         return (1.0 - np.abs(z) ** 2) ** (-(2.0 + space.alpha) / 2.0)
     if space.kind == KIND_FOCK:
         return np.exp(np.abs(z) ** 2 / 2.0)
-    a1, a2 = space.alphas
-    n1 = (1.0 - np.abs(z[..., 0]) ** 2) ** (-(2.0 + a1) / 2.0)
-    n2 = (1.0 - np.abs(z[..., 1]) ** 2) ** (-(2.0 + a2) / 2.0)
+    n1, n2 = _on_factors(kernel_norm, space, z)
     return n1 * n2
 
 
@@ -210,10 +195,7 @@ def involution(space: SpaceSpec, z, w) -> np.ndarray:
         return (z - w) / (1.0 - np.conj(z) * w)
     if space.kind == KIND_FOCK:
         return z - w
-    out = np.empty(np.broadcast_shapes(z.shape, w.shape), dtype=complex)
-    out[..., 0] = (z[..., 0] - w[..., 0]) / (1.0 - np.conj(z[..., 0]) * w[..., 0])
-    out[..., 1] = (z[..., 1] - w[..., 1]) / (1.0 - np.conj(z[..., 1]) * w[..., 1])
-    return out
+    return np.stack(_on_factors(involution, space, z, w), axis=-1)
 
 
 def metric(space: SpaceSpec, z, w) -> np.ndarray:
@@ -224,9 +206,7 @@ def metric(space: SpaceSpec, z, w) -> np.ndarray:
         return np.arctanh(np.abs((z - w) / (1.0 - np.conj(z) * w)))
     if space.kind == KIND_FOCK:
         return np.abs(z - w)
-    d1 = np.arctanh(np.abs((z[..., 0] - w[..., 0]) / (1.0 - np.conj(z[..., 0]) * w[..., 0])))
-    d2 = np.arctanh(np.abs((z[..., 1] - w[..., 1]) / (1.0 - np.conj(z[..., 1]) * w[..., 1])))
-    return np.maximum(d1, d2)
+    return np.maximum(*_on_factors(metric, space, z, w))
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +219,8 @@ def sigma_density(space: SpaceSpec, z) -> np.ndarray:
         return ((a + 1.0) / np.pi) * (1.0 - np.abs(z) ** 2) ** a
     if space.kind == KIND_FOCK:
         return np.exp(-np.abs(z) ** 2) / np.pi
-    a1, a2 = space.alphas
-    d1 = ((a1 + 1.0) / np.pi) * (1.0 - np.abs(z[..., 0]) ** 2) ** a1
-    d2 = ((a2 + 1.0) / np.pi) * (1.0 - np.abs(z[..., 1]) ** 2) ** a2
+    d1, d2 = _on_factors(sigma_density, space, z)
     return d1 * d2
-
-
-def lambda_density(space: SpaceSpec, z) -> np.ndarray:
-    """Density of d lambda = ||K_z||^2 d sigma; invariant under every phi_a."""
-    return kernel_norm(space, z) ** 2 * sigma_density(space, z)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +245,6 @@ def kernel_tail(space: SpaceSpec, z, n_modes: int) -> np.ndarray:
         t = np.abs(z) ** 2
         # Poisson tail: sum_{m>=N} t^m/m! = e^t P(N, t)
         return np.exp(t) * gammainc(n_modes, t)
-    a1, a2 = space.alphas
     q1 = relative_kernel_tail(space.factor(0), z[..., 0], n_modes)
     q2 = relative_kernel_tail(space.factor(1), z[..., 1], n_modes)
     return kernel_norm(space, z) ** 2 * (q1 + q2 - q1 * q2)
@@ -317,12 +289,6 @@ def point_to_jsonable(z):
     if z.shape == ():
         return {"re": float(z.real), "im": float(z.imag)}
     return [point_to_jsonable(p) for p in z]
-
-
-def point_from_jsonable(data):
-    if isinstance(data, dict):
-        return complex(data["re"], data["im"])
-    return np.array([point_from_jsonable(p) for p in data])
 
 
 def space_to_dict(space: SpaceSpec) -> dict:

@@ -149,21 +149,51 @@ def _drift_with_term(**changes):
             del target[key]
         else:
             target[key] = value
-    return dict(BASE_CONFIG, symbols={**BASE_CONFIG["symbols"],
-                                      "drift": {"type": "poly", "entries": [entry]}})
+    return {"type": "poly", "entries": [entry]}
 
 
-@pytest.mark.parametrize("changes", [
-    {"i": None}, {"k": None}, {"c": None}, {"a": None}, {"a": "one"},
-], ids=["no-i", "no-k", "no-c", "no-a", "non-numeric-a"])
-def test_malformed_poly_symbol_exits_2_and_writes_nothing(changes, tmp_path, capsys):
+@pytest.mark.parametrize("drift", [
+    _drift_with_term(i=None), _drift_with_term(k=None), _drift_with_term(c=None),
+    _drift_with_term(a=None), _drift_with_term(a="one"),
+    {**BASE_CONFIG["symbols"]["bump"], "metric": "invarient"},
+], ids=["no-i", "no-k", "no-c", "no-a", "non-numeric-a", "ball-metric-typo"])
+def test_malformed_poly_symbol_exits_2_and_writes_nothing(drift, tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_drift_with_term(**changes)))
+    path.write_text(json.dumps(dict(BASE_CONFIG, symbols={**BASE_CONFIG["symbols"],
+                                                          "drift": drift})))
     out = tmp_path / "out"
     assert cli.main(["toeplitz", "--config", str(path), "--out", str(out)]) == 2
     payload = json.loads(capsys.readouterr().err)
     assert payload["command"] == "toeplitz"
     assert "drift" in payload["error"]
+    assert not out.exists()
+
+
+def test_n_random_probes_reaches_the_probe_set(tmp_path, monkeypatch):
+    from berglab import analysis
+
+    seen = []
+    real = analysis.default_probe_set
+
+    def recording(basis, seed=0, n_random=8):
+        seen.append(n_random)
+        return real(basis, seed=seed, n_random=n_random)
+
+    monkeypatch.setattr(analysis, "default_probe_set", recording)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, n_random_probes=3)))
+    assert _run("essnorm", str(path), tmp_path / "out") == 0
+    assert seen == [3]
+
+
+def test_negative_n_random_probes_exits_2_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, n_random_probes=-5)))
+    out = tmp_path / "out"
+    assert _run("essnorm", str(path), out) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["command"] == "essnorm"
+    assert "n_random_probes" in payload["error"]
     assert not out.exists()
 
 

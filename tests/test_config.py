@@ -38,6 +38,11 @@ def test_bad_values_rejected():
                 {"radial_order": 0}, {"angular_order": 0},
                 {"radial_order": -3}, {"angular_order": 12.5}, {"radial_order": "40"},
                 {"space": {"kind": "nope"}},
+                {"space": {"kind": "bidisc", "alpha2": -1.0}},
+                {"space": {"kind": "bidisc", "alpha2": -2.5}},
+                {"space": {"kind": "fock", "fock_probe_radius": 0.0}},
+                {"space": {"kind": "fock", "fock_probe_radius": -1.0}},
+                {"n_random_probes": -5},
                 {"operator": {"type": "warp"}},
                 {"operator": {"type": "toeplitz", "symbol": "missing"}},
                 {"operator": {"type": "toeplitz_product", "symbols": []}}):

@@ -1,5 +1,7 @@
 """Cell coverings at scale r and block localization of operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,24 @@ def test_disc_covering_invariants(disc, disc_rule):
     # multiplicity stays uniformly small and does not grow as cells coarsen
     assert all(m <= 16 for m in mults)
     assert mults[-1] <= mults[0]
+
+
+def test_cell_diameters_exact_in_bounded_memory(disc, disc_rule):
+    # at r = 4 a single cell holds every node of the default disc rule; the
+    # full pairwise metric matrix of 2560 nodes alone would take 100 MiB
+    c = build_covering(disc, 4.0, disc_rule)
+    assert c.cell_node_counts().max() == disc_rule.n_nodes
+    tracemalloc.start()
+    try:
+        diams = c.cell_diameters()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    for j in range(c.n_cells):
+        sel = disc_rule.nodes[c.cell_index == j]
+        # the full pairwise max, one row at a time
+        assert diams[j] == max(float(np.max(spaces.metric(disc, z, sel))) for z in sel)
 
 
 def test_fock_covering_constant_multiplicity(fock, fock_rule):

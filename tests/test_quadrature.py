@@ -83,6 +83,8 @@ def test_centered_ball_sigma_mass(disc):
     # alpha = 0: sigma-mass of |w| < rho is rho^2
     assert sigma_ball_mass(disc, 0.0, 0.4) == pytest.approx(0.16, abs=1e-12)
     assert sigma_ball_mass(disc, 0.0, 0.5) == pytest.approx(0.25, abs=1e-12)
+    with pytest.raises(ValueError, match="unknown ball metric"):
+        sigma_ball_mass(disc, 0.0, 0.4, ball_metric="invarient")
 
 
 def test_ball_rule_integrates_constants(disc, fock):
