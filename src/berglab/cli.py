@@ -52,13 +52,12 @@ def _context(cfg, scale: float):
     import numpy as np
 
     from .coeffs import BasisSpec
-    from .quadrature import build_rule
+    from .quadrature import build_rule, rule_orders
 
-    rule = build_rule(cfg.space, cfg.radial_order, cfg.angular_order)
+    radial, angular = rule_orders(cfg.space, cfg.radial_order, cfg.angular_order)
     if scale != 1.0:
-        rule = build_rule(cfg.space, max(2, int(np.ceil(rule.radial_order * scale))),
-                          max(4, int(np.ceil(rule.angular_order * scale))))
-    return BasisSpec(cfg.space, cfg.n_modes), rule
+        radial, angular = max(2, int(np.ceil(radial * scale))), max(4, int(np.ceil(angular * scale)))
+    return BasisSpec(cfg.space, cfg.n_modes), build_rule(cfg.space, radial, angular)
 
 
 def _operator(cfg, basis, rule):
@@ -210,13 +209,12 @@ def _run_rkt(cfg, args):
 
 
 def _run_essnorm(cfg, args):
-    from .analysis import boundary_shells, default_probe_set, essential_norm_estimate
+    from .analysis import boundary_shells, essential_norm_estimate
 
     basis, rule = _context(cfg, args.resolution_scale)
     T = _operator(cfg, basis, rule)
     shells = boundary_shells(cfg.space, radii=cfg.shells)
-    probes = default_probe_set(basis, seed=cfg.seed, n_random=cfg.n_random_probes)
-    rep = essential_norm_estimate(T, boundary_grid=shells, probe_set=probes)
+    rep = essential_norm_estimate(T, boundary_grid=shells, seed=cfg.seed)
     payload = rep.as_dict()
     payload["threshold"] = cfg.essnorm_threshold
     payload["below_threshold"] = rep.estimate < cfg.essnorm_threshold
@@ -343,7 +341,7 @@ def _run_verify_axioms(cfg, args):
     import numpy as np
 
     from . import spaces
-    from .coeffs import rule_inner, scalar_basis_matrix
+    from .coeffs import rule_inner
     from .operators import (certified_projector, translation_certificate,
                             translation_matrix)
     from .quadrature import integrate_lambda, integrate_sigma
@@ -368,8 +366,7 @@ def _run_verify_axioms(cfg, args):
     record("sigma_probability",
            abs(integrate_sigma(rule, np.ones(rule.n_nodes)) - 1.0), 1e-12)
 
-    E = scalar_basis_matrix(basis, rule.nodes)
-    G = rule_inner(E, rule.sigma_weights, E.T)
+    G = rule_inner(basis, rule)
     record("basis_orthonormality", np.abs(G - np.eye(basis.n_scalar)).max(), 1e-10)
 
     z, w = rand_points(400), rand_points(400)

@@ -113,13 +113,13 @@ def eval_coeffs(f: CoeffFunction, points) -> np.ndarray:
     return E.T @ f.coeffs
 
 
-def rule_inner(E: np.ndarray, weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Weighted inner products sum_u conj(E[m, u]) weights[u] samples[u, ...] on a rule.
+def rule_inner(basis: BasisSpec, rule: QuadratureRule, samples=None) -> np.ndarray:
+    """<samples, e_m> in L^2(sigma) by the rule: sum_u conj(e_m(u)) w_u samples[u, ...].
 
-    E holds the basis evaluated at the rule's nodes (scalar_basis_matrix);
-    with samples = E.T this is the weighted Gram matrix.
+    Without samples this is the Gram matrix <e_n, e_m> of the basis on the rule.
     """
-    return (E.conj() * weights) @ samples
+    E = scalar_basis_matrix(basis, rule.nodes)
+    return (E.conj() * rule.sigma_weights[None, :]) @ (E.T if samples is None else samples)
 
 
 def project_grid_function(basis: BasisSpec, rule: QuadratureRule, samples) -> CoeffFunction:
@@ -132,8 +132,7 @@ def project_grid_function(basis: BasisSpec, rule: QuadratureRule, samples) -> Co
         s = np.pad(s[:, None], ((0, 0), (0, basis.space.d - 1)))
     if s.shape != (rule.n_nodes, basis.space.d):
         raise ValueError("samples must be (n_nodes,) or (n_nodes, d)")
-    E = scalar_basis_matrix(basis, rule.nodes)
-    return CoeffFunction(basis, rule_inner(E, rule.sigma_weights, s))
+    return CoeffFunction(basis, rule_inner(basis, rule, s))
 
 
 def kernel_coeff_vector(basis: BasisSpec, z, normalized: bool = True, renormalize: bool = True) -> np.ndarray:

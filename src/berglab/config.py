@@ -92,7 +92,7 @@ _KNOWN_KEYS = {
     "space", "n_modes", "radial_order", "angular_order", "symbols", "operator",
     "z_grid", "radii", "angles", "shells", "p", "berezin_threshold",
     "essnorm_threshold", "covering_r", "rf", "rank1", "schur_kernel_file",
-    "seed", "kernel_points", "n_random_probes",
+    "seed", "kernel_points",
 }
 
 _DEFAULT_RAW = {
@@ -122,7 +122,6 @@ class ExperimentConfig:
     schur_kernel_file: Optional[str] = None
     seed: int = 0
     kernel_points: Optional[list] = None
-    n_random_probes: int = 8
     raw: dict = field(default_factory=dict)
 
     def symbol(self, name: str) -> MatrixSymbol:
@@ -179,13 +178,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         schur_kernel_file=merged.get("schur_kernel_file"),
         seed=int(merged.get("seed", 0)),
         kernel_points=merged.get("kernel_points"),
-        n_random_probes=int(merged.get("n_random_probes", 8)),
         raw=merged,
     )
     if cfg.p <= 1.0:
         raise ConfigError("p must exceed 1")
-    if cfg.n_random_probes < 0:
-        raise ConfigError("n_random_probes must be >= 0")
     # resolve every declared symbol and the operator references up front
     for name in cfg.symbol_specs:
         cfg.symbol(name)

@@ -24,7 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import spaces
-from .coeffs import rule_inner, scalar_basis_matrix
+from .coeffs import scalar_basis_matrix
 from .operators import OperatorMatrix
 from .quadrature import QuadratureRule, build_rule
 from .spaces import KIND_DISC, KIND_FOCK, SpaceSpec
@@ -213,11 +213,12 @@ def localization_error(T: OperatorMatrix, covering: Covering) -> float:
     rule = covering.rule
     d = basis.space.d
     E = scalar_basis_matrix(basis, rule.nodes)
+    Ew = E.conj() * rule.sigma_weights[None, :]
     A = np.kron(E.T, np.eye(d)) @ T.mat     # coefficients -> grid samples (node, component)
     L = np.zeros_like(A)
     for j in range(covering.n_cells):
         gmask = covering.enlargement[j]
-        scalar_g = rule_inner(E[:, gmask], rule.sigma_weights[gmask], E[:, gmask].T)  # 1_{G_j}
+        scalar_g = (Ew[:, gmask]) @ E[:, gmask].T       # compression to 1_{G_j}
         rows = np.where(covering.cell_index == j)[0]
         row_idx = (rows[:, None] * d + np.arange(d)[None, :]).ravel()
         L[row_idx, :] = A[row_idx] @ np.kron(scalar_g, np.eye(d))

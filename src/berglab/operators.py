@@ -280,16 +280,16 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
     elif symbol.smooth is not None:
         vals = symbol.smooth(rule.nodes)
         E = scalar_basis_matrix(basis, rule.nodes)
+        Ew = E.conj() * rule.sigma_weights[None, :]
         for i in range(d):
             for k in range(d):
                 if np.any(vals[:, i, k]):
-                    T4[:, i, :, k] = rule_inner(E, rule.sigma_weights * vals[:, i, k], E.T)
+                    T4[:, i, :, k] = (Ew * vals[None, :, i, k]) @ E.T
     for b in symbol.balls:
         brule = ball_rule(basis.space, b.center, b.radius,
                           radial_order=max(rule.radial_order, basis.n_modes + 8),
                           angular_order=max(rule.angular_order, 2 * basis.n_modes + 8))
-        Eb = scalar_basis_matrix(basis, brule.nodes)
-        T4 += np.einsum("ab,ik->aibk", rule_inner(Eb, brule.sigma_weights, Eb.T), b.value)
+        T4 += np.einsum("ab,ik->aibk", rule_inner(basis, brule), b.value)
     return OperatorMatrix(basis, T, label=f"T[{symbol.label or 'F'}]")
 
 

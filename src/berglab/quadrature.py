@@ -91,6 +91,15 @@ def _polar_grid(t, wt, angular_order: int):
     return nodes.ravel(), W.ravel()
 
 
+def rule_orders(space: SpaceSpec, radial_order=None, angular_order=None):
+    """(radial, angular) orders of the space's rule; None takes the space's default."""
+    if space.kind == KIND_BIDISC:
+        defaults = (BIDISC_RADIAL_ORDER, BIDISC_ANGULAR_ORDER)
+    else:
+        defaults = (DEFAULT_RADIAL_ORDER, DEFAULT_ANGULAR_ORDER)
+    return tuple(d if o is None else o for d, o in zip(defaults, (radial_order, angular_order)))
+
+
 def build_rule(
     space: SpaceSpec,
     radial_order: Optional[int] = None,
@@ -106,9 +115,8 @@ def build_rule(
         if order is not None and (isinstance(order, bool)
                                   or not isinstance(order, (int, np.integer)) or order < 1):
             raise ValueError(f"{name} must be a positive integer, got {order!r}")
+    nr, na = rule_orders(space, radial_order, angular_order)
     if space.kind == KIND_BIDISC:
-        nr = BIDISC_RADIAL_ORDER if radial_order is None else radial_order
-        na = BIDISC_ANGULAR_ORDER if angular_order is None else angular_order
         a1, a2 = space.alphas
         n1, w1 = _polar_grid(*_radial_rule(KIND_DISC, a1, nr, t_interval), na)
         n2, w2 = _polar_grid(*_radial_rule(KIND_DISC, a2, nr, t_interval), na)
@@ -117,8 +125,6 @@ def build_rule(
         )
         weights = np.repeat(w1, w2.size) * np.tile(w2, w1.size)
         return QuadratureRule(space, nodes, weights, nr, na)
-    nr = DEFAULT_RADIAL_ORDER if radial_order is None else radial_order
-    na = DEFAULT_ANGULAR_ORDER if angular_order is None else angular_order
     t, wt = _radial_rule(space.kind, space.alpha, nr, t_interval)
     nodes, weights = _polar_grid(t, wt, na)
     return QuadratureRule(space, nodes, weights, nr, na)

@@ -141,7 +141,7 @@ def test_unreadable_symbol_reference_exits_2(tmp_path, capsys):
 
 
 def _drift_with_term(**changes):
-    """BASE_CONFIG's drift symbol with its first entry or term edited; None deletes."""
+    """A poly symbol spec: BASE_CONFIG's drift with its first entry or term edited; None deletes."""
     entry = {"i": 0, "k": 0, "terms": [{"a": 1, "b": 0, "c": 1.0}]}
     for key, value in changes.items():
         target = entry["terms"][0] if key in ("a", "b", "c") else entry
@@ -152,12 +152,8 @@ def _drift_with_term(**changes):
     return {"type": "poly", "entries": [entry]}
 
 
-@pytest.mark.parametrize("drift", [
-    _drift_with_term(i=None), _drift_with_term(k=None), _drift_with_term(c=None),
-    _drift_with_term(a=None), _drift_with_term(a="one"),
-    {**BASE_CONFIG["symbols"]["bump"], "metric": "invarient"},
-], ids=["no-i", "no-k", "no-c", "no-a", "non-numeric-a", "ball-metric-typo"])
-def test_malformed_poly_symbol_exits_2_and_writes_nothing(drift, tmp_path, capsys):
+def _assert_drift_rejected(drift, tmp_path, capsys):
+    """toeplitz on BASE_CONFIG with the "drift" symbol replaced exits 2 and writes nothing."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(BASE_CONFIG, symbols={**BASE_CONFIG["symbols"],
                                                           "drift": drift})))
@@ -169,32 +165,16 @@ def test_malformed_poly_symbol_exits_2_and_writes_nothing(drift, tmp_path, capsy
     assert not out.exists()
 
 
-def test_n_random_probes_reaches_the_probe_set(tmp_path, monkeypatch):
-    from berglab import analysis
-
-    seen = []
-    real = analysis.default_probe_set
-
-    def recording(basis, seed=0, n_random=8):
-        seen.append(n_random)
-        return real(basis, seed=seed, n_random=n_random)
-
-    monkeypatch.setattr(analysis, "default_probe_set", recording)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(BASE_CONFIG, n_random_probes=3)))
-    assert _run("essnorm", str(path), tmp_path / "out") == 0
-    assert seen == [3]
+@pytest.mark.parametrize("changes", [
+    {"i": None}, {"k": None}, {"c": None}, {"a": None}, {"a": "one"},
+], ids=["no-i", "no-k", "no-c", "no-a", "non-numeric-a"])
+def test_malformed_poly_symbol_exits_2_and_writes_nothing(changes, tmp_path, capsys):
+    _assert_drift_rejected(_drift_with_term(**changes), tmp_path, capsys)
 
 
-def test_negative_n_random_probes_exits_2_and_writes_nothing(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(BASE_CONFIG, n_random_probes=-5)))
-    out = tmp_path / "out"
-    assert _run("essnorm", str(path), out) == 2
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["command"] == "essnorm"
-    assert "n_random_probes" in payload["error"]
-    assert not out.exists()
+def test_unknown_ball_metric_exits_2_and_writes_nothing(tmp_path, capsys):
+    _assert_drift_rejected({**BASE_CONFIG["symbols"]["bump"], "metric": "invarient"},
+                           tmp_path, capsys)
 
 
 def test_nan_payload_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):

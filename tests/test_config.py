@@ -42,7 +42,6 @@ def test_bad_values_rejected():
                 {"space": {"kind": "bidisc", "alpha2": -2.5}},
                 {"space": {"kind": "fock", "fock_probe_radius": 0.0}},
                 {"space": {"kind": "fock", "fock_probe_radius": -1.0}},
-                {"n_random_probes": -5},
                 {"operator": {"type": "warp"}},
                 {"operator": {"type": "toeplitz", "symbol": "missing"}},
                 {"operator": {"type": "toeplitz_product", "symbols": []}}):
