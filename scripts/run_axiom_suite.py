@@ -24,6 +24,7 @@ from berglab import (  # noqa: E402
     kernel_eval, kernel_norm, metric, normalized_pairing, random_coeff_function,
     scalar_basis_matrix, translation_certificate, translation_matrix,
 )
+from berglab.spaces import point  # noqa: E402
 from berglab.coeffs import eval_coeffs  # noqa: E402
 from berglab.operators import certified_projector  # noqa: E402
 from berglab.reporting import write_csv_atomic  # noqa: E402
@@ -35,12 +36,9 @@ def sample_points(space, n, seed):
         top = space.fock_probe_radius
     else:
         top = 0.8 * space.r_max
-    def scatter():
-        return top * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(
-            2j * np.pi * rng.uniform(0.0, 1.0, n))
-    if space.nfactors == 2:
-        return np.stack([scatter(), scatter()], axis=1)
-    return scatter()
+    return point(space, [top * np.sqrt(rng.uniform(0.0, 1.0, n))
+                         * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+                         for _ in space.factors])
 
 
 def residuals(space, n_modes, n_pairs, seed):
@@ -77,24 +75,24 @@ def residuals(space, n_modes, n_pairs, seed):
     out["pairing_identity"] = pairing
     out["metric_invariance"] = met
 
-    if space.nfactors == 1:
-        radii = (0.15, 0.3, 0.45) if space.kind == "bergman_disc" else (0.5, 1.0, 1.5)
-        worst = 0.0
-        certified = []
-        for r in radii:
-            z = r * np.exp(0.9j)
-            cert = translation_certificate(basis, z)
-            certified.append(cert.certified_modes)
-            if cert.certified_modes == 0:
-                continue
-            P = certified_projector(basis, cert).mat
-            U = translation_matrix(basis, z).mat
-            I = np.eye(basis.dim)
-            worst = max(worst,
-                        float(np.linalg.norm(P @ (U.conj().T @ U - I) @ P, 2)),
-                        float(np.linalg.norm(P @ (U @ U - I) @ P, 2)))
-        out["translation_certified"] = worst
-        out["certified_modes_min"] = float(min(certified))
+    # displacements on the diagonal of a product space
+    radii = (0.5, 1.0, 1.5) if space.kind == "fock" else (0.15, 0.3, 0.45)
+    worst = 0.0
+    certified = []
+    for r in radii:
+        z = point(space, [r * np.exp(0.9j)] * space.nfactors)
+        cert = translation_certificate(basis, z)
+        certified.append(cert.certified_modes)
+        if cert.certified_modes == 0:
+            continue
+        P = certified_projector(basis, cert).mat
+        U = translation_matrix(basis, z).mat
+        I = np.eye(basis.dim)
+        worst = max(worst,
+                    float(np.linalg.norm(P @ (U.conj().T @ U - I) @ P, 2)),
+                    float(np.linalg.norm(P @ (U @ U - I) @ P, 2)))
+    out["translation_certified"] = worst
+    out["certified_modes_min"] = float(min(certified))
     return out
 
 
@@ -113,7 +111,7 @@ def main():
     ]
     rows = []
     for label, space in spaces:
-        sizes = (8, 16, 32) if space.nfactors == 1 else (4, 8)
+        sizes = (4, 8) if space.kind == "bidisc" else (8, 16, 32)
         for n in sizes:
             res = residuals(space, n, args.n_pairs, args.seed)
             for check, value in sorted(res.items()):

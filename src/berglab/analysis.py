@@ -24,24 +24,22 @@ from .spaces import KIND_BIDISC, KIND_DISC, KIND_FOCK, SpaceSpec
 # probe grids
 
 def default_probe_grid(space: SpaceSpec) -> List:
-    """Small z grid inside the admissible region, origin plus two rings."""
-    if space.kind == KIND_DISC:
+    """Small z grid inside the admissible region, origin plus two rings (on the diagonal
+    of a product space, with the first factor's radii)."""
+    if space.factors[0].kind == KIND_DISC:
         radii = [0.35, 0.6]
-    elif space.kind == KIND_FOCK:
-        radii = [0.8, min(1.8, space.fock_probe_radius)]
     else:
-        grid1 = default_probe_grid(space.factor(0))
-        return [np.array([z, z]) for z in grid1]
+        radii = [0.8, min(1.8, space.fock_probe_radius)]
     ang = [1.0, np.exp(2j * np.pi / 3)]
     grid: List = [0.0 + 0.0j]
     for r in radii:
         grid.extend(r * a for a in ang)
-    return grid
+    return [spaces.point(space, [z] * space.nfactors) for z in grid]
 
 
 def boundary_shells(space: SpaceSpec, radii: Optional[Sequence[float]] = None,
                     n_angles: int = 3) -> List[List]:
-    """Shells of z values of increasing invariant distance from the origin."""
+    """Shells of z values of increasing invariant distance from the origin (diagonal on products)."""
     if radii is None:
         if space.kind == KIND_DISC:
             radii = [0.5, 0.65, 0.8, min(0.9, space.r_max)]
@@ -52,13 +50,7 @@ def boundary_shells(space: SpaceSpec, radii: Optional[Sequence[float]] = None,
             top = min(0.8, space.r_max)
             radii = [0.5 * top, 0.7 * top, 0.85 * top, top]
     angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-    shells = []
-    for r in radii:
-        if space.kind == KIND_BIDISC:
-            shells.append([np.array([r * a, r * a]) for a in angles])
-        else:
-            shells.append([r * a for a in angles])
-    return shells
+    return [[spaces.point(space, [r * a] * space.nfactors) for a in angles] for r in radii]
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +159,7 @@ def _require_analytic(F) -> None:
         raise ValueError("analytic polynomial symbol required")
     for terms in F.poly.values():
         for powers in terms:
-            conj_powers = powers[1::2] if len(powers) == 4 else powers[1:]
-            if any(b != 0 for b in conj_powers):
+            if any(b != 0 for b in powers[1::2]):
                 raise ValueError("analytic polynomial symbol required")
 
 
@@ -191,7 +182,7 @@ def rkt_product_check(rule: QuadratureRule, F, G, p: float = 4.0,
         moved = spaces.involution(space, z, rule.nodes)
         for out, A, B in ((first, F, G), (second, G, F)):
             Av = A.eval(moved)                                # (n, d, d)
-            Bz = B.eval(np.atleast_1d(z) if space.nfactors == 1 else z)[0]
+            Bz = B.eval(z)[0]
             S = np.einsum("uij,kj->uki", Av, np.conj(Bz))
             out.append(_lp_norm(rule, S, p).sum(axis=1))      # over i, per k
     kap = space.kappa
@@ -210,7 +201,7 @@ def hankel_rkt_check(rule: QuadratureRule, F, p: float = 4.0,
     for z in z_grid:
         spaces.check_probe_point(space, z)
         moved = spaces.involution(space, z, rule.nodes)
-        Fz = F.eval(np.atleast_1d(z) if space.nfactors == 1 else z)[0]
+        Fz = F.eval(z)[0]
         delta = Fz[None, :, :] - F.eval(moved)
         out.append(_lp_norm(rule, np.sum(np.abs(delta), axis=2), p))
     return RktReport("oscillation", p, list(z_grid), np.array(out), space.kappa)
@@ -261,12 +252,6 @@ class BerezinProfile:
         }
 
 
-def _ray_point(space: SpaceSpec, r: float, phase: complex):
-    if space.kind == KIND_BIDISC:
-        return np.array([r * phase, r * phase])
-    return r * phase
-
-
 def berezin_decay_profile(T: OperatorMatrix, radii: Optional[Sequence[float]] = None,
                           angles: Optional[Sequence[float]] = None,
                           threshold: float = 0.05) -> BerezinProfile:
@@ -287,7 +272,7 @@ def berezin_decay_profile(T: OperatorMatrix, radii: Optional[Sequence[float]] = 
     mats = np.zeros((len(radii), len(angles), d, d), dtype=complex)
     for a, r in enumerate(radii):
         for b, th in enumerate(angles):
-            mats[a, b] = berezin(T, _ray_point(space, r, np.exp(1j * th)))
+            mats[a, b] = berezin(T, spaces.point(space, [r * np.exp(1j * th)] * space.nfactors))
     profile = np.max(np.abs(mats), axis=(1, 2, 3))
     return BerezinProfile(radii, angles, mats, profile, threshold)
 
@@ -342,7 +327,7 @@ def essential_norm_estimate(T: OperatorMatrix, boundary_grid: Optional[Sequence[
         boundary_grid = boundary_shells(space)
     if probe_set is None:
         probe_set = default_probe_set(basis, seed=seed)
-    origin = 0.0 if space.nfactors == 1 else np.zeros(2)
+    origin = spaces.point(space, [0.0] * space.nfactors)
     profile = []
     metric = []
     for shell in boundary_grid:
@@ -398,19 +383,16 @@ def _spiral_grid(space: SpaceSpec, n_points: int):
         top = min(2.0, space.fock_probe_radius)
     else:
         top = 0.7 * space.r_max
-    # the second factor uses a seeded scatter: coordinates tied to the same
+    # further factors use a seeded scatter: coordinates tied to the same
     # spiral parameter satisfy algebraic relations (constant |z1|^2 + |z2|^2,
     # swapped mode pairs) that cost sample rank
     rng = np.random.default_rng(987654321)
     pts = []
     for j in range(n_points):
         r = top * np.sqrt((j + 0.5) / n_points)
-        z = r * np.exp(1j * golden * j)
-        if space.kind == KIND_BIDISC:
-            z2 = top * np.sqrt(rng.uniform(0.05, 1.0)) * np.exp(2j * np.pi * rng.uniform())
-            pts.append(np.array([z, z2]))
-        else:
-            pts.append(z)
+        scatter = [top * np.sqrt(rng.uniform(0.05, 1.0)) * np.exp(2j * np.pi * rng.uniform())
+                   for _ in space.factors[1:]]
+        pts.append(spaces.point(space, [r * np.exp(1j * golden * j)] + scatter))
     return pts
 
 

@@ -88,12 +88,9 @@ def _zgrid(cfg, basis):
 
 
 def _fmt_point(space, z):
-    import numpy as np
+    from . import spaces
 
-    z = np.asarray(z, dtype=complex)
-    if z.shape == ():
-        return f"{float(z.real):.6g}{float(z.imag):+.6g}j"
-    return ";".join(_fmt_point(space.factor(i), z[..., i]) for i in range(2))
+    return ";".join(f"{float(c.real):.6g}{float(c.imag):+.6g}j" for c in spaces.coords(space, z))
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +319,7 @@ def _run_rank1(cfg, args):
     from .operators import rank_one, rank_one_toeplitz_sum
 
     basis, rule = _context(cfg, args.resolution_scale)
-    n_pairs = int(cfg.rank1.get("n_pairs", 50))
-    degree = int(cfg.rank1.get("degree", 4))
+    n_pairs, degree = cfg.rank1["n_pairs"], cfg.rank1["degree"]
     rng = np.random.default_rng(cfg.seed)
     devs = []
     for _ in range(n_pairs):
@@ -357,11 +353,9 @@ def _run_verify_axioms(cfg, args):
 
     def rand_points(n):
         lim = 0.8 * spaces.probe_radius_max(space)
-        pts = lim * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
-        if space.nfactors == 2:
-            pts2 = lim * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
-            return np.stack([pts, pts2], axis=-1)
-        return pts
+        return spaces.point(space, [
+            lim * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+            for _ in space.factors])
 
     record("sigma_probability",
            abs(integrate_sigma(rule, np.ones(rule.n_nodes)) - 1.0), 1e-12)
@@ -387,27 +381,25 @@ def _run_verify_axioms(cfg, args):
 
     # kernel norm must grow along a ray toward the boundary of the region
     ray = np.linspace(0.2, 1.0, 8) * spaces.probe_radius_max(space)
-    ray_pts = [r if space.nfactors == 1 else np.array([r, r]) for r in ray]
-    norms = np.array([float(spaces.kernel_norm(space, p)) for p in ray_pts])
+    norms = np.array([float(spaces.kernel_norm(space, spaces.point(space, [r] * space.nfactors)))
+                      for r in ray])
     record("kernel_norm_growth", max(0.0, float(np.max(norms[:-1] - norms[1:]))), 0.0)
 
-    # invariance of the kernel-weighted measure under the involutions
-    if space.nfactors == 1:
-        test = (1.0 - np.abs(rule.nodes) ** 2) ** 3 if space.kind == spaces.KIND_DISC \
-            else np.exp(-np.abs(rule.nodes) ** 2)
-        base = integrate_lambda(rule, test)
+    # invariance of the kernel-weighted measure under the involutions, tested
+    # with a per-kind function (none is set for the bidisc)
+    test = {spaces.KIND_DISC: lambda p: (1.0 - np.abs(p) ** 2) ** 3,
+            spaces.KIND_FOCK: lambda p: np.exp(-np.abs(p) ** 2)}.get(space.kind)
+    if test is not None:
+        base = integrate_lambda(rule, test(rule.nodes))
         worst = 0.0
         for zz in [0.2, 0.35 * np.exp(1j)]:
-            zz = zz * spaces.probe_radius_max(space)
-            moved = spaces.involution(space, zz, rule.nodes)
-            mtest = (1.0 - np.abs(moved) ** 2) ** 3 if space.kind == spaces.KIND_DISC \
-                else np.exp(-np.abs(moved) ** 2)
-            worst = max(worst, abs(integrate_lambda(rule, mtest) - base))
+            moved = spaces.involution(space, zz * spaces.probe_radius_max(space), rule.nodes)
+            worst = max(worst, abs(integrate_lambda(rule, test(moved)) - base))
         record("lambda_invariance", worst, 1e-6)
 
     # translation identities on certified modes
-    zg = [p for p in _zgrid(cfg, basis)
-          if spaces.metric(space, 0.0 if space.nfactors == 1 else np.zeros(2), p) > 0]
+    origin = spaces.point(space, [0.0] * space.nfactors)
+    zg = [p for p in _zgrid(cfg, basis) if spaces.metric(space, origin, p) > 0]
     worst_u, worst_i = 0.0, 0.0
     for zz in zg:
         cert = translation_certificate(basis, zz)

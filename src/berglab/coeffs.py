@@ -1,7 +1,8 @@
 """Truncated orthonormal-basis representation of space elements.
 
 Scalar basis functions are normalized monomials e_m(z) = c_m z^m (per factor;
-tensor products on the bidisc), truncated to m < n_modes per complex variable.
+tensor products over the factors of a product space), truncated to
+m < n_modes per complex variable.
 A C^d-valued element is stored as a coefficient array of shape (n_scalar, d);
 flattening is row-major, so the full index of (mode m, component k) is
 m * d + k, matching the operator-matrix convention.
@@ -15,12 +16,13 @@ identity exactly at any admissible probe point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import gammaln
 
 from . import spaces
-from .spaces import KIND_BIDISC, KIND_DISC, KIND_FOCK, SpaceSpec
+from .spaces import KIND_DISC, KIND_FOCK, SpaceSpec
 from .quadrature import QuadratureRule
 
 
@@ -42,37 +44,34 @@ class BasisSpec:
         return self.n_scalar * self.space.d
 
 
-def _factor_log_normalizers(kind: str, alpha: float, n: int) -> np.ndarray:
+def _factor_log_normalizers(space1: SpaceSpec, n: int) -> np.ndarray:
+    """log c_m, m < n, on one factor."""
     m = np.arange(n)
-    if kind == KIND_DISC:
-        return 0.5 * (gammaln(m + 2.0 + alpha) - gammaln(m + 1.0) - gammaln(2.0 + alpha))
-    if kind == KIND_FOCK:
+    if space1.kind == KIND_DISC:
+        a = space1.alpha
+        return 0.5 * (gammaln(m + 2.0 + a) - gammaln(m + 1.0) - gammaln(2.0 + a))
+    if space1.kind == KIND_FOCK:
         return -0.5 * gammaln(m + 1.0)
-    raise ValueError(kind)
+    raise ValueError(space1.kind)
 
 
 def basis_normalizer(basis: BasisSpec) -> np.ndarray:
     """c_m for every scalar mode, ordered as the flattened mode list."""
-    sp = basis.space
-    if sp.kind == KIND_BIDISC:
-        c1, c2 = (basis_normalizer(BasisSpec(sp.factor(i), basis.n_modes)) for i in range(2))
-        return np.outer(c1, c2).ravel()
-    return np.exp(_factor_log_normalizers(sp.kind, sp.alpha, basis.n_modes))
+    return spaces.kron([np.exp(_factor_log_normalizers(f, basis.n_modes))
+                        for f in basis.space.factors])
 
 
 def _factor_basis_matrix(space1: SpaceSpec, n: int, pts: np.ndarray) -> np.ndarray:
     """e_m(p) = c_m p^m on one factor: shape (n, n_points)."""
-    return basis_normalizer(BasisSpec(space1, n))[:, None] * pts[None, :] ** np.arange(n)[:, None]
+    return np.exp(_factor_log_normalizers(space1, n))[:, None] * pts[None, :] ** np.arange(n)[:, None]
 
 
 def scalar_basis_matrix(basis: BasisSpec, points) -> np.ndarray:
-    """Evaluations e_m(p): shape (n_scalar, n_points); a product of factors on the bidisc."""
+    """Evaluations e_m(p): shape (n_scalar, n_points); a product over the factors."""
     sp = basis.space
-    pts = spaces.as_points(sp, points).reshape(-1, sp.nfactors)
-    if sp.kind == KIND_BIDISC:
-        e1, e2 = (_factor_basis_matrix(sp.factor(i), basis.n_modes, pts[:, i]) for i in range(2))
-        return (e1[:, None, :] * e2[None, :, :]).reshape(basis.n_scalar, pts.shape[0])
-    return _factor_basis_matrix(sp, basis.n_modes, pts[:, 0])
+    parts = [_factor_basis_matrix(f, basis.n_modes, c.reshape(-1))
+             for f, c in zip(sp.factors, spaces.coords(sp, points))]
+    return reduce(lambda e, ei: (e[:, None, :] * ei[None, :, :]).reshape(-1, e.shape[1]), parts)
 
 
 @dataclass
@@ -184,11 +183,7 @@ def random_polynomial(basis: BasisSpec, rng: np.random.Generator, degree: int,
     """Random analytic polynomial with per-factor degree at most `degree`."""
     deg = min(degree, basis.n_modes - 1)
     c = np.zeros((basis.n_scalar, basis.space.d), dtype=complex)
-    if basis.space.nfactors == 2:
-        n = basis.n_modes
-        rows = [m1 * n + m2 for m1 in range(deg + 1) for m2 in range(deg + 1)]
-    else:
-        rows = list(range(deg + 1))
+    rows = np.flatnonzero(spaces.kron([np.arange(basis.n_modes) <= deg] * basis.space.nfactors))
     block = rng.standard_normal((len(rows), basis.space.d)) \
         + 1j * rng.standard_normal((len(rows), basis.space.d))
     c[rows, :] = block

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from . import spaces
 from .operators import MatrixSymbol, ball_indicator_symbol, constant_symbol, poly_symbol
 from .spaces import SpaceSpec, space_from_dict, space_to_dict
 
@@ -23,6 +24,13 @@ class ConfigError(ValueError):
     def __init__(self, message: str, **details):
         super().__init__(message)
         self.details = {"error": message, **details}
+
+
+def _int_at_least(key: str, value, minimum: int) -> int:
+    """value itself if it is an integer >= minimum (a bool or a float is not); else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _parse_scalar_point(data) -> complex:
@@ -39,12 +47,12 @@ def _parse_scalar_point(data) -> complex:
 
 
 def parse_point(space: SpaceSpec, data):
-    """Point from config: {re, im}, [re, im], plain real, or a 2-list for the bidisc."""
-    if space.nfactors == 2:
-        if not (isinstance(data, (list, tuple)) and len(data) == 2):
-            raise ConfigError(f"bidisc point needs two entries, got {data!r}")
-        return np.array([_parse_scalar_point(data[0]), _parse_scalar_point(data[1])])
-    return _parse_scalar_point(data)
+    """Point from config: {re, im}, [re, im] or plain real per factor; on a product
+    space, a list with one such entry per factor."""
+    k = space.nfactors
+    if k > 1 and not (isinstance(data, (list, tuple)) and len(data) == k):
+        raise ConfigError(f"{space.kind} point needs {k} entries, got {data!r}")
+    return spaces.point(space, [_parse_scalar_point(e) for e in (data if k > 1 else [data])])
 
 
 def _parse_matrix(space: SpaceSpec, data) -> np.ndarray:
@@ -68,7 +76,8 @@ def parse_symbol(space: SpaceSpec, name: str, spec: dict) -> MatrixSymbol:
 def _parse_symbol(space: SpaceSpec, name: str, spec: dict) -> MatrixSymbol:
     kind = spec.get("type")
     if kind == "poly":
-        keys = ("a1", "b1", "a2", "b2") if space.nfactors == 2 else ("a", "b")
+        k = space.nfactors
+        keys = [f"{p}{i + 1}" if k > 1 else p for i in range(k) for p in "ab"]
         entries: Dict = {}
         for item in spec.get("entries", []):
             terms = {}
@@ -77,7 +86,7 @@ def _parse_symbol(space: SpaceSpec, name: str, spec: dict) -> MatrixSymbol:
             entries[(item["i"], item["k"])] = terms
         return poly_symbol(space, entries, label=name)
     if kind == "ball":
-        if space.nfactors != 1:
+        if space.nfactors > 1:
             raise ConfigError(f"symbol {name!r}: ball symbols are single-factor")
         return ball_indicator_symbol(
             space, _parse_scalar_point(spec["center"]), float(spec["radius"]),
@@ -150,17 +159,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         space = space_from_dict(dict(merged["space"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad space block: {exc}") from exc
-    n_modes = int(merged.get("n_modes", 24))
-    if n_modes < 1:
-        raise ConfigError("n_modes must be >= 1")
     for key in ("radial_order", "angular_order"):
-        value = merged.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)
-                                  or value < 1):
-            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+        if merged.get(key) is not None:
+            _int_at_least(key, merged[key], 1)
+    rank1 = merged.get("rank1", {})
+    if not isinstance(rank1, dict):
+        raise ConfigError(f"rank1 must be an object, got {rank1!r}")
+    rank1 = {"n_pairs": 50, "degree": 4, **rank1}
+    _int_at_least("rank1.n_pairs", rank1["n_pairs"], 1)
+    _int_at_least("rank1.degree", rank1["degree"], 0)
     cfg = ExperimentConfig(
         space=space,
-        n_modes=n_modes,
+        n_modes=_int_at_least("n_modes", merged.get("n_modes", 24), 1),
         radial_order=merged.get("radial_order"),
         angular_order=merged.get("angular_order"),
         symbol_specs=dict(merged.get("symbols", {})),
@@ -174,15 +184,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         essnorm_threshold=float(merged.get("essnorm_threshold", 0.25)),
         covering_r=[float(x) for x in merged.get("covering_r", [0.5, 1.0, 2.0, 4.0])],
         rf=dict(merged.get("rf", {"r": 3.0, "s": 3.0})),
-        rank1=dict(merged.get("rank1", {"n_pairs": 50, "degree": 4})),
+        rank1=rank1,
         schur_kernel_file=merged.get("schur_kernel_file"),
-        seed=int(merged.get("seed", 0)),
+        seed=_int_at_least("seed", merged.get("seed", 0), 0),
         kernel_points=merged.get("kernel_points"),
         raw=merged,
     )
     if cfg.p <= 1.0:
         raise ConfigError("p must exceed 1")
-    # resolve every declared symbol and the operator references up front
+    # resolve every declared point, symbol and operator reference up front
+    for key in ("z_grid", "kernel_points"):
+        if merged.get(key) is not None:
+            if not isinstance(merged[key], list):
+                raise ConfigError(f"{key} must be a list of points")
+            cfg.points(merged[key])
     for name in cfg.symbol_specs:
         cfg.symbol(name)
     if cfg.operator is not None:

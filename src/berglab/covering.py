@@ -9,7 +9,8 @@ predicates at the quadrature nodes:
   costs at most another 2r of metric diameter at the annulus's outer radius;
 * Fock: axis-aligned squares of side 2*sqrt(2)*r (Euclidean diameter 4r)
   tiling a box that contains every node;
-* bidisc: products of per-factor disc cells (max metric).
+* product spaces: products of per-factor cells (max metric), keyed by the
+  row-major index of their factor cells.
 
 Enlargements are conservative coordinate boxes that contain the exact
 r-neighborhoods, so the measured overlap multiplicity upper-bounds the true
@@ -19,6 +20,7 @@ one.  Only cells holding at least one node are materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import List, Optional
 
 import numpy as np
@@ -27,7 +29,7 @@ from . import spaces
 from .coeffs import scalar_basis_matrix
 from .operators import OperatorMatrix
 from .quadrature import QuadratureRule, build_rule
-from .spaces import KIND_DISC, KIND_FOCK, SpaceSpec
+from .spaces import KIND_DISC, SpaceSpec
 
 _TWO_PI = 2.0 * np.pi
 
@@ -62,7 +64,7 @@ class Covering:
     def cell_diameters(self) -> np.ndarray:
         """Exact max pairwise invariant distance between nodes of each cell.
 
-        For product cells the max metric factorizes, so only the (deduplicated)
+        The max metric of a product factorizes, so only the (deduplicated)
         per-factor node sets are compared pairwise.
         """
         pts = spaces.as_points(self.space, self.rule.nodes)
@@ -71,10 +73,8 @@ class Covering:
             sel = pts[self.cell_index == j]
             if sel.shape[0] < 2:
                 continue
-            if self.space.nfactors == 2:
-                out[j] = max(_diameter(self.space.factor(i), np.unique(sel[:, i])) for i in range(2))
-            else:
-                out[j] = _diameter(self.space, sel)
+            out[j] = max(_diameter(f, np.unique(c))
+                         for f, c in zip(self.space.factors, spaces.coords(self.space, sel)))
         return out
 
     def multiplicity_per_node(self) -> np.ndarray:
@@ -171,27 +171,27 @@ def _fock_cells(r: float, pts: np.ndarray):
     return cells, index, member
 
 
+def _product_cells(parts):
+    """Node-populated products of factor cells, ordered by their row-major key."""
+    cells, index, member = zip(*parts)
+    shape = [len(c) for c in cells]
+    uniq, index = np.unique(np.ravel_multi_index(index, shape), return_inverse=True)
+    prod_cells, prod_member = [], np.zeros((len(uniq), member[0].shape[1]), dtype=bool)
+    for j, key in enumerate(zip(*np.unravel_index(uniq, shape))):
+        prod_cells.append({"kind": "product",
+                           **{f"factor{i + 1}": c[a] for i, (c, a) in enumerate(zip(cells, key))}})
+        prod_member[j] = reduce(np.logical_and, (m[a] for m, a in zip(member, key)))
+    return prod_cells, np.asarray(index, dtype=int), prod_member
+
+
 def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = None) -> Covering:
     if r <= 0:
         raise ValueError("covering radius must be positive")
     if rule is None:
         rule = build_rule(space)
-    pts = spaces.as_points(space, rule.nodes)
-    if space.kind == KIND_DISC:
-        cells, index, member = _disc_cells(space, r, pts)
-    elif space.kind == KIND_FOCK:
-        cells, index, member = _fock_cells(r, pts)
-    else:
-        c1, i1, m1 = _disc_cells(space.factor(0), r, pts[:, 0])
-        c2, i2, m2 = _disc_cells(space.factor(1), r, pts[:, 1])
-        pair = i1 * (max(i2) + 1) + i2
-        uniq, index = np.unique(pair, return_inverse=True)
-        cells, member = [], np.zeros((len(uniq), pts.shape[0]), dtype=bool)
-        for j, key in enumerate(uniq):
-            a, b = divmod(int(key), max(i2) + 1)
-            cells.append({"kind": "product", "factor1": c1[a], "factor2": c2[b]})
-            member[j] = m1[a] & m2[b]
-        index = np.asarray(index, dtype=int)
+    parts = [_disc_cells(f, r, c) if f.kind == KIND_DISC else _fock_cells(r, c)
+             for f, c in zip(space.factors, spaces.coords(space, rule.nodes))]
+    cells, index, member = parts[0] if len(parts) == 1 else _product_cells(parts)
     if not np.all(member[index, np.arange(len(index))]):
         raise AssertionError("enlargement must contain its own cell")
     mult = int(member.sum(axis=0).max())

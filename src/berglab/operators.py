@@ -15,15 +15,17 @@ Translation operators U_z f = (f o phi_z) k_z are compressions of unitaries.
 U_z e_k is analytic, so its compression is its Taylor coefficients divided
 by c_m, with no quadrature rule: one FFT on a circle inside the disc per disc
 factor, the closed-form displacement matrix (Laguerre polynomials) on the
-Fock space, and a Kronecker product on the bidisc.  Top basis modes
-unavoidably leak outside any fixed truncation window for z != 0, which is
-why every U_z comes with a per-column leakage certificate (1 - retained
-column mass) from which identity-quality statements are scoped.
+Fock space, and the Kronecker product of the factors' matrices on a product
+space.  Top basis modes unavoidably leak outside any fixed truncation window
+for z != 0, which is why every U_z comes with a per-column leakage
+certificate (1 - retained column mass) from which identity-quality
+statements are scoped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,7 +36,7 @@ from .coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers,
                      basis_normalizer, from_flat, project_grid_function,
                      rule_inner, scalar_basis_matrix)
 from .quadrature import QuadratureRule, ball_rule, euclidean_ball
-from .spaces import KIND_BIDISC, KIND_DISC, KIND_FOCK, SpaceSpec
+from .spaces import KIND_DISC, KIND_FOCK, SpaceSpec
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +66,13 @@ class MatrixSymbol:
 
     def eval(self, points) -> np.ndarray:
         pts = spaces.as_points(self.space, points)
-        n = pts.shape[0] if self.space.nfactors == 1 else pts.reshape(-1, 2).shape[0]
+        n = spaces.coords(self.space, pts)[0].size
         d = self.space.d
         out = np.zeros((n, d, d), dtype=complex)
         if self.smooth is not None:
             out += self.smooth(pts)
         for b in self.balls:
-            inside = np.abs(pts - b.center) <= b.radius
+            inside = (np.abs(pts - b.center) <= b.radius).reshape(-1)
             out += inside[:, None, None] * b.value[None, :, :]
         return out
 
@@ -83,15 +85,14 @@ def _compile_poly(space: SpaceSpec, entries: Dict[Tuple[int, int], Dict[tuple, c
     d = space.d
 
     def smooth(pts: np.ndarray) -> np.ndarray:
-        p = pts.reshape(-1, space.nfactors)
-        out = np.zeros((p.shape[0], d, d), dtype=complex)
+        p = [c.reshape(-1) for c in spaces.coords(space, pts)]
+        out = np.zeros((p[0].size, d, d), dtype=complex)
         for (i, k), terms in entries.items():
-            acc = np.zeros(p.shape[0], dtype=complex)
+            acc = np.zeros(p[0].size, dtype=complex)
             for powers, c in terms.items():
                 term = c
-                for j in range(space.nfactors):   # powers are (a, b) per factor
-                    a, b = powers[2 * j:2 * j + 2]
-                    term = term * p[:, j] ** a * np.conj(p[:, j]) ** b
+                for pj, a, b in zip(p, powers[::2], powers[1::2]):   # (a, b) per factor
+                    term = term * pj ** a * np.conj(pj) ** b
                 acc += term
             out[:, i, k] = acc
         return out
@@ -107,9 +108,9 @@ def poly_symbol(space: SpaceSpec, entries: Dict[Tuple[int, int], Dict[tuple, com
                 label: str = "") -> MatrixSymbol:
     """Polynomial symbol: entries[(i, k)] maps power tuples to coefficients.
 
-    Power tuples are (a, b) for z^a conj(z)^b on one-factor spaces and
-    (a1, b1, a2, b2) on the bidisc, with non-negative integer powers; every
-    (i, k) must index a d x d matrix.  Anything else raises ValueError.
+    Power tuples hold one (a, b) pair per factor, for z_j^a conj(z_j)^b, with
+    non-negative integer powers; every (i, k) must index a d x d matrix.
+    Anything else raises ValueError.
     """
     n_powers = 2 * space.nfactors
     for key, terms in entries.items():
@@ -129,7 +130,7 @@ def constant_symbol(space: SpaceSpec, matrix, label: str = "") -> MatrixSymbol:
     if m.shape != (space.d, space.d):
         raise ValueError("constant symbol needs a d x d matrix")
     entries = {
-        (i, k): {((0, 0) if space.nfactors == 1 else (0, 0, 0, 0)): m[i, k]}
+        (i, k): {(0, 0) * space.nfactors: m[i, k]}
         for i in range(space.d) for k in range(space.d) if m[i, k] != 0
     }
     return poly_symbol(space, entries, label=label)
@@ -137,7 +138,7 @@ def constant_symbol(space: SpaceSpec, matrix, label: str = "") -> MatrixSymbol:
 
 def ball_indicator_symbol(space: SpaceSpec, center: complex, radius: float, matrix,
                           ball_metric: str = "euclidean", label: str = "") -> MatrixSymbol:
-    if space.nfactors != 1:
+    if space.nfactors > 1:
         raise ValueError("ball symbols are single-factor")
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (space.d, space.d):
@@ -241,7 +242,7 @@ def _factor_monomial_block(space1: SpaceSpec, n_modes: int, a: int, b: int) -> n
     The integral of |z|^(2k) against sigma is 1/c_k^2 on the disc (any alpha)
     and on the Fock space, so no quadrature enters.
     """
-    logc = _factor_log_normalizers(space1.kind, space1.alpha, n_modes + a)
+    logc = _factor_log_normalizers(space1, n_modes + a)
     n = np.arange(max(0, b - a), min(n_modes, n_modes + b - a))
     m = n + a - b
     out = np.zeros((n_modes, n_modes))
@@ -250,13 +251,9 @@ def _factor_monomial_block(space1: SpaceSpec, n_modes: int, a: int, b: int) -> n
 
 
 def _monomial_block(basis: BasisSpec, powers: tuple) -> np.ndarray:
-    """Scalar block of one monomial term; the Kronecker product of its factors on the bidisc."""
-    space = basis.space
-    if space.nfactors == 1:
-        return _factor_monomial_block(space, basis.n_modes, *powers)
-    a1, b1, a2, b2 = powers
-    return np.kron(_factor_monomial_block(space.factor(0), basis.n_modes, a1, b1),
-                   _factor_monomial_block(space.factor(1), basis.n_modes, a2, b2))
+    """Scalar block of one monomial term: the Kronecker product of its factor blocks."""
+    return spaces.kron([_factor_monomial_block(f, basis.n_modes, a, b)
+                        for f, a, b in zip(basis.space.factors, powers[::2], powers[1::2])])
 
 
 def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol) -> OperatorMatrix:
@@ -345,7 +342,7 @@ def _disc_translation(space: SpaceSpec, n_modes: int, z: complex) -> np.ndarray:
     samples = spaces.involution(space, z, w) ** modes[:, None] \
         * spaces.normalized_kernel_eval(space, z, w)
     taylor = np.fft.fft(samples, axis=1)[:, :n_modes].T / (M * rho ** modes[:, None])
-    c = basis_normalizer(BasisSpec(space, n_modes))
+    c = np.exp(_factor_log_normalizers(space, n_modes))
     return taylor * c[None, :] / c[:, None]
 
 
@@ -380,18 +377,14 @@ def translation_matrix(basis: BasisSpec, z) -> OperatorMatrix:
     Entry [m, k] is the m-th Taylor coefficient of U_z e_k divided by c_m,
     computed without quadrature: one FFT on a circle inside the disc per disc
     factor, the closed-form displacement matrix on the Fock space, and the
-    Kronecker product of the two factors on the bidisc.
+    Kronecker product of the factors' matrices on a product space.
     """
     space = basis.space
     spaces.check_probe_point(space, z)
-    if space.kind == KIND_BIDISC:
-        z = spaces.as_points(space, z)
-        scalar = np.kron(_scalar_translation(space.factor(0), basis.n_modes, complex(z[0])),
-                         _scalar_translation(space.factor(1), basis.n_modes, complex(z[1])))
-    else:
-        z = complex(z)
-        scalar = _scalar_translation(space, basis.n_modes, z)
-    return scalar_block_to_operator(basis, scalar, label=f"U[{z}]")
+    zs = [complex(c) for c in spaces.coords(space, z)]
+    scalar = spaces.kron([_scalar_translation(f, basis.n_modes, c)
+                          for f, c in zip(space.factors, zs)])
+    return scalar_block_to_operator(basis, scalar, label=f"U[{spaces.point(space, zs)}]")
 
 
 @dataclass
@@ -399,50 +392,34 @@ class TranslationCertificate:
     """Per-column leakage of the compressed U_z on scalar modes.
 
     tails[m] = 1 - retained mass of U_z e_m inside the truncation window; the
-    certified prefix keeps every tail below tau.  Identity-quality statements
-    (unitarity, involutivity, covariance) hold on the certified prefix up to
-    ~sqrt(tau) and are vacuous outside it: the modal spread of phi_z pushes
-    top modes out of any fixed window.
+    certified prefix keeps every tail below tau (on a product space: the
+    modes whose every factor index lies below certified_modes).
+    Identity-quality statements (unitarity, involutivity, covariance) hold on
+    the certified prefix up to ~sqrt(tau) and are vacuous outside it: the
+    modal spread of phi_z pushes top modes out of any fixed window.
     """
 
-    z: complex
+    z: object  # the whole point: complex, or an array with one entry per factor
     tau: float
     tails: np.ndarray
     certified_modes: int
 
 
 def translation_certificate(basis: BasisSpec, z, tau: float = 1e-12) -> TranslationCertificate:
+    """Column leakage of U_z; on a product space the factor tails add (capped at 1)."""
     space = basis.space
-    if space.kind == KIND_BIDISC:
-        z = spaces.as_points(space, z)
-        c1 = translation_certificate(BasisSpec(space.factor(0), basis.n_modes), complex(z[0]), tau)
-        c2 = translation_certificate(BasisSpec(space.factor(1), basis.n_modes), complex(z[1]), tau)
-        tails = np.add.outer(c1.tails, c2.tails).ravel()
-        tails = np.minimum(tails, 1.0)
-        m = min(c1.certified_modes, c2.certified_modes)
-        return TranslationCertificate(complex(z[0]), tau, tails, m)
-    z = complex(z)
-    scalar = _scalar_translation(space, basis.n_modes, z)
-    tails = np.clip(1.0 - np.sum(np.abs(scalar) ** 2, axis=0), 0.0, 1.0)
-    certified = 0
-    for m in range(basis.n_modes):
-        if tails[m] <= tau:
-            certified = m + 1
-        else:
-            break
-    return TranslationCertificate(z, tau, tails, certified)
+    zs = [complex(c) for c in spaces.coords(space, z)]
+    tails = [np.clip(1.0 - np.sum(np.abs(_scalar_translation(f, basis.n_modes, c)) ** 2, axis=0),
+                     0.0, 1.0) for f, c in zip(space.factors, zs)]
+    certified = min(int(np.cumprod(t <= tau).sum()) for t in tails)
+    tails = np.minimum(reduce(lambda t, ti: np.add.outer(t, ti).ravel(), tails), 1.0)
+    return TranslationCertificate(spaces.point(space, zs), tau, tails, certified)
 
 
 def certified_projector(basis: BasisSpec, cert: TranslationCertificate) -> OperatorMatrix:
     """Orthogonal projection onto the certified scalar-mode prefix (all components)."""
-    mask = np.zeros(basis.n_scalar)
-    if basis.space.kind == KIND_BIDISC:
-        m = cert.certified_modes
-        grid = np.zeros((basis.n_modes, basis.n_modes))
-        grid[:m, :m] = 1.0
-        mask = grid.ravel()
-    else:
-        mask[: cert.certified_modes] = 1.0
+    prefix = (np.arange(basis.n_modes) < cert.certified_modes).astype(float)
+    mask = spaces.kron([prefix] * basis.space.nfactors)
     return scalar_block_to_operator(basis, np.diag(mask), label="P_cert")
 
 
@@ -502,22 +479,12 @@ def rank_one(f: CoeffFunction, g: CoeffFunction) -> OperatorMatrix:
 def _analytic_component_entry(basis: BasisSpec, scalar_coeffs: np.ndarray, conjugate: bool) -> Dict[tuple, complex]:
     """Monomial power dict for an analytic polynomial given by basis coefficients."""
     c = basis_normalizer(basis)
+    nz = np.flatnonzero(scalar_coeffs)
+    modes = zip(*np.unravel_index(nz, (basis.n_modes,) * basis.space.nfactors))
     entry: Dict[tuple, complex] = {}
-    if basis.space.nfactors == 2:
-        n = basis.n_modes
-        for idx, coeff in enumerate(scalar_coeffs):
-            if coeff == 0:
-                continue
-            m1, m2 = divmod(idx, n)
-            mono = coeff * c[idx]
-            key = (0, m1, 0, m2) if conjugate else (m1, 0, m2, 0)
-            entry[key] = entry.get(key, 0.0) + (np.conj(mono) if conjugate else mono)
-        return entry
-    for m, coeff in enumerate(scalar_coeffs):
-        if coeff == 0:
-            continue
-        mono = coeff * c[m]
-        key = (0, m) if conjugate else (m, 0)
+    for idx, ms in zip(nz, modes):   # ms: the mode index on each factor
+        mono = scalar_coeffs[idx] * c[idx]
+        key = sum(((0, int(m)) if conjugate else (int(m), 0) for m in ms), ())
         entry[key] = entry.get(key, 0.0) + (np.conj(mono) if conjugate else mono)
     return entry
 
@@ -533,15 +500,14 @@ def rank_one_toeplitz_sum(basis: BasisSpec, rule: QuadratureRule,
     space = basis.space
     d = space.d
     dim = basis.dim
-    origin = 0.0 if space.nfactors == 1 else np.zeros(2, dtype=complex)
-    k0 = float(spaces.kernel_norm(space, origin))
+    origin = spaces.point(space, [np.zeros(1)] * space.nfactors)   # one point
+    k0 = float(spaces.kernel_norm(space, origin)[0])
     total = np.zeros((dim, dim), dtype=complex)
     for i in range(d):
         Eii = np.zeros((d, d)); Eii[i, i] = 1.0
         T_fi = toeplitz_matrix(basis, rule, poly_symbol(
             space, {(i, i): _analytic_component_entry(basis, f.coeffs[:, i], conjugate=False)}))
-        T_delta = toeplitz_measure_matrix(basis, PointMassMeasure(
-            np.atleast_1d(origin) if space.nfactors == 1 else origin[None, :], Eii[None, :, :] / k0))
+        T_delta = toeplitz_measure_matrix(basis, PointMassMeasure(origin, Eii[None, :, :] / k0))
         for k in range(d):
             T_gk = toeplitz_matrix(basis, rule, poly_symbol(
                 space, {(i, i): _analytic_component_entry(basis, g.coeffs[:, k], conjugate=True)}))

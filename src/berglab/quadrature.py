@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import roots_jacobi, roots_laguerre, roots_legendre
 
+from . import spaces
 from .spaces import (
     KIND_BIDISC,
     KIND_DISC,
@@ -43,7 +44,7 @@ BIDISC_ANGULAR_ORDER = 16
 @dataclass(frozen=True)
 class QuadratureRule:
     space: SpaceSpec
-    nodes: np.ndarray          # (n,) complex, or (n, 2) for the bidisc
+    nodes: np.ndarray          # (n,) complex, or (n, nfactors) on a product space
     sigma_weights: np.ndarray  # (n,) real, sums to sigma of the covered region
     radial_order: int
     angular_order: int
@@ -108,26 +109,20 @@ def build_rule(
 ) -> QuadratureRule:
     """Tensor sigma-rule on the full domain (or a radial sub-annulus).
 
-    Orders left as None take the space's defaults; any other value must be a
-    positive integer (ValueError otherwise), since zero nodes make no rule.
+    On a product space it is the product of the factor rules, the first
+    factor's nodes varying slowest.  Orders left as None take the space's
+    defaults; any other value must be a positive integer (ValueError
+    otherwise), since zero nodes make no rule.
     """
     for name, order in (("radial_order", radial_order), ("angular_order", angular_order)):
         if order is not None and (isinstance(order, bool)
                                   or not isinstance(order, (int, np.integer)) or order < 1):
             raise ValueError(f"{name} must be a positive integer, got {order!r}")
     nr, na = rule_orders(space, radial_order, angular_order)
-    if space.kind == KIND_BIDISC:
-        a1, a2 = space.alphas
-        n1, w1 = _polar_grid(*_radial_rule(KIND_DISC, a1, nr, t_interval), na)
-        n2, w2 = _polar_grid(*_radial_rule(KIND_DISC, a2, nr, t_interval), na)
-        nodes = np.stack(
-            [np.repeat(n1, n2.size), np.tile(n2, n1.size)], axis=-1
-        )
-        weights = np.repeat(w1, w2.size) * np.tile(w2, w1.size)
-        return QuadratureRule(space, nodes, weights, nr, na)
-    t, wt = _radial_rule(space.kind, space.alpha, nr, t_interval)
-    nodes, weights = _polar_grid(t, wt, na)
-    return QuadratureRule(space, nodes, weights, nr, na)
+    grids = [_polar_grid(*_radial_rule(f.kind, f.alpha, nr, t_interval), na) for f in space.factors]
+    mesh = np.meshgrid(*[factor_nodes for factor_nodes, _ in grids], indexing="ij")
+    nodes = spaces.point(space, [m.ravel() for m in mesh])
+    return QuadratureRule(space, nodes, spaces.kron([w for _, w in grids]), nr, na)
 
 
 def integrate_sigma(rule: QuadratureRule, values) -> complex:
@@ -166,7 +161,7 @@ def ball_rule(
     spectrally accurate for smooth functions and exact for polynomials when
     alpha = 0 or on the fock space a Gaussian factor remains (still smooth).
     """
-    if space.nfactors != 1:
+    if space.nfactors > 1:
         raise ValueError("ball rules are per-factor")
     if space.kind == KIND_DISC and abs(center) + radius >= 1.0:
         raise ValueError("ball sticks out of the disc")
@@ -301,7 +296,7 @@ def rudin_forelli(space: SpaceSpec, rule: QuadratureRule, z_grid, r: float, s: f
             f"non-integrable kernel-power integrand for r={r} on {space.kind}: "
             "radial boundary exponent <= -1"
         )
-    z_grid = np.atleast_1d(np.asarray(z_grid, dtype=complex)) if space.nfactors == 1 else np.atleast_2d(np.asarray(z_grid, dtype=complex))
+    z_grid = spaces.point(space, [c.reshape(-1) for c in spaces.coords(space, z_grid)])
     lam = rule.lambda_weights
     nw_log = np.log(kernel_norm(space, rule.nodes))
     I = np.empty(len(z_grid))

@@ -13,18 +13,26 @@ C^d, square-integrable against a probability measure sigma on the domain:
     d sigma = (1/pi) exp(-|z|^2) dA,  K_z(w) = exp(w conj(z)).
 
 ``bidisc``
-    tensor product of two disc factors; points are pairs, the kernel and
-    sigma are products, the invariant metric is the max over factors.
+    product of two disc factors (weights alpha and alpha2).
+
+A space is a tuple of one-factor spaces, ``space.factors``: ``(space,)`` for
+the disc and the Fock space, two discs for the bidisc.  Every formula here is
+written once per factor and folded over that tuple: the kernel, its norm and
+sigma are products, the involution acts coordinatewise and the invariant
+metric is the max over factors.  Points are complex scalars/arrays on one
+factor; on a product space they carry a trailing axis with one coordinate
+per factor (`coords` splits a point, `point` joins it again).
 
 All three are "strong" in the sense that the structural identities relating
 the kernel, the point involution phi_z and the metric hold with equality,
-not just two-sided bounds.  Points are complex scalars/arrays; bidisc points
-have a trailing axis of length 2.
+not just two-sided bounds.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -68,9 +76,16 @@ class SpaceSpec:
         if not self.fock_probe_radius > 0:
             raise ValueError("fock_probe_radius must be positive")
 
-    @property
+    @cached_property
+    def factors(self) -> tuple:
+        """One-factor spaces whose product is this space; (self,) unless a bidisc."""
+        if self.kind != KIND_BIDISC:
+            return (self,)
+        return tuple(replace(self, kind=KIND_DISC, alpha=a, alpha2=None) for a in self.alphas)
+
+    @cached_property
     def nfactors(self) -> int:
-        return 2 if self.kind == KIND_BIDISC else 1
+        return len(self.factors)
 
     @property
     def alphas(self):
@@ -88,16 +103,11 @@ class SpaceSpec:
         """
         if self.kappa_override is not None:
             return self.kappa_override
-        if self.kind == KIND_FOCK:
-            return 0.0
-        if self.kind == KIND_DISC:
-            return 2.0 * (1.0 + self.alpha) / (2.0 + self.alpha)
-        return max(2.0 * (1.0 + a) / (2.0 + a) for a in self.alphas)
+        return max(0.0 if f.kind == KIND_FOCK else 2.0 * (1.0 + f.alpha) / (2.0 + f.alpha)
+                   for f in self.factors)
 
     def factor(self, i: int) -> "SpaceSpec":
-        if self.kind != KIND_BIDISC:
-            raise ValueError("factor() only makes sense for the bidisc")
-        return replace(self, kind=KIND_DISC, alpha=self.alphas[i], alpha2=None)
+        return self.factors[i]
 
 
 def disc_space(alpha: float = 0.0, d: int = 4, **kw) -> SpaceSpec:
@@ -113,25 +123,48 @@ def bidisc_space(alpha: float = 0.0, alpha2: Optional[float] = None, d: int = 4,
 
 
 def as_points(space: SpaceSpec, z) -> np.ndarray:
-    """Normalize point input to a complex ndarray; bidisc gets a trailing 2-axis."""
+    """Normalize point input to a complex ndarray; product spaces get a trailing factor axis."""
     z = np.asarray(z, dtype=complex)
-    if space.nfactors == 2:
-        if z.shape == () or z.shape[-1] != 2:
-            raise ValueError("bidisc points need a trailing axis of length 2")
+    k = space.nfactors
+    if k > 1 and (z.shape == () or z.shape[-1] != k):
+        raise ValueError(f"{space.kind} points need a trailing axis of length {k}")
     return z
 
 
+def coords(space: SpaceSpec, z) -> list:
+    """Per-factor coordinate arrays of the point(s) z, one entry per space.factors."""
+    z = as_points(space, z)
+    k = space.nfactors
+    return [z] if k == 1 else [z[..., i] for i in range(k)]
+
+
+def point(space: SpaceSpec, parts):
+    """Inverse of coords: the coordinate itself on one factor, else stacked on a trailing axis."""
+    if space.nfactors == 1:
+        return parts[0]
+    return np.stack(parts, axis=-1)
+
+
+def kron(parts):
+    """Kronecker product of per-factor arrays, first factor slowest (the flattened mode order)."""
+    return reduce(np.kron, parts)
+
+
 def _on_factors(fn, space: SpaceSpec, *points) -> list:
-    """fn on each disc factor of the bidisc, at that factor's coordinates."""
-    return [fn(space.factor(i), *(p[..., i] for p in points)) for i in range(2)]
+    """[fn(factor, that factor's coordinates of each point) for each factor of a product].
+
+    Callers fold the list left to right, so the bidisc runs the operations of
+    the two-factor formulas.  Products fold with operator.mul, not
+    np.multiply: on numpy scalars the two may round differently.
+    """
+    return [fn(*part) for part in zip(space.factors, *[coords(space, p) for p in points])]
 
 
 def point_radius(space: SpaceSpec, z) -> np.ndarray:
-    """Modulus used by the admissibility gate (max over factors on the bidisc)."""
-    z = as_points(space, z)
-    if space.nfactors == 2:
-        return np.max(np.abs(z), axis=-1)
-    return np.abs(z)
+    """Modulus used by the admissibility gate (max over factors)."""
+    if space.nfactors > 1:
+        return reduce(np.maximum, _on_factors(point_radius, space, z))
+    return np.abs(as_points(space, z))
 
 
 def probe_radius_max(space: SpaceSpec) -> float:
@@ -150,29 +183,27 @@ def check_probe_point(space: SpaceSpec, z) -> None:
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# kernels (each function: the one-factor formula, or a fold over the factors)
 
 def kernel_eval(space: SpaceSpec, z, w) -> np.ndarray:
     """Scalar part of the reproducing kernel, K_z(w); broadcasts over z and w."""
+    if space.nfactors > 1:
+        return reduce(operator.mul, _on_factors(kernel_eval, space, z, w))
     z = as_points(space, z)
     w = as_points(space, w)
     if space.kind == KIND_DISC:
         return (1.0 - w * np.conj(z)) ** (-(2.0 + space.alpha))
-    if space.kind == KIND_FOCK:
-        return np.exp(w * np.conj(z))
-    k1, k2 = _on_factors(kernel_eval, space, z, w)
-    return k1 * k2
+    return np.exp(w * np.conj(z))
 
 
 def kernel_norm(space: SpaceSpec, z) -> np.ndarray:
     """||K_z|| = K_z(z)^(1/2); real, blows up at the boundary of the domain."""
+    if space.nfactors > 1:
+        return reduce(operator.mul, _on_factors(kernel_norm, space, z))
     z = as_points(space, z)
     if space.kind == KIND_DISC:
         return (1.0 - np.abs(z) ** 2) ** (-(2.0 + space.alpha) / 2.0)
-    if space.kind == KIND_FOCK:
-        return np.exp(np.abs(z) ** 2 / 2.0)
-    n1, n2 = _on_factors(kernel_norm, space, z)
-    return n1 * n2
+    return np.exp(np.abs(z) ** 2 / 2.0)
 
 
 def normalized_kernel_eval(space: SpaceSpec, z, w) -> np.ndarray:
@@ -188,39 +219,38 @@ def normalized_pairing(space: SpaceSpec, z, w) -> np.ndarray:
 # involution and metric
 
 def involution(space: SpaceSpec, z, w) -> np.ndarray:
-    """phi_z(w): swaps z and the origin, phi_z(phi_z(w)) = w."""
+    """phi_z(w): swaps z and the origin, phi_z(phi_z(w)) = w; coordinatewise on products."""
+    if space.nfactors > 1:
+        return point(space, _on_factors(involution, space, z, w))
     z = as_points(space, z)
     w = as_points(space, w)
     if space.kind == KIND_DISC:
         return (z - w) / (1.0 - np.conj(z) * w)
-    if space.kind == KIND_FOCK:
-        return z - w
-    return np.stack(_on_factors(involution, space, z, w), axis=-1)
+    return z - w
 
 
 def metric(space: SpaceSpec, z, w) -> np.ndarray:
-    """Quasi-invariant distance: arctanh |phi_z(w)| on disc factors, |z-w| on the plane."""
+    """Quasi-invariant distance: arctanh |phi_z(w)| on disc factors, |z-w| on the plane,
+    the max over factors on products."""
+    if space.nfactors > 1:
+        return reduce(np.maximum, _on_factors(metric, space, z, w))
     z = as_points(space, z)
     w = as_points(space, w)
     if space.kind == KIND_DISC:
         return np.arctanh(np.abs((z - w) / (1.0 - np.conj(z) * w)))
-    if space.kind == KIND_FOCK:
-        return np.abs(z - w)
-    return np.maximum(*_on_factors(metric, space, z, w))
+    return np.abs(z - w)
 
 
 # ---------------------------------------------------------------------------
 # densities (with respect to Lebesgue area measure, per factor)
 
 def sigma_density(space: SpaceSpec, z) -> np.ndarray:
+    if space.nfactors > 1:
+        return reduce(operator.mul, _on_factors(sigma_density, space, z))
     z = as_points(space, z)
     if space.kind == KIND_DISC:
-        a = space.alpha
-        return ((a + 1.0) / np.pi) * (1.0 - np.abs(z) ** 2) ** a
-    if space.kind == KIND_FOCK:
-        return np.exp(-np.abs(z) ** 2) / np.pi
-    d1, d2 = _on_factors(sigma_density, space, z)
-    return d1 * d2
+        return ((space.alpha + 1.0) / np.pi) * (1.0 - np.abs(z) ** 2) ** space.alpha
+    return np.exp(-np.abs(z) ** 2) / np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +266,18 @@ def _disc_tail(alpha: float, t, n_modes: int):
 def kernel_tail(space: SpaceSpec, z, n_modes: int) -> np.ndarray:
     """Absolute truncation residual sum_{m >= N} |e_m(z)|^2 (closed form).
 
-    For the bidisc the residual counts every basis pair with max(m1, m2) >= N.
+    On a product space the residual counts every mode tuple with some
+    m_i >= N: the relative tails q_i combine as q + q_i - q q_i.
     """
-    z = as_points(space, z)
+    if space.nfactors > 1:
+        q = reduce(lambda q, qi: q + qi - q * qi,
+                   _on_factors(lambda f, c: relative_kernel_tail(f, c, n_modes), space, z))
+        return kernel_norm(space, z) ** 2 * q
+    t = np.abs(as_points(space, z)) ** 2
     if space.kind == KIND_DISC:
-        return _disc_tail(space.alpha, np.abs(z) ** 2, n_modes)
-    if space.kind == KIND_FOCK:
-        t = np.abs(z) ** 2
-        # Poisson tail: sum_{m>=N} t^m/m! = e^t P(N, t)
-        return np.exp(t) * gammainc(n_modes, t)
-    q1 = relative_kernel_tail(space.factor(0), z[..., 0], n_modes)
-    q2 = relative_kernel_tail(space.factor(1), z[..., 1], n_modes)
-    return kernel_norm(space, z) ** 2 * (q1 + q2 - q1 * q2)
+        return _disc_tail(space.alpha, t, n_modes)
+    # Poisson tail: sum_{m>=N} t^m/m! = e^t P(N, t)
+    return np.exp(t) * gammainc(n_modes, t)
 
 
 def relative_kernel_tail(space: SpaceSpec, z, n_modes: int) -> np.ndarray:
@@ -256,7 +286,7 @@ def relative_kernel_tail(space: SpaceSpec, z, n_modes: int) -> np.ndarray:
 
 def modes_for_tail(space: SpaceSpec, radius: float, tol: float, n_max: int = 4096) -> int:
     """Smallest truncation order whose relative kernel tail at |z| = radius is <= tol."""
-    z = radius if space.nfactors == 1 else np.array([radius, radius])
+    z = point(space, [radius] * space.nfactors)
     lo, hi = 1, 2
     while hi <= n_max and relative_kernel_tail(space, z, hi) > tol:
         lo, hi = hi, hi * 2
@@ -273,11 +303,7 @@ def modes_for_tail(space: SpaceSpec, radius: float, tol: float, n_max: int = 409
 
 def rf_exponent_ok(space: SpaceSpec, r: float) -> bool:
     """Integrability gate for kernel-power integrals: radial exponent > -1."""
-    if r <= 0:
-        return False
-    if space.kind == KIND_FOCK:
-        return True
-    return all(r > 2.0 / (2.0 + a) for a in (space.alphas if space.nfactors == 2 else (space.alpha,)))
+    return r > 0 and all(f.kind == KIND_FOCK or r > 2.0 / (2.0 + f.alpha) for f in space.factors)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,4 @@ def sample_points(space, n, seed=0, scale=0.8):
     def draw():
         return lim * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
 
-    if space.nfactors == 2:
-        return np.stack([draw(), draw()], axis=-1)
-    return draw()
+    return spaces.point(space, [draw() for _ in space.factors])

@@ -131,6 +131,32 @@ def test_bad_config_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+_BIDISC_NO_SYMBOLS = {"space": {"kind": "bidisc", "d": 2}, "symbols": {}, "operator": None}
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"n_modes": 8.9}, "n_modes"),
+    ({"n_modes": True}, "n_modes"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"rank1": {"n_pairs": 0}}, "rank1.n_pairs"),
+    ({"rank1": {"n_pairs": 2.5}}, "rank1.n_pairs"),
+    ({"rank1": {"degree": -1}}, "rank1.degree"),
+    ({**_BIDISC_NO_SYMBOLS, "z_grid": [[0.1]]}, "point"),
+    ({**_BIDISC_NO_SYMBOLS, "z_grid": [[0.1, 0.2, 0.3]]}, "point"),
+], ids=["n_modes-float", "n_modes-bool", "seed-negative", "seed-float", "n_pairs-zero",
+        "n_pairs-float", "degree-negative", "bidisc-point-1", "bidisc-point-3"])
+def test_bad_config_value_exits_2_and_writes_nothing(changes, named, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE_CONFIG, **changes}))
+    out = tmp_path / "out"
+    assert cli.main(["kernel", "--config", str(path), "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["command"] == "kernel"
+    assert named in payload["error"]
+    assert not out.exists()
+
+
 def test_unreadable_symbol_reference_exits_2(tmp_path, capsys):
     cfg = dict(BASE_CONFIG, operator={"type": "toeplitz", "symbol": "ghost"})
     path = tmp_path / "cfg.json"

@@ -22,7 +22,7 @@ def _gram(basis, rule):
 
 def test_scalar_basis_orthonormal(all_spaces):
     for sp in all_spaces:
-        n = 6 if sp.nfactors == 2 else 16
+        n = 6 if sp.kind == spaces.KIND_BIDISC else 16
         basis = BasisSpec(sp, n)
         G = _gram(basis, build_rule(sp))
         assert np.abs(G - np.eye(basis.n_scalar)).max() < 1e-10
@@ -80,7 +80,7 @@ def test_projection_is_contractive(disc_basis, disc_rule):
 
 def test_kernel_coeff_vector_reproduces(all_spaces):
     for sp in all_spaces:
-        n = 8 if sp.nfactors == 2 else 24
+        n = 8 if sp.kind == spaces.KIND_BIDISC else 24
         basis = BasisSpec(sp, n)
         z = sample_points(sp, 1, seed=4, scale=0.45)[0]
         v = kernel_coeff_vector(basis, z)

@@ -380,6 +380,7 @@ def test_bidisc_translation_certified_block():
     basis = BasisSpec(spaces.bidisc_space(0.0, 0.5, d=2), 12)
     z = np.array([0.2, 0.3j])
     cert = translation_certificate(basis, z, tau=1e-6)
+    assert np.array_equal(cert.z, z)
     assert cert.certified_modes >= 3
     U = translation_matrix(basis, z)
     P = certified_projector(basis, cert).mat

@@ -43,7 +43,7 @@ def test_kernel_frozen_values():
 
 def test_kernel_at_origin_is_one(all_spaces):
     for sp in all_spaces:
-        origin = np.zeros(2) if sp.nfactors == 2 else 0.0
+        origin = spaces.point(sp, [0.0] * sp.nfactors)
         pts = sample_points(sp, 20, seed=1)
         assert np.allclose(spaces.kernel_eval(sp, origin, pts), 1.0)
         assert float(spaces.kernel_norm(sp, origin)) == pytest.approx(1.0)
