@@ -91,7 +91,8 @@ def residuals(space, n_modes, n_pairs, seed):
         worst = max(worst,
                     float(np.linalg.norm(P @ (U.conj().T @ U - I) @ P, 2)),
                     float(np.linalg.norm(P @ (U @ U - I) @ P, 2)))
-    out["translation_certified"] = worst
+    # no certified mode at any radius leaves nothing checked: nan, not a zero residual
+    out["translation_certified"] = worst if max(certified) > 0 else float("nan")
     out["certified_modes_min"] = float(min(certified))
     return out
 

@@ -224,9 +224,8 @@ def _run_rf(cfg, args):
     from .quadrature import rudin_forelli
 
     basis, rule = _context(cfg, args.resolution_scale)
-    r, s = float(cfg.rf.get("r", 3.0)), float(cfg.rf.get("s", 3.0))
     zg = _zgrid(cfg, basis)
-    rep = rudin_forelli(cfg.space, rule, zg, r, s)
+    rep = rudin_forelli(cfg.space, rule, zg, cfg.rf["r"], cfg.rf["s"])
     payload = rep.as_dict()
     rows = [[zi, float(rep.I[zi]), float(rep.J[zi]), float(rep.ratio[zi])]
             for zi in range(len(zg))]

@@ -8,6 +8,7 @@ validation so misconfigurations fail before assembly starts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -31,6 +32,14 @@ def _int_at_least(key: str, value, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _number(key: str, value, above: float) -> float:
+    """float(value) if value is a finite real > above (not a bool or a string); else ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= above):
+        raise ConfigError(f"{key} must be a finite number > {above:g}, got {value!r}")
+    return float(value)
 
 
 def _parse_scalar_point(data) -> complex:
@@ -168,6 +177,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     rank1 = {"n_pairs": 50, "degree": 4, **rank1}
     _int_at_least("rank1.n_pairs", rank1["n_pairs"], 1)
     _int_at_least("rank1.degree", rank1["degree"], 0)
+    rf = merged.get("rf", {})
+    if not isinstance(rf, dict):
+        raise ConfigError(f"rf must be an object, got {rf!r}")
+    for block, keys, known in (("rank1", rank1, {"n_pairs", "degree"}), ("rf", rf, {"r", "s"})):
+        if set(keys) - known:
+            raise ConfigError(f"unknown {block} keys: {sorted(set(keys) - known)}")
+    rf = {key: _number(f"rf.{key}", v, 0.0) for key, v in {"r": 3.0, "s": 3.0, **rf}.items()}
+    covering_r = merged.get("covering_r", [0.5, 1.0, 2.0, 4.0])
+    if not isinstance(covering_r, list) or not covering_r:
+        raise ConfigError(f"covering_r must be a non-empty list of radii, got {covering_r!r}")
     cfg = ExperimentConfig(
         space=space,
         n_modes=_int_at_least("n_modes", merged.get("n_modes", 24), 1),
@@ -179,19 +198,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         radii=merged.get("radii"),
         angles=merged.get("angles"),
         shells=merged.get("shells"),
-        p=float(merged.get("p", 4.0)),
-        berezin_threshold=float(merged.get("berezin_threshold", 0.05)),
-        essnorm_threshold=float(merged.get("essnorm_threshold", 0.25)),
-        covering_r=[float(x) for x in merged.get("covering_r", [0.5, 1.0, 2.0, 4.0])],
-        rf=dict(merged.get("rf", {"r": 3.0, "s": 3.0})),
+        p=_number("p", merged.get("p", 4.0), 1.0),
+        berezin_threshold=_number("berezin_threshold", merged.get("berezin_threshold", 0.05), 0.0),
+        essnorm_threshold=_number("essnorm_threshold", merged.get("essnorm_threshold", 0.25), 0.0),
+        covering_r=[_number(f"covering_r[{i}]", r, 0.0) for i, r in enumerate(covering_r)],
+        rf=rf,
         rank1=rank1,
         schur_kernel_file=merged.get("schur_kernel_file"),
         seed=_int_at_least("seed", merged.get("seed", 0), 0),
         kernel_points=merged.get("kernel_points"),
         raw=merged,
     )
-    if cfg.p <= 1.0:
-        raise ConfigError("p must exceed 1")
     # resolve every declared point, symbol and operator reference up front
     for key in ("z_grid", "kernel_points"):
         if merged.get(key) is not None:

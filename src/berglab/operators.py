@@ -29,7 +29,6 @@ from functools import reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from . import spaces
 from .coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers,
@@ -346,29 +345,36 @@ def _disc_translation(space: SpaceSpec, n_modes: int, z: complex) -> np.ndarray:
     return taylor * c[None, :] / c[:, None]
 
 
-def _fock_translation(n_modes: int, z: complex) -> np.ndarray:
+def _fock_translation(space: SpaceSpec, n_modes: int, z: complex) -> np.ndarray:
     """Closed-form U_z = D(conj z) P: Glauber displacement after parity.
 
     With t = |z|^2, lo = min(m, k), hi = max(m, k), entry [m, k] is
     (-1)^k e^(-t/2) sqrt(lo!/hi!) L_lo^(hi-lo)(t) times conj(z)^(m-k) for
     m >= k and (-z)^(k-m) otherwise (Cahill & Glauber, Phys. Rev. 177, 1969).
+    The factor sqrt(lo!/hi!) L_lo^(b)(t), b = hi - lo, comes from the
+    orthonormal three-term recurrence of the Laguerre polynomials in the
+    degree, started at the Fock normalizer c_b = 1/sqrt(b!), for every b at
+    once.
     """
     m = np.arange(n_modes)
     diff = m[:, None] - m[None, :]
     lo = np.minimum.outer(m, m)
     hi = np.maximum.outer(m, m)
     t = abs(z) ** 2
-    magnitude = np.exp(0.5 * (gammaln(lo + 1.0) - gammaln(hi + 1.0)) - t / 2.0) \
-        * eval_genlaguerre(lo, hi - lo, t)
+    j = np.arange(n_modes - 1)[:, None]   # recurrence coefficients, row j for every b
+    up, back, scale = 2 * j + 1 + m - t, np.sqrt(j * (j + m)), np.sqrt((j + 1) * (j + 1 + m))
+    ell = np.zeros((n_modes + 1, n_modes))   # ell[j + 1, b] = sqrt(j!/(j+b)!) L_j^(b)(t)
+    ell[1] = np.exp(_factor_log_normalizers(space, n_modes))
+    for i in range(n_modes - 1):
+        ell[i + 2] = (up[i] * ell[i + 1] - back[i] * ell[i]) / scale[i]
+    magnitude = np.exp(-t / 2.0) * ell[lo + 1, hi - lo]
     power = np.where(diff >= 0, np.conj(z), -z) ** np.abs(diff)
     return magnitude * power * (-1.0) ** m[None, :]
 
 
 def _scalar_translation(space: SpaceSpec, n_modes: int, z: complex) -> np.ndarray:
     """Scalar n x n compression <U_z e_k, e_m> on one factor."""
-    if space.kind == KIND_FOCK:
-        return _fock_translation(n_modes, z)
-    return _disc_translation(space, n_modes, z)
+    return (_fock_translation if space.kind == KIND_FOCK else _disc_translation)(space, n_modes, z)
 
 
 def translation_matrix(basis: BasisSpec, z) -> OperatorMatrix:

@@ -1,8 +1,9 @@
 """Quadrature rules on the model domains and the integral tests built on them.
 
-Rules are tensor products of a radial Gauss rule in t = |z|^2 and a uniform
-angular grid.  The radial family is matched to the sigma-density so that
-monomial moments are integrated exactly up to degree 2*radial_order - 1 in t:
+Rules are tensor products of a radial Gauss rule in t = |z|^2, built in numpy
+by the Golub-Welsch method (Math. Comp. 23, 1969), and a uniform angular grid.
+The radial family is matched to the sigma-density so that monomial moments
+are integrated exactly up to degree 2*radial_order - 1 in t:
 
 * disc factors: Gauss-Jacobi with weight (1-t)^alpha on [0, 1]
   (alpha = 0 reduces to Gauss-Legendre on [0, 1]);
@@ -18,10 +19,10 @@ spectrally accurate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_laguerre, roots_legendre
 
 from . import spaces
 from .spaces import (
@@ -59,29 +60,46 @@ class QuadratureRule:
         return self.sigma_weights * kernel_norm(self.space, self.nodes) ** 2
 
 
-def _radial_rule(kind: str, alpha: float, order: int, t_interval=None):
-    """Nodes/weights in t for the factor's radial sigma-density."""
-    if kind == KIND_DISC:
-        t0, t1 = (0.0, 1.0) if t_interval is None else t_interval
-        if t1 >= 1.0 - 1e-14:
-            x, w = roots_jacobi(order, alpha, 0.0)
-            t = t0 + (1.0 - t0) * (x + 1.0) / 2.0
-            w = w * (alpha + 1.0) * ((1.0 - t0) / 2.0) ** (alpha + 1.0)
-        else:
-            x, w = roots_legendre(order)
-            t = t0 + (t1 - t0) * (x + 1.0) / 2.0
-            w = w * (t1 - t0) / 2.0 * (alpha + 1.0) * (1.0 - t) ** alpha
-        return t, w
+def _orthonormal_sweep(x, a, sb):
+    """q_n(x), q_n'(x) and sum_{k<n} q_k(x)^2 for the orthonormal recurrence
+    sb[k+1] q_{k+1} = (x - a[k]) q_k - sb[k] q_{k-1}, q_0 = 1 (sb[0] = 0)."""
+    q0, q1, d0, d1, total = 0.0, np.ones_like(x), 0.0, 0.0, 0.0
+    for k in range(len(a)):
+        total = total + q1 ** 2
+        q0, q1 = q1, ((x - a[k]) * q1 - sb[k] * q0) / sb[k + 1]
+        d0, d1 = d1, ((x - a[k]) * d1 + q0 - sb[k] * d0) / sb[k + 1]
+    return q1, d1, total
+
+
+@lru_cache(maxsize=None)
+def _radial_rule(kind: str, alpha: float, order: int):
+    """Read-only Gauss rule (t, weights) for a factor's radial sigma-density in t = |z|^2.
+
+    Disc: weight (alpha+1)(1-t)^alpha on [0, 1], Gauss-Jacobi(alpha, 0) mapped
+    from [-1, 1] (Gauss-Legendre at alpha = 0); Fock: Gauss-Laguerre, weight
+    e^(-t) on [0, inf).  The nodes are the eigenvalues of the Jacobi matrix of
+    the monic recurrence p_{k+1} = (x - a_k) p_k - b_k p_{k-1}, polished by one
+    Newton step; the weights are the Christoffel numbers mu0 / sum_k q_k(x)^2,
+    q_k orthonormal for the weight / mu0 (so q_0 = 1).
+    """
+    k = np.arange(1.0, order + 1.0)
     if kind == KIND_FOCK:
-        if t_interval is None:
-            t, w = roots_laguerre(order)
-        else:
-            t0, t1 = t_interval
-            x, w = roots_legendre(order)
-            t = t0 + (t1 - t0) * (x + 1.0) / 2.0
-            w = w * (t1 - t0) / 2.0 * np.exp(-t)
-        return t, w
-    raise ValueError(kind)
+        a, b, mu0 = 2.0 * k - 1.0, k ** 2, 1.0
+    else:
+        s = 2.0 * k + alpha
+        a = np.concatenate(([-alpha / (alpha + 2.0)], -alpha ** 2 / (s[:-1] * (s[:-1] + 2.0))))
+        b = 4.0 * k ** 2 * (k + alpha) ** 2 / (s ** 2 * (s ** 2 - 1.0))
+        mu0 = 2.0 ** (alpha + 1.0) / (alpha + 1.0)
+    sb = np.sqrt(np.concatenate(([0.0], b)))
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(sb[1:-1], -1))
+    q, dq, _ = _orthonormal_sweep(x, a, sb)
+    x = x - q / dq
+    w = mu0 / _orthonormal_sweep(x, a, sb)[2]
+    if kind != KIND_FOCK:
+        x, w = (x + 1.0) / 2.0, w * (alpha + 1.0) * 0.5 ** (alpha + 1.0)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _polar_grid(t, wt, angular_order: int):
@@ -105,9 +123,8 @@ def build_rule(
     space: SpaceSpec,
     radial_order: Optional[int] = None,
     angular_order: Optional[int] = None,
-    t_interval=None,
 ) -> QuadratureRule:
-    """Tensor sigma-rule on the full domain (or a radial sub-annulus).
+    """Tensor sigma-rule on the full domain.
 
     On a product space it is the product of the factor rules, the first
     factor's nodes varying slowest.  Orders left as None take the space's
@@ -119,7 +136,7 @@ def build_rule(
                                   or not isinstance(order, (int, np.integer)) or order < 1):
             raise ValueError(f"{name} must be a positive integer, got {order!r}")
     nr, na = rule_orders(space, radial_order, angular_order)
-    grids = [_polar_grid(*_radial_rule(f.kind, f.alpha, nr, t_interval), na) for f in space.factors]
+    grids = [_polar_grid(*_radial_rule(f.kind, f.alpha, nr), na) for f in space.factors]
     mesh = np.meshgrid(*[factor_nodes for factor_nodes, _ in grids], indexing="ij")
     nodes = spaces.point(space, [m.ravel() for m in mesh])
     return QuadratureRule(space, nodes, spaces.kron([w for _, w in grids]), nr, na)
@@ -165,13 +182,12 @@ def ball_rule(
         raise ValueError("ball rules are per-factor")
     if space.kind == KIND_DISC and abs(center) + radius >= 1.0:
         raise ValueError("ball sticks out of the disc")
-    x, gw = roots_legendre(radial_order)
-    s = (x + 1.0) / 2.0          # s in [0, 1], |w - c| = radius * sqrt(s)
+    s, gw = _radial_rule(KIND_DISC, 0.0, radial_order)   # |w - c| = radius * sqrt(s)
     th = 2.0 * np.pi * np.arange(angular_order) / angular_order
     S, TH = np.meshgrid(s, th, indexing="ij")
     nodes = (center + radius * np.sqrt(S) * np.exp(1j * TH)).ravel()
     # dA = (radius^2/2) ds dtheta in these coordinates
-    area_w = np.repeat((gw * np.pi * radius**2 / (2.0 * angular_order))[:, None], angular_order, axis=1).ravel()
+    area_w = np.repeat((gw * np.pi * radius**2 / angular_order)[:, None], angular_order, axis=1).ravel()
     weights = area_w * sigma_density(space, nodes)
     return QuadratureRule(space, nodes, weights, radial_order, angular_order, label="ball")
 

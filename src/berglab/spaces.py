@@ -36,7 +36,6 @@ from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
-from scipy.special import betainc, gammainc
 
 KIND_DISC = "bergman_disc"
 KIND_FOCK = "fock"
@@ -256,26 +255,23 @@ def sigma_density(space: SpaceSpec, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # truncation-tail certificates
 
-def _disc_tail(alpha: float, t, n_modes: int):
-    # sum_{m>=N} c_m^2 t^m with c_m^2 = Gamma(m+2+alpha)/(m! Gamma(2+alpha));
-    # negative-binomial tail identity gives (1-t)^(-(2+alpha)) I_t(N, 2+alpha)
-    t = np.asarray(t, dtype=float)
-    return (1.0 - t) ** (-(2.0 + alpha)) * betainc(n_modes, 2.0 + alpha, t)
-
-
 def kernel_tail(space: SpaceSpec, z, n_modes: int) -> np.ndarray:
     """Absolute truncation residual sum_{m >= N} |e_m(z)|^2 (closed form).
 
     On a product space the residual counts every mode tuple with some
     m_i >= N: the relative tails q_i combine as q + q_i - q q_i.
     """
+    # scipy.special costs ~0.25 s to import and no CLI command needs a tail
+    from scipy.special import betainc, gammainc
     if space.nfactors > 1:
         q = reduce(lambda q, qi: q + qi - q * qi,
                    _on_factors(lambda f, c: relative_kernel_tail(f, c, n_modes), space, z))
         return kernel_norm(space, z) ** 2 * q
     t = np.abs(as_points(space, z)) ** 2
     if space.kind == KIND_DISC:
-        return _disc_tail(space.alpha, t, n_modes)
+        # sum_{m>=N} c_m^2 t^m with c_m^2 = Gamma(m+2+alpha)/(m! Gamma(2+alpha));
+        # negative-binomial tail identity gives (1-t)^(-(2+alpha)) I_t(N, 2+alpha)
+        return (1.0 - t) ** (-(2.0 + space.alpha)) * betainc(n_modes, 2.0 + space.alpha, t)
     # Poisson tail: sum_{m>=N} t^m/m! = e^t P(N, t)
     return np.exp(t) * gammainc(n_modes, t)
 

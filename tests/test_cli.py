@@ -144,8 +144,23 @@ _BIDISC_NO_SYMBOLS = {"space": {"kind": "bidisc", "d": 2}, "symbols": {}, "opera
     ({"rank1": {"degree": -1}}, "rank1.degree"),
     ({**_BIDISC_NO_SYMBOLS, "z_grid": [[0.1]]}, "point"),
     ({**_BIDISC_NO_SYMBOLS, "z_grid": [[0.1, 0.2, 0.3]]}, "point"),
+    ({"rf": 5}, "rf"),
+    ({"rf": {"r": "3"}}, "rf.r"),
+    ({"rf": {"s": -1.0}}, "rf.s"),
+    ({"rf": {"r": 3.0, "q": 1.0}}, "rf"),
+    ({"rank1": {"n_pairs": 2, "degre": 1}}, "rank1"),
+    ({"covering_r": 3}, "covering_r"),
+    ({"covering_r": []}, "covering_r"),
+    ({"covering_r": [True, 2.0]}, "covering_r[0]"),
+    ({"covering_r": [1.0, 0.0]}, "covering_r[1]"),
+    ({"essnorm_threshold": True}, "essnorm_threshold"),
+    ({"berezin_threshold": "0.1"}, "berezin_threshold"),
+    ({"p": "4"}, "p"),
 ], ids=["n_modes-float", "n_modes-bool", "seed-negative", "seed-float", "n_pairs-zero",
-        "n_pairs-float", "degree-negative", "bidisc-point-1", "bidisc-point-3"])
+        "n_pairs-float", "degree-negative", "bidisc-point-1", "bidisc-point-3",
+        "rf-number", "rf-r-string", "rf-s-negative", "rf-unknown-key", "rank1-unknown-key",
+        "covering_r-number", "covering_r-empty", "covering_r-bool", "covering_r-zero",
+        "essnorm_threshold-bool", "berezin_threshold-string", "p-string"])
 def test_bad_config_value_exits_2_and_writes_nothing(changes, named, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**BASE_CONFIG, **changes}))
@@ -233,6 +248,39 @@ def test_cli_import_leaves_numpy_unloaded():
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """Every command on a Fock and a bidisc config runs without importing scipy."""
+    kern = tmp_path / "kern.json"
+    kern.write_text(json.dumps({"values": np.ones((3, 2, 2, 2)).tolist(),
+                                "mu": [0.3] * 3, "nu": [0.5] * 2}))
+    fock = {**BASE_CONFIG, "space": {"kind": "fock", "d": 2}, "schur_kernel_file": str(kern)}
+    bidisc = {**_BIDISC_NO_SYMBOLS, "n_modes": 3, "covering_r": [2.0, 4.0],
+              "rank1": {"n_pairs": 1, "degree": 1}, "schur_kernel_file": str(kern),
+              "symbols": {"drift": {"type": "poly", "entries": [
+                  {"i": 0, "k": 1, "terms": [{"a1": 1, "b1": 0, "a2": 0, "b2": 1, "c": 0.5}]}]}},
+              "operator": {"type": "toeplitz", "symbol": "drift"}}
+    paths = []
+    for name, cfg in (("fock", fock), ("bidisc", bidisc)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        Path(paths[-1]).write_text(json.dumps(cfg))
+    code = (
+        "import sys\n"
+        "from berglab import cli\n"
+        f"for i, path in enumerate({paths!r}):\n"
+        f"    for command in {list(cli.COMMANDS)!r}:\n"
+        f"        out = {str(tmp_path)!r} + f'/out{{i}}'\n"
+        "        assert cli.main([command, '--config', path, '--out', out]) == 0, (path, command)\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 

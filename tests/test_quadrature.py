@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import eval_genlaguerre, gammaln, roots_jacobi, roots_laguerre
 
 from berglab import spaces
-from berglab.quadrature import (MatrixKernelSample, ball_rule, build_rule,
+from berglab.coeffs import _factor_log_normalizers
+from berglab.operators import _fock_translation
+from berglab.quadrature import (MatrixKernelSample, _radial_rule, ball_rule, build_rule,
                                 discretized_norm, integrate_lambda,
                                 integrate_sigma, metric_ball_euclidean,
                                 rudin_forelli, schur_test, sigma_ball_mass)
@@ -184,3 +186,61 @@ def test_schur_domination_property(nx, ny, d, seed):
     s = MatrixKernelSample(np.abs(rng.standard_normal((nx, ny, d, d))),
                            rng.uniform(0.1, 1, nx), rng.uniform(0.1, 1, ny))
     assert schur_test(s, p=2.0)["bound"] >= discretized_norm(s) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# scipy.special is the oracle for the numpy Gauss rules, normalizers and
+# Laguerre values that replaced it on the run path
+
+GAUSS_ORDERS = (1, 2, 12, 16, 40, 64, 128)
+
+
+@pytest.mark.parametrize("order", GAUSS_ORDERS)
+def test_disc_radial_rule_matches_gauss_jacobi(order):
+    """Gauss-Jacobi(alpha, 0) mapped from [-1, 1] to t in [0, 1], weights summing to 1."""
+    for alpha in (0.0, 0.5, 1.5, 3.0):
+        t, w = _radial_rule(spaces.KIND_DISC, alpha, order)
+        xs, ws = roots_jacobi(order, alpha, 0.0)
+        assert np.max(np.abs(t - (xs + 1.0) / 2.0)) <= 1e-13
+        assert np.max(np.abs(w / (ws * (alpha + 1.0) * 0.5 ** (alpha + 1.0)) - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("order", GAUSS_ORDERS)
+def test_fock_radial_rule_matches_gauss_laguerre(order):
+    t, w = _radial_rule(spaces.KIND_FOCK, 0.0, order)
+    xs, ws = roots_laguerre(order)
+    assert np.max(np.abs(t / xs - 1.0)) <= 1e-13
+    assert np.max(np.abs(w / ws - 1.0)) <= 1e-10
+
+
+def test_radial_rules_are_shared_and_read_only():
+    t, w = _radial_rule(spaces.KIND_DISC, 0.0, 40)
+    assert _radial_rule(spaces.KIND_DISC, 0.0, 40)[0] is t
+    assert not t.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5, None], ids=["disc-0", "disc-1.5", "fock"])
+def test_log_normalizers_match_gammaln(alpha):
+    m = np.arange(128.0)
+    if alpha is None:
+        space, ref = spaces.fock_space(), -0.5 * gammaln(m + 1.0)
+    else:
+        space = spaces.disc_space(alpha)
+        ref = 0.5 * (gammaln(m + 2.0 + alpha) - gammaln(m + 1.0) - gammaln(2.0 + alpha))
+    for n in (1, 2, 24, 128):
+        assert np.max(np.abs(_factor_log_normalizers(space, n) - ref[:n])) <= 1e-13
+
+
+@pytest.mark.parametrize("n_modes", [1, 8, 24, 64])
+def test_fock_laguerre_recurrence_matches_eval_genlaguerre(n_modes):
+    """The closed-form Fock U_z against the same formula on scipy's gammaln and
+    eval_genlaguerre, over the whole (lo, hi - lo) table it reads."""
+    m = np.arange(n_modes)
+    lo, hi = np.minimum.outer(m, m), np.maximum.outer(m, m)
+    diff = m[:, None] - m[None, :]
+    for z in (0.0, 0.3 + 0.1j, 1.5 - 0.7j, 3.0j):
+        t = abs(z) ** 2
+        magnitude = np.exp(0.5 * (gammaln(lo + 1.0) - gammaln(hi + 1.0)) - t / 2.0) \
+            * eval_genlaguerre(lo, hi - lo, t)
+        ref = magnitude * np.where(diff >= 0, np.conj(z), -z) ** np.abs(diff) * (-1.0) ** m
+        assert np.max(np.abs(_fock_translation(spaces.fock_space(), n_modes, z) - ref)) <= 1e-13

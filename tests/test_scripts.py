@@ -1,5 +1,6 @@
 """The study scripts under scripts/ run end to end at tiny sizes."""
 
+import csv
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,22 @@ def test_script_runs_and_writes_csv(script, args, tmp_path):
     assert proc.returncode == 0, proc.stderr
     header, *rows = out.read_text().splitlines()
     assert header and rows
+
+
+def test_axiom_suite_reports_vacuous_translation_check_as_nan(tmp_path):
+    """With no certified mode at any displacement radius the translation residual is
+    nan, never a perfect-looking 0."""
+    out = tmp_path / "axioms.csv"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "run_axiom_suite.py"), "--n-pairs", "5",
+                           "--out", str(out)], capture_output=True, text=True, cwd=tmp_path,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _, *rows = csv.reader(out.read_text().splitlines())
+    value = {(space, n, check): v for space, n, check, v in rows}
+    translation = {key[:2]: v for key, v in value.items() if key[2] == "translation_certified"}
+    assert translation[("bidisc", "4")] == "nan"
+    for (space, n), v in translation.items():
+        if v == "nan":
+            assert float(value[(space, n, "certified_modes_min")]) == 0.0
+        else:
+            assert float(v) > 0.0
