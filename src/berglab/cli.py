@@ -15,12 +15,6 @@ import os
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
-COMMANDS = (
-    "kernel", "toeplitz", "berezin", "rkt", "essnorm", "rf",
-    "schur", "covering", "localize", "rank1", "verify-axioms",
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="berglab",
@@ -79,7 +73,7 @@ def _operator(cfg, basis, rule):
     raise ConfigError(f"unknown operator type {kind!r}")
 
 
-def _zgrid(cfg, basis):
+def _zgrid(cfg):
     from .analysis import default_probe_grid
 
     if cfg.z_grid is not None:
@@ -100,7 +94,7 @@ def _run_kernel(cfg, args) -> Tuple[str, dict, list, list, int]:
     from . import spaces
 
     space = cfg.space
-    pts = cfg.points(cfg.kernel_points) if cfg.kernel_points else _zgrid(cfg, None)
+    pts = cfg.points(cfg.kernel_points) if cfg.kernel_points else _zgrid(cfg)
     rows, table = [], []
     for z in pts:
         spaces.check_probe_point(space, z)
@@ -167,7 +161,7 @@ def _run_rkt(cfg, args):
                            rkt_product_check, rkt_toeplitz_symbol_check)
 
     basis, rule = _context(cfg, args.resolution_scale)
-    zg = _zgrid(cfg, basis)
+    zg = _zgrid(cfg)
     T = _operator(cfg, basis, rule)
     reports = {}
     b1, b2 = rkt_boundedness_check(basis, rule, T, p=cfg.p, z_grid=zg)
@@ -223,8 +217,8 @@ def _run_essnorm(cfg, args):
 def _run_rf(cfg, args):
     from .quadrature import rudin_forelli
 
-    basis, rule = _context(cfg, args.resolution_scale)
-    zg = _zgrid(cfg, basis)
+    _, rule = _context(cfg, args.resolution_scale)
+    zg = _zgrid(cfg)
     rep = rudin_forelli(cfg.space, rule, zg, cfg.rf["r"], cfg.rf["s"])
     payload = rep.as_dict()
     rows = [[zi, float(rep.I[zi]), float(rep.J[zi]), float(rep.ratio[zi])]
@@ -266,22 +260,22 @@ def _run_schur(cfg, args):
 
 
 def _run_covering(cfg, args):
+    import numpy as np
+
     from .covering import build_covering
 
-    basis, rule = _context(cfg, args.resolution_scale)
+    _, rule = _context(cfg, args.resolution_scale)
     summaries, rows = [], []
     for r in cfg.covering_r:
         c = build_covering(cfg.space, r, rule)
         diams = c.cell_diameters()
         counts = c.cell_node_counts()
-        hist = {}
-        for m in c.multiplicity_per_node():
-            hist[int(m)] = hist.get(int(m), 0) + 1
+        mults, nodes = np.unique(c.multiplicity_per_node(), return_counts=True)
         summaries.append({
             "r": r, "n_cells": c.n_cells, "multiplicity": c.multiplicity,
             "max_diameter": float(diams.max()), "diameter_bound": 4.0 * r,
             "diameter_ok": bool(diams.max() <= 4.0 * r + 1e-9),
-            "multiplicity_histogram": hist,
+            "multiplicity_histogram": dict(zip(mults.tolist(), nodes.tolist())),
         })
         for j, cell in enumerate(c.cells):
             rows.append([r, j, cell.get("kind"), json.dumps(cell, sort_keys=True),
@@ -398,7 +392,7 @@ def _run_verify_axioms(cfg, args):
 
     # translation identities on certified modes
     origin = spaces.point(space, [0.0] * space.nfactors)
-    zg = [p for p in _zgrid(cfg, basis) if spaces.metric(space, origin, p) > 0]
+    zg = [p for p in _zgrid(cfg) if spaces.metric(space, origin, p) > 0]
     worst_u, worst_i = 0.0, 0.0
     for zz in zg:
         cert = translation_certificate(basis, zz)
@@ -431,6 +425,7 @@ _RUNNERS: Dict[str, Callable] = {
     "rank1": _run_rank1,
     "verify-axioms": _run_verify_axioms,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -2,15 +2,19 @@
 
 A covering partitions the node-sampled domain into cells of invariant-metric
 diameter at most 4r, together with r-enlargements realized as membership
-predicates at the quadrature nodes:
+predicates at the quadrature nodes.  Each factor keys its cells by integer
+arithmetic on its distinct coordinates:
 
 * disc factors: annuli of constant rapidity width 2r (rapidity = invariant
   distance to 0, additive along rays) split into sectors whose angular width
   costs at most another 2r of metric diameter at the annulus's outer radius;
+  annulus k, sector j has key k * max_sectors + j;
 * Fock: axis-aligned squares of side 2*sqrt(2)*r (Euclidean diameter 4r)
-  tiling a box that contains every node;
-* product spaces: products of per-factor cells (max metric), keyed by the
-  row-major index of their factor cells.
+  tiling a box that contains every node; square (ix, iy) has key ix * n_side + iy.
+
+A cell is a product of factor cells (max metric; one factor on the disc and
+the Fock space) found by index arithmetic, with the AND of their factor
+enlargements.  Cells are numbered in the order of their first node.
 
 Enlargements are conservative coordinate boxes that contain the exact
 r-neighborhoods, so the measured overlap multiplicity upper-bounds the true
@@ -81,117 +85,93 @@ class Covering:
         return self.enlargement.sum(axis=0)
 
 
-def _angular_halfwidth(step: float, rho: float) -> float:
+def _angular_halfwidth(step: float, rho: np.ndarray) -> np.ndarray:
     """Largest angle whose arc at Euclidean radius rho stays within invariant
     distance `step`; pi (no constraint) when the whole circle fits."""
-    if rho <= 1e-12:
-        return np.pi
-    arg = np.sinh(step) * (1.0 - rho * rho) / (2.0 * rho)
-    if arg >= 1.0:
-        return np.pi
-    return float(np.arcsin(arg))
+    with np.errstate(divide="ignore"):
+        arg = np.sinh(step) * (1.0 - rho * rho) / (2.0 * rho)
+    return np.where((rho <= 1e-12) | (arg >= 1.0), np.pi, np.arcsin(np.minimum(arg, 1.0)))
 
 
-def _disc_layout(r: float, s_max: float) -> List[dict]:
-    n_annuli = max(1, int(np.ceil(s_max / (2.0 * r))))
-    layout = []
-    for k in range(n_annuli):
-        s_lo, s_hi = 2.0 * r * k, 2.0 * r * (k + 1)
-        if k == 0:
-            # any two points of rapidity <= 2r are within 4r through the origin
-            n_sec = 1
-        else:
-            half = _angular_halfwidth(2.0 * r, np.tanh(s_hi))
-            n_sec = 1 if half >= np.pi else int(np.ceil(np.pi / half))
-        layout.append({"s_lo": s_lo, "s_hi": s_hi, "n_sectors": n_sec})
-    return layout
+def _first_seen(keys: np.ndarray):
+    """Distinct keys in order of first occurrence, and each entry's position among them."""
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return uniq[order], np.argsort(order)[inverse]
+
+
+def _describe(kind: str, **bounds) -> List[dict]:
+    return [{"kind": kind, **dict(zip(bounds, v))}
+            for v in zip(*(b.tolist() for b in bounds.values()))]
 
 
 def _disc_cells(space1, r: float, pts: np.ndarray):
+    """(cells, index, member) of one disc factor, cells numbered by their first point."""
     s = spaces.metric(space1, 0.0, pts)
     theta = np.mod(np.angle(pts), _TWO_PI)
-    layout = _disc_layout(r, float(s.max()) + 1e-9)
-    annulus = np.minimum((s / (2.0 * r)).astype(int), len(layout) - 1)
-    cells, keys = [], {}
-    index = np.zeros(pts.shape[0], dtype=int)
-    for u in range(pts.shape[0]):
-        k = annulus[u]
-        width = _TWO_PI / layout[k]["n_sectors"]
-        j = min(int(theta[u] / width), layout[k]["n_sectors"] - 1)
-        if (k, j) not in keys:
-            keys[(k, j)] = len(cells)
-            cells.append({
-                "kind": "annulus_sector",
-                "s_lo": layout[k]["s_lo"], "s_hi": layout[k]["s_hi"],
-                "theta_lo": j * width, "theta_hi": (j + 1) * width,
-            })
-        index[u] = keys[(k, j)]
+    step = 2.0 * r
+    annuli = np.arange(max(1, int(np.ceil((float(s.max()) + 1e-9) / step))))
+    half = _angular_halfwidth(step, np.tanh(step * (annuli + 1)))
+    half[0] = np.pi     # any two points of rapidity <= 2r are within 4r through the origin
+    n_sec = np.ceil(np.pi / half).astype(int)
+    width = _TWO_PI / n_sec
+    k = np.minimum((s / step).astype(int), annuli.size - 1)
+    j = np.minimum((theta / width[k]).astype(int), n_sec[k] - 1)
+    keys, index = _first_seen(k * n_sec.max() + j)
+    k, j = np.divmod(keys, n_sec.max())
+    s_lo, s_hi, t_lo, t_hi = step * k, step * (k + 1), j * width[k], (j + 1) * width[k]
+    cells = _describe("annulus_sector", s_lo=s_lo, s_hi=s_hi, theta_lo=t_lo, theta_hi=t_hi)
     # enlargement boxes: rapidity +- r, angle inflated by the halfwidth of a
     # metric-r arc at the innermost enlarged radius (worst case)
-    member = np.zeros((len(cells), pts.shape[0]), dtype=bool)
-    for j, c in enumerate(cells):
-        s_lo, s_hi = max(c["s_lo"] - r, 0.0), c["s_hi"] + r
-        radial = (s >= s_lo - 1e-12) & (s <= s_hi + 1e-12)
-        rho_lo = np.tanh(max(s_lo, 0.0))
-        delta = _angular_halfwidth(r, rho_lo)
-        center = 0.5 * (c["theta_lo"] + c["theta_hi"])
-        halfw = 0.5 * (c["theta_hi"] - c["theta_lo"]) + delta
-        if halfw >= np.pi:
-            angular = np.ones_like(radial)
-        else:
-            wrapped = np.abs(np.mod(theta - center + np.pi, _TWO_PI) - np.pi)
-            angular = wrapped <= halfw + 1e-12
-        member[j] = radial & angular
+    e_lo, e_hi = np.maximum(s_lo - r, 0.0), s_hi + r
+    halfw = 0.5 * (t_hi - t_lo) + _angular_halfwidth(r, np.tanh(e_lo))
+    wrapped = np.abs(np.mod(theta - 0.5 * (t_lo + t_hi)[:, None] + np.pi, _TWO_PI) - np.pi)
+    member = ((s >= e_lo[:, None] - 1e-12) & (s <= e_hi[:, None] + 1e-12)
+              & ((halfw >= np.pi)[:, None] | (wrapped <= halfw[:, None] + 1e-12)))
     return cells, index, member
 
 
 def _fock_cells(r: float, pts: np.ndarray):
     side = 2.0 * np.sqrt(2.0) * r
-    extent = float(np.max(np.abs(np.concatenate([pts.real, pts.imag])))) + 1e-9
+    x, y = pts.real, pts.imag
+    extent = float(np.max(np.abs(np.concatenate([x, y])))) + 1e-9
     n_side = max(1, int(np.ceil(2.0 * extent / side)))
     lo = -0.5 * n_side * side
-    ix = np.minimum(((pts.real - lo) / side).astype(int), n_side - 1)
-    iy = np.minimum(((pts.imag - lo) / side).astype(int), n_side - 1)
-    cells, keys = [], {}
-    index = np.zeros(pts.shape[0], dtype=int)
-    for u in range(pts.shape[0]):
-        key = (ix[u], iy[u])
-        if key not in keys:
-            keys[key] = len(cells)
-            cells.append({
-                "kind": "square",
-                "x_lo": lo + ix[u] * side, "x_hi": lo + (ix[u] + 1) * side,
-                "y_lo": lo + iy[u] * side, "y_hi": lo + (iy[u] + 1) * side,
-            })
-        index[u] = keys[key]
-    member = np.zeros((len(cells), pts.shape[0]), dtype=bool)
-    for j, c in enumerate(cells):
-        member[j] = ((pts.real >= c["x_lo"] - r - 1e-12) & (pts.real <= c["x_hi"] + r + 1e-12)
-                     & (pts.imag >= c["y_lo"] - r - 1e-12) & (pts.imag <= c["y_hi"] + r + 1e-12))
+    ix = np.minimum(((x - lo) / side).astype(int), n_side - 1)
+    iy = np.minimum(((y - lo) / side).astype(int), n_side - 1)
+    keys, index = _first_seen(ix * n_side + iy)
+    ix, iy = np.divmod(keys, n_side)
+    x_lo, x_hi = lo + ix * side, lo + (ix + 1) * side
+    y_lo, y_hi = lo + iy * side, lo + (iy + 1) * side
+    cells = _describe("square", x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi)
+    member = ((x >= x_lo[:, None] - r - 1e-12) & (x <= x_hi[:, None] + r + 1e-12)
+              & (y >= y_lo[:, None] - r - 1e-12) & (y <= y_hi[:, None] + r + 1e-12))
     return cells, index, member
 
 
-def _product_cells(parts):
-    """Node-populated products of factor cells, ordered by their row-major key."""
-    cells, index, member = zip(*parts)
-    shape = [len(c) for c in cells]
-    uniq, index = np.unique(np.ravel_multi_index(index, shape), return_inverse=True)
-    prod_cells, prod_member = [], np.zeros((len(uniq), member[0].shape[1]), dtype=bool)
-    for j, key in enumerate(zip(*np.unravel_index(uniq, shape))):
-        prod_cells.append({"kind": "product",
-                           **{f"factor{i + 1}": c[a] for i, (c, a) in enumerate(zip(cells, key))}})
-        prod_member[j] = reduce(np.logical_and, (m[a] for m, a in zip(member, key)))
-    return prod_cells, np.asarray(index, dtype=int), prod_member
+def _product_cell(a: dict, b: dict) -> dict:
+    return {"kind": "product", "factor1": a, "factor2": b}
 
 
 def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = None) -> Covering:
-    if r <= 0:
-        raise ValueError("covering radius must be positive")
+    if not (r > 0 and np.isfinite(4.0 * r)):     # 4r bounds the cell diameter
+        raise ValueError(f"covering radius must be positive with 4r finite, got {r!r}")
     if rule is None:
         rule = build_rule(space)
-    parts = [_disc_cells(f, r, c) if f.kind == KIND_DISC else _fock_cells(r, c)
-             for f, c in zip(space.factors, spaces.coords(space, rule.nodes))]
-    cells, index, member = parts[0] if len(parts) == 1 else _product_cells(parts)
+    distinct, inverses = zip(*(np.unique(c, return_inverse=True)
+                               for c in spaces.coords(space, rule.nodes)))
+    factor_cells, factor_index, factor_member = zip(*(
+        _disc_cells(f, r, u) if f.kind == KIND_DISC else _fock_cells(r, u)
+        for f, u in zip(space.factors, distinct)))
+    shape = [len(c) for c in factor_cells]
+    keys, index = _first_seen(np.ravel_multi_index(
+        [i[inv] for i, inv in zip(factor_index, inverses)], shape))
+    # a cell is the product of its factor cells: on one factor, that factor cell
+    lifted = [np.take(m, inv, axis=1) for m, inv in zip(factor_member, inverses)]
+    cells, member = [], np.empty((keys.size, rule.n_nodes), dtype=bool)
+    for j, pick in enumerate(zip(*(p.tolist() for p in np.unravel_index(keys, shape)))):
+        cells.append(reduce(_product_cell, [c[a] for c, a in zip(factor_cells, pick)]))
+        member[j] = reduce(np.logical_and, [m[a] for m, a in zip(lifted, pick)])
     if not np.all(member[index, np.arange(len(index))]):
         raise AssertionError("enlargement must contain its own cell")
     mult = int(member.sum(axis=0).max())
@@ -207,20 +187,19 @@ def localization_error(T: OperatorMatrix, covering: Covering) -> float:
     The localization applies T after compressing to each enlargement G_j and
     keeps only the samples in the core cell F_j; the returned value is the
     largest singular value of (T - localization) as a map from coefficients to
-    sigma-weighted grid samples.
+    sigma-weighted grid samples.  Cells own disjoint rows of the grid samples,
+    so each cell's residual overwrites its own rows in place.
     """
-    basis = T.basis
     rule = covering.rule
-    d = basis.space.d
-    E = scalar_basis_matrix(basis, rule.nodes)
+    d = T.basis.space.d
+    E = scalar_basis_matrix(T.basis, rule.nodes)
     Ew = E.conj() * rule.sigma_weights[None, :]
-    A = np.kron(E.T, np.eye(d)) @ T.mat     # coefficients -> grid samples (node, component)
-    L = np.zeros_like(A)
+    R = np.kron(E.T, np.eye(d)) @ T.mat     # coefficients -> grid samples (node, component)
     for j in range(covering.n_cells):
         gmask = covering.enlargement[j]
-        scalar_g = (Ew[:, gmask]) @ E[:, gmask].T       # compression to 1_{G_j}
+        scalar_g = Ew[:, gmask] @ E[:, gmask].T       # compression to 1_{G_j}
         rows = np.where(covering.cell_index == j)[0]
         row_idx = (rows[:, None] * d + np.arange(d)[None, :]).ravel()
-        L[row_idx, :] = A[row_idx] @ np.kron(scalar_g, np.eye(d))
-    w = np.repeat(np.sqrt(rule.sigma_weights), d)
-    return float(np.linalg.norm(w[:, None] * (A - L), 2))
+        R[row_idx] -= R[row_idx] @ np.kron(scalar_g, np.eye(d))
+    R *= np.repeat(np.sqrt(rule.sigma_weights), d)[:, None]
+    return float(np.linalg.norm(R, 2))

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from berglab import spaces
-from berglab.covering import build_covering, localization_error
+from berglab.covering import _disc_cells, build_covering, localization_error
 from berglab.operators import (ball_indicator_symbol, constant_symbol,
                                identity_operator, poly_symbol, toeplitz_matrix)
-from berglab.coeffs import BasisSpec
+from berglab.coeffs import BasisSpec, scalar_basis_matrix
 from berglab.quadrature import build_rule
 
 RADII = (0.5, 1.0, 2.0, 4.0)
@@ -70,9 +70,135 @@ def test_bidisc_covering_invariants(bidisc, bidisc_rule):
         _check_invariants(bidisc, bidisc_rule, r)
 
 
-def test_covering_rejects_bad_scale(disc, disc_rule):
-    with pytest.raises(ValueError):
-        build_covering(disc, 0.0, disc_rule)
+def test_covering_rejects_bad_scale(disc, disc_rule, fock, fock_rule, bidisc, bidisc_rule):
+    for space, rule in ((disc, disc_rule), (fock, fock_rule), (bidisc, bidisc_rule)):
+        for r in (0.0, -1.0, np.nan, np.inf, 1e308):
+            with pytest.raises(ValueError):
+                build_covering(space, r, rule)
+
+
+def test_cells_are_numbered_by_their_first_node(disc, disc_rule, fock, fock_rule,
+                                               bidisc, bidisc_rule):
+    for space, rule in ((disc, disc_rule), (fock, fock_rule), (bidisc, bidisc_rule)):
+        for r in RADII:
+            c = build_covering(space, r, rule)
+            first = np.unique(c.cell_index, return_index=True)[1]
+            assert np.all(np.diff(first) > 0)
+
+
+def _ref_halfwidth(step, rho):
+    if rho <= 1e-12:
+        return np.pi
+    arg = np.sinh(step) * (1.0 - rho * rho) / (2.0 * rho)
+    return np.pi if arg >= 1.0 else float(np.arcsin(arg))
+
+
+def _ref_disc_cells(space1, r, pts):
+    """Disc cells by a loop over the points, keyed through a dict in first-seen order."""
+    s = spaces.metric(space1, 0.0, pts)
+    theta = np.mod(np.angle(pts), 2.0 * np.pi)
+    n_sec = []
+    for k in range(max(1, int(np.ceil((float(s.max()) + 1e-9) / (2.0 * r))))):
+        half = np.pi if k == 0 else _ref_halfwidth(2.0 * r, np.tanh(2.0 * r * (k + 1)))
+        n_sec.append(1 if half >= np.pi else int(np.ceil(np.pi / half)))
+    annulus = np.minimum((s / (2.0 * r)).astype(int), len(n_sec) - 1)
+    cells, keys, index = [], {}, np.zeros(pts.shape[0], dtype=int)
+    for u in range(pts.shape[0]):
+        k = annulus[u]
+        width = 2.0 * np.pi / n_sec[k]
+        j = min(int(theta[u] / width), n_sec[k] - 1)
+        if (k, j) not in keys:
+            keys[(k, j)] = len(cells)
+            cells.append({"kind": "annulus_sector", "s_lo": 2.0 * r * k, "s_hi": 2.0 * r * (k + 1),
+                          "theta_lo": j * width, "theta_hi": (j + 1) * width})
+        index[u] = keys[(k, j)]
+    member = np.zeros((len(cells), pts.shape[0]), dtype=bool)
+    for j, c in enumerate(cells):
+        s_lo, s_hi = max(c["s_lo"] - r, 0.0), c["s_hi"] + r
+        radial = (s >= s_lo - 1e-12) & (s <= s_hi + 1e-12)
+        center = 0.5 * (c["theta_lo"] + c["theta_hi"])
+        halfw = 0.5 * (c["theta_hi"] - c["theta_lo"]) + _ref_halfwidth(r, np.tanh(s_lo))
+        wrapped = np.abs(np.mod(theta - center + np.pi, 2.0 * np.pi) - np.pi)
+        member[j] = radial & (halfw >= np.pi or wrapped <= halfw + 1e-12)
+    return cells, index, member
+
+
+def _ref_fock_cells(r, pts):
+    """Fock squares by a loop over the points, keyed through a dict in first-seen order."""
+    side = 2.0 * np.sqrt(2.0) * r
+    extent = float(np.max(np.abs(np.concatenate([pts.real, pts.imag])))) + 1e-9
+    n_side = max(1, int(np.ceil(2.0 * extent / side)))
+    lo = -0.5 * n_side * side
+    ix = np.minimum(((pts.real - lo) / side).astype(int), n_side - 1)
+    iy = np.minimum(((pts.imag - lo) / side).astype(int), n_side - 1)
+    cells, keys, index = [], {}, np.zeros(pts.shape[0], dtype=int)
+    for u in range(pts.shape[0]):
+        if (ix[u], iy[u]) not in keys:
+            keys[(ix[u], iy[u])] = len(cells)
+            cells.append({"kind": "square",
+                          "x_lo": lo + ix[u] * side, "x_hi": lo + (ix[u] + 1) * side,
+                          "y_lo": lo + iy[u] * side, "y_hi": lo + (iy[u] + 1) * side})
+        index[u] = keys[(ix[u], iy[u])]
+    member = np.zeros((len(cells), pts.shape[0]), dtype=bool)
+    for j, c in enumerate(cells):
+        member[j] = ((pts.real >= c["x_lo"] - r - 1e-12) & (pts.real <= c["x_hi"] + r + 1e-12)
+                     & (pts.imag >= c["y_lo"] - r - 1e-12) & (pts.imag <= c["y_hi"] + r + 1e-12))
+    return cells, index, member
+
+
+def test_cells_match_per_node_loop(disc, disc_rule, disc_weighted, fock, fock_rule, bidisc):
+    cases = [(disc, disc_rule, lambda r, z: _ref_disc_cells(disc, r, z)),
+             (disc_weighted, build_rule(disc_weighted),
+              lambda r, z: _ref_disc_cells(disc_weighted, r, z)),
+             (fock, fock_rule, _ref_fock_cells)]
+    for space, rule, ref in cases:
+        for r in (0.3,) + RADII + (16.0,):
+            c = build_covering(space, r, rule)
+            cells, index, member = ref(r, rule.nodes)
+            assert c.cells == cells
+            assert np.array_equal(c.cell_index, index)
+            assert np.array_equal(c.enlargement, member)
+    # factor coordinates of a product rule repeat every value
+    rule = build_rule(bidisc, 6, 12)
+    for f, z in zip(bidisc.factors, spaces.coords(bidisc, rule.nodes)):
+        for r in (0.3, 1.0):
+            got, want = _disc_cells(f, r, z), _ref_disc_cells(f, r, z)
+            assert got[0] == want[0]
+            assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
+
+
+def _ref_localization_error(T, covering):
+    """The full-grid form: samples A, their localization L, the 2-norm of weighted A - L."""
+    rule, d = covering.rule, T.basis.space.d
+    E = scalar_basis_matrix(T.basis, rule.nodes)
+    Ew = E.conj() * rule.sigma_weights[None, :]
+    A = np.kron(E.T, np.eye(d)) @ T.mat
+    L = np.zeros_like(A)
+    for j in range(covering.n_cells):
+        gmask = covering.enlargement[j]
+        scalar_g = Ew[:, gmask] @ E[:, gmask].T
+        rows = np.where(covering.cell_index == j)[0]
+        row_idx = (rows[:, None] * d + np.arange(d)[None, :]).ravel()
+        L[row_idx, :] = A[row_idx] @ np.kron(scalar_g, np.eye(d))
+    w = np.repeat(np.sqrt(rule.sigma_weights), d)
+    return float(np.linalg.norm(w[:, None] * (A - L), 2))
+
+
+def test_localization_error_matches_full_grid_oracle(disc, disc_rule, fock, fock_rule, bidisc):
+    cases = []
+    for sp, rule, one_cell in ((disc, disc_rule, 16.0), (fock, fock_rule, 16.0)):
+        s = ball_indicator_symbol(sp, 0.1, 0.3 if sp is disc else 0.8, np.eye(2))
+        T = toeplitz_matrix(BasisSpec(sp, 8), rule, s)
+        cases.append((T @ T, rule, one_cell))
+    rule = build_rule(bidisc, 6, 12)
+    sym = poly_symbol(bidisc, {(0, 0): {(1, 0, 0, 1): 1.0}, (1, 1): {(0, 0, 0, 0): 0.5}})
+    cases.append((toeplitz_matrix(BasisSpec(bidisc, 4), rule, sym), rule, 2.0))
+    for T, rule, one_cell in cases:
+        assert build_covering(T.basis.space, one_cell, rule).n_cells == 1
+        for r in RADII + (one_cell,):
+            c = build_covering(T.basis.space, r, rule)
+            err, ref = localization_error(T, c), _ref_localization_error(T, c)
+            assert abs(err - ref) <= max(1e-12 * ref, 1e-14)
 
 
 def test_single_cell_localization_is_exact(disc, disc_rule):
