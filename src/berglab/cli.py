@@ -145,13 +145,9 @@ def _run_berezin(cfg, args):
         T, radii=cfg.radii, angles=cfg.angles, threshold=cfg.berezin_threshold)
     payload = prof.as_dict()
     payload["matrices"] = prof.matrices
-    rows = []
-    for a, r in enumerate(prof.radii):
-        for b, th in enumerate(prof.angles):
-            for i in range(basis.space.d):
-                for k in range(basis.space.d):
-                    v = prof.matrices[a, b, i, k]
-                    rows.append([r, th, i, k, v.real, v.imag])
+    rows = [[r, th, i, k, v.real, v.imag]
+            for a, r in enumerate(prof.radii) for b, th in enumerate(prof.angles)
+            for i, row in enumerate(prof.matrices[a, b]) for k, v in enumerate(row)]
     header = ["radius", "angle", "i", "k", "re", "im"]
     return "berezin-transform", payload, header, rows, 0
 

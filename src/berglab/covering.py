@@ -39,13 +39,22 @@ _TWO_PI = 2.0 * np.pi
 
 
 def _diameter(space1: SpaceSpec, pts: np.ndarray) -> float:
-    """Max pairwise metric distance of single-factor points.
+    """Max pairwise metric distance of single-factor points, in linear memory: each
+    256-row block meets the points from its first row on.  The disc metric's two
+    argument orders can differ in the last bits, so the pairs within 1e-14 of the
+    block's max in tanh (far above that gap) are also taken the other way round."""
+    best = 0.0
+    for i in range(0, pts.shape[0], 256):
+        s = spaces.metric(space1, pts[i:i + 256, None], pts[None, i:])
+        a, b = np.nonzero(s >= np.arctanh(max(np.tanh(s.max()) - 1e-14, 0.0)))
+        best = max(best, s.max(), np.max(spaces.metric(space1, pts[i + b], pts[i + a])))
+    return float(best)
 
-    The pairwise matrix is reduced 256 rows at a time, so memory stays linear
-    in the number of points (a cell can hold the whole rule).
-    """
-    return max(float(np.max(spaces.metric(space1, pts[i:i + 256, None], pts[None, :])))
-               for i in range(0, pts.shape[0], 256))
+
+def _groups(labels: np.ndarray, n: int) -> List[np.ndarray]:
+    """Positions holding each label 0..n-1, ascending, from one stable sort."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.searchsorted(labels[order], np.arange(1, n)))
 
 
 @dataclass
@@ -66,19 +75,16 @@ class Covering:
         return np.bincount(self.cell_index, minlength=self.n_cells)
 
     def cell_diameters(self) -> np.ndarray:
-        """Exact max pairwise invariant distance between nodes of each cell.
-
-        The max metric of a product factorizes, so only the (deduplicated)
-        per-factor node sets are compared pairwise.
-        """
-        pts = spaces.as_points(self.space, self.rule.nodes)
+        """Exact max pairwise invariant distance between nodes of each cell.  On a
+        product rule (a tensor mesh) it is the max of the cell's factor cells' diameters,
+        each taken once; a factor cell is labelled by the first cell holding it."""
         out = np.zeros(self.n_cells)
-        for j in range(self.n_cells):
-            sel = pts[self.cell_index == j]
-            if sel.shape[0] < 2:
-                continue
-            out[j] = max(_diameter(f, np.unique(c))
-                         for f, c in zip(self.space.factors, spaces.coords(self.space, sel)))
+        for f, c in zip(self.space.factors, spaces.coords(self.space, self.rule.nodes)):
+            distinct, inverse = np.unique(c, return_inverse=True)
+            label = np.full(distinct.size, self.n_cells)
+            np.minimum.at(label, inverse, self.cell_index)
+            diam = [_diameter(f, distinct[g]) for g in _groups(label, self.n_cells)]
+            out[self.cell_index] = np.maximum(out[self.cell_index], np.take(diam, label[inverse]))
         return out
 
     def multiplicity_per_node(self) -> np.ndarray:
@@ -149,10 +155,6 @@ def _fock_cells(r: float, pts: np.ndarray):
     return cells, index, member
 
 
-def _product_cell(a: dict, b: dict) -> dict:
-    return {"kind": "product", "factor1": a, "factor2": b}
-
-
 def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = None) -> Covering:
     if not (r > 0 and np.isfinite(4.0 * r)):     # 4r bounds the cell diameter
         raise ValueError(f"covering radius must be positive with 4r finite, got {r!r}")
@@ -170,7 +172,8 @@ def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = 
     lifted = [np.take(m, inv, axis=1) for m, inv in zip(factor_member, inverses)]
     cells, member = [], np.empty((keys.size, rule.n_nodes), dtype=bool)
     for j, pick in enumerate(zip(*(p.tolist() for p in np.unravel_index(keys, shape)))):
-        cells.append(reduce(_product_cell, [c[a] for c, a in zip(factor_cells, pick)]))
+        cells.append(reduce(lambda a, b: {"kind": "product", "factor1": a, "factor2": b},
+                            [c[a] for c, a in zip(factor_cells, pick)]))
         member[j] = reduce(np.logical_and, [m[a] for m, a in zip(lifted, pick)])
     if not np.all(member[index, np.arange(len(index))]):
         raise AssertionError("enlargement must contain its own cell")
@@ -184,22 +187,32 @@ def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = 
 def localization_error(T: OperatorMatrix, covering: Covering) -> float:
     """Distance from T to its covering localization, in grid space.
 
-    The localization applies T after compressing to each enlargement G_j and
-    keeps only the samples in the core cell F_j; the returned value is the
-    largest singular value of (T - localization) as a map from coefficients to
-    sigma-weighted grid samples.  Cells own disjoint rows of the grid samples,
-    so each cell's residual overwrites its own rows in place.
+    The localization applies T after compressing to each enlargement G_j and keeps
+    only the samples in the core cell F_j; the value is the largest singular value
+    of (T - localization) from coefficients to sigma-weighted grid samples.  Cells
+    own disjoint rows of those, so its square is the top eigenvalue of the sum over
+    cells of the Gram of (F T)(I - G_j x I_d), F the weighted basis samples on F_j,
+    which sees F only through F^H F = Q^H Q: Q, the triangular QR factor built over
+    row chunks, has at most n_scalar rows.  The residual is formed before its Gram,
+    so a small error keeps its relative accuracy.
     """
-    rule = covering.rule
-    d = T.basis.space.d
-    E = scalar_basis_matrix(T.basis, rule.nodes)
-    Ew = E.conj() * rule.sigma_weights[None, :]
-    R = np.kron(E.T, np.eye(d)) @ T.mat     # coefficients -> grid samples (node, component)
-    for j in range(covering.n_cells):
-        gmask = covering.enlargement[j]
-        scalar_g = Ew[:, gmask] @ E[:, gmask].T       # compression to 1_{G_j}
-        rows = np.where(covering.cell_index == j)[0]
-        row_idx = (rows[:, None] * d + np.arange(d)[None, :]).ravel()
-        R[row_idx] -= R[row_idx] @ np.kron(scalar_g, np.eye(d))
-    R *= np.repeat(np.sqrt(rule.sigma_weights), d)[:, None]
-    return float(np.linalg.norm(R, 2))
+    if T.basis.space != covering.space:
+        raise ValueError("the operator and the covering are on different spaces")
+    n, d, dim = T.basis.n_scalar, T.basis.space.d, T.dim
+    S = scalar_basis_matrix(T.basis, covering.rule.nodes)
+    S *= np.sqrt(covering.rule.sigma_weights)     # conj(S) @ S.T: the sigma inner product
+    # columns as (component, mode): G_j x I_d acts on the last axis, M is permuted alike
+    Tp = T.mat.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n, d * dim)
+    def chunks(cols):               # at most 2048 columns of S at a time
+        return (S[:, cols[i:i + 2048]] for i in range(0, cols.size, 2048))
+    M = np.zeros((dim, dim), dtype=complex)
+    for j, core in enumerate(_groups(covering.cell_index, covering.n_cells)):
+        G = sum(s.conj() @ s.T for s in chunks(np.flatnonzero(covering.enlargement[j])))
+        Q = np.empty((0, n), dtype=complex)
+        for s in chunks(core):
+            Q = np.vstack([Q, s.T])
+            Q = np.linalg.qr(Q, mode="r") if Q.shape[0] > n else Q
+        X = (Q @ Tp).reshape(-1, n)
+        res = (X - X @ G).reshape(-1, dim)
+        M += res.conj().T @ res
+    return float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))

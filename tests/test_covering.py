@@ -7,7 +7,7 @@ import pytest
 
 from berglab import spaces
 from berglab.covering import _disc_cells, build_covering, localization_error
-from berglab.operators import (ball_indicator_symbol, constant_symbol,
+from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_symbol,
                                identity_operator, poly_symbol, toeplitz_matrix)
 from berglab.coeffs import BasisSpec, scalar_basis_matrix
 from berglab.quadrature import build_rule
@@ -184,7 +184,8 @@ def _ref_localization_error(T, covering):
     return float(np.linalg.norm(w[:, None] * (A - L), 2))
 
 
-def test_localization_error_matches_full_grid_oracle(disc, disc_rule, fock, fock_rule, bidisc):
+def test_localization_error_matches_full_grid_oracle(disc, disc_rule, disc_weighted, fock,
+                                                     fock_rule, bidisc, bidisc_rule):
     cases = []
     for sp, rule, one_cell in ((disc, disc_rule, 16.0), (fock, fock_rule, 16.0)):
         s = ball_indicator_symbol(sp, 0.1, 0.3 if sp is disc else 0.8, np.eye(2))
@@ -193,12 +194,57 @@ def test_localization_error_matches_full_grid_oracle(disc, disc_rule, fock, fock
     rule = build_rule(bidisc, 6, 12)
     sym = poly_symbol(bidisc, {(0, 0): {(1, 0, 0, 1): 1.0}, (1, 1): {(0, 0, 0, 0): 0.5}})
     cases.append((toeplitz_matrix(BasisSpec(bidisc, 4), rule, sym), rule, 2.0))
+    # three components: the (mode, component) interleaving of rows and columns
+    disc3 = spaces.disc_space(0.0, d=3)
+    sym = poly_symbol(disc3, {(0, 2): {(1, 0): 1.0}, (2, 1): {(0, 1): 0.7}, (1, 1): {(0, 0): 0.4}})
+    cases.append((toeplitz_matrix(BasisSpec(disc3, 6), disc_rule, sym), disc_rule, 16.0))
+    # a random non-normal operator; at r=1 its cells hold both fewer and more
+    # nodes than n_scalar, so both shapes of the core's QR factor occur
+    basis = BasisSpec(disc, 8)
+    shape, rng = (basis.dim, basis.dim), np.random.default_rng(7)
+    mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cases.append((OperatorMatrix(basis, mat), disc_rule, 16.0))
+    counts = build_covering(disc, 1.0, disc_rule).cell_node_counts()
+    assert counts.min() < basis.n_scalar < counts.max()
+    # a weighted disc, and the default bidisc rule
+    wrule = build_rule(disc_weighted)
+    sym = ball_indicator_symbol(disc_weighted, 0.2, 0.4, np.diag([1.0, 0.5]))
+    cases.append((toeplitz_matrix(BasisSpec(disc_weighted, 8), wrule, sym), wrule, 16.0))
+    sym = poly_symbol(bidisc, {(0, 0): {(1, 0, 0, 1): 1.0, (0, 0, 0, 0): 0.3},
+                               (0, 1): {(0, 1, 0, 0): 0.2}, (1, 1): {(0, 0, 0, 0): 0.5}})
+    cases.append((toeplitz_matrix(BasisSpec(bidisc, 4), bidisc_rule, sym), bidisc_rule, 2.0))
     for T, rule, one_cell in cases:
         assert build_covering(T.basis.space, one_cell, rule).n_cells == 1
         for r in RADII + (one_cell,):
             c = build_covering(T.basis.space, r, rule)
             err, ref = localization_error(T, c), _ref_localization_error(T, c)
             assert abs(err - ref) <= max(1e-12 * ref, 1e-14)
+
+
+def test_localization_error_one_cell_bidisc_holds_no_grid_samples(bidisc, bidisc_rule):
+    T = identity_operator(BasisSpec(bidisc, 4))
+    c = build_covering(bidisc, 2.0, bidisc_rule)
+    assert c.n_cells == 1
+    tracemalloc.start()
+    try:
+        err = localization_error(T, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err < 1e-12
+    # the (nodes * d) x dim grid samples alone would take this many bytes
+    assert peak < bidisc_rule.n_nodes * bidisc.d * T.dim * 16
+
+
+def test_localization_error_rejects_an_operator_from_another_space(disc, fock, fock_rule):
+    with pytest.raises(ValueError):
+        localization_error(identity_operator(BasisSpec(disc, 8)),
+                           build_covering(fock, 1.0, fock_rule))
+    weighted = spaces.disc_space(1.5, d=2)
+    one_cell = build_covering(weighted, 16.0)
+    assert one_cell.n_cells == 1
+    with pytest.raises(ValueError):
+        localization_error(identity_operator(BasisSpec(disc, 8)), one_cell)
 
 
 def test_single_cell_localization_is_exact(disc, disc_rule):
