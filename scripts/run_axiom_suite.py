@@ -76,7 +76,7 @@ def residuals(space, n_modes, n_pairs, seed):
     out["metric_invariance"] = met
 
     # displacements on the diagonal of a product space
-    radii = (0.5, 1.0, 1.5) if space.kind == "fock" else (0.15, 0.3, 0.45)
+    radii = (0.05, 0.5, 1.0, 1.5) if space.kind == "fock" else (0.05, 0.15, 0.3, 0.45)
     worst = 0.0
     certified = []
     for r in radii:

@@ -19,18 +19,26 @@ enlargements.  Cells are numbered in the order of their first node.
 Enlargements are conservative coordinate boxes that contain the exact
 r-neighborhoods, so the measured overlap multiplicity upper-bounds the true
 one.  Only cells holding at least one node are materialized.
+
+The rule is a tensor mesh: the product of the factors' own rules.  So a cell's
+core and enlargement are products of factor node sets, and the exact diameters
+and the localization estimate are built from factor cells.  The localization
+blocks (each factor cell's enlargement Gram and core QR factor) depend only on
+the covering and the basis; they are built on the first call for a basis and
+live as long as the covering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+import operator
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import List, Optional
 
 import numpy as np
 
 from . import spaces
-from .coeffs import scalar_basis_matrix
+from .coeffs import BasisSpec, scalar_basis_matrix
 from .operators import OperatorMatrix
 from .quadrature import QuadratureRule, build_rule
 from .spaces import KIND_DISC, SpaceSpec
@@ -40,12 +48,12 @@ _TWO_PI = 2.0 * np.pi
 
 def _diameter(space1: SpaceSpec, pts: np.ndarray) -> float:
     """Max pairwise metric distance of single-factor points, in linear memory: each
-    256-row block meets the points from its first row on.  The disc metric's two
+    128-row block meets the points from its first row on.  The disc metric's two
     argument orders can differ in the last bits, so the pairs within 1e-14 of the
     block's max in tanh (far above that gap) are also taken the other way round."""
     best = 0.0
-    for i in range(0, pts.shape[0], 256):
-        s = spaces.metric(space1, pts[i:i + 256, None], pts[None, i:])
+    for i in range(0, pts.shape[0], 128):
+        s = spaces.metric(space1, pts[i:i + 128, None], pts[None, i:])
         a, b = np.nonzero(s >= np.arctanh(max(np.tanh(s.max()) - 1e-14, 0.0)))
         best = max(best, s.max(), np.max(spaces.metric(space1, pts[i + b], pts[i + a])))
     return float(best)
@@ -64,31 +72,56 @@ class Covering:
     rule: QuadratureRule
     cells: List[dict]                  # descriptors of node-populated cells
     cell_index: np.ndarray             # node -> cell position in `cells`
-    enlargement: np.ndarray            # (n_cells, n_nodes) bool membership
-    multiplicity: int                  # max over nodes of enlargement count
+    pick: np.ndarray                   # (n_cells, nfactors): each cell's factor cells
+    # per factor: its distinct node coordinates (sorted), each node's coordinate, the
+    # factor cell of each coordinate, and the (n_factor_cells, n_coords) bool
+    # membership of the factor enlargements
+    factor_coords: tuple
+    factor_inverse: tuple
+    factor_index: tuple
+    factor_enlargement: tuple
+    # localization blocks per basis, built on first use (see localization_error)
+    blocks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_cells(self) -> int:
         return len(self.cells)
 
+    @property
+    def multiplicity(self) -> int:
+        """Max over nodes of the enlargement count."""
+        return int(self.multiplicity_per_node().max())
+
+    @cached_property
+    def enlargement(self) -> np.ndarray:
+        """(n_cells, n_nodes) bool membership, built on first use: each row is the AND
+        of the cell's factor enlargements."""
+        lifted = [np.take(m, inv, axis=1)
+                  for m, inv in zip(self.factor_enlargement, self.factor_inverse)]
+        member = np.empty((self.n_cells, self.rule.n_nodes), dtype=bool)
+        for j, pick in enumerate(self.pick.tolist()):
+            member[j] = reduce(np.logical_and, [m[a] for m, a in zip(lifted, pick)])
+        return member
+
     def cell_node_counts(self) -> np.ndarray:
         return np.bincount(self.cell_index, minlength=self.n_cells)
 
     def cell_diameters(self) -> np.ndarray:
-        """Exact max pairwise invariant distance between nodes of each cell.  On a
-        product rule (a tensor mesh) it is the max of the cell's factor cells' diameters,
-        each taken once; a factor cell is labelled by the first cell holding it."""
+        """Exact max pairwise invariant distance between nodes of each cell.  On the
+        tensor mesh it is the max of the cell's factor cells' diameters, each taken once."""
         out = np.zeros(self.n_cells)
-        for f, c in zip(self.space.factors, spaces.coords(self.space, self.rule.nodes)):
-            distinct, inverse = np.unique(c, return_inverse=True)
-            label = np.full(distinct.size, self.n_cells)
-            np.minimum.at(label, inverse, self.cell_index)
-            diam = [_diameter(f, distinct[g]) for g in _groups(label, self.n_cells)]
-            out[self.cell_index] = np.maximum(out[self.cell_index], np.take(diam, label[inverse]))
+        for f, coords, index, member, pick in zip(self.space.factors, self.factor_coords,
+                                                  self.factor_index, self.factor_enlargement,
+                                                  self.pick.T):
+            diam = np.array([_diameter(f, coords[g]) for g in _groups(index, len(member))])
+            out = np.maximum(out, diam[pick])
         return out
 
     def multiplicity_per_node(self) -> np.ndarray:
-        return self.enlargement.sum(axis=0)
+        """Enlargements holding each node.  On the tensor mesh every product of factor
+        cells is a cell, so this is the product of the factor enlargement counts."""
+        return reduce(operator.mul, [m.sum(axis=0)[inv] for m, inv
+                                     in zip(self.factor_enlargement, self.factor_inverse)])
 
 
 def _angular_halfwidth(step: float, rho: np.ndarray) -> np.ndarray:
@@ -165,24 +198,73 @@ def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = 
     factor_cells, factor_index, factor_member = zip(*(
         _disc_cells(f, r, u) if f.kind == KIND_DISC else _fock_cells(r, u)
         for f, u in zip(space.factors, distinct)))
+    if not all(np.all(m[i, np.arange(i.size)]) for m, i in zip(factor_member, factor_index)):
+        raise AssertionError("enlargement must contain its own cell")
     shape = [len(c) for c in factor_cells]
     keys, index = _first_seen(np.ravel_multi_index(
         [i[inv] for i, inv in zip(factor_index, inverses)], shape))
     # a cell is the product of its factor cells: on one factor, that factor cell
-    lifted = [np.take(m, inv, axis=1) for m, inv in zip(factor_member, inverses)]
-    cells, member = [], np.empty((keys.size, rule.n_nodes), dtype=bool)
-    for j, pick in enumerate(zip(*(p.tolist() for p in np.unravel_index(keys, shape)))):
-        cells.append(reduce(lambda a, b: {"kind": "product", "factor1": a, "factor2": b},
-                            [c[a] for c, a in zip(factor_cells, pick)]))
-        member[j] = reduce(np.logical_and, [m[a] for m, a in zip(lifted, pick)])
-    if not np.all(member[index, np.arange(len(index))]):
-        raise AssertionError("enlargement must contain its own cell")
-    mult = int(member.sum(axis=0).max())
-    return Covering(space, float(r), rule, cells, index, member, mult)
+    picks = np.stack(np.unravel_index(keys, shape), axis=1)
+    cells = [reduce(lambda a, b: {"kind": "product", "factor1": a, "factor2": b},
+                    [c[a] for c, a in zip(factor_cells, pick)]) for pick in picks.tolist()]
+    return Covering(space, float(r), rule, cells, index, picks, distinct, inverses,
+                    factor_index, factor_member)
 
 
 # ---------------------------------------------------------------------------
 # localization
+
+def _factor_blocks(covering: Covering, basis: BasisSpec) -> list:
+    """Per factor, (G, R): G[a] the Gram conj(S) S^T of factor cell a's enlargement, S
+    the factor's sigma-weighted basis samples; R[a] the triangular QR factor of its core
+    samples, built over row chunks.  Built once per basis and kept on the covering."""
+    if basis in covering.blocks:
+        return covering.blocks[basis]
+    rule, space, n = covering.rule, covering.space, basis.n_modes
+    frules = [build_rule(f, rule.radial_order, rule.angular_order) for f in space.factors]
+    mesh = np.meshgrid(*[fr.nodes for fr in frules], indexing="ij")
+    if not (np.array_equal(spaces.kron([fr.sigma_weights for fr in frules]), rule.sigma_weights)
+            and np.array_equal(spaces.point(space, [m.ravel() for m in mesh]), rule.nodes)):
+        raise ValueError("localization needs the covering's rule to be the product of "
+                         "its factors' own rules")
+    blocks = []
+    for f, fr, coords, index, member in zip(space.factors, frules, covering.factor_coords,
+                                            covering.factor_index, covering.factor_enlargement):
+        at = np.searchsorted(coords, fr.nodes)        # factor node -> its coordinate
+        S = scalar_basis_matrix(BasisSpec(f, n), fr.nodes)
+        S *= np.sqrt(fr.sigma_weights)                # conj(S) @ S.T: the sigma inner product
+        def chunks(cols):           # at most 2048 columns of S at a time
+            return (S[:, cols[i:i + 2048]] for i in range(0, cols.size, 2048))
+        G = np.stack([sum(s.conj() @ s.T for s in chunks(np.flatnonzero(m[at]))) for m in member])
+        R = []
+        for core in _groups(index[at], len(member)):
+            Q = np.empty((0, n), dtype=complex)
+            for s in chunks(core):
+                Q = np.vstack([Q, s.T])
+                Q = np.linalg.qr(Q, mode="r") if Q.shape[0] > n else Q
+            R.append(Q)
+        blocks.append((G, R))
+    covering.blocks[basis] = blocks
+    return blocks
+
+
+def _kron_rows(mats, Y: np.ndarray) -> np.ndarray:
+    """kron(*mats) @ Y, one factor axis of Y's rows at a time: each step multiplies the
+    leading mode axis and moves its result behind the other mode axes."""
+    c = Y.shape[1]
+    for A in mats:
+        Y = (A @ Y.reshape(A.shape[1], -1)).reshape(A.shape[0], -1, c).transpose(1, 0, 2)
+    return Y.reshape(-1, c)
+
+
+def _kron_cols(X: np.ndarray, mats) -> np.ndarray:
+    """X @ kron(*mats), one factor axis of X's columns at a time: each step multiplies
+    the trailing mode axis and moves its result in front of the other mode axes."""
+    rows = X.shape[0]
+    for G in reversed(mats):
+        X = (X.reshape(-1, G.shape[0]) @ G).reshape(rows, -1, G.shape[1]).transpose(0, 2, 1)
+    return X.reshape(rows, -1)
+
 
 def localization_error(T: OperatorMatrix, covering: Covering) -> float:
     """Distance from T to its covering localization, in grid space.
@@ -192,27 +274,26 @@ def localization_error(T: OperatorMatrix, covering: Covering) -> float:
     of (T - localization) from coefficients to sigma-weighted grid samples.  Cells
     own disjoint rows of those, so its square is the top eigenvalue of the sum over
     cells of the Gram of (F T)(I - G_j x I_d), F the weighted basis samples on F_j,
-    which sees F only through F^H F = Q^H Q: Q, the triangular QR factor built over
-    row chunks, has at most n_scalar rows.  The residual is formed before its Gram,
-    so a small error keeps its relative accuracy.
+    which sees F only through F^H F = Q^H Q.  The residual is formed before its
+    Gram, so a small error keeps its relative accuracy.
+
+    On the tensor mesh (the same assumption as `Covering.cell_diameters`) the cell
+    j = (a_1, ..., a_k) has G_j = kron of its factor cells' enlargement Grams and
+    Q = kron of their core QR factors (at most n_modes rows each).  Those factor
+    blocks are built on the first call for T's basis and kept on the covering, so
+    later operators only apply them, one factor axis at a time; no n_scalar x
+    n_scalar Kronecker product is formed.  On one factor this is the cell's own
+    Gram and QR factor.
     """
     if T.basis.space != covering.space:
         raise ValueError("the operator and the covering are on different spaces")
     n, d, dim = T.basis.n_scalar, T.basis.space.d, T.dim
-    S = scalar_basis_matrix(T.basis, covering.rule.nodes)
-    S *= np.sqrt(covering.rule.sigma_weights)     # conj(S) @ S.T: the sigma inner product
+    blocks = _factor_blocks(covering, T.basis)
     # columns as (component, mode): G_j x I_d acts on the last axis, M is permuted alike
     Tp = T.mat.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n, d * dim)
-    def chunks(cols):               # at most 2048 columns of S at a time
-        return (S[:, cols[i:i + 2048]] for i in range(0, cols.size, 2048))
     M = np.zeros((dim, dim), dtype=complex)
-    for j, core in enumerate(_groups(covering.cell_index, covering.n_cells)):
-        G = sum(s.conj() @ s.T for s in chunks(np.flatnonzero(covering.enlargement[j])))
-        Q = np.empty((0, n), dtype=complex)
-        for s in chunks(core):
-            Q = np.vstack([Q, s.T])
-            Q = np.linalg.qr(Q, mode="r") if Q.shape[0] > n else Q
-        X = (Q @ Tp).reshape(-1, n)
-        res = (X - X @ G).reshape(-1, dim)
+    for pick in covering.pick:
+        X = _kron_rows([R[a] for (_, R), a in zip(blocks, pick)], Tp).reshape(-1, n)
+        res = (X - _kron_cols(X, [G[a] for (G, _), a in zip(blocks, pick)])).reshape(-1, dim)
         M += res.conj().T @ res
     return float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))

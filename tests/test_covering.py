@@ -10,7 +10,7 @@ from berglab.covering import _disc_cells, build_covering, localization_error
 from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_symbol,
                                identity_operator, poly_symbol, toeplitz_matrix)
 from berglab.coeffs import BasisSpec, scalar_basis_matrix
-from berglab.quadrature import build_rule
+from berglab.quadrature import QuadratureRule, build_rule
 
 RADII = (0.5, 1.0, 2.0, 4.0)
 
@@ -28,6 +28,7 @@ def _check_invariants(space, rule, r):
         assert np.all(c.enlargement[j, c.cell_index == j])
     # every node is covered by at least one enlargement, at most multiplicity
     per_node = c.multiplicity_per_node()
+    assert np.array_equal(per_node, c.enlargement.sum(axis=0))
     assert np.all(per_node >= 1)
     assert per_node.max() == c.multiplicity
     return c
@@ -194,6 +195,11 @@ def test_localization_error_matches_full_grid_oracle(disc, disc_rule, disc_weigh
     rule = build_rule(bidisc, 6, 12)
     sym = poly_symbol(bidisc, {(0, 0): {(1, 0, 0, 1): 1.0}, (1, 1): {(0, 0, 0, 0): 0.5}})
     cases.append((toeplitz_matrix(BasisSpec(bidisc, 4), rule, sym), rule, 2.0))
+    # its factor cores hold both fewer and more distinct factor nodes than n_modes,
+    # so both shapes of a factor core's QR factor occur
+    for index in build_covering(bidisc, 1.0, rule).factor_index:
+        counts = np.bincount(index)
+        assert counts.min() < 4 < counts.max()
     # three components: the (mode, component) interleaving of rows and columns
     disc3 = spaces.disc_space(0.0, d=3)
     sym = poly_symbol(disc3, {(0, 2): {(1, 0): 1.0}, (2, 1): {(0, 1): 0.7}, (1, 1): {(0, 0): 0.4}})
@@ -236,6 +242,43 @@ def test_localization_error_one_cell_bidisc_holds_no_grid_samples(bidisc, bidisc
     assert peak < bidisc_rule.n_nodes * bidisc.d * T.dim * 16
 
 
+def test_localization_blocks_are_reused_bit_for_bit(disc, disc_rule, disc_weighted):
+    # operators of two bases interleaved over the radii, as the localize workload
+    # calls them; every value equals a call on a freshly built covering
+    rng = np.random.default_rng(11)
+    radii = (0.5, 1.0, 2.0)
+    coverings = {r: build_covering(disc, r, disc_rule) for r in radii}
+    for n in (6, 8, 6, 8):
+        basis = BasisSpec(disc, n)
+        mat = rng.standard_normal((basis.dim, basis.dim)) \
+            + 1j * rng.standard_normal((basis.dim, basis.dim))
+        T = OperatorMatrix(basis, mat)
+        for r in radii:
+            fresh = build_covering(disc, r, disc_rule)
+            assert localization_error(T, coverings[r]) == localization_error(T, fresh)
+    assert set(coverings[1.0].blocks) == {BasisSpec(disc, 6), BasisSpec(disc, 8)}
+    # blocks held for n_modes 8 do not admit an operator on another space
+    with pytest.raises(ValueError):
+        localization_error(identity_operator(BasisSpec(disc_weighted, 8)), coverings[1.0])
+
+
+def test_localization_blocks_follow_factor_cells(bidisc, bidisc_rule):
+    basis = BasisSpec(bidisc, 8)
+    c = build_covering(bidisc, 0.5, bidisc_rule)
+    assert c.n_cells == 1617
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        localization_error(identity_operator(basis), c)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a Gram and a core factor of at most n_modes^2 complex entries per factor cell;
+    # the same per product cell would take about 212 MB
+    n_factor_cells = sum(len(member) for member in c.factor_enlargement)
+    assert retained <= 2 * n_factor_cells * basis.n_modes ** 2 * 16
+
+
 def test_localization_error_rejects_an_operator_from_another_space(disc, fock, fock_rule):
     with pytest.raises(ValueError):
         localization_error(identity_operator(BasisSpec(disc, 8)),
@@ -245,6 +288,16 @@ def test_localization_error_rejects_an_operator_from_another_space(disc, fock, f
     assert one_cell.n_cells == 1
     with pytest.raises(ValueError):
         localization_error(identity_operator(BasisSpec(disc, 8)), one_cell)
+
+
+def test_localization_error_rejects_a_rule_off_the_factor_mesh(bidisc):
+    # the factor blocks need the rule to be the product of the factors' own rules
+    rule = build_rule(bidisc, 6, 12)
+    p = np.random.default_rng(0).permutation(rule.n_nodes)
+    shuffled = QuadratureRule(bidisc, rule.nodes[p], rule.sigma_weights[p], 6, 12)
+    with pytest.raises(ValueError):
+        localization_error(identity_operator(BasisSpec(bidisc, 4)),
+                           build_covering(bidisc, 1.0, shuffled))
 
 
 def test_single_cell_localization_is_exact(disc, disc_rule):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -40,6 +41,9 @@ def test_axiom_suite_reports_vacuous_translation_check_as_nan(tmp_path):
     value = {(space, n, check): v for space, n, check, v in rows}
     translation = {key[:2]: v for key, v in value.items() if key[2] == "translation_certified"}
     assert translation[("bidisc", "4")] == "nan"
+    # at N=8 the smallest displacement certifies modes on every space
+    eight = [v for (space, n, check), v in value.items() if n == "8"]
+    assert eight and all(np.isfinite(float(v)) for v in eight)
     for (space, n), v in translation.items():
         if v == "nan":
             assert float(value[(space, n, "certified_modes_min")]) == 0.0
