@@ -70,7 +70,7 @@ def main():
         rule = build_rule(space)
         coverings = {}
         for r in args.radii:
-            cov = build_covering(space, r)
+            cov = build_covering(space, r, rule)
             coverings[r] = cov
             diam_ok = float(cov.cell_diameters().max()) <= 4.0 * r + 1e-9
             ok &= diam_ok

@@ -22,17 +22,18 @@ one.  Only cells holding at least one node are materialized.
 
 The rule is a tensor mesh: the product of the factors' own rules.  So a cell's
 core and enlargement are products of factor node sets, and the exact diameters
-and the localization estimate are built from factor cells.  The localization
-blocks (each factor cell's enlargement Gram and core QR factor) depend only on
-the covering and the basis; they are built on the first call for a basis and
-live as long as the covering.
+(found by a search that the triangle inequality through a pivot prunes to a
+fixed slack, see `_diameter`) and the localization estimate are built from
+factor cells.  The localization blocks (each factor cell's enlargement Gram and
+core QR factor) depend only on the covering and the basis; they are built on the
+first call for a basis and live as long as the covering.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from typing import List, Optional
 
 import numpy as np
@@ -44,19 +45,32 @@ from .quadrature import QuadratureRule, build_rule
 from .spaces import KIND_DISC, SpaceSpec
 
 _TWO_PI = 2.0 * np.pi
+_SLACK = 1e-6       # far above the metric rounding that _diameter must absorb
 
 
 def _diameter(space1: SpaceSpec, pts: np.ndarray) -> float:
-    """Max pairwise metric distance of single-factor points, in linear memory: each
-    128-row block meets the points from its first row on.  The disc metric's two
-    argument orders can differ in the last bits, so the pairs within 1e-14 of the
-    block's max in tanh (far above that gap) are also taken the other way round."""
-    best = 0.0
-    for i in range(0, pts.shape[0], 128):
-        s = spaces.metric(space1, pts[i:i + 128, None], pts[None, i:])
-        a, b = np.nonzero(s >= np.arctanh(max(np.tanh(s.max()) - 1e-14, 0.0)))
-        best = max(best, s.max(), np.max(spaces.metric(space1, pts[i + b], pts[i + a])))
-    return float(best)
+    """Max pairwise metric distance of single-factor points, bit for bit the all-pairs max.
+
+    Sorted farthest first from a pivot c (the point nearest their centroid), the points
+    meet in 128-row blocks only partners b, from the block's first row a on, with
+    d(c, a) + d(c, b) >= max - _SLACK, until no later row can.  A skipped pair falls
+    short of the max by at least the slack less the rounding of three metric values,
+    which grows like eps/(1 - |z|^2)^2, to 2.2e-9 on the default rules (outermost disc
+    node |z| = 0.99956).  Both argument orders of every pair are taken: the disc
+    metric's differ in the last bits."""
+    def both_orders(a, b):
+        return np.maximum(spaces.metric(space1, a[:, None], b[None, :]),
+                          spaces.metric(space1, b[None, :], a[:, None]))
+    to_pivot = spaces.metric(space1, pts[np.argmin(np.abs(pts - pts.mean()))], pts)
+    order = np.argsort(-to_pivot, kind="stable")
+    pts, to_pivot = pts[order], to_pivot[order]
+    best = float(both_orders(pts[:1], pts).max())
+    for i in range(0, pts.size, 128):
+        if to_pivot[i] + to_pivot[0] < best - _SLACK:
+            break
+        k = np.searchsorted(-to_pivot, to_pivot[i] - best + _SLACK, side="right")
+        best = float(both_orders(pts[i:i + 128], pts[i:k]).max(initial=best))
+    return best
 
 
 def _groups(labels: np.ndarray, n: int) -> List[np.ndarray]:
@@ -92,23 +106,13 @@ class Covering:
         """Max over nodes of the enlargement count."""
         return int(self.multiplicity_per_node().max())
 
-    @cached_property
-    def enlargement(self) -> np.ndarray:
-        """(n_cells, n_nodes) bool membership, built on first use: each row is the AND
-        of the cell's factor enlargements."""
-        lifted = [np.take(m, inv, axis=1)
-                  for m, inv in zip(self.factor_enlargement, self.factor_inverse)]
-        member = np.empty((self.n_cells, self.rule.n_nodes), dtype=bool)
-        for j, pick in enumerate(self.pick.tolist()):
-            member[j] = reduce(np.logical_and, [m[a] for m, a in zip(lifted, pick)])
-        return member
-
     def cell_node_counts(self) -> np.ndarray:
         return np.bincount(self.cell_index, minlength=self.n_cells)
 
     def cell_diameters(self) -> np.ndarray:
         """Exact max pairwise invariant distance between nodes of each cell.  On the
-        tensor mesh it is the max of the cell's factor cells' diameters, each taken once."""
+        tensor mesh it is the max of the cell's factor cells' diameters, each taken once
+        by a pivot-pruned search (`_diameter`) that equals the all-pairs max bit for bit."""
         out = np.zeros(self.n_cells)
         for f, coords, index, member, pick in zip(self.space.factors, self.factor_coords,
                                                   self.factor_index, self.factor_enlargement,
@@ -193,6 +197,8 @@ def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = 
         raise ValueError(f"covering radius must be positive with 4r finite, got {r!r}")
     if rule is None:
         rule = build_rule(space)
+    if rule.space != space:
+        raise ValueError("the rule and the covering are on different spaces")
     distinct, inverses = zip(*(np.unique(c, return_inverse=True)
                                for c in spaces.coords(space, rule.nodes)))
     factor_cells, factor_index, factor_member = zip(*(

@@ -201,12 +201,6 @@ def euclidean_ball(space: SpaceSpec, center: complex, radius: float, ball_metric
     return center, radius
 
 
-def sigma_ball_mass(space, center, radius, ball_metric="euclidean", radial_order=40, angular_order=64):
-    center, radius = euclidean_ball(space, center, radius, ball_metric)
-    rule = ball_rule(space, center, radius, radial_order, angular_order)
-    return float(np.real(integrate_sigma(rule, np.ones(rule.n_nodes))))
-
-
 # ---------------------------------------------------------------------------
 # matrix-valued Schur test
 

@@ -74,3 +74,14 @@ def sample_points(space, n, seed=0, scale=0.8):
         return lim * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
 
     return spaces.point(space, [draw() for _ in space.factors])
+
+
+def enlargement(covering):
+    """(n_cells, n_nodes) bool membership of the cell enlargements: each row is the AND
+    of the cell's factor enlargements, lifted to the nodes."""
+    lifted = [np.take(m, inv, axis=1)
+              for m, inv in zip(covering.factor_enlargement, covering.factor_inverse)]
+    member = np.empty((covering.n_cells, covering.rule.n_nodes), dtype=bool)
+    for j, pick in enumerate(covering.pick.tolist()):
+        member[j] = np.logical_and.reduce([m[a] for m, a in zip(lifted, pick)])
+    return member

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from berglab import spaces
-from berglab.covering import _disc_cells, build_covering, localization_error
+from berglab.covering import _diameter, _disc_cells, build_covering, localization_error
 from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_symbol,
                                identity_operator, poly_symbol, toeplitz_matrix)
 from berglab.coeffs import BasisSpec, scalar_basis_matrix
 from berglab.quadrature import QuadratureRule, build_rule
+from conftest import enlargement
 
 RADII = (0.5, 1.0, 2.0, 4.0)
 
@@ -24,11 +25,12 @@ def _check_invariants(space, rule, r):
     # bounded geometry: every cell has invariant diameter at most 4r
     assert np.all(c.cell_diameters() <= 4.0 * r + 1e-9)
     # each enlargement contains its own cell's nodes
+    member = enlargement(c)
     for j in range(c.n_cells):
-        assert np.all(c.enlargement[j, c.cell_index == j])
+        assert np.all(member[j, c.cell_index == j])
     # every node is covered by at least one enlargement, at most multiplicity
     per_node = c.multiplicity_per_node()
-    assert np.array_equal(per_node, c.enlargement.sum(axis=0))
+    assert np.array_equal(per_node, member.sum(axis=0))
     assert np.all(per_node >= 1)
     assert per_node.max() == c.multiplicity
     return c
@@ -59,6 +61,70 @@ def test_cell_diameters_exact_in_bounded_memory(disc, disc_rule):
         assert diams[j] == max(float(np.max(spaces.metric(disc, z, sel))) for z in sel)
 
 
+def _ref_diameter(space1, pts):
+    """All-pairs max metric distance: each 128-row block meets the points from its first
+    row on, and the pairs within 1e-14 of the block's max in tanh (far above the gap
+    between the disc metric's two argument orders) are also taken the other way round."""
+    best = 0.0
+    for i in range(0, pts.shape[0], 128):
+        s = spaces.metric(space1, pts[i:i + 128, None], pts[None, i:])
+        a, b = np.nonzero(s >= np.arctanh(max(np.tanh(s.max()) - 1e-14, 0.0)))
+        best = max(best, s.max(), np.max(spaces.metric(space1, pts[i + b], pts[i + a])))
+    return float(best)
+
+
+def test_cell_diameters_match_all_pairs_oracle(disc, disc_rule, disc_weighted, fock,
+                                               fock_rule, bidisc, bidisc_rule):
+    cases = [(disc, disc_rule), (disc, build_rule(disc, 10, 20)),
+             (disc_weighted, build_rule(disc_weighted)),
+             (disc_weighted, build_rule(disc_weighted, 10, 20)), (fock, fock_rule),
+             (bidisc, bidisc_rule), (bidisc, build_rule(bidisc, 6, 12))]
+    for space, rule in cases:
+        factor_nodes = spaces.coords(space, rule.nodes)
+        seen = {}       # product cells share factor coordinate sets: each is swept once
+
+        def ref(f, z):
+            key = (f, z.tobytes())
+            if key not in seen:
+                seen[key] = _ref_diameter(f, z)
+            return seen[key]
+
+        for r in (0.3,) + RADII + (16.0,):
+            c = build_covering(space, r, rule)
+            cell_nodes = np.split(np.argsort(c.cell_index, kind="stable"),
+                                  np.cumsum(c.cell_node_counts())[:-1])
+            # the all-pairs max over each cell's nodes, factor by factor
+            want = [max(ref(f, np.unique(z[nodes])) for f, z in zip(space.factors, factor_nodes))
+                    for nodes in cell_nodes]
+            assert np.array_equal(c.cell_diameters(), want)
+
+
+def test_diameter_matches_all_pairs_off_the_mesh(disc, fock):
+    rng = np.random.default_rng(5)
+
+    def scatter(n, radius):
+        return radius * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+
+    z = 0.6 + 0.3j
+    point_sets = [(disc, scatter(n, 0.999)) for n in (2, 127, 300, 700)] + [
+        (disc, np.array([z])), (disc, np.full(200, z)),
+        (disc, np.concatenate([np.full(130, z), scatter(50, 0.999), np.full(3, -z)])),
+        (fock, rng.uniform(-3, 3, 400) + 1j * rng.uniform(-3, 3, 400))]
+    # p and q (the farthest pair) lie near a line through the pivot 0, and 130 points
+    # sit between them in distance from 0, so q falls in a later 128-row block than p;
+    # at some phases the order (q, p) gives the larger value, which must not be missed
+    reversed_larger = 0
+    for phase in rng.uniform(0, 2 * np.pi, 16):
+        p, q = np.tanh(3.65) * np.exp(1j * phase), -np.tanh(2.65) * np.exp(1j * (phase + 0.005))
+        reversed_larger += spaces.metric(disc, q, p) > spaces.metric(disc, p, q)
+        side = np.tanh(2.75) * np.exp(1j * (phase + np.pi / 2 + np.linspace(-0.01, 0.01, 65)))
+        point_sets.append((disc, np.concatenate([[0.0, q, p], side, -side])))
+    assert reversed_larger > 0
+    for space, pts in point_sets:
+        assert _diameter(space, pts) == _ref_diameter(space, pts)
+    assert _diameter(disc, np.full(200, z)) == 0.0
+
+
 def test_fock_covering_constant_multiplicity(fock, fock_rule):
     mults = [_check_invariants(fock, fock_rule, r).multiplicity for r in (1.0, 2.0, 4.0)]
     # square cells of side proportional to r: the corner overlap count is
@@ -76,6 +142,14 @@ def test_covering_rejects_bad_scale(disc, disc_rule, fock, fock_rule, bidisc, bi
         for r in (0.0, -1.0, np.nan, np.inf, 1e308):
             with pytest.raises(ValueError):
                 build_covering(space, r, rule)
+
+
+def test_covering_rejects_a_rule_from_another_space(disc, disc_rule, disc_weighted, fock,
+                                                    fock_rule, bidisc_rule):
+    for space, rule in ((fock, disc_rule), (disc, bidisc_rule),
+                        (disc, build_rule(disc_weighted, 10, 20)), (disc, fock_rule)):
+        with pytest.raises(ValueError, match="different spaces"):
+            build_covering(space, 1.0, rule)
 
 
 def test_cells_are_numbered_by_their_first_node(disc, disc_rule, fock, fock_rule,
@@ -158,7 +232,7 @@ def test_cells_match_per_node_loop(disc, disc_rule, disc_weighted, fock, fock_ru
             cells, index, member = ref(r, rule.nodes)
             assert c.cells == cells
             assert np.array_equal(c.cell_index, index)
-            assert np.array_equal(c.enlargement, member)
+            assert np.array_equal(enlargement(c), member)
     # factor coordinates of a product rule repeat every value
     rule = build_rule(bidisc, 6, 12)
     for f, z in zip(bidisc.factors, spaces.coords(bidisc, rule.nodes)):
@@ -175,8 +249,9 @@ def _ref_localization_error(T, covering):
     Ew = E.conj() * rule.sigma_weights[None, :]
     A = np.kron(E.T, np.eye(d)) @ T.mat
     L = np.zeros_like(A)
+    member = enlargement(covering)
     for j in range(covering.n_cells):
-        gmask = covering.enlargement[j]
+        gmask = member[j]
         scalar_g = Ew[:, gmask] @ E[:, gmask].T
         rows = np.where(covering.cell_index == j)[0]
         row_idx = (rows[:, None] * d + np.arange(d)[None, :]).ravel()
@@ -203,7 +278,8 @@ def test_localization_error_matches_full_grid_oracle(disc, disc_rule, disc_weigh
     # three components: the (mode, component) interleaving of rows and columns
     disc3 = spaces.disc_space(0.0, d=3)
     sym = poly_symbol(disc3, {(0, 2): {(1, 0): 1.0}, (2, 1): {(0, 1): 0.7}, (1, 1): {(0, 0): 0.4}})
-    cases.append((toeplitz_matrix(BasisSpec(disc3, 6), disc_rule, sym), disc_rule, 16.0))
+    rule3 = build_rule(disc3)      # disc_rule's nodes and weights, on the d=3 space
+    cases.append((toeplitz_matrix(BasisSpec(disc3, 6), rule3, sym), rule3, 16.0))
     # a random non-normal operator; at r=1 its cells hold both fewer and more
     # nodes than n_scalar, so both shapes of the core's QR factor occur
     basis = BasisSpec(disc, 8)

@@ -13,7 +13,7 @@ from berglab.covering import _disc_cells, build_covering
 from berglab.operators import (_scalar_translation, certified_projector,
                                translation_certificate, translation_matrix)
 from berglab.quadrature import _polar_grid, _radial_rule, build_rule
-from conftest import sample_points
+from conftest import enlargement, sample_points
 
 
 def _ref_kernel_tail(space, z, n_modes):
@@ -112,4 +112,4 @@ def test_product_fold_matches_two_factor_formulas():
         cells, index, member = _ref_covering(space, r, rule)
         assert cov.cells == cells
         assert np.array_equal(cov.cell_index, index)
-        assert np.array_equal(cov.enlargement, member)
+        assert np.array_equal(enlargement(cov), member)
