@@ -5,9 +5,9 @@ spaces of square-summable sequences.  The package builds quadrature rules,
 orthonormal coefficient bases, Toeplitz/Hankel/translation operators, and the
 compactness and localization diagnostics used by the batch CLI.
 
-Importing the package loads neither numpy nor scipy: the computational
-submodules are registered lazily and execute on first attribute access, and
-the names below resolve through a module-level ``__getattr__`` (PEP 562).
+Importing the package loads no numpy: the computational submodules are
+registered lazily and execute on first attribute access, and the names below
+resolve through a module-level ``__getattr__`` (PEP 562).
 This lets ``berglab --threads N`` set the BLAS thread variables before numpy
 first loads.
 """

@@ -37,9 +37,9 @@ def default_probe_grid(space: SpaceSpec) -> List:
     return [spaces.point(space, [z] * space.nfactors) for z in grid]
 
 
-def boundary_shells(space: SpaceSpec, radii: Optional[Sequence[float]] = None,
-                    n_angles: int = 3) -> List[List]:
-    """Shells of z values of increasing invariant distance from the origin (diagonal on products)."""
+def boundary_shells(space: SpaceSpec, radii: Optional[Sequence[float]] = None) -> List[List]:
+    """Shells of three z values each, of increasing invariant distance from the origin
+    (diagonal on products)."""
     if radii is None:
         if space.kind == KIND_DISC:
             radii = [0.5, 0.65, 0.8, min(0.9, space.r_max)]
@@ -49,7 +49,7 @@ def boundary_shells(space: SpaceSpec, radii: Optional[Sequence[float]] = None,
         else:
             top = min(0.8, space.r_max)
             radii = [0.5 * top, 0.7 * top, 0.85 * top, top]
-    angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    angles = np.exp(2j * np.pi * np.arange(3) / 3)
     return [[spaces.point(space, [r * a] * space.nfactors) for a in angles] for r in radii]
 
 
@@ -102,7 +102,7 @@ def _lp_norm(rule: QuadratureRule, samples: np.ndarray, p: float) -> np.ndarray:
 
 
 def rkt_boundedness_check(basis: BasisSpec, rule: QuadratureRule, T: OperatorMatrix,
-                          T_adjoint: Optional[OperatorMatrix] = None, p: float = 4.0,
+                          p: float = 4.0,
                           z_grid: Optional[Sequence] = None) -> Tuple[RktReport, RktReport]:
     """Kernel-displacement boundedness integrals for T* (first) and T (second).
 
@@ -112,11 +112,10 @@ def rkt_boundedness_check(basis: BasisSpec, rule: QuadratureRule, T: OperatorMat
     """
     _check_p(p)
     space = basis.space
-    if T_adjoint is None:
-        T_adjoint = T.adjoint()
     if z_grid is None:
         z_grid = default_probe_grid(space)
     d = space.d
+    sides = (("adjoint_side", T.adjoint()), ("direct_side", T))
     vals = {"adjoint_side": [], "direct_side": []}
     E = scalar_basis_matrix(basis, rule.nodes)
     for z in z_grid:
@@ -124,7 +123,7 @@ def rkt_boundedness_check(basis: BasisSpec, rule: QuadratureRule, T: OperatorMat
         v = kernel_coeff_vector(basis, z)
         X = np.einsum("m,ik->mik", v, np.eye(d)).reshape(basis.dim, d)  # columns k_z e_i
         U = translation_matrix(basis, z)
-        for side, A in (("adjoint_side", T_adjoint), ("direct_side", T)):
+        for side, A in sides:
             H = U.mat @ (A.mat @ X)                       # (dim, d) columns
             C = H.reshape(basis.n_scalar, d, d)           # (mode, component, probe i)
             S = np.einsum("mu,mki->uki", E, C)            # samples (node, component, i)
@@ -302,20 +301,11 @@ class EssentialNormReport:
         }
 
 
-def default_probe_set(basis: BasisSpec, seed: int = 0, n_random: int = 8) -> np.ndarray:
-    """Columns: all basis vectors plus seeded random unit vectors."""
-    rng = np.random.default_rng(seed)
-    dim = basis.dim
-    R = rng.standard_normal((dim, n_random)) + 1j * rng.standard_normal((dim, n_random))
-    R /= np.linalg.norm(R, axis=0, keepdims=True)
-    return np.hstack([np.eye(dim), R])
-
-
 def essential_norm_estimate(T: OperatorMatrix, boundary_grid: Optional[Sequence[Sequence]] = None,
-                            probe_set: Optional[np.ndarray] = None,
                             seed: int = 0) -> EssentialNormReport:
     """Lower profile sup_{probes} ||U_z T U_z^* f|| over boundary shells.
 
+    The probes f are all basis vectors plus eight seeded random unit vectors.
     The limit toward the boundary is realized as the value at the outermost
     admissible shell; the singular-value proxy reports the spectrum tail of T
     at index dim // 4 as a finite-rank indicator (truncated compact operators
@@ -325,8 +315,9 @@ def essential_norm_estimate(T: OperatorMatrix, boundary_grid: Optional[Sequence[
     space = basis.space
     if boundary_grid is None:
         boundary_grid = boundary_shells(space)
-    if probe_set is None:
-        probe_set = default_probe_set(basis, seed=seed)
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((basis.dim, 8)) + 1j * rng.standard_normal((basis.dim, 8))
+    probe_set = np.hstack([np.eye(basis.dim), R / np.linalg.norm(R, axis=0, keepdims=True)])
     origin = spaces.point(space, [0.0] * space.nfactors)
     profile = []
     metric = []
@@ -397,8 +388,7 @@ def _spiral_grid(space: SpaceSpec, n_points: int):
 
 
 def berezin_injectivity_probe(space: SpaceSpec, d: int, n_small: int,
-                              grid: Optional[Sequence] = None,
-                              rank_tol: Optional[float] = None) -> InjectivityReport:
+                              grid: Optional[Sequence] = None) -> InjectivityReport:
     """Rank of the linear map (truncated operator) -> (Berezin samples).
 
     Full rank certifies that no nonzero truncated operator has identically
@@ -424,8 +414,6 @@ def berezin_injectivity_probe(space: SpaceSpec, d: int, n_small: int,
                 rows.append(block.reshape(dim * dim))
     A = np.array(rows)
     svs = np.linalg.svd(A, compute_uv=False)
-    if rank_tol is None:
-        rank_tol = max(A.shape) * np.finfo(float).eps * svs[0]
-    rank = int(np.sum(svs > rank_tol))
+    rank = int(np.sum(svs > max(A.shape) * np.finfo(float).eps * svs[0]))
     return InjectivityReport(n_small, d, dim * dim, A.shape[0], rank,
                              rank == dim * dim, list(grid))

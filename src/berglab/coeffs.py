@@ -7,10 +7,10 @@ A C^d-valued element is stored as a coefficient array of shape (n_scalar, d);
 flattening is row-major, so the full index of (mode m, component k) is
 m * d + k, matching the operator-matrix convention.
 
-Truncation honesty is tracked through the closed-form kernel tail
-certificates from `spaces`; kernel probe vectors are renormalized to unit
-length after truncation so that sandwiching the identity operator gives the
-identity exactly at any admissible probe point.
+Truncation honesty is tracked through the kernel tails from `spaces`; kernel
+probe vectors are renormalized to unit length after truncation so that
+sandwiching the identity operator gives the identity exactly at any
+admissible probe point.
 """
 
 from __future__ import annotations
@@ -140,59 +140,31 @@ def project_grid_function(basis: BasisSpec, rule: QuadratureRule, samples) -> Co
     return CoeffFunction(basis, rule_inner(basis, rule, s))
 
 
-def kernel_coeff_vector(basis: BasisSpec, z, normalized: bool = True, renormalize: bool = True) -> np.ndarray:
-    """Scalar coefficients of the (normalized) kernel direction at z.
+def kernel_coeff_vector(basis: BasisSpec, z) -> np.ndarray:
+    """Scalar coefficients of the normalized kernel direction at z.
 
-    <K_z, e_m> = conj(e_m(z)).  With renormalize=True the truncated vector is
-    scaled to unit length, so identity sandwiches stay exact regardless of the
-    truncation slack at z; the slack itself is available from
-    spaces.relative_kernel_tail.
+    <K_z, e_m> = conj(e_m(z)).  The truncated vector is scaled to unit length,
+    so identity sandwiches stay exact regardless of the truncation slack at z;
+    the slack itself is available from spaces.relative_kernel_tail.
     """
     spaces.check_probe_point(basis.space, z)
     v = np.conj(scalar_basis_matrix(basis, z)[:, 0])
-    if not normalized:
-        return v
-    if renormalize:
-        n = np.linalg.norm(v)
-    else:
-        n = spaces.kernel_norm(basis.space, z)
-    return v / n
+    return v / np.linalg.norm(v)
 
 
-def kernel_as_coeffs(basis: BasisSpec, z, component: int = 0, normalized: bool = True,
-                     renormalize: bool = True) -> CoeffFunction:
-    """k_z e_component as a coefficient function."""
-    d = basis.space.d
-    if not 0 <= component < d:
-        raise ValueError("component out of range")
-    v = kernel_coeff_vector(basis, z, normalized=normalized, renormalize=renormalize)
-    coeffs = np.zeros((basis.n_scalar, d), dtype=complex)
-    coeffs[:, component] = v
-    return CoeffFunction(basis, coeffs)
-
-
-def kernel_tail_certificate(basis: BasisSpec, z) -> float:
-    """Relative truncation residual of K_z against this basis."""
-    return float(spaces.relative_kernel_tail(basis.space, z, basis.n_modes))
-
-
-def random_coeff_function(basis: BasisSpec, rng: np.random.Generator, unit: bool = True) -> CoeffFunction:
+def random_coeff_function(basis: BasisSpec, rng: np.random.Generator) -> CoeffFunction:
+    """Seeded random unit vector of the truncated space."""
     c = rng.standard_normal((basis.n_scalar, basis.space.d)) \
         + 1j * rng.standard_normal((basis.n_scalar, basis.space.d))
-    if unit:
-        c = c / np.linalg.norm(c)
-    return CoeffFunction(basis, c)
+    return CoeffFunction(basis, c / np.linalg.norm(c))
 
 
-def random_polynomial(basis: BasisSpec, rng: np.random.Generator, degree: int,
-                      unit: bool = True) -> CoeffFunction:
-    """Random analytic polynomial with per-factor degree at most `degree`."""
+def random_polynomial(basis: BasisSpec, rng: np.random.Generator, degree: int) -> CoeffFunction:
+    """Random unit analytic polynomial with per-factor degree at most `degree`."""
     deg = min(degree, basis.n_modes - 1)
     c = np.zeros((basis.n_scalar, basis.space.d), dtype=complex)
     rows = np.flatnonzero(spaces.kron([np.arange(basis.n_modes) <= deg] * basis.space.nfactors))
-    block = rng.standard_normal((len(rows), basis.space.d)) \
+    c[rows, :] = rng.standard_normal((len(rows), basis.space.d)) \
         + 1j * rng.standard_normal((len(rows), basis.space.d))
-    c[rows, :] = block
-    if unit:
-        c /= np.linalg.norm(c)
+    c /= np.linalg.norm(c)
     return CoeffFunction(basis, c)

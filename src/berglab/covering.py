@@ -20,18 +20,18 @@ Enlargements are conservative coordinate boxes that contain the exact
 r-neighborhoods, so the measured overlap multiplicity upper-bounds the true
 one.  Only cells holding at least one node are materialized.
 
-The rule is a tensor mesh: the product of the factors' own rules.  So a cell's
-core and enlargement are products of factor node sets, and the exact diameters
-(found by a search that the triangle inequality through a pivot prunes to a
-fixed slack, see `_diameter`) and the localization estimate are built from
-factor cells.  The localization blocks (each factor cell's enlargement Gram and
-core QR factor) depend only on the covering and the basis; they are built on the
-first call for a basis and live as long as the covering.
+The rule is a tensor mesh of the one-factor rules it keeps (`rule.factors`),
+and the covering reads their nodes.  So a cell's core and enlargement are
+products of factor node sets, and the exact diameters (found by a search that
+the triangle inequality through a pivot prunes to a fixed slack, see
+`_diameter`) and the localization estimate are built from factor cells.  The
+localization blocks (each factor cell's enlargement Gram and core QR factor)
+depend only on the covering and the basis; they are built on the first call for
+a basis and live as long as the covering.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import List, Optional
@@ -87,11 +87,8 @@ class Covering:
     cells: List[dict]                  # descriptors of node-populated cells
     cell_index: np.ndarray             # node -> cell position in `cells`
     pick: np.ndarray                   # (n_cells, nfactors): each cell's factor cells
-    # per factor: its distinct node coordinates (sorted), each node's coordinate, the
-    # factor cell of each coordinate, and the (n_factor_cells, n_coords) bool
-    # membership of the factor enlargements
-    factor_coords: tuple
-    factor_inverse: tuple
+    # per factor of rule.factors: the factor cell of each factor node, and the
+    # (n_factor_cells, n_factor_nodes) bool membership of the factor enlargements
     factor_index: tuple
     factor_enlargement: tuple
     # localization blocks per basis, built on first use (see localization_error)
@@ -114,18 +111,16 @@ class Covering:
         tensor mesh it is the max of the cell's factor cells' diameters, each taken once
         by a pivot-pruned search (`_diameter`) that equals the all-pairs max bit for bit."""
         out = np.zeros(self.n_cells)
-        for f, coords, index, member, pick in zip(self.space.factors, self.factor_coords,
-                                                  self.factor_index, self.factor_enlargement,
-                                                  self.pick.T):
-            diam = np.array([_diameter(f, coords[g]) for g in _groups(index, len(member))])
+        for fr, index, member, pick in zip(self.rule.factors, self.factor_index,
+                                           self.factor_enlargement, self.pick.T):
+            diam = np.array([_diameter(fr.space, fr.nodes[g]) for g in _groups(index, len(member))])
             out = np.maximum(out, diam[pick])
         return out
 
     def multiplicity_per_node(self) -> np.ndarray:
         """Enlargements holding each node.  On the tensor mesh every product of factor
-        cells is a cell, so this is the product of the factor enlargement counts."""
-        return reduce(operator.mul, [m.sum(axis=0)[inv] for m, inv
-                                     in zip(self.factor_enlargement, self.factor_inverse)])
+        cells is a cell, so this is the Kronecker product of the factor enlargement counts."""
+        return spaces.kron([m.sum(axis=0) for m in self.factor_enlargement])
 
 
 def _angular_halfwidth(step: float, rho: np.ndarray) -> np.ndarray:
@@ -199,22 +194,18 @@ def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = 
         rule = build_rule(space)
     if rule.space != space:
         raise ValueError("the rule and the covering are on different spaces")
-    distinct, inverses = zip(*(np.unique(c, return_inverse=True)
-                               for c in spaces.coords(space, rule.nodes)))
     factor_cells, factor_index, factor_member = zip(*(
-        _disc_cells(f, r, u) if f.kind == KIND_DISC else _fock_cells(r, u)
-        for f, u in zip(space.factors, distinct)))
+        _disc_cells(fr.space, r, fr.nodes) if fr.space.kind == KIND_DISC
+        else _fock_cells(r, fr.nodes) for fr in rule.factors))
     if not all(np.all(m[i, np.arange(i.size)]) for m, i in zip(factor_member, factor_index)):
         raise AssertionError("enlargement must contain its own cell")
     shape = [len(c) for c in factor_cells]
-    keys, index = _first_seen(np.ravel_multi_index(
-        [i[inv] for i, inv in zip(factor_index, inverses)], shape))
+    keys, index = _first_seen(np.ravel_multi_index(np.ix_(*factor_index), shape).ravel())
     # a cell is the product of its factor cells: on one factor, that factor cell
     picks = np.stack(np.unravel_index(keys, shape), axis=1)
     cells = [reduce(lambda a, b: {"kind": "product", "factor1": a, "factor2": b},
                     [c[a] for c, a in zip(factor_cells, pick)]) for pick in picks.tolist()]
-    return Covering(space, float(r), rule, cells, index, picks, distinct, inverses,
-                    factor_index, factor_member)
+    return Covering(space, float(r), rule, cells, index, picks, factor_index, factor_member)
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +217,17 @@ def _factor_blocks(covering: Covering, basis: BasisSpec) -> list:
     samples, built over row chunks.  Built once per basis and kept on the covering."""
     if basis in covering.blocks:
         return covering.blocks[basis]
-    rule, space, n = covering.rule, covering.space, basis.n_modes
-    frules = [build_rule(f, rule.radial_order, rule.angular_order) for f in space.factors]
-    mesh = np.meshgrid(*[fr.nodes for fr in frules], indexing="ij")
-    if not (np.array_equal(spaces.kron([fr.sigma_weights for fr in frules]), rule.sigma_weights)
-            and np.array_equal(spaces.point(space, [m.ravel() for m in mesh]), rule.nodes)):
-        raise ValueError("localization needs the covering's rule to be the product of "
-                         "its factors' own rules")
+    n = basis.n_modes
     blocks = []
-    for f, fr, coords, index, member in zip(space.factors, frules, covering.factor_coords,
-                                            covering.factor_index, covering.factor_enlargement):
-        at = np.searchsorted(coords, fr.nodes)        # factor node -> its coordinate
-        S = scalar_basis_matrix(BasisSpec(f, n), fr.nodes)
+    for fr, index, member in zip(covering.rule.factors, covering.factor_index,
+                                 covering.factor_enlargement):
+        S = scalar_basis_matrix(BasisSpec(fr.space, n), fr.nodes)
         S *= np.sqrt(fr.sigma_weights)                # conj(S) @ S.T: the sigma inner product
         def chunks(cols):           # at most 2048 columns of S at a time
             return (S[:, cols[i:i + 2048]] for i in range(0, cols.size, 2048))
-        G = np.stack([sum(s.conj() @ s.T for s in chunks(np.flatnonzero(m[at]))) for m in member])
+        G = np.stack([sum(s.conj() @ s.T for s in chunks(np.flatnonzero(m))) for m in member])
         R = []
-        for core in _groups(index[at], len(member)):
+        for core in _groups(index, len(member)):
             Q = np.empty((0, n), dtype=complex)
             for s in chunks(core):
                 Q = np.vstack([Q, s.T])

@@ -262,8 +262,9 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
     moments and do not depend on the rule.  Other smooth symbols are sampled
     on the rule, one GEMM per nonzero (i, k) entry; they are exact whenever
     radial exactness (degree in t up to 2*radial_order - 1) and angular
-    separation (frequency spread less than angular_order) hold.  Ball parts
-    are assembled on their own region rules.
+    separation (frequency spread less than angular_order) hold, and need a
+    rule for the basis's measure (ValueError on another kind or weight).  Ball
+    parts are assembled on their own region rules.
     """
     d = basis.space.d
     n = basis.n_scalar
@@ -274,6 +275,8 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
             for powers, c in terms.items():
                 T4[:, i, :, k] += c * _monomial_block(basis, powers)
     elif symbol.smooth is not None:
+        if (rule.space.kind, rule.space.alphas) != (basis.space.kind, basis.space.alphas):
+            raise ValueError("a smooth symbol needs a rule for the basis's measure")
         vals = symbol.smooth(rule.nodes)
         E = scalar_basis_matrix(basis, rule.nodes)
         Ew = E.conj() * rule.sigma_weights[None, :]
@@ -436,20 +439,7 @@ def conjugate_operator(T: OperatorMatrix, z) -> OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# component truncations, Hankel, rank-one
-
-def truncation_operators(basis: BasisSpec, d_prime: int) -> Tuple[OperatorMatrix, OperatorMatrix]:
-    """(projection onto first d' components, projection onto the rest)."""
-    d = basis.space.d
-    if not 0 <= d_prime <= d:
-        raise ValueError("d_prime out of range")
-    mask = np.zeros(d)
-    mask[:d_prime] = 1.0
-    upper = np.kron(np.eye(basis.n_scalar), np.diag(mask))
-    lower = np.eye(basis.dim) - upper
-    return (OperatorMatrix(basis, upper, label=f"I^({d_prime})"),
-            OperatorMatrix(basis, lower, label=f"I_({d_prime})"))
-
+# Hankel, rank-one
 
 @dataclass
 class HankelResult:

@@ -49,7 +49,16 @@ class QuadratureRule:
     sigma_weights: np.ndarray  # (n,) real, sums to sigma of the covered region
     radial_order: int
     angular_order: int
-    label: str = "sigma"
+    factor_rules: tuple = ()   # a product rule's one-factor rules, see `factors`
+
+    @property
+    def factors(self) -> tuple:
+        """The one-factor rules of this tensor mesh, first factor slowest; (self,) on one factor."""
+        if self.space.nfactors == 1:
+            return (self,)
+        if len(self.factor_rules) != self.space.nfactors:
+            raise ValueError("a product rule needs the one-factor rules of its tensor mesh")
+        return self.factor_rules
 
     @property
     def n_nodes(self) -> int:
@@ -127,19 +136,22 @@ def build_rule(
     """Tensor sigma-rule on the full domain.
 
     On a product space it is the product of the factor rules, the first
-    factor's nodes varying slowest.  Orders left as None take the space's
-    defaults; any other value must be a positive integer (ValueError
-    otherwise), since zero nodes make no rule.
+    factor's nodes varying slowest, and keeps them as `factors`.  Orders left
+    as None take the space's defaults; any other value must be a positive
+    integer (ValueError otherwise), since zero nodes make no rule.
     """
     for name, order in (("radial_order", radial_order), ("angular_order", angular_order)):
         if order is not None and (isinstance(order, bool)
                                   or not isinstance(order, (int, np.integer)) or order < 1):
             raise ValueError(f"{name} must be a positive integer, got {order!r}")
     nr, na = rule_orders(space, radial_order, angular_order)
-    grids = [_polar_grid(*_radial_rule(f.kind, f.alpha, nr), na) for f in space.factors]
-    mesh = np.meshgrid(*[factor_nodes for factor_nodes, _ in grids], indexing="ij")
-    nodes = spaces.point(space, [m.ravel() for m in mesh])
-    return QuadratureRule(space, nodes, spaces.kron([w for _, w in grids]), nr, na)
+    factors = tuple(QuadratureRule(f, *_polar_grid(*_radial_rule(f.kind, f.alpha, nr), na), nr, na)
+                    for f in space.factors)
+    if len(factors) == 1:
+        return factors[0]
+    mesh = np.meshgrid(*[fr.nodes for fr in factors], indexing="ij")
+    return QuadratureRule(space, spaces.point(space, [m.ravel() for m in mesh]),
+                          spaces.kron([fr.sigma_weights for fr in factors]), nr, na, factors)
 
 
 def integrate_sigma(rule: QuadratureRule, values) -> complex:
@@ -189,7 +201,7 @@ def ball_rule(
     # dA = (radius^2/2) ds dtheta in these coordinates
     area_w = np.repeat((gw * np.pi * radius**2 / angular_order)[:, None], angular_order, axis=1).ravel()
     weights = area_w * sigma_density(space, nodes)
-    return QuadratureRule(space, nodes, weights, radial_order, angular_order, label="ball")
+    return QuadratureRule(space, nodes, weights, radial_order, angular_order)
 
 
 def euclidean_ball(space: SpaceSpec, center: complex, radius: float, ball_metric: str):

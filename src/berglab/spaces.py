@@ -253,48 +253,43 @@ def sigma_density(space: SpaceSpec, z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# truncation-tail certificates
-
-def kernel_tail(space: SpaceSpec, z, n_modes: int) -> np.ndarray:
-    """Absolute truncation residual sum_{m >= N} |e_m(z)|^2 (closed form).
-
-    On a product space the residual counts every mode tuple with some
-    m_i >= N: the relative tails q_i combine as q + q_i - q q_i.
-    """
-    # scipy.special costs ~0.25 s to import and no CLI command needs a tail
-    from scipy.special import betainc, gammainc
-    if space.nfactors > 1:
-        q = reduce(lambda q, qi: q + qi - q * qi,
-                   _on_factors(lambda f, c: relative_kernel_tail(f, c, n_modes), space, z))
-        return kernel_norm(space, z) ** 2 * q
-    t = np.abs(as_points(space, z)) ** 2
-    if space.kind == KIND_DISC:
-        # sum_{m>=N} c_m^2 t^m with c_m^2 = Gamma(m+2+alpha)/(m! Gamma(2+alpha));
-        # negative-binomial tail identity gives (1-t)^(-(2+alpha)) I_t(N, 2+alpha)
-        return (1.0 - t) ** (-(2.0 + space.alpha)) * betainc(n_modes, 2.0 + space.alpha, t)
-    # Poisson tail: sum_{m>=N} t^m/m! = e^t P(N, t)
-    return np.exp(t) * gammainc(n_modes, t)
-
+# kernel tails
 
 def relative_kernel_tail(space: SpaceSpec, z, n_modes: int) -> np.ndarray:
-    return kernel_tail(space, z, n_modes) / kernel_norm(space, z) ** 2
+    """Share q of ||K_z||^2 that the truncation drops: sum_{m >= N} |e_m(z)|^2 / ||K_z||^2.
+
+    On one factor the terms p_m = c_m^2 t^m / ||K_z||^2, t = |z|^2, are negative
+    binomial (disc, order 2 + alpha) or Poisson (Fock) probabilities.  q sums them
+    from m = N until they fall below 1e-17 of the sum; where the first N hold at
+    most half the mass it is 1 minus their sum instead, as near t = 1 the series
+    from N needs about 37/(1 - t) terms.  On a product space q counts every mode
+    tuple with some m_i >= N: the factors' shares q_i combine as q + q_i - q q_i.
+    """
+    if space.nfactors > 1:
+        return reduce(lambda q, qi: q + qi - q * qi,
+                      _on_factors(lambda f, c: relative_kernel_tail(f, c, n_modes), space, z))
+    t, a = np.abs(as_points(space, z)) ** 2, 2.0 + space.alpha
+    if space.kind == KIND_DISC:     # p_0 and the ratios p_m / p_{m-1}
+        p, ratio = (1.0 - t) ** a, lambda m: t * (m - 1 + a) / m
+    else:
+        p, ratio = np.exp(-t), lambda m: t / m
+    head = np.zeros_like(t)
+    for m in range(1, n_modes + 1):
+        head = head + p
+        p = p * ratio(m)
+    active = head > 0.5
+    tail, m = np.zeros_like(t), n_modes
+    while np.any(active):
+        tail = tail + np.where(active, p, 0.0)
+        m += 1
+        p = p * ratio(m)
+        active &= p > 1e-17 * tail
+    return np.where(head > 0.5, tail, 1.0 - head)
 
 
-def modes_for_tail(space: SpaceSpec, radius: float, tol: float, n_max: int = 4096) -> int:
-    """Smallest truncation order whose relative kernel tail at |z| = radius is <= tol."""
-    z = point(space, [radius] * space.nfactors)
-    lo, hi = 1, 2
-    while hi <= n_max and relative_kernel_tail(space, z, hi) > tol:
-        lo, hi = hi, hi * 2
-    if hi > n_max:
-        raise ValueError(f"no truncation order <= {n_max} certifies radius {radius}")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if relative_kernel_tail(space, z, mid) <= tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+def kernel_tail(space: SpaceSpec, z, n_modes: int) -> np.ndarray:
+    """Absolute truncation residual sum_{m >= N} |e_m(z)|^2 = ||K_z||^2 q."""
+    return kernel_norm(space, z) ** 2 * relative_kernel_tail(space, z, n_modes)
 
 
 def rf_exponent_ok(space: SpaceSpec, r: float) -> bool:

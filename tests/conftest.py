@@ -78,9 +78,10 @@ def sample_points(space, n, seed=0, scale=0.8):
 
 def enlargement(covering):
     """(n_cells, n_nodes) bool membership of the cell enlargements: each row is the AND
-    of the cell's factor enlargements, lifted to the nodes."""
-    lifted = [np.take(m, inv, axis=1)
-              for m, inv in zip(covering.factor_enlargement, covering.factor_inverse)]
+    of the cell's factor enlargements, lifted to the nodes of the tensor mesh."""
+    shape = [m.shape[1] for m in covering.factor_enlargement]
+    at = np.unravel_index(np.arange(covering.rule.n_nodes), shape)   # each node's factor nodes
+    lifted = [m[:, i] for m, i in zip(covering.factor_enlargement, at)]
     member = np.empty((covering.n_cells, covering.rule.n_nodes), dtype=bool)
     for j, pick in enumerate(covering.pick.tolist()):
         member[j] = np.logical_and.reduce([m[a] for m, a in zip(lifted, pick)])

@@ -252,7 +252,8 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def test_commands_load_no_scipy(tmp_path):
-    """Every command on a Fock and a bidisc config runs without importing scipy."""
+    """Every command on a Fock and a bidisc config, and the kernel tails of those
+    spaces, run without importing scipy."""
     kern = tmp_path / "kern.json"
     kern.write_text(json.dumps({"values": np.ones((3, 2, 2, 2)).tolist(),
                                 "mu": [0.3] * 3, "nu": [0.5] * 2}))
@@ -273,6 +274,10 @@ def test_commands_load_no_scipy(tmp_path):
         f"    for command in {list(cli.COMMANDS)!r}:\n"
         f"        out = {str(tmp_path)!r} + f'/out{{i}}'\n"
         "        assert cli.main([command, '--config', path, '--out', out]) == 0, (path, command)\n"
+        "from berglab import spaces\n"
+        "for space, z in ((spaces.fock_space(), 1.5), (spaces.bidisc_space(0.0, 0.5), [0.5, 0.3j])):\n"
+        "    tail = float(spaces.kernel_tail(space, z, 8))\n"
+        "    assert 0.0 < tail < float(spaces.kernel_norm(space, z)) ** 2\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
     )

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from berglab import spaces
 from berglab.coeffs import (BasisSpec, CoeffFunction, eval_coeffs, from_flat,
-                            inner, kernel_as_coeffs, kernel_coeff_vector,
-                            kernel_tail_certificate, project_grid_function,
+                            inner, kernel_coeff_vector, project_grid_function,
                             random_coeff_function, random_polynomial,
                             scalar_basis_matrix)
 from berglab.quadrature import build_rule
@@ -86,7 +85,7 @@ def test_kernel_coeff_vector_reproduces(all_spaces):
         v = kernel_coeff_vector(basis, z)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         # pairing scalar coefficients against the raw vector is evaluation at z
-        raw = kernel_coeff_vector(basis, z, normalized=False)
+        raw = np.conj(scalar_basis_matrix(basis, z)[:, 0])
         rng = np.random.default_rng(40)
         c = rng.standard_normal(basis.n_scalar) + 1j * rng.standard_normal(basis.n_scalar)
         fz = complex(c @ scalar_basis_matrix(basis, z)[:, 0])
@@ -99,9 +98,12 @@ def test_kernel_coeff_vector_reproduces(all_spaces):
 
 
 def test_kernel_as_coeffs_evaluates_kernel(disc):
+    # K_z e_1 has the coefficients conj(e_m(z)) in component 1
     basis = BasisSpec(disc, 40)
     z = 0.35 * np.exp(0.9j)
-    k = kernel_as_coeffs(basis, z, component=1, normalized=False)
+    coeffs = np.zeros((basis.n_scalar, 2), dtype=complex)
+    coeffs[:, 1] = np.conj(scalar_basis_matrix(basis, z)[:, 0])
+    k = CoeffFunction(basis, coeffs)
     w = np.array([0.2 + 0.3j, -0.4, 0.1j])
     vals = eval_coeffs(k, w)
     assert np.allclose(vals[:, 0], 0.0)
@@ -115,8 +117,7 @@ def test_kernel_vector_gate(disc):
 
 
 def test_kernel_tail_certificate(disc):
-    basis = BasisSpec(disc, 10)
-    cert = kernel_tail_certificate(basis, 0.5)
+    cert = float(spaces.relative_kernel_tail(disc, 0.5, 10))
     assert 0.0 < cert < 1e-3
     # relative truncation residual of ||K_z||^2 computed by direct series
     partial = sum((m + 1) * 0.25 ** m for m in range(10))

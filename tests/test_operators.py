@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from berglab import spaces
 from berglab.coeffs import (BasisSpec, CoeffFunction, eval_coeffs, from_flat,
-                            kernel_as_coeffs, kernel_coeff_vector,
+                            kernel_coeff_vector,
                             random_coeff_function, random_polynomial,
                             scalar_basis_matrix)
 from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
@@ -17,8 +17,7 @@ from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
                                pullback_symbol, rank_one,
                                rank_one_toeplitz_sum, toeplitz_matrix,
                                toeplitz_measure_matrix,
-                               translation_certificate, translation_matrix,
-                               truncation_operators)
+                               translation_certificate, translation_matrix)
 from berglab.quadrature import build_rule
 from conftest import sample_points
 
@@ -237,6 +236,23 @@ def test_pullback_toeplitz_matches_einsum_oracle(label, z):
     assert np.abs(T - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_smooth_toeplitz_rejects_a_rule_for_another_measure(disc, disc_weighted, fock, bidisc):
+    # sampled on the disc rule, a Fock pullback Toeplitz matrix is off by O(1)
+    for space, other in ((fock, disc), (disc, disc_weighted), (disc, bidisc), (bidisc, fock)):
+        basis = BasisSpec(space, 8 if space.nfactors == 1 else 4)
+        z = spaces.point(space, [0.3] * space.nfactors)
+        sym = pullback_symbol(constant_symbol(space, np.eye(2)), z)
+        T = toeplitz_matrix(basis, build_rule(space, 6, 12), sym)
+        assert np.abs(T.mat - np.eye(basis.dim)).max() < 1e-12
+        with pytest.raises(ValueError):
+            toeplitz_matrix(basis, build_rule(other, 6, 12), sym)
+    # polynomial symbols use no rule, so any rule passes, even one of another d
+    disc3 = spaces.disc_space(0.0, d=3)
+    T = toeplitz_matrix(BasisSpec(disc3, 6), build_rule(fock, 6, 12),
+                        constant_symbol(disc3, np.eye(3)))
+    assert np.array_equal(T.mat, np.eye(18))
+
+
 # ---------------------------------------------------------------------------
 # operator container algebra
 
@@ -253,15 +269,6 @@ def test_operator_algebra(disc_basis):
     assert OA.norm() == pytest.approx(np.linalg.norm(A, 2))
     f = random_coeff_function(disc_basis, rng)
     assert np.allclose(OA.apply(f).flat, A @ f.flat)
-
-
-def test_truncation_operators_split(disc_basis):
-    up, low = truncation_operators(disc_basis, 1)
-    assert np.allclose(up.mat + low.mat, np.eye(disc_basis.dim))
-    f = random_coeff_function(disc_basis, np.random.default_rng(10))
-    kept = up.apply(f)
-    assert np.allclose(kept.coeffs[:, 1], 0.0)
-    assert np.allclose(kept.coeffs[:, 0], f.coeffs[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from scipy.special import eval_genlaguerre, gammaln, roots_jacobi, roots_laguerr
 from berglab import spaces
 from berglab.coeffs import _factor_log_normalizers
 from berglab.operators import _fock_translation
-from berglab.quadrature import (MatrixKernelSample, _radial_rule, ball_rule, build_rule,
-                                discretized_norm, euclidean_ball, integrate_lambda,
+from berglab.quadrature import (MatrixKernelSample, QuadratureRule, _radial_rule, ball_rule,
+                                build_rule, discretized_norm, euclidean_ball, integrate_lambda,
                                 integrate_sigma, metric_ball_euclidean,
                                 rudin_forelli, schur_test)
 
@@ -31,6 +31,20 @@ def test_build_rule_rejects_empty_or_non_integer_orders(all_spaces, orders):
     for sp in all_spaces:
         with pytest.raises(ValueError):
             build_rule(sp, **orders)
+
+
+def test_rule_is_the_tensor_mesh_of_its_factor_rules(disc, fock, bidisc):
+    # the covering reads a rule's factor rules as its tensor layout, bit for bit
+    for rule in (build_rule(disc), build_rule(fock), build_rule(bidisc), build_rule(bidisc, 6, 12)):
+        factors = rule.factors
+        assert [f.space for f in factors] == list(rule.space.factors)
+        assert rule.space.nfactors > 1 or factors[0] is rule
+        mesh = np.meshgrid(*[f.nodes for f in factors], indexing="ij")
+        assert np.array_equal(spaces.point(rule.space, [m.ravel() for m in mesh]), rule.nodes)
+        assert np.array_equal(spaces.kron([f.sigma_weights for f in factors]), rule.sigma_weights)
+    bare = build_rule(bidisc, 6, 12)
+    with pytest.raises(ValueError):
+        QuadratureRule(bidisc, bare.nodes, bare.sigma_weights, 6, 12).factors
 
 
 def test_disc_radial_moments(disc, disc_weighted):

@@ -1,5 +1,7 @@
 """Model-space primitives: kernels, involutions, metric, densities, tails."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,7 @@ def test_pairing_decays_along_separating_shells(disc, fock):
 
 
 def test_kernel_tail_matches_series(disc, fock):
+    from scipy.special import betainc, gammainc, gammaln
     # brute-force partial sums of sum_{m >= n} |e_m(z)|^2
     z = 0.55
     for sp in (disc, fock):
@@ -131,21 +134,27 @@ def test_kernel_tail_matches_series(disc, fock):
             if sp.kind == "bergman_disc":
                 terms = np.array([(m + 1) * abs(z) ** (2 * m) for m in range(800)])
             else:
-                from scipy.special import gammaln
                 m = np.arange(400)
                 terms = np.exp(2 * m * np.log(abs(z)) - gammaln(m + 1))
             assert float(spaces.kernel_tail(sp, z, n)) == pytest.approx(
                 terms[n:].sum(), rel=1e-9, abs=1e-15)
             assert float(spaces.relative_kernel_tail(sp, z, n)) == pytest.approx(
                 terms[n:].sum() / terms.sum(), rel=1e-9, abs=1e-15)
-
-
-def test_modes_for_tail_is_sufficient(disc, fock):
-    for sp, z in ((disc, 0.6), (fock, 1.5)):
-        n = spaces.modes_for_tail(sp, z, 1e-10)
-        assert spaces.relative_kernel_tail(sp, z, n) <= 1e-10
-        assert spaces.relative_kernel_tail(sp, z, n - 1) > 1e-10
-        assert n >= 2
+    # scipy's regularized incomplete beta and gamma functions: the relative tail at
+    # t = |z|^2 is I_t(n, 2 + alpha) on the disc and P(n, t) on the Fock space
+    r_disc = np.sqrt(np.concatenate([np.linspace(0.0, 0.98, 99), 1.0 - np.logspace(-6, -2, 41)]))
+    r_fock = np.sqrt(np.linspace(0.0, 16.0, 161))
+    cases = [(spaces.disc_space(alpha, d=1), r_disc, lambda n, t, a=alpha: betainc(n, 2 + a, t))
+             for alpha in (-0.5, 0.0, 1.5, 3.0)] + [(fock, r_fock, gammainc)]
+    for sp, r, oracle in cases:
+        for n in (1, 2, 8, 24, 64, 128):
+            q, want = spaces.relative_kernel_tail(sp, r, n), oracle(n, r ** 2)
+            assert np.all(np.isfinite(q))
+            big = want > 1e-300
+            assert np.all(np.abs(q[big] - want[big]) <= 1e-12 * want[big]), (sp, n)
+    start = time.perf_counter()
+    spaces.relative_kernel_tail(disc, 0.99999, 128)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_probe_gate_rejects_far_points(disc, fock, bidisc):
