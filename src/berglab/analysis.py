@@ -210,16 +210,19 @@ def hankel_rkt_check(rule: QuadratureRule, F, p: float = 4.0,
 # Berezin transform
 
 def berezin(T: OperatorMatrix, z) -> np.ndarray:
-    """d x d matrix of kernel-state expectations of T at z.
+    """d x d matrix of kernel-state expectations of T at z; shape (..., d, d) for
+    an array of points z.
 
     Uses truncated kernels renormalized to unit norm, so the identity operator
     maps to the identity matrix exactly at truncation.
     """
     basis = T.basis
     d = basis.space.d
-    v = kernel_coeff_vector(basis, z)
-    T4 = T.mat.reshape(basis.n_scalar, d, basis.n_scalar, d)
-    return np.einsum("a,aibk,b->ik", v.conj(), T4, v)
+    n = basis.n_scalar
+    V = kernel_coeff_vector(basis, z).reshape(n, -1)                  # (mode, point)
+    TV = (T.mat.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(-1, n) @ V).reshape(n, d, d, -1)
+    B = np.einsum("ap,aikp->pik", V.conj(), TV)
+    return B.reshape(np.shape(spaces.coords(basis.space, z)[0]) + (d, d))
 
 
 @dataclass
@@ -267,11 +270,8 @@ def berezin_decay_profile(T: OperatorMatrix, radii: Optional[Sequence[float]] = 
         angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
     radii = np.asarray(radii, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    d = space.d
-    mats = np.zeros((len(radii), len(angles), d, d), dtype=complex)
-    for a, r in enumerate(radii):
-        for b, th in enumerate(angles):
-            mats[a, b] = berezin(T, spaces.point(space, [r * np.exp(1j * th)] * space.nfactors))
+    z = np.outer(radii, np.exp(1j * angles))
+    mats = berezin(T, spaces.point(space, [z] * space.nfactors))
     profile = np.max(np.abs(mats), axis=(1, 2, 3))
     return BerezinProfile(radii, angles, mats, profile, threshold)
 
@@ -317,16 +317,16 @@ def essential_norm_estimate(T: OperatorMatrix, boundary_grid: Optional[Sequence[
         boundary_grid = boundary_shells(space)
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((basis.dim, 8)) + 1j * rng.standard_normal((basis.dim, 8))
-    probe_set = np.hstack([np.eye(basis.dim), R / np.linalg.norm(R, axis=0, keepdims=True)])
+    R = R / np.linalg.norm(R, axis=0, keepdims=True)
     origin = spaces.point(space, [0.0] * space.nfactors)
     profile = []
     metric = []
     for shell in boundary_grid:
         best = 0.0
         for z in shell:
-            Tz = conjugate_operator(T, z)
-            norms = np.linalg.norm(Tz.mat @ probe_set, axis=0)
-            best = max(best, float(norms.max()))
+            Tz = conjugate_operator(T, z).mat
+            best = max(best, float(np.linalg.norm(Tz, axis=0).max()),
+                       float(np.linalg.norm(Tz @ R, axis=0).max()))
         profile.append(best)
         metric.append(float(spaces.metric(space, origin, shell[0])))
     profile = np.array(profile)

@@ -141,15 +141,17 @@ def project_grid_function(basis: BasisSpec, rule: QuadratureRule, samples) -> Co
 
 
 def kernel_coeff_vector(basis: BasisSpec, z) -> np.ndarray:
-    """Scalar coefficients of the normalized kernel direction at z.
+    """Scalar coefficients of the normalized kernel direction at z: shape (n_scalar,)
+    for one point, (n_scalar, n_points) for an array of points.
 
     <K_z, e_m> = conj(e_m(z)).  The truncated vector is scaled to unit length,
     so identity sandwiches stay exact regardless of the truncation slack at z;
     the slack itself is available from spaces.relative_kernel_tail.
     """
     spaces.check_probe_point(basis.space, z)
-    v = np.conj(scalar_basis_matrix(basis, z)[:, 0])
-    return v / np.linalg.norm(v)
+    v = np.conj(scalar_basis_matrix(basis, z))
+    v = v / np.linalg.norm(v, axis=0)
+    return v[:, 0] if np.ndim(spaces.coords(basis.space, z)[0]) == 0 else v
 
 
 def random_coeff_function(basis: BasisSpec, rng: np.random.Generator) -> CoeffFunction:

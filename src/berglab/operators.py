@@ -13,13 +13,13 @@ rule, and ball-indicator parts are integrated on region-aligned rules
 
 Translation operators U_z f = (f o phi_z) k_z are compressions of unitaries.
 U_z e_k is analytic, so its compression is its Taylor coefficients divided
-by c_m, with no quadrature rule: one FFT on a circle inside the disc per disc
-factor, the closed-form displacement matrix (Laguerre polynomials) on the
-Fock space, and the Kronecker product of the factors' matrices on a product
-space.  Top basis modes unavoidably leak outside any fixed truncation window
-for z != 0, which is why every U_z comes with a per-column leakage
-certificate (1 - retained column mass) from which identity-quality
-statements are scoped.
+by c_m, with no quadrature rule: an exact recurrence (multiplication by
+phi_z in coefficient space) per disc factor, the closed-form displacement
+matrix (Laguerre polynomials) on the Fock space, and the Kronecker product of
+the factors' matrices on a product space.  Top basis modes unavoidably leak
+outside any fixed truncation window for z != 0, which is why every U_z comes
+with a per-column leakage certificate (1 - retained column mass) from which
+identity-quality statements are scoped.
 """
 
 from __future__ import annotations
@@ -323,29 +323,27 @@ def toeplitz_measure_matrix(basis: BasisSpec, measure: PointMassMeasure) -> Oper
 # translation operators
 
 def _disc_translation(space: SpaceSpec, n_modes: int, z: complex) -> np.ndarray:
-    """Taylor coefficients of U_z e_k from one FFT on a circle |w| = rho.
+    """Taylor coefficients of U_z e_k = c_k phi_z^k k_z, exactly, by a recurrence.
 
-    U_z e_k = c_k phi_z^k k_z is analytic on |w| < 1/|z|, so the trapezoidal
-    rule at M equispaced points of the circle converges exponentially (it
-    aliases only coefficients m >= M, damped by rho^M).  M covers the modal
-    spread of phi_z, a bound growing like (1+r)/(1-r), with a factor-two
-    margin.  The circle is |w| = rho = 10^(-1/n_modes), not the unit circle:
-    there |phi_z^k| = 1 right at the peak of k_z, and the rounding of those
-    samples puts errors of ~1e-12 into the coefficients at |z| = 0.9 and
-    alpha = 1.5, against ~2e-15 here.  Dividing row m by rho^m costs at most
-    a factor 10.
+    Multiplying a power series by
+    phi_z(w) = z - (1-|z|^2) sum_{j>=1} conj(z)^(j-1) w^j
+    is the lower-triangular Toeplitz matrix P of those coefficients.  Row k of
+    `series` holds the coefficients of phi_z^k k_z: row 0 is
+    c_m^2 conj(z)^m / ||K_z||, and row k+1 is P times row k.  Entry [m, k] is
+    then c_k series[k, m] / c_m.  The first n coefficients of a product
+    depend only on the first n of each factor, so the truncation is exact:
+    nothing is sampled and nothing aliases.
     """
-    r = abs(z)
-    spread = int(np.ceil((n_modes + 3) * (1.0 + r) / max(1.0 - r, 1e-3))) + 16
-    M = int(min(2048, 2 ** np.ceil(np.log2(2 * (spread + n_modes) + 8))))
-    rho = 10.0 ** (-1.0 / n_modes)
-    w = rho * np.exp(2j * np.pi * np.arange(M) / M)
-    modes = np.arange(n_modes)
-    samples = spaces.involution(space, z, w) ** modes[:, None] \
-        * spaces.normalized_kernel_eval(space, z, w)
-    taylor = np.fft.fft(samples, axis=1)[:, :n_modes].T / (M * rho ** modes[:, None])
-    c = np.exp(_factor_log_normalizers(space, n_modes))
-    return taylor * c[None, :] / c[:, None]
+    logc = _factor_log_normalizers(space, n_modes)
+    m = np.arange(n_modes)
+    zc = np.conj(z)
+    phi = np.concatenate(([z], -(1.0 - abs(z) ** 2) * zc ** m[:-1]))
+    P = np.tril(phi[m[:, None] - m[None, :]])
+    series = np.empty((n_modes, n_modes), dtype=complex)
+    series[0] = np.exp(2.0 * logc) * zc ** m / spaces.kernel_norm(space, z)
+    for k in range(n_modes - 1):
+        series[k + 1] = P @ series[k]
+    return series.T * np.exp(logc[None, :] - logc[:, None])
 
 
 def _fock_translation(space: SpaceSpec, n_modes: int, z: complex) -> np.ndarray:
@@ -384,9 +382,9 @@ def translation_matrix(basis: BasisSpec, z) -> OperatorMatrix:
     """Compression of U_z f = (f o phi_z) k_z; block diagonal over components.
 
     Entry [m, k] is the m-th Taylor coefficient of U_z e_k divided by c_m,
-    computed without quadrature: one FFT on a circle inside the disc per disc
-    factor, the closed-form displacement matrix on the Fock space, and the
-    Kronecker product of the factors' matrices on a product space.
+    computed exactly: a recurrence in coefficient space per disc factor, the
+    closed-form displacement matrix on the Fock space, and the Kronecker
+    product of the factors' matrices on a product space.
     """
     space = basis.space
     spaces.check_probe_point(space, z)

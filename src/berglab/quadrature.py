@@ -42,7 +42,7 @@ BIDISC_RADIAL_ORDER = 12
 BIDISC_ANGULAR_ORDER = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # identity equality and hash: the fields are arrays
 class QuadratureRule:
     space: SpaceSpec
     nodes: np.ndarray          # (n,) complex, or (n, nfactors) on a product space

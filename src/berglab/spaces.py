@@ -105,9 +105,6 @@ class SpaceSpec:
         return max(0.0 if f.kind == KIND_FOCK else 2.0 * (1.0 + f.alpha) / (2.0 + f.alpha)
                    for f in self.factors)
 
-    def factor(self, i: int) -> "SpaceSpec":
-        return self.factors[i]
-
 
 def disc_space(alpha: float = 0.0, d: int = 4, **kw) -> SpaceSpec:
     return SpaceSpec(KIND_DISC, alpha=alpha, d=d, **kw)

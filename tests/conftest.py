@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from berglab import spaces
-from berglab.coeffs import BasisSpec
+from berglab.coeffs import BasisSpec, _factor_log_normalizers
 from berglab.quadrature import build_rule
 
 
@@ -86,3 +86,28 @@ def enlargement(covering):
     for j, pick in enumerate(covering.pick.tolist()):
         member[j] = np.logical_and.reduce([m[a] for m, a in zip(lifted, pick)])
     return member
+
+
+def fft_disc_translation(space, n_modes, z):
+    """Oracle for the disc translation: Taylor coefficients of U_z e_k from one FFT.
+
+    U_z e_k = c_k phi_z^k k_z is analytic on |w| < 1/|z|, so the trapezoidal
+    rule at M equispaced points of the circle |w| = rho converges
+    exponentially (it aliases only coefficients m >= M, damped by rho^M).  M
+    covers the modal spread of phi_z, a bound growing like (1+r)/(1-r), with a
+    factor-two margin, capped at 2048.  The circle is rho = 10^(-1/n_modes),
+    not the unit circle, where |phi_z^k| = 1 right at the peak of k_z and the
+    rounding of those samples costs digits; dividing row m by rho^m costs at
+    most a factor 10.
+    """
+    r = abs(z)
+    spread = int(np.ceil((n_modes + 3) * (1.0 + r) / max(1.0 - r, 1e-3))) + 16
+    M = int(min(2048, 2 ** np.ceil(np.log2(2 * (spread + n_modes) + 8))))
+    rho = 10.0 ** (-1.0 / n_modes)
+    w = rho * np.exp(2j * np.pi * np.arange(M) / M)
+    modes = np.arange(n_modes)
+    samples = spaces.involution(space, z, w) ** modes[:, None] \
+        * spaces.normalized_kernel_eval(space, z, w)
+    taylor = np.fft.fft(samples, axis=1)[:, :n_modes].T / (M * rho ** modes[:, None])
+    c = np.exp(_factor_log_normalizers(space, n_modes))
+    return taylor * c[None, :] / c[:, None]

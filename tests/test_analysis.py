@@ -10,7 +10,7 @@ from berglab.analysis import (berezin, berezin_decay_profile,
                               hankel_rkt_check, rkt_boundedness_check,
                               rkt_product_check, rkt_toeplitz_symbol_check)
 from berglab.coeffs import BasisSpec, kernel_coeff_vector, random_polynomial
-from berglab.operators import (ball_indicator_symbol, constant_symbol,
+from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_symbol,
                                identity_operator, poly_symbol, rank_one,
                                toeplitz_matrix)
 from berglab.quadrature import build_rule
@@ -89,6 +89,32 @@ def test_berezin_profile_constant_flat(basis24, rule24):
     assert np.allclose(prof.profile, 0.8, atol=1e-8)
     d = prof.as_dict()
     assert d["decaying"] is False and d["final_value"] == pytest.approx(0.8, abs=1e-8)
+
+
+def _pointwise_berezin(T, z):
+    """<k_z e_i, T k_z e_k> from the full kernel probe columns, one point at a time."""
+    d = T.basis.space.d
+    X = np.kron(kernel_coeff_vector(T.basis, z)[:, None], np.eye(d))
+    return X.conj().T @ T.mat @ X
+
+
+@pytest.mark.parametrize("space", [spaces.disc_space(1.5, d=2), spaces.fock_space(d=2),
+                                   spaces.bidisc_space(0.0, 0.5, d=2)],
+                         ids=["disc", "fock", "bidisc"])
+def test_berezin_profile_matches_pointwise_expectations(space):
+    basis = BasisSpec(space, 12 if space.nfactors == 1 else 5)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((basis.dim, basis.dim)) + 1j * rng.standard_normal((basis.dim, basis.dim))
+    T = OperatorMatrix(basis, A / np.linalg.norm(A, 2))
+    top = spaces.probe_radius_max(space)
+    for radii, angles in ((None, None), ([0.1 * top, 0.5 * top, top], [0.3, -2.0])):
+        prof = berezin_decay_profile(T, radii, angles)
+        for a, r in enumerate(prof.radii):
+            for b, th in enumerate(prof.angles):
+                z = spaces.point(space, [r * np.exp(1j * th)] * space.nfactors)
+                assert np.abs(prof.matrices[a, b] - _pointwise_berezin(T, z)).max() <= 1e-13
+    with pytest.raises(ValueError, match="outside admissible region"):
+        berezin_decay_profile(T, radii=[0.5 * top, 1.01 * top])
 
 
 # ---------------------------------------------------------------------------

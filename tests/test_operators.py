@@ -1,5 +1,6 @@
 """Toeplitz, Hankel, translation, and rank-one operator assembly."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
                                toeplitz_measure_matrix,
                                translation_certificate, translation_matrix)
 from berglab.quadrature import build_rule
-from conftest import sample_points
+from conftest import fft_disc_translation, sample_points
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +276,51 @@ def test_operator_algebra(disc_basis):
 # translations
 
 def test_translation_at_origin_is_parity(disc_basis, fock_basis):
-    for basis in (disc_basis, fock_basis):
+    # exactly: phi_0(w) = -w, so the recurrence and the Laguerre matrix round nothing
+    for basis in (disc_basis, BasisSpec(spaces.disc_space(1.5, d=1), 24), fock_basis):
         U = translation_matrix(basis, 0.0)
         signs = np.repeat((-1.0) ** np.arange(basis.n_modes), basis.space.d)
-        assert np.abs(U.mat - np.diag(signs)).max() < 1e-10
+        assert np.array_equal(U.mat, np.diag(signs))
 
 
-# Reference for the spectral translation path: the compression <U_z e_k, e_m>
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5, 3.0])
+def test_disc_translation_matches_fft_oracle(alpha):
+    space = spaces.disc_space(alpha, d=1, r_max=0.995)
+    for n_modes in (1, 2, 24, 64, 96):
+        basis = BasisSpec(space, n_modes)
+        for r in (0.0, 0.5, 0.9, 0.99):
+            z = r * np.exp(0.7j)
+            U = translation_matrix(basis, z).mat
+            assert np.abs(U - fft_disc_translation(space, n_modes, z)).max() <= 1e-12
+
+
+def _mpmath_disc_translation(alpha, n_modes, z):
+    """<U_z e_k, e_m> at 40 digits: the Taylor coefficients of c_k phi_z^k k_z over c_m,
+    multiplying by phi_z one coefficient at a time (running sum of conj(z)^j tails)."""
+    with mpmath.workdps(40):
+        a, zz = mpmath.mpf(alpha), mpmath.mpc(z.real, z.imag)
+        zc, t = mpmath.conj(zz), abs(zz) ** 2
+        c = [mpmath.sqrt(mpmath.gamma(m + 2 + a) / (mpmath.gamma(2 + a) * mpmath.factorial(m)))
+             for m in range(n_modes)]
+        x = [c[m] ** 2 * zc ** m * (1 - t) ** ((2 + a) / 2) for m in range(n_modes)]
+        U = np.zeros((n_modes, n_modes), dtype=complex)
+        for k in range(n_modes):
+            U[:, k] = [complex(c[k] * x[m] / c[m]) for m in range(n_modes)]
+            s, y = mpmath.mpc(0), []
+            for m in range(n_modes):
+                y.append(zz * x[m] - (1 - t) * s)
+                s = zc * s + x[m]
+            x = y
+    return U
+
+
+def test_disc_translation_matches_mpmath_at_high_order():
+    z = 0.9 * np.exp(0.7j)
+    U = translation_matrix(BasisSpec(spaces.disc_space(3.0, d=1), 128), z).mat
+    assert np.abs(U - _mpmath_disc_translation(3.0, 128, z)).max() <= 1e-12
+
+
+# Reference for the exact translation paths: the compression <U_z e_k, e_m>
 # integrated on a tensor rule sized from the modal spread of phi_z, so that
 # the angular grid resolves every coefficient the truncation can see.
 
@@ -331,8 +370,8 @@ def _oracle_cases():
 def test_translation_matches_quadrature_oracle(space, z, n_modes):
     U = translation_matrix(BasisSpec(space, n_modes), z).mat
     if space.kind == spaces.KIND_BIDISC:
-        ref = np.kron(_quadrature_translation(space.factor(0), n_modes, z[0]),
-                      _quadrature_translation(space.factor(1), n_modes, z[1]))
+        ref = np.kron(_quadrature_translation(space.factors[0], n_modes, z[0]),
+                      _quadrature_translation(space.factors[1], n_modes, z[1]))
     else:
         ref = _quadrature_translation(space, n_modes, z)
     assert np.abs(U - ref).max() <= 1e-12

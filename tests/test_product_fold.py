@@ -17,19 +17,19 @@ from conftest import enlargement, sample_points
 
 
 def _ref_kernel_tail(space, z, n_modes):
-    q1 = spaces.relative_kernel_tail(space.factor(0), z[..., 0], n_modes)
-    q2 = spaces.relative_kernel_tail(space.factor(1), z[..., 1], n_modes)
+    q1 = spaces.relative_kernel_tail(space.factors[0], z[..., 0], n_modes)
+    q2 = spaces.relative_kernel_tail(space.factors[1], z[..., 1], n_modes)
     return spaces.kernel_norm(space, z) ** 2 * (q1 + q2 - q1 * q2)
 
 
 def _ref_basis_normalizer(basis):
-    c1, c2 = (basis_normalizer(BasisSpec(basis.space.factor(i), basis.n_modes)) for i in range(2))
+    c1, c2 = (basis_normalizer(BasisSpec(basis.space.factors[i], basis.n_modes)) for i in range(2))
     return np.outer(c1, c2).ravel()
 
 
 def _ref_scalar_basis_matrix(basis, points):
     pts = np.asarray(points, dtype=complex).reshape(-1, 2)
-    e1, e2 = (_factor_basis_matrix(basis.space.factor(i), basis.n_modes, pts[:, i])
+    e1, e2 = (_factor_basis_matrix(basis.space.factors[i], basis.n_modes, pts[:, i])
               for i in range(2))
     return (e1[:, None, :] * e2[None, :, :]).reshape(basis.n_scalar, pts.shape[0])
 
@@ -42,8 +42,8 @@ def _ref_rule(space, radial_order, angular_order):
 
 
 def _ref_translation(basis, z):
-    scalar = np.kron(_scalar_translation(basis.space.factor(0), basis.n_modes, complex(z[0])),
-                     _scalar_translation(basis.space.factor(1), basis.n_modes, complex(z[1])))
+    scalar = np.kron(_scalar_translation(basis.space.factors[0], basis.n_modes, complex(z[0])),
+                     _scalar_translation(basis.space.factors[1], basis.n_modes, complex(z[1])))
     return np.kron(scalar, np.eye(basis.space.d))
 
 
@@ -51,7 +51,7 @@ def _ref_certificate(basis, z, tau):
     """(tails, certified modes): per-factor leakage, tails added, prefixes intersected."""
     tails, certified = [], []
     for i in range(2):
-        scalar = _scalar_translation(basis.space.factor(i), basis.n_modes, complex(z[i]))
+        scalar = _scalar_translation(basis.space.factors[i], basis.n_modes, complex(z[i]))
         t = np.clip(1.0 - np.sum(np.abs(scalar) ** 2, axis=0), 0.0, 1.0)
         m = 0
         while m < basis.n_modes and t[m] <= tau:
@@ -69,8 +69,8 @@ def _ref_projector(basis, m):
 
 def _ref_covering(space, r, rule):
     """(cells, cell_index, enlargement) of the product covering, keys i1 * (max(i2)+1) + i2."""
-    c1, i1, m1 = _disc_cells(space.factor(0), r, rule.nodes[:, 0])
-    c2, i2, m2 = _disc_cells(space.factor(1), r, rule.nodes[:, 1])
+    c1, i1, m1 = _disc_cells(space.factors[0], r, rule.nodes[:, 0])
+    c2, i2, m2 = _disc_cells(space.factors[1], r, rule.nodes[:, 1])
     uniq, index = np.unique(i1 * (max(i2) + 1) + i2, return_inverse=True)
     cells, member = [], np.zeros((len(uniq), rule.n_nodes), dtype=bool)
     for j, key in enumerate(uniq):

@@ -47,6 +47,13 @@ def test_rule_is_the_tensor_mesh_of_its_factor_rules(disc, fock, bidisc):
         QuadratureRule(bidisc, bare.nodes, bare.sigma_weights, 6, 12).factors
 
 
+def test_rules_compare_and_hash_by_identity(disc, bidisc):
+    for space in (disc, bidisc):
+        a, b = build_rule(space), build_rule(space)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
 def test_disc_radial_moments(disc, disc_weighted):
     # int |w|^(2m) dsigma = m! Gamma(a+2) / Gamma(m+a+2)
     for sp in (disc, disc_weighted):
