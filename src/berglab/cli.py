@@ -13,7 +13,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import reduce
+from typing import Callable, Dict, Optional, Tuple
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -55,30 +56,17 @@ def _context(cfg, scale: float):
 
 
 def _operator(cfg, basis, rule):
-    from .config import ConfigError
+    """The product of the Toeplitz factors the operator block names; without any, the identity."""
     from .operators import identity_operator, toeplitz_matrix
 
-    block = cfg.operator or {"type": "identity"}
-    kind = block.get("type")
-    if kind == "identity":
-        return identity_operator(basis)
-    if kind == "toeplitz":
-        return toeplitz_matrix(basis, rule, cfg.symbol(block["symbol"]))
-    if kind == "toeplitz_product":
-        out = None
-        for name in block["symbols"]:
-            T = toeplitz_matrix(basis, rule, cfg.symbol(name))
-            out = T if out is None else out @ T
-        return out
-    raise ConfigError(f"unknown operator type {kind!r}")
+    factors = [toeplitz_matrix(basis, rule, cfg.symbols[name]) for name in cfg.operator or ()]
+    return reduce(lambda a, b: a @ b, factors) if factors else identity_operator(basis)
 
 
 def _zgrid(cfg):
     from .analysis import default_probe_grid
 
-    if cfg.z_grid is not None:
-        return cfg.points(cfg.z_grid)
-    return default_probe_grid(cfg.space)
+    return default_probe_grid(cfg.space) if cfg.z_grid is None else cfg.z_grid
 
 
 def _fmt_point(space, z):
@@ -94,7 +82,7 @@ def _run_kernel(cfg, args) -> Tuple[str, dict, list, list, int]:
     from . import spaces
 
     space = cfg.space
-    pts = cfg.points(cfg.kernel_points) if cfg.kernel_points else _zgrid(cfg)
+    pts = cfg.kernel_points or _zgrid(cfg)
     rows, table = [], []
     for z in pts:
         spaces.check_probe_point(space, z)
@@ -162,20 +150,15 @@ def _run_rkt(cfg, args):
     reports = {}
     b1, b2 = rkt_boundedness_check(basis, rule, T, p=cfg.p, z_grid=zg)
     reports["boundedness"] = [b1.as_dict(), b2.as_dict()]
-    block = cfg.operator or {}
-    names: List[str] = []
-    if block.get("type") == "toeplitz":
-        names = [block["symbol"]]
-    elif block.get("type") == "toeplitz_product":
-        names = list(block["symbols"])
+    names = cfg.operator or ()
     if names:
-        F = cfg.symbol(names[0])
+        F = cfg.symbols[names[0]]
         s1, s2 = rkt_toeplitz_symbol_check(rule, F, p=cfg.p, z_grid=zg)
         reports["symbol"] = [s1.as_dict(), s2.as_dict()]
         reports["hankel"] = hankel_rkt_check(rule, F, p=cfg.p, z_grid=zg).as_dict()
         if len(names) >= 2:
             try:
-                p1, p2 = rkt_product_check(rule, F, cfg.symbol(names[1]),
+                p1, p2 = rkt_product_check(rule, F, cfg.symbols[names[1]],
                                            p=cfg.p, z_grid=zg)
                 reports["product"] = [p1.as_dict(), p2.as_dict()]
             except ValueError as exc:
@@ -235,17 +218,19 @@ def _run_schur(cfg, args):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read kernel file: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"schur_kernel_file must hold a JSON object, got {type(data).__name__}")
     try:
         sample = MatrixKernelSample(
             np.asarray(data["values"], dtype=float),
             np.asarray(data["mu"], dtype=float),
             np.asarray(data["nu"], dtype=float),
         )
-    except (KeyError, ValueError) as exc:
+        h_x = np.asarray(data["h_x"], dtype=float) if "h_x" in data else None
+        h_y = np.asarray(data["h_y"], dtype=float) if "h_y" in data else None
+        p = float(data.get("p", 2.0))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad kernel file: {exc}")
-    h_x = np.asarray(data["h_x"], dtype=float) if "h_x" in data else None
-    h_y = np.asarray(data["h_y"], dtype=float) if "h_y" in data else None
-    p = float(data.get("p", 2.0))
     result = schur_test(sample, p=p, h_x=h_x, h_y=h_y)
     result["discretized_norm"] = discretized_norm(sample)
     result["dominates"] = bool(result["bound"] >= result["discretized_norm"] - 1e-12)

@@ -1,22 +1,25 @@
-"""Experiment configuration: one JSON document, validated before any compute.
+"""Experiment configuration: one JSON document, parsed once before any compute.
 
-Symbols are declared once under "symbols" and referenced by name from the
-operator block and the CLI commands; every reference is resolved during
-validation so misconfigurations fail before assembly starts.
+Each key is a field of `ExperimentConfig` whose metadata holds its JSON
+default and its parser, and parsing turns the key into the value the runners
+use: the space into a SpaceSpec, symbols into MatrixSymbols, points into
+complex points, and the operator block into the names of its Toeplitz
+factors.  Any malformed value raises ConfigError naming its key, so
+misconfigurations fail before assembly starts.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import spaces
 from .operators import MatrixSymbol, ball_indicator_symbol, constant_symbol, poly_symbol
-from .spaces import SpaceSpec, space_from_dict, space_to_dict
+from .spaces import SpaceSpec
 
 
 class ConfigError(ValueError):
@@ -34,25 +37,33 @@ def _int_at_least(key: str, value, minimum: int) -> int:
     return value
 
 
-def _number(key: str, value, above: float) -> float:
+def _number(key: str, value, above: float = -math.inf) -> float:
     """float(value) if value is a finite real > above (not a bool or a string); else ConfigError."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not math.isfinite(value) or value <= above):
-        raise ConfigError(f"{key} must be a finite number > {above:g}, got {value!r}")
+        bound = f" > {above:g}" if above > -math.inf else ""
+        raise ConfigError(f"{key} must be a finite number{bound}, got {value!r}")
     return float(value)
 
 
+def _require_object(key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
+
+
 def _parse_scalar_point(data) -> complex:
+    """{re, im}, [re, im] or a plain real as a complex number; anything else raises ConfigError."""
     if isinstance(data, dict):
-        try:
-            return complex(float(data.get("re", 0.0)), float(data.get("im", 0.0)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad point {data!r}") from exc
-    if isinstance(data, (list, tuple)) and len(data) == 2:
-        return complex(float(data[0]), float(data[1]))
-    if isinstance(data, (int, float)):
-        return complex(data)
-    raise ConfigError(f"bad point {data!r}")
+        parts = [data.get("re", 0.0), data.get("im", 0.0)]
+    elif isinstance(data, (list, tuple)) and len(data) == 2:
+        parts = list(data)
+    else:
+        parts = [data, 0.0]
+    try:
+        return complex(*(_number("point", v) for v in parts))
+    except ConfigError:
+        raise ConfigError(f"bad point {data!r}") from None
 
 
 def parse_point(space: SpaceSpec, data):
@@ -93,156 +104,166 @@ def _parse_symbol(space: SpaceSpec, name: str, spec: dict) -> MatrixSymbol:
             for t in item.get("terms", []):
                 terms[tuple(t[key] for key in keys)] = _parse_scalar_point(t["c"])
             entries[(item["i"], item["k"])] = terms
-        return poly_symbol(space, entries, label=name)
+        return poly_symbol(space, entries)
     if kind == "ball":
         if space.nfactors > 1:
             raise ConfigError(f"symbol {name!r}: ball symbols are single-factor")
         return ball_indicator_symbol(
-            space, _parse_scalar_point(spec["center"]), float(spec["radius"]),
-            _parse_matrix(space, spec["matrix"]),
-            ball_metric=spec.get("metric", "euclidean"), label=name)
+            space, _parse_scalar_point(spec["center"]),
+            _number(f"symbol {name!r}: radius", spec["radius"], 0.0),
+            _parse_matrix(space, spec["matrix"]), ball_metric=spec.get("metric", "euclidean"))
     if kind == "const":
-        return constant_symbol(space, _parse_matrix(space, spec["matrix"]), label=name)
+        return constant_symbol(space, _parse_matrix(space, spec["matrix"]))
     raise ConfigError(f"symbol {name!r}: unknown type {kind!r}")
 
 
-_KNOWN_KEYS = {
-    "space", "n_modes", "radial_order", "angular_order", "symbols", "operator",
-    "z_grid", "radii", "angles", "shells", "p", "berezin_threshold",
-    "essnorm_threshold", "covering_r", "rf", "rank1", "schur_kernel_file",
-    "seed", "kernel_points",
-}
+# ---------------------------------------------------------------------------
+# key parsers: parse(key, value, the keys of the same object parsed before it)
 
-_DEFAULT_RAW = {
-    "space": {"kind": "bergman_disc", "alpha": 0.0, "d": 2},
-    "n_modes": 24,
-}
+def _int(minimum: int):
+    return lambda key, value, _: _int_at_least(key, value, minimum)
+
+
+def _num(above: float):
+    return lambda key, value, _: _number(key, value, above)
+
+
+def _numbers(above: float = -math.inf):
+    """A non-empty list of finite numbers > above, as floats."""
+    def parse(key, value, _):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key} must be a non-empty list of numbers, got {value!r}")
+        return [_number(f"{key}[{i}]", v, above) for i, v in enumerate(value)]
+    return parse
+
+
+def _optional(parse):
+    return lambda key, value, parsed: None if value is None else parse(key, value, parsed)
+
+
+def _string(key, value, _) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _object(key: str, value, table: dict, prefix: str) -> dict:
+    """Every key of table, parsed in order from the object value (its default where
+    absent); a key outside the table raises ConfigError."""
+    unknown = sorted(set(_require_object(key, value)) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown {key} keys: {unknown}")
+    out: dict = {}
+    for name, (default, parse) in table.items():
+        out[name] = parse(prefix + name, value.get(name, default), out)
+    return out
+
+
+def _block(table: dict):
+    return lambda key, value, _: _object(key, value, table, f"{key}.")
+
+
+def _space(key, block, _) -> SpaceSpec:
+    """The space block's fields are SpaceSpec's.  Their values are checked but not
+    converted, so the report echo repeats them as given."""
+    names = {f.name for f in fields(SpaceSpec)}
+    unknown = sorted(set(_require_object(key, block)) - names)
+    if unknown:
+        raise ConfigError(f"unknown space fields: {unknown}")
+    for name, value in block.items():
+        if name == "d":
+            _int_at_least("space.d", value, 1)
+        elif name != "kind" and not (name == "alpha2" and value is None):
+            _number(f"space.{name}", value)
+    try:
+        return SpaceSpec(**block)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad space block: {exc}") from exc
+
+
+def _points(key, value, parsed) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of points, got {value!r}")
+    try:
+        return [parse_point(parsed["space"], entry) for entry in value]
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _symbols(key, value, parsed) -> Dict[str, MatrixSymbol]:
+    return {name: parse_symbol(parsed["space"], name, _require_object(f"{key}.{name}", spec))
+            for name, spec in _require_object(key, value).items()}
+
+
+def _operator(key, block, parsed) -> Optional[Tuple[str, ...]]:
+    """The operator block as the symbol names of its Toeplitz factors; () is the identity."""
+    if block is None:
+        return None
+    kind = _require_object(key, block).get("type")
+    if kind == "identity":
+        names = []
+    elif kind == "toeplitz":
+        names = [block.get("symbol")]
+    elif kind == "toeplitz_product":
+        names = block.get("symbols")
+        if not isinstance(names, list) or not names:
+            raise ConfigError(f"{key}.symbols must be a non-empty list, got {names!r}")
+    else:
+        raise ConfigError(f"unknown {key} type {kind!r}")
+    for name in names:
+        if not (isinstance(name, str) and name in parsed["symbols"]):
+            raise ConfigError(f"{key}: symbol {name!r} not defined",
+                              defined=sorted(parsed["symbols"]))
+    return tuple(names)
+
+
+def _key(default, parse):
+    """A config key: its JSON default and its parser, in the field's metadata."""
+    return field(metadata={"key": (default, parse)})
 
 
 @dataclass
 class ExperimentConfig:
-    space: SpaceSpec
-    n_modes: int = 24
-    radial_order: Optional[int] = None
-    angular_order: Optional[int] = None
-    symbol_specs: Dict[str, dict] = field(default_factory=dict)
-    operator: Optional[dict] = None
-    z_grid: Optional[list] = None
-    radii: Optional[List[float]] = None
-    angles: Optional[List[float]] = None
-    shells: Optional[List[float]] = None
-    p: float = 4.0
-    berezin_threshold: float = 0.05
-    essnorm_threshold: float = 0.25
-    covering_r: List[float] = field(default_factory=lambda: [0.5, 1.0, 2.0, 4.0])
-    rf: dict = field(default_factory=lambda: {"r": 3.0, "s": 3.0})
-    rank1: dict = field(default_factory=lambda: {"n_pairs": 50, "degree": 4})
-    schur_kernel_file: Optional[str] = None
-    seed: int = 0
-    kernel_points: Optional[list] = None
+    """The parsed config: one field per key, parsed in field order (points and
+    symbols need the space, the operator needs the symbols), plus the JSON as given."""
+
+    space: SpaceSpec = _key({"kind": spaces.KIND_DISC, "alpha": 0.0, "d": 2}, _space)
+    n_modes: int = _key(24, _int(1))
+    radial_order: Optional[int] = _key(None, _optional(_int(1)))
+    angular_order: Optional[int] = _key(None, _optional(_int(1)))
+    symbols: Dict[str, MatrixSymbol] = _key({}, _symbols)
+    operator: Optional[Tuple[str, ...]] = _key(None, _operator)
+    z_grid: Optional[list] = _key(None, _optional(_points))
+    kernel_points: Optional[list] = _key(None, _optional(_points))
+    radii: Optional[List[float]] = _key(None, _optional(_numbers()))
+    angles: Optional[List[float]] = _key(None, _optional(_numbers()))
+    shells: Optional[List[float]] = _key(None, _optional(_numbers()))
+    p: float = _key(4.0, _num(1.0))
+    berezin_threshold: float = _key(0.05, _num(0.0))
+    essnorm_threshold: float = _key(0.25, _num(0.0))
+    covering_r: List[float] = _key([0.5, 1.0, 2.0, 4.0], _numbers(0.0))
+    rf: dict = _key({}, _block({"r": (3.0, _num(0.0)), "s": (3.0, _num(0.0))}))
+    rank1: dict = _key({}, _block({"n_pairs": (50, _int(1)), "degree": (4, _int(0))}))
+    schur_kernel_file: Optional[str] = _key(None, _optional(_string))
+    seed: int = _key(0, _int(0))
     raw: dict = field(default_factory=dict)
 
-    def symbol(self, name: str) -> MatrixSymbol:
-        if name not in self.symbol_specs:
-            raise ConfigError(f"symbol {name!r} not defined",
-                              defined=sorted(self.symbol_specs))
-        return parse_symbol(self.space, name, self.symbol_specs[name])
-
-    def points(self, data) -> list:
-        return [parse_point(self.space, entry) for entry in data]
-
     def echo(self) -> dict:
-        payload = dict(self.raw)
-        payload["space"] = space_to_dict(self.space)
-        return payload
+        """The config as given, naming the full space and the truncation."""
+        return {**self.raw, "space": asdict(self.space), "n_modes": self.n_modes}
+
+
+_KEYS = {f.name: f.metadata["key"] for f in fields(ExperimentConfig) if "key" in f.metadata}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = {**_DEFAULT_RAW, **raw}
-    try:
-        space = space_from_dict(dict(merged["space"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad space block: {exc}") from exc
-    for key in ("radial_order", "angular_order"):
-        if merged.get(key) is not None:
-            _int_at_least(key, merged[key], 1)
-    rank1 = merged.get("rank1", {})
-    if not isinstance(rank1, dict):
-        raise ConfigError(f"rank1 must be an object, got {rank1!r}")
-    rank1 = {"n_pairs": 50, "degree": 4, **rank1}
-    _int_at_least("rank1.n_pairs", rank1["n_pairs"], 1)
-    _int_at_least("rank1.degree", rank1["degree"], 0)
-    rf = merged.get("rf", {})
-    if not isinstance(rf, dict):
-        raise ConfigError(f"rf must be an object, got {rf!r}")
-    for block, keys, known in (("rank1", rank1, {"n_pairs", "degree"}), ("rf", rf, {"r", "s"})):
-        if set(keys) - known:
-            raise ConfigError(f"unknown {block} keys: {sorted(set(keys) - known)}")
-    rf = {key: _number(f"rf.{key}", v, 0.0) for key, v in {"r": 3.0, "s": 3.0, **rf}.items()}
-    covering_r = merged.get("covering_r", [0.5, 1.0, 2.0, 4.0])
-    if not isinstance(covering_r, list) or not covering_r:
-        raise ConfigError(f"covering_r must be a non-empty list of radii, got {covering_r!r}")
-    cfg = ExperimentConfig(
-        space=space,
-        n_modes=_int_at_least("n_modes", merged.get("n_modes", 24), 1),
-        radial_order=merged.get("radial_order"),
-        angular_order=merged.get("angular_order"),
-        symbol_specs=dict(merged.get("symbols", {})),
-        operator=merged.get("operator"),
-        z_grid=merged.get("z_grid"),
-        radii=merged.get("radii"),
-        angles=merged.get("angles"),
-        shells=merged.get("shells"),
-        p=_number("p", merged.get("p", 4.0), 1.0),
-        berezin_threshold=_number("berezin_threshold", merged.get("berezin_threshold", 0.05), 0.0),
-        essnorm_threshold=_number("essnorm_threshold", merged.get("essnorm_threshold", 0.25), 0.0),
-        covering_r=[_number(f"covering_r[{i}]", r, 0.0) for i, r in enumerate(covering_r)],
-        rf=rf,
-        rank1=rank1,
-        schur_kernel_file=merged.get("schur_kernel_file"),
-        seed=_int_at_least("seed", merged.get("seed", 0), 0),
-        kernel_points=merged.get("kernel_points"),
-        raw=merged,
-    )
-    # resolve every declared point, symbol and operator reference up front
-    for key in ("z_grid", "kernel_points"):
-        if merged.get(key) is not None:
-            if not isinstance(merged[key], list):
-                raise ConfigError(f"{key} must be a list of points")
-            cfg.points(merged[key])
-    for name in cfg.symbol_specs:
-        cfg.symbol(name)
-    if cfg.operator is not None:
-        _validate_operator_block(cfg)
-    return cfg
-
-
-def _validate_operator_block(cfg: ExperimentConfig) -> None:
-    block = cfg.operator
-    kind = block.get("type")
-    if kind == "identity":
-        return
-    if kind == "toeplitz":
-        cfg.symbol(block.get("symbol", ""))
-        return
-    if kind == "toeplitz_product":
-        names = block.get("symbols", [])
-        if not names:
-            raise ConfigError("toeplitz_product needs a nonempty symbol list")
-        for name in names:
-            cfg.symbol(name)
-        return
-    raise ConfigError(f"unknown operator type {kind!r}")
+    parsed = _object("config", raw, _KEYS, "")
+    return ExperimentConfig(**parsed, raw=dict(raw))
 
 
 def load_config(path: Optional[str]) -> ExperimentConfig:
     if path is None:
-        return config_from_dict(dict(_DEFAULT_RAW))
+        return config_from_dict({})
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

@@ -45,7 +45,7 @@ from .quadrature import QuadratureRule, build_rule
 from .spaces import KIND_DISC, SpaceSpec
 
 _TWO_PI = 2.0 * np.pi
-_SLACK = 1e-6       # far above the metric rounding that _diameter must absorb
+_SLACK = 1e-6       # far above the metric rounding (under 1e-12) that _diameter must absorb
 
 
 def _diameter(space1: SpaceSpec, pts: np.ndarray) -> float:
@@ -55,21 +55,19 @@ def _diameter(space1: SpaceSpec, pts: np.ndarray) -> float:
     meet in 128-row blocks only partners b, from the block's first row a on, with
     d(c, a) + d(c, b) >= max - _SLACK, until no later row can.  A skipped pair falls
     short of the max by at least the slack less the rounding of three metric values,
-    which grows like eps/(1 - |z|^2)^2, to 2.2e-9 on the default rules (outermost disc
-    node |z| = 0.99956).  Both argument orders of every pair are taken: the disc
-    metric's differ in the last bits."""
-    def both_orders(a, b):
-        return np.maximum(spaces.metric(space1, a[:, None], b[None, :]),
-                          spaces.metric(space1, b[None, :], a[:, None]))
+    under 1e-12 on the default rules (outermost disc node |z| = 0.99956).  The metric
+    is symmetric bit for bit, so each pair is evaluated in one argument order."""
+    def pairs(a, b):
+        return spaces.metric(space1, a[:, None], b[None, :])
     to_pivot = spaces.metric(space1, pts[np.argmin(np.abs(pts - pts.mean()))], pts)
     order = np.argsort(-to_pivot, kind="stable")
     pts, to_pivot = pts[order], to_pivot[order]
-    best = float(both_orders(pts[:1], pts).max())
+    best = float(pairs(pts[:1], pts).max())
     for i in range(0, pts.size, 128):
         if to_pivot[i] + to_pivot[0] < best - _SLACK:
             break
         k = np.searchsorted(-to_pivot, to_pivot[i] - best + _SLACK, side="right")
-        best = float(both_orders(pts[i:i + 128], pts[i:k]).max(initial=best))
+        best = float(pairs(pts[i:i + 128], pts[i:k]).max(initial=best))
     return best
 
 

@@ -61,7 +61,6 @@ class MatrixSymbol:
     smooth: Optional[Callable[[np.ndarray], np.ndarray]] = None  # points -> (n, d, d)
     balls: List[BallPart] = field(default_factory=list)
     poly: Optional[Dict[Tuple[int, int], Dict[tuple, complex]]] = None
-    label: str = ""
 
     def eval(self, points) -> np.ndarray:
         pts = spaces.as_points(self.space, points)
@@ -103,8 +102,7 @@ def _is_index(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
 
 
-def poly_symbol(space: SpaceSpec, entries: Dict[Tuple[int, int], Dict[tuple, complex]],
-                label: str = "") -> MatrixSymbol:
+def poly_symbol(space: SpaceSpec, entries: Dict[Tuple[int, int], Dict[tuple, complex]]) -> MatrixSymbol:
     """Polynomial symbol: entries[(i, k)] maps power tuples to coefficients.
 
     Power tuples hold one (a, b) pair per factor, for z_j^a conj(z_j)^b, with
@@ -121,10 +119,10 @@ def poly_symbol(space: SpaceSpec, entries: Dict[Tuple[int, int], Dict[tuple, com
                     and all(_is_index(p) for p in powers)):
                 raise ValueError(f"entry {key!r}: power tuple {powers!r} is not "
                                  f"{n_powers} non-negative integers")
-    return MatrixSymbol(space, smooth=_compile_poly(space, entries), poly=dict(entries), label=label)
+    return MatrixSymbol(space, smooth=_compile_poly(space, entries), poly=dict(entries))
 
 
-def constant_symbol(space: SpaceSpec, matrix, label: str = "") -> MatrixSymbol:
+def constant_symbol(space: SpaceSpec, matrix) -> MatrixSymbol:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (space.d, space.d):
         raise ValueError("constant symbol needs a d x d matrix")
@@ -132,18 +130,20 @@ def constant_symbol(space: SpaceSpec, matrix, label: str = "") -> MatrixSymbol:
         (i, k): {(0, 0) * space.nfactors: m[i, k]}
         for i in range(space.d) for k in range(space.d) if m[i, k] != 0
     }
-    return poly_symbol(space, entries, label=label)
+    return poly_symbol(space, entries)
 
 
 def ball_indicator_symbol(space: SpaceSpec, center: complex, radius: float, matrix,
-                          ball_metric: str = "euclidean", label: str = "") -> MatrixSymbol:
+                          ball_metric: str = "euclidean") -> MatrixSymbol:
     if space.nfactors > 1:
         raise ValueError("ball symbols are single-factor")
+    if not radius > 0:
+        raise ValueError(f"ball radius must be positive, got {radius!r}")
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (space.d, space.d):
         raise ValueError("ball symbol needs a d x d matrix")
     center, radius = euclidean_ball(space, center, radius, ball_metric)
-    return MatrixSymbol(space, balls=[BallPart(complex(center), float(radius), m)], label=label)
+    return MatrixSymbol(space, balls=[BallPart(complex(center), float(radius), m)])
 
 
 def _mobius_circle_image(z: complex, center: complex, radius: float):
@@ -175,8 +175,7 @@ def pullback_symbol(symbol: MatrixSymbol, z) -> MatrixSymbol:
         def smooth(pts, _base=base, _z=z):
             return _base(spaces.involution(space, _z, pts))
 
-    return MatrixSymbol(space, smooth=smooth, balls=balls,
-                        label=f"{symbol.label or 'symbol'}@phi_{z}")
+    return MatrixSymbol(space, smooth=smooth, balls=balls)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,6 @@ def pullback_symbol(symbol: MatrixSymbol, z) -> MatrixSymbol:
 class OperatorMatrix:
     basis: BasisSpec
     mat: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         n = self.basis.dim
@@ -211,7 +209,7 @@ class OperatorMatrix:
         return OperatorMatrix(self.basis, scalar * self.mat)
 
     def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.basis, self.mat.conj().T, label=f"{self.label}*")
+        return OperatorMatrix(self.basis, self.mat.conj().T)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.mat, 2))
@@ -224,12 +222,12 @@ class OperatorMatrix:
 
 
 def identity_operator(basis: BasisSpec) -> OperatorMatrix:
-    return OperatorMatrix(basis, np.eye(basis.dim), label="I")
+    return OperatorMatrix(basis, np.eye(basis.dim))
 
 
-def scalar_block_to_operator(basis: BasisSpec, scalar: np.ndarray, label: str = "") -> OperatorMatrix:
+def scalar_block_to_operator(basis: BasisSpec, scalar: np.ndarray) -> OperatorMatrix:
     """Lift a scalar-mode matrix to the full space as scalar (x) I_d."""
-    return OperatorMatrix(basis, np.kron(scalar, np.eye(basis.space.d)), label=label)
+    return OperatorMatrix(basis, np.kron(scalar, np.eye(basis.space.d)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +287,7 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
                           radial_order=max(rule.radial_order, basis.n_modes + 8),
                           angular_order=max(rule.angular_order, 2 * basis.n_modes + 8))
         T4 += np.einsum("ab,ik->aibk", rule_inner(basis, brule), b.value)
-    return OperatorMatrix(basis, T, label=f"T[{symbol.label or 'F'}]")
+    return OperatorMatrix(basis, T)
 
 
 @dataclass
@@ -316,7 +314,7 @@ def toeplitz_measure_matrix(basis: BasisSpec, measure: PointMassMeasure) -> Oper
     """
     E = scalar_basis_matrix(basis, measure.points)  # (n_scalar, n_atoms)
     T4 = np.einsum("aj,jik,bj->aibk", E.conj(), measure.matrices, E)
-    return OperatorMatrix(basis, T4.reshape(basis.dim, basis.dim), label="T[mu]")
+    return OperatorMatrix(basis, T4.reshape(basis.dim, basis.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +389,7 @@ def translation_matrix(basis: BasisSpec, z) -> OperatorMatrix:
     zs = [complex(c) for c in spaces.coords(space, z)]
     scalar = spaces.kron([_scalar_translation(f, basis.n_modes, c)
                           for f, c in zip(space.factors, zs)])
-    return scalar_block_to_operator(basis, scalar, label=f"U[{spaces.point(space, zs)}]")
+    return scalar_block_to_operator(basis, scalar)
 
 
 @dataclass
@@ -427,13 +425,13 @@ def certified_projector(basis: BasisSpec, cert: TranslationCertificate) -> Opera
     """Orthogonal projection onto the certified scalar-mode prefix (all components)."""
     prefix = (np.arange(basis.n_modes) < cert.certified_modes).astype(float)
     mask = spaces.kron([prefix] * basis.space.nfactors)
-    return scalar_block_to_operator(basis, np.diag(mask), label="P_cert")
+    return scalar_block_to_operator(basis, np.diag(mask))
 
 
 def conjugate_operator(T: OperatorMatrix, z) -> OperatorMatrix:
     """T^z = U_z T U_z^*."""
     U = translation_matrix(T.basis, z)
-    return OperatorMatrix(T.basis, U.mat @ T.mat @ U.mat.conj().T, label=f"{T.label}^{z}")
+    return OperatorMatrix(T.basis, U.mat @ T.mat @ U.mat.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +465,7 @@ def rank_one(f: CoeffFunction, g: CoeffFunction) -> OperatorMatrix:
     """f (x) g: h -> <h, g> f."""
     if f.basis.dim != g.basis.dim:
         raise ValueError("mismatched bases")
-    return OperatorMatrix(f.basis, np.outer(f.flat, np.conj(g.flat)), label="f(x)g")
+    return OperatorMatrix(f.basis, np.outer(f.flat, np.conj(g.flat)))
 
 
 def _analytic_component_entry(basis: BasisSpec, scalar_coeffs: np.ndarray, conjugate: bool) -> Dict[tuple, complex]:
@@ -508,4 +506,4 @@ def rank_one_toeplitz_sum(basis: BasisSpec, rule: QuadratureRule,
             Eik = np.zeros((d, d)); Eik[i, k] = 1.0
             T_ik = np.kron(np.eye(basis.n_scalar), Eik)  # constant symbols need no quadrature
             total += T_fi.mat @ T_delta.mat @ T_gk.mat @ T_ik
-    return OperatorMatrix(basis, total, label="sum T...T")
+    return OperatorMatrix(basis, total)

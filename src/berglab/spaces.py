@@ -50,8 +50,7 @@ class SpaceSpec:
 
     d is the dimension of the coefficient space C^d.  r_max bounds the
     modulus of admissible probe points on the disc (per factor for the
-    bidisc); fock_probe_radius plays the same role on the plane, while
-    fock_radius bounds the covering/localization domain.
+    bidisc); fock_probe_radius plays the same role on the plane.
     """
 
     kind: str
@@ -60,8 +59,6 @@ class SpaceSpec:
     d: int = 4
     r_max: float = 0.9
     fock_probe_radius: float = 3.0
-    fock_radius: float = 6.0
-    kappa_override: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -100,8 +97,6 @@ class SpaceSpec:
         boundary of the (r, s) region where the normalized kernel-power
         integrals stay uniformly bounded (see scripts/run_rf_sweep.py).
         """
-        if self.kappa_override is not None:
-            return self.kappa_override
         return max(0.0 if f.kind == KIND_FOCK else 2.0 * (1.0 + f.alpha) / (2.0 + f.alpha)
                    for f in self.factors)
 
@@ -233,7 +228,12 @@ def metric(space: SpaceSpec, z, w) -> np.ndarray:
     z = as_points(space, z)
     w = as_points(space, w)
     if space.kind == KIND_DISC:
-        return np.arctanh(np.abs((z - w) / (1.0 - np.conj(z) * w)))
+        # x = |phi_z(w)| has x^2 = |z-w|^2 / q and 1 - x^2 = (1-|z|^2)(1-|w|^2) / q with
+        # q = |1 - conj(z) w|^2, so arctanh x = arcsinh(x / sqrt(1 - x^2)) is the form
+        # below.  It never forms 1 - x, which cancels near the boundary, and each of its
+        # steps is symmetric in z and w: metric(z, w) == metric(w, z) bit for bit.
+        gap = [np.sqrt(1.0 - p.real ** 2 - p.imag ** 2) for p in (z, w)]
+        return np.arcsinh(np.abs(z - w) / (gap[0] * gap[1]))
     return np.abs(z - w)
 
 
@@ -303,27 +303,3 @@ def point_to_jsonable(z):
     if z.shape == ():
         return {"re": float(z.real), "im": float(z.imag)}
     return [point_to_jsonable(p) for p in z]
-
-
-def space_to_dict(space: SpaceSpec) -> dict:
-    return {
-        "kind": space.kind,
-        "alpha": space.alpha,
-        "alpha2": space.alpha2,
-        "d": space.d,
-        "r_max": space.r_max,
-        "fock_probe_radius": space.fock_probe_radius,
-        "fock_radius": space.fock_radius,
-        "kappa_override": space.kappa_override,
-    }
-
-
-def space_from_dict(data: dict) -> SpaceSpec:
-    known = {
-        "kind", "alpha", "alpha2", "d", "r_max",
-        "fock_probe_radius", "fock_radius", "kappa_override",
-    }
-    extra = set(data) - known
-    if extra:
-        raise ValueError(f"unknown space fields: {sorted(extra)}")
-    return SpaceSpec(**data)

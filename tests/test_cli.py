@@ -134,6 +134,11 @@ def test_bad_config_exits_2_and_writes_nothing(tmp_path, capsys):
 _BIDISC_NO_SYMBOLS = {"space": {"kind": "bidisc", "d": 2}, "symbols": {}, "operator": None}
 
 
+def _bump_radius(radius):
+    return {"symbols": {**BASE_CONFIG["symbols"],
+                        "bump": {**BASE_CONFIG["symbols"]["bump"], "radius": radius}}}
+
+
 @pytest.mark.parametrize("changes, named", [
     ({"n_modes": 8.9}, "n_modes"),
     ({"n_modes": True}, "n_modes"),
@@ -156,11 +161,25 @@ _BIDISC_NO_SYMBOLS = {"space": {"kind": "bidisc", "d": 2}, "symbols": {}, "opera
     ({"essnorm_threshold": True}, "essnorm_threshold"),
     ({"berezin_threshold": "0.1"}, "berezin_threshold"),
     ({"p": "4"}, "p"),
+    ({"operator": "identity"}, "operator"),
+    ({"operator": []}, "operator"),
+    ({"symbols": [1]}, "symbols"),
+    ({"shells": []}, "shells"),
+    ({"shells": [[0.5]]}, "shells[0]"),
+    ({"radii": [[0.5]]}, "radii[0]"),
+    ({"space": {"kind": "bergman_disc", "d": 2.5}}, "space.d"),
+    ({"space": {"kind": "bergman_disc", "d": True}}, "space.d"),
+    (_bump_radius(-0.3), "radius"),
+    (_bump_radius(0.0), "radius"),
+    ({"schur_kernel_file": 3}, "schur_kernel_file"),
 ], ids=["n_modes-float", "n_modes-bool", "seed-negative", "seed-float", "n_pairs-zero",
         "n_pairs-float", "degree-negative", "bidisc-point-1", "bidisc-point-3",
         "rf-number", "rf-r-string", "rf-s-negative", "rf-unknown-key", "rank1-unknown-key",
         "covering_r-number", "covering_r-empty", "covering_r-bool", "covering_r-zero",
-        "essnorm_threshold-bool", "berezin_threshold-string", "p-string"])
+        "essnorm_threshold-bool", "berezin_threshold-string", "p-string",
+        "operator-string", "operator-list", "symbols-list", "shells-empty", "shells-nested",
+        "radii-nested", "space-d-float", "space-d-bool", "ball-radius-negative",
+        "ball-radius-zero", "schur_kernel_file-number"])
 def test_bad_config_value_exits_2_and_writes_nothing(changes, named, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**BASE_CONFIG, **changes}))
@@ -169,6 +188,17 @@ def test_bad_config_value_exits_2_and_writes_nothing(changes, named, tmp_path, c
     payload = json.loads(capsys.readouterr().err)
     assert payload["command"] == "kernel"
     assert named in payload["error"]
+    assert not out.exists()
+
+
+def test_schur_kernel_file_must_hold_an_object(tmp_path, capsys):
+    kern = tmp_path / "kern.json"
+    kern.write_text(json.dumps([[1.0, 2.0]]))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, schur_kernel_file=str(kern))))
+    out = tmp_path / "out"
+    assert cli.main(["schur", "--config", str(path), "--out", str(out)]) == 2
+    assert "schur_kernel_file" in json.loads(capsys.readouterr().err)["error"]
     assert not out.exists()
 
 

@@ -65,6 +65,10 @@ def test_symbol_parsing_ball_and_const():
     ball = parse_symbol(sp, "b", {"type": "ball", "center": [0.2, 0.0], "radius": 0.3,
                                   "matrix": [[1, 0], [0, 1]]})
     assert ball.balls[0].radius == 0.3
+    for radius in (-0.3, 0, "0.3", True):
+        with pytest.raises(ConfigError, match="radius"):
+            parse_symbol(sp, "b", {"type": "ball", "center": 0.2, "radius": radius,
+                                   "matrix": [[1, 0], [0, 1]]})
     const = parse_symbol(sp, "c", {"type": "const", "matrix": [[1, 0], [0, [0.0, 2.0]]]})
     assert const.eval(np.array([0.1]))[0][1, 1] == 2j
     with pytest.raises(ConfigError):
@@ -80,6 +84,9 @@ def test_point_parsing():
     assert parse_point(sp, {"re": 0.1, "im": -0.2}) == 0.1 - 0.2j
     assert parse_point(sp, [0.3, 0.4]) == 0.3 + 0.4j
     assert parse_point(sp, 0.5) == 0.5
+    for bad in ([0.3, [1]], [0.3, "0.4"], {"re": True}, float("nan")):
+        with pytest.raises(ConfigError):
+            parse_point(sp, bad)
     bd = spaces.bidisc_space(0.0, 0.0, d=1)
     z = parse_point(bd, [[0.1, 0.0], {"re": 0.0, "im": 0.2}])
     assert np.allclose(z, [0.1, 0.2j])
@@ -91,9 +98,13 @@ def test_operator_block_resolved_upfront():
     cfg = config_from_dict({
         "symbols": {"m": {"type": "const", "matrix": [[1, 0], [0, 1]]}},
         "operator": {"type": "toeplitz", "symbol": "m"}})
-    assert cfg.symbol("m").label == "m"
+    assert cfg.operator == ("m",)
+    assert cfg.symbols["m"].poly == {(0, 0): {(0, 0): 1}, (1, 1): {(0, 0): 1}}
+    assert config_from_dict({}).operator is None
+    assert config_from_dict({"operator": {"type": "identity"}}).operator == ()
     with pytest.raises(ConfigError):
-        cfg.symbol("other")
+        config_from_dict({"symbols": {"m": {"type": "const", "matrix": [[1, 0], [0, 1]]}},
+                          "operator": {"type": "toeplitz", "symbol": "other"}})
 
 
 def test_load_config_file_errors(tmp_path):

@@ -69,6 +69,13 @@ def test_ball_symbol_indicator(disc):
     assert np.allclose(inside[2:], 0.0)
 
 
+@pytest.mark.parametrize("radius", [-0.3, 0.0])
+def test_ball_symbol_rejects_a_radius_that_is_not_positive(disc, radius):
+    # -0.3 would assemble the radius-0.3 ball while eval saw no node inside it
+    with pytest.raises(ValueError, match="radius"):
+        ball_indicator_symbol(disc, 0.2, radius, np.eye(2))
+
+
 def test_invariant_ball_symbol_converts_radius(disc):
     sym = ball_indicator_symbol(disc, 0.5, 0.4, np.eye(2), ball_metric="invariant")
     ball = sym.balls[0]

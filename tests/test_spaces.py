@@ -1,13 +1,17 @@
 """Model-space primitives: kernels, involutions, metric, densities, tails."""
 
+import dataclasses
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berglab import spaces
+from berglab.config import config_from_dict
+from berglab.quadrature import build_rule
 from conftest import sample_points
 
 
@@ -170,8 +174,35 @@ def test_probe_gate_rejects_far_points(disc, fock, bidisc):
 
 def test_space_dict_round_trip(all_spaces):
     for sp in all_spaces:
-        back = spaces.space_from_dict(spaces.space_to_dict(sp))
-        assert back == sp
+        echo = config_from_dict({"space": dataclasses.asdict(sp)}).echo()["space"]
+        assert config_from_dict({"space": echo}).space == sp
+        assert echo == dataclasses.asdict(sp)
+
+
+def _outermost_ring_pairs():
+    """Ordered pairs of distinct nodes on the outermost ring of the default disc rule."""
+    nodes = build_rule(spaces.disc_space(0.0)).nodes
+    ring = nodes[np.argsort(np.abs(nodes))[-64:]]
+    i, j = np.nonzero(~np.eye(ring.size, dtype=bool))
+    return ring[i], ring[j]
+
+
+def test_disc_metric_matches_mpmath_on_the_outermost_ring():
+    z, w = _outermost_ring_pairs()
+    got = spaces.metric(spaces.disc_space(0.0), z, w)
+    with mpmath.workdps(40):
+        want = [float(mpmath.atanh(abs((a - b) / (1 - mpmath.conj(a) * b))))
+                for a, b in zip(map(mpmath.mpc, z), map(mpmath.mpc, w))]
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_disc_metric_is_symmetric():
+    z, w = _outermost_ring_pairs()
+    sp = spaces.disc_space(1.5)
+    assert np.array_equal(spaces.metric(sp, z, w), spaces.metric(sp, w, z))
+    z, w = sample_points(sp, 500, seed=3), sample_points(sp, 500, seed=4)
+    assert np.array_equal(spaces.metric(sp, z, w), spaces.metric(sp, w, z))
+    assert np.all(spaces.metric(sp, z, z) == 0.0)
 
 
 @settings(deadline=None, max_examples=30)
