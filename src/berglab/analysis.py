@@ -8,14 +8,15 @@ randomness is seeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import spaces
 from .coeffs import BasisSpec, kernel_coeff_vector, scalar_basis_matrix
-from .operators import OperatorMatrix, conjugate_operator, translation_matrix
+from .operators import (OperatorMatrix, _certified_modes, _conjugate_blocks, _factor_tails,
+                        _scalar_translation, translation_matrix)
 from .quadrature import QuadratureRule
 from .spaces import KIND_BIDISC, KIND_DISC, KIND_FOCK, SpaceSpec
 
@@ -283,6 +284,7 @@ def berezin_decay_profile(T: OperatorMatrix, radii: Optional[Sequence[float]] = 
 class EssentialNormReport:
     shell_metric: np.ndarray        # invariant distance of each shell from 0
     lower_profile: np.ndarray       # per-shell max_f ||T^z f||
+    shell_certified_modes: np.ndarray   # per-shell least certified U_z modes (tau 1e-12)
     estimate: float                 # value at the outermost shell
     sv_proxy_index: int
     sv_proxy_value: float
@@ -290,15 +292,7 @@ class EssentialNormReport:
     last_two_decreasing: bool
 
     def as_dict(self) -> dict:
-        return {
-            "shell_metric": self.shell_metric.tolist(),
-            "lower_profile": self.lower_profile.tolist(),
-            "estimate": self.estimate,
-            "sv_proxy_index": self.sv_proxy_index,
-            "sv_proxy_value": self.sv_proxy_value,
-            "top_singular_value": self.top_singular_value,
-            "last_two_decreasing": self.last_two_decreasing,
-        }
+        return asdict(self)
 
 
 def essential_norm_estimate(T: OperatorMatrix, boundary_grid: Optional[Sequence[Sequence]] = None,
@@ -306,10 +300,12 @@ def essential_norm_estimate(T: OperatorMatrix, boundary_grid: Optional[Sequence[
     """Lower profile sup_{probes} ||U_z T U_z^* f|| over boundary shells.
 
     The probes f are all basis vectors plus eight seeded random unit vectors.
-    The limit toward the boundary is realized as the value at the outermost
-    admissible shell; the singular-value proxy reports the spectrum tail of T
-    at index dim // 4 as a finite-rank indicator (truncated compact operators
-    are exactly the ones whose tail has already died).
+    One batched call per factor translates all shell points; each shell applies
+    its U_z as U_z (x) I_d on the scalar block and records the least certified
+    modes of its U_z (tau = 1e-12).  The limit toward the boundary is realized
+    as the value at the outermost admissible shell; the singular-value proxy
+    reports the spectrum tail of T at index dim // 4 as a finite-rank indicator
+    (truncated compact operators are exactly the ones whose tail has died).
     """
     basis = T.basis
     space = basis.space
@@ -319,22 +315,25 @@ def essential_norm_estimate(T: OperatorMatrix, boundary_grid: Optional[Sequence[
     R = rng.standard_normal((basis.dim, 8)) + 1j * rng.standard_normal((basis.dim, 8))
     R = R / np.linalg.norm(R, axis=0, keepdims=True)
     origin = spaces.point(space, [0.0] * space.nfactors)
+    points = spaces.as_points(space, [z for shell in boundary_grid for z in shell])
+    spaces.check_probe_point(space, points)
+    blocks = [_scalar_translation(f, basis.n_modes, c)
+              for f, c in zip(space.factors, spaces.coords(space, points))]
+    starts = np.cumsum([0] + [len(shell) for shell in boundary_grid])
     profile = []
-    metric = []
-    for shell in boundary_grid:
-        best = 0.0
-        for z in shell:
-            Tz = conjugate_operator(T, z).mat
-            best = max(best, float(np.linalg.norm(Tz, axis=0).max()),
-                       float(np.linalg.norm(Tz @ R, axis=0).max()))
-        profile.append(best)
-        metric.append(float(spaces.metric(space, origin, shell[0])))
+    for a, b in zip(starts[:-1], starts[1:]):
+        U = np.array([spaces.kron(parts) for parts in zip(*(B[a:b] for B in blocks))])
+        Tz = _conjugate_blocks(T.mat, U, space.d)
+        profile.append(max(float(np.linalg.norm(Tz, axis=-2).max()),
+                           float(np.linalg.norm(Tz @ R, axis=-2).max())))
     profile = np.array(profile)
+    modes = _certified_modes([_factor_tails(U) for U in blocks], 1e-12)
     svs = T.singular_values()
     idx = max(1, basis.dim // 4)
     return EssentialNormReport(
-        shell_metric=np.array(metric),
+        shell_metric=spaces.metric(space, origin, points[starts[:-1]]),
         lower_profile=profile,
+        shell_certified_modes=np.minimum.reduceat(modes, starts[:-1]),
         estimate=float(profile[-1]),
         sv_proxy_index=idx,
         sv_proxy_value=float(svs[idx]) if idx < svs.size else 0.0,

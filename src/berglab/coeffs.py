@@ -68,8 +68,13 @@ def basis_normalizer(basis: BasisSpec) -> np.ndarray:
 
 
 def _factor_basis_matrix(space1: SpaceSpec, n: int, pts: np.ndarray) -> np.ndarray:
-    """e_m(p) = c_m p^m on one factor: shape (n, n_points)."""
-    return np.exp(_factor_log_normalizers(space1, n))[:, None] * pts[None, :] ** np.arange(n)[:, None]
+    """e_m(p) = c_m p^m on one factor: shape (n, n_points), the powers by repeated products."""
+    out = np.empty((n, pts.size), dtype=complex)
+    out[0] = 1.0
+    for m in range(1, n):
+        np.multiply(out[m - 1], pts, out=out[m])
+    out *= np.exp(_factor_log_normalizers(space1, n))[:, None]
+    return out
 
 
 def scalar_basis_matrix(basis: BasisSpec, points) -> np.ndarray:

@@ -46,9 +46,13 @@ def _number(key: str, value, above: float = -math.inf) -> float:
     return float(value)
 
 
-def _require_object(key: str, value) -> dict:
+def _require_object(key: str, value, allowed=None) -> dict:
+    """value itself if it is an object with no key outside allowed (when given); else ConfigError."""
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be an object, got {value!r}")
+    unknown = sorted(set(value) - set(value if allowed is None else allowed))
+    if unknown:
+        raise ConfigError(f"unknown {key} keys: {unknown}")
     return value
 
 
@@ -95,13 +99,18 @@ def parse_symbol(space: SpaceSpec, name: str, spec: dict) -> MatrixSymbol:
 
 def _parse_symbol(space: SpaceSpec, name: str, spec: dict) -> MatrixSymbol:
     kind = spec.get("type")
+    allowed = {"poly": ("type", "entries"), "const": ("type", "matrix"),
+               "ball": ("type", "center", "radius", "matrix", "metric")}
+    _require_object(f"symbol {name!r}", spec, allowed.get(kind))
     if kind == "poly":
         k = space.nfactors
         keys = [f"{p}{i + 1}" if k > 1 else p for i in range(k) for p in "ab"]
         entries: Dict = {}
         for item in spec.get("entries", []):
+            _require_object(f"symbol {name!r} entry", item, ("i", "k", "terms"))
             terms = {}
             for t in item.get("terms", []):
+                _require_object(f"symbol {name!r} term", t, keys + ["c"])
                 terms[tuple(t[key] for key in keys)] = _parse_scalar_point(t["c"])
             entries[(item["i"], item["k"])] = terms
         return poly_symbol(space, entries)
@@ -150,9 +159,7 @@ def _string(key, value, _) -> str:
 def _object(key: str, value, table: dict, prefix: str) -> dict:
     """Every key of table, parsed in order from the object value (its default where
     absent); a key outside the table raises ConfigError."""
-    unknown = sorted(set(_require_object(key, value)) - set(table))
-    if unknown:
-        raise ConfigError(f"unknown {key} keys: {unknown}")
+    _require_object(key, value, table)
     out: dict = {}
     for name, (default, parse) in table.items():
         out[name] = parse(prefix + name, value.get(name, default), out)
@@ -166,10 +173,7 @@ def _block(table: dict):
 def _space(key, block, _) -> SpaceSpec:
     """The space block's fields are SpaceSpec's.  Their values are checked but not
     converted, so the report echo repeats them as given."""
-    names = {f.name for f in fields(SpaceSpec)}
-    unknown = sorted(set(_require_object(key, block)) - names)
-    if unknown:
-        raise ConfigError(f"unknown space fields: {unknown}")
+    _require_object(key, block, [f.name for f in fields(SpaceSpec)])
     for name, value in block.items():
         if name == "d":
             _int_at_least("space.d", value, 1)
@@ -201,11 +205,12 @@ def _operator(key, block, parsed) -> Optional[Tuple[str, ...]]:
         return None
     kind = _require_object(key, block).get("type")
     if kind == "identity":
+        _require_object(key, block, ("type",))
         names = []
     elif kind == "toeplitz":
-        names = [block.get("symbol")]
+        names = [_require_object(key, block, ("type", "symbol")).get("symbol")]
     elif kind == "toeplitz_product":
-        names = block.get("symbols")
+        names = _require_object(key, block, ("type", "symbols")).get("symbols")
         if not isinstance(names, list) or not names:
             raise ConfigError(f"{key}.symbols must be a non-empty list, got {names!r}")
     else:

@@ -2,7 +2,8 @@
 
 All operators are dense matrices on the flattened index (mode m, component k)
 -> m * d + k.  Scalar constructions tensor with I_d via np.kron, which matches
-that ordering.
+that ordering; conjugation by U_z instead applies the scalar block to the mode
+index of a reshaped matrix, so no dense U_z (x) I_d is formed.
 
 Toeplitz assembly T_F = P M_F is exact for polynomial symbols: the term
 z^a conj(z)^b maps e_n to c_n c_m / c_{n+a}^2 e_m with m = n + a - b (a
@@ -15,10 +16,11 @@ Translation operators U_z f = (f o phi_z) k_z are compressions of unitaries.
 U_z e_k is analytic, so its compression is its Taylor coefficients divided
 by c_m, with no quadrature rule: an exact recurrence (multiplication by
 phi_z in coefficient space) per disc factor, the closed-form displacement
-matrix (Laguerre polynomials) on the Fock space, and the Kronecker product of
-the factors' matrices on a product space.  Top basis modes unavoidably leak
-outside any fixed truncation window for z != 0, which is why every U_z comes
-with a per-column leakage certificate (1 - retained column mass) from which
+matrix (Laguerre polynomials) on the Fock space, each for one point or a
+stack of points, and the Kronecker product of the factors' matrices on a
+product space.  Top basis modes unavoidably leak outside any fixed
+truncation window for z != 0, which is why every U_z comes with a
+per-column leakage certificate (1 - retained column mass) from which
 identity-quality statements are scoped.
 """
 
@@ -320,7 +322,7 @@ def toeplitz_measure_matrix(basis: BasisSpec, measure: PointMassMeasure) -> Oper
 # ---------------------------------------------------------------------------
 # translation operators
 
-def _disc_translation(space: SpaceSpec, n_modes: int, z: complex) -> np.ndarray:
+def _disc_translation(space: SpaceSpec, n_modes: int, z) -> np.ndarray:
     """Taylor coefficients of U_z e_k = c_k phi_z^k k_z, exactly, by a recurrence.
 
     Multiplying a power series by
@@ -330,21 +332,22 @@ def _disc_translation(space: SpaceSpec, n_modes: int, z: complex) -> np.ndarray:
     c_m^2 conj(z)^m / ||K_z||, and row k+1 is P times row k.  Entry [m, k] is
     then c_k series[k, m] / c_m.  The first n coefficients of a product
     depend only on the first n of each factor, so the truncation is exact:
-    nothing is sampled and nothing aliases.
+    nothing is sampled and nothing aliases.  Points stack on leading axes.
     """
     logc = _factor_log_normalizers(space, n_modes)
     m = np.arange(n_modes)
-    zc = np.conj(z)
-    phi = np.concatenate(([z], -(1.0 - abs(z) ** 2) * zc ** m[:-1]))
-    P = np.tril(phi[m[:, None] - m[None, :]])
-    series = np.empty((n_modes, n_modes), dtype=complex)
-    series[0] = np.exp(2.0 * logc) * zc ** m / spaces.kernel_norm(space, z)
+    z = np.asarray(z, dtype=complex)
+    zc = np.conj(z)[..., None]
+    phi = np.concatenate((z[..., None], -(1.0 - np.abs(zc) ** 2) * zc ** m[:-1]), axis=-1)
+    P = np.tril(phi[..., m[:, None] - m[None, :]])
+    series = np.empty(z.shape + (n_modes, n_modes), dtype=complex)
+    series[..., 0, :] = np.exp(2.0 * logc) * zc ** m / spaces.kernel_norm(space, z[..., None])
     for k in range(n_modes - 1):
-        series[k + 1] = P @ series[k]
-    return series.T * np.exp(logc[None, :] - logc[:, None])
+        series[..., k + 1, :] = (P @ series[..., k, :, None])[..., 0]
+    return np.swapaxes(series, -1, -2) * np.exp(logc[None, :] - logc[:, None])
 
 
-def _fock_translation(space: SpaceSpec, n_modes: int, z: complex) -> np.ndarray:
+def _fock_translation(space: SpaceSpec, n_modes: int, z) -> np.ndarray:
     """Closed-form U_z = D(conj z) P: Glauber displacement after parity.
 
     With t = |z|^2, lo = min(m, k), hi = max(m, k), entry [m, k] is
@@ -352,28 +355,49 @@ def _fock_translation(space: SpaceSpec, n_modes: int, z: complex) -> np.ndarray:
     m >= k and (-z)^(k-m) otherwise (Cahill & Glauber, Phys. Rev. 177, 1969).
     The factor sqrt(lo!/hi!) L_lo^(b)(t), b = hi - lo, comes from the
     orthonormal three-term recurrence of the Laguerre polynomials in the
-    degree, started at the Fock normalizer c_b = 1/sqrt(b!), for every b at
-    once.
+    degree, started at the Fock normalizer c_b = 1/sqrt(b!), for all b and z.
     """
     m = np.arange(n_modes)
     diff = m[:, None] - m[None, :]
     lo = np.minimum.outer(m, m)
     hi = np.maximum.outer(m, m)
-    t = abs(z) ** 2
+    z = np.asarray(z, dtype=complex)[..., None, None]
+    t = np.abs(z) ** 2
     j = np.arange(n_modes - 1)[:, None]   # recurrence coefficients, row j for every b
     up, back, scale = 2 * j + 1 + m - t, np.sqrt(j * (j + m)), np.sqrt((j + 1) * (j + 1 + m))
-    ell = np.zeros((n_modes + 1, n_modes))   # ell[j + 1, b] = sqrt(j!/(j+b)!) L_j^(b)(t)
-    ell[1] = np.exp(_factor_log_normalizers(space, n_modes))
+    ell = np.zeros(t.shape[:-2] + (n_modes + 1, n_modes))   # [..., j + 1, b]: sqrt(j!/(j+b)!) L_j^(b)(t)
+    ell[..., 1, :] = np.exp(_factor_log_normalizers(space, n_modes))
     for i in range(n_modes - 1):
-        ell[i + 2] = (up[i] * ell[i + 1] - back[i] * ell[i]) / scale[i]
-    magnitude = np.exp(-t / 2.0) * ell[lo + 1, hi - lo]
+        ell[..., i + 2, :] = (up[..., i, :] * ell[..., i + 1, :] - back[i] * ell[..., i, :]) / scale[i]
+    magnitude = np.exp(-t / 2.0) * ell[..., lo + 1, hi - lo]
     power = np.where(diff >= 0, np.conj(z), -z) ** np.abs(diff)
-    return magnitude * power * (-1.0) ** m[None, :]
+    return magnitude * power * (-1.0) ** m
 
 
-def _scalar_translation(space: SpaceSpec, n_modes: int, z: complex) -> np.ndarray:
-    """Scalar n x n compression <U_z e_k, e_m> on one factor."""
+def _scalar_translation(space: SpaceSpec, n_modes: int, z) -> np.ndarray:
+    """<U_z e_k, e_m> on one factor: (n, n) for one point, (p, n, n) for p points."""
     return (_fock_translation if space.kind == KIND_FOCK else _disc_translation)(space, n_modes, z)
+
+
+def _scalar_block(basis: BasisSpec, z) -> np.ndarray:
+    """Scalar-mode U_z of one admissible point: the product of its factor blocks."""
+    space = basis.space
+    spaces.check_probe_point(space, z)
+    return spaces.kron([_scalar_translation(f, basis.n_modes, complex(c))
+                        for f, c in zip(space.factors, spaces.coords(space, z))])
+
+
+def _conjugate_blocks(mat: np.ndarray, U: np.ndarray, d: int) -> np.ndarray:
+    """(U (x) I_d) mat (U (x) I_d)^* for a scalar block U, or for each U of a (p, N, N) stack.
+
+    No dense U (x) I_d is formed: it acts on the rows of mat viewed as (N, d * dim).
+    Applied to mat^*, the product's adjoint is mat (U (x) I_d)^*; applied once more, the result.
+    """
+    N = U.shape[-1]
+    lead = U.shape[:-2] + (N * d, N * d)
+    X = (U @ np.conj(mat.T, order="C").reshape(N, -1)).reshape(lead)
+    X = np.conj(np.swapaxes(X, -1, -2), order="C").reshape(U.shape[:-2] + (N, -1))
+    return (U @ X).reshape(lead)
 
 
 def translation_matrix(basis: BasisSpec, z) -> OperatorMatrix:
@@ -384,12 +408,7 @@ def translation_matrix(basis: BasisSpec, z) -> OperatorMatrix:
     closed-form displacement matrix on the Fock space, and the Kronecker
     product of the factors' matrices on a product space.
     """
-    space = basis.space
-    spaces.check_probe_point(space, z)
-    zs = [complex(c) for c in spaces.coords(space, z)]
-    scalar = spaces.kron([_scalar_translation(f, basis.n_modes, c)
-                          for f, c in zip(space.factors, zs)])
-    return scalar_block_to_operator(basis, scalar)
+    return scalar_block_to_operator(basis, _scalar_block(basis, z))
 
 
 @dataclass
@@ -410,13 +429,23 @@ class TranslationCertificate:
     certified_modes: int
 
 
+def _factor_tails(U: np.ndarray) -> np.ndarray:
+    """1 - retained mass of each column of a factor's (..., n, n) U_z block, in [0, 1]."""
+    return np.clip(1.0 - np.sum(np.abs(U) ** 2, axis=-2), 0.0, 1.0)
+
+
+def _certified_modes(tails, tau: float) -> np.ndarray:
+    """Least certified prefix over the factors' tails (per point for stacked tails)."""
+    return np.min([np.cumprod(t <= tau, axis=-1).sum(axis=-1) for t in tails], axis=0)
+
+
 def translation_certificate(basis: BasisSpec, z, tau: float = 1e-12) -> TranslationCertificate:
     """Column leakage of U_z; on a product space the factor tails add (capped at 1)."""
     space = basis.space
     zs = [complex(c) for c in spaces.coords(space, z)]
-    tails = [np.clip(1.0 - np.sum(np.abs(_scalar_translation(f, basis.n_modes, c)) ** 2, axis=0),
-                     0.0, 1.0) for f, c in zip(space.factors, zs)]
-    certified = min(int(np.cumprod(t <= tau).sum()) for t in tails)
+    tails = [_factor_tails(_scalar_translation(f, basis.n_modes, c))
+             for f, c in zip(space.factors, zs)]
+    certified = int(_certified_modes(tails, tau))
     tails = np.minimum(reduce(lambda t, ti: np.add.outer(t, ti).ravel(), tails), 1.0)
     return TranslationCertificate(spaces.point(space, zs), tau, tails, certified)
 
@@ -429,9 +458,8 @@ def certified_projector(basis: BasisSpec, cert: TranslationCertificate) -> Opera
 
 
 def conjugate_operator(T: OperatorMatrix, z) -> OperatorMatrix:
-    """T^z = U_z T U_z^*."""
-    U = translation_matrix(T.basis, z)
-    return OperatorMatrix(T.basis, U.mat @ T.mat @ U.mat.conj().T)
+    """T^z = U_z T U_z^*, applied as U (x) I_d on the scalar block."""
+    return OperatorMatrix(T.basis, _conjugate_blocks(T.mat, _scalar_block(T.basis, z), T.basis.space.d))
 
 
 # ---------------------------------------------------------------------------

@@ -186,9 +186,10 @@ def ball_rule(
 ) -> QuadratureRule:
     """Sigma-rule supported on the Euclidean disc D(center, radius).
 
-    The integrand picks up the smooth sigma-density explicitly, so the rule is
-    spectrally accurate for smooth functions and exact for polynomials when
-    alpha = 0 or on the fock space a Gaussian factor remains (still smooth).
+    The integrand picks up the sigma-density explicitly, so the rule is
+    spectrally accurate for smooth functions.  It is exact for polynomials only
+    where that density is constant (the disc at alpha = 0); (1-|w|^2)^alpha and
+    the Fock Gaussian are smooth but not polynomial factors.
     """
     if space.nfactors > 1:
         raise ValueError("ball rules are per-factor")

@@ -3,6 +3,7 @@ import pytest
 
 from berglab import spaces
 from berglab.coeffs import BasisSpec, _factor_log_normalizers
+from berglab.operators import translation_matrix
 from berglab.quadrature import build_rule
 
 
@@ -111,3 +112,21 @@ def fft_disc_translation(space, n_modes, z):
     taylor = np.fft.fft(samples, axis=1)[:, :n_modes].T / (M * rho ** modes[:, None])
     c = np.exp(_factor_log_normalizers(space, n_modes))
     return taylor * c[None, :] / c[:, None]
+
+
+def per_point_essential_profile(T, boundary_grid, seed):
+    """Oracle for essential_norm_estimate's lower profile: one point at a time, with
+    the dense U_z (x) I_d of translation_matrix and two dense products per point."""
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((T.dim, 8)) + 1j * rng.standard_normal((T.dim, 8))
+    R = R / np.linalg.norm(R, axis=0, keepdims=True)
+    profile = []
+    for shell in boundary_grid:
+        best = 0.0
+        for z in shell:
+            U = translation_matrix(T.basis, z).mat
+            Tz = U @ T.mat @ U.conj().T
+            best = max(best, float(np.linalg.norm(Tz, axis=0).max()),
+                       float(np.linalg.norm(Tz @ R, axis=0).max()))
+        profile.append(best)
+    return np.array(profile)

@@ -1,9 +1,11 @@
 """Berezin transform, displacement integrals, essential-norm and injectivity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from berglab import spaces
+from berglab import analysis, operators, spaces
 from berglab.analysis import (berezin, berezin_decay_profile,
                               berezin_injectivity_probe, boundary_shells,
                               default_probe_grid, essential_norm_estimate,
@@ -11,9 +13,10 @@ from berglab.analysis import (berezin, berezin_decay_profile,
                               rkt_product_check, rkt_toeplitz_symbol_check)
 from berglab.coeffs import BasisSpec, kernel_coeff_vector, random_polynomial
 from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_symbol,
-                               identity_operator, poly_symbol, rank_one,
-                               toeplitz_matrix)
+                               conjugate_operator, identity_operator, poly_symbol, rank_one,
+                               toeplitz_matrix, translation_certificate, translation_matrix)
 from berglab.quadrature import build_rule
+from conftest import per_point_essential_profile
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +253,69 @@ def test_essential_norm_custom_shells(basis24, rule24):
     assert len(rep.lower_profile) == 3
     assert rep.shell_metric[0] < rep.shell_metric[1] < rep.shell_metric[2]
     assert rep.estimate == pytest.approx(1.0, abs=0.05)
+
+
+def _random_operator(space, n_modes, d, seed):
+    basis = BasisSpec(replace(space, d=d), n_modes)
+    rng = np.random.default_rng(seed)
+    return OperatorMatrix(basis, rng.standard_normal((basis.dim,) * 2)
+                          + 1j * rng.standard_normal((basis.dim,) * 2))
+
+
+_ORACLE_SPACES = [(spaces.disc_space(0.0), 16), (spaces.disc_space(1.5), 12),
+                  (spaces.fock_space(), 16), (spaces.bidisc_space(0.0, 0.5), 6)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("space, n_modes", _ORACLE_SPACES, ids=["disc", "disc-1.5", "fock", "bidisc"])
+def test_essential_norm_matches_per_point_oracle(space, n_modes, d):
+    T = _random_operator(space, n_modes, d, seed=d)
+    shells = boundary_shells(T.basis.space)
+    rep = essential_norm_estimate(T, seed=4)
+    ref = per_point_essential_profile(T, shells, seed=4)
+    assert np.max(np.abs(rep.lower_profile - ref) / ref) <= 1e-12
+    z = shells[-1][1]
+    U = translation_matrix(T.basis, z).mat
+    dense = U @ T.mat @ U.conj().T
+    assert np.abs(conjugate_operator(T, z).mat - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("space, n_modes", _ORACLE_SPACES, ids=["disc", "disc-1.5", "fock", "bidisc"])
+def test_shell_certified_modes_match_translation_certificate(space, n_modes):
+    T = identity_operator(BasisSpec(space, n_modes))
+    # the default shells, then shells of unequal sizes whose points differ in radius
+    top = spaces.probe_radius_max(space)
+    mixed = [[spaces.point(space, [r * np.exp(1j * a)] * space.nfactors) for r, a in shell]
+             for shell in ([(0.05 * top, 0.0), (0.3 * top, 1.0), (0.02 * top, 2.0)],
+                           [(0.1 * top, 0.5)], [(0.01 * top, 3.0), (0.6 * top, 4.0)])]
+    for shells in (boundary_shells(space), mixed):
+        rep = essential_norm_estimate(T, boundary_grid=shells)
+        ref = [min(translation_certificate(T.basis, z).certified_modes for z in shell)
+               for shell in shells]
+        assert rep.shell_certified_modes.tolist() == ref
+        assert rep.lower_profile.size == len(shells)
+
+
+def test_shell_certified_modes_disc_24(basis24):
+    # only the first default shell certifies a mode at n=24 (ROADMAP item 3)
+    rep = essential_norm_estimate(identity_operator(basis24))
+    assert rep.shell_certified_modes.tolist() == [1, 0, 0, 0]
+
+
+def test_essential_norm_translates_once_per_factor(monkeypatch):
+    calls = []
+    original = operators._scalar_translation
+
+    def counted(space1, n_modes, z):
+        calls.append(np.shape(z))
+        return original(space1, n_modes, z)
+
+    monkeypatch.setattr(analysis, "_scalar_translation", counted)
+    monkeypatch.setattr(operators, "_scalar_translation", counted)
+    for space, n_modes in _ORACLE_SPACES:
+        calls.clear()
+        essential_norm_estimate(identity_operator(BasisSpec(space, n_modes)))
+        assert calls == [(12,)] * space.nfactors
 
 
 # ---------------------------------------------------------------------------

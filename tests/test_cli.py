@@ -104,6 +104,15 @@ def test_reports_byte_identical_modulo_timestamp(config_path, tmp_path):
         assert texts[0] == texts[1]
 
 
+def test_essnorm_report_records_shell_certified_modes(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert _run("essnorm", config_path, out) == 0
+    report, _ = _load(out, "essnorm")
+    modes = report["result"]["shell_certified_modes"]
+    assert len(modes) == len(report["result"]["lower_profile"]) == 4
+    assert all(isinstance(m, int) and 0 <= m <= 8 for m in modes)
+
+
 def test_seed_flag_overrides_config(config_path, tmp_path):
     out = tmp_path / "out"
     assert _run("rank1", config_path, out, extra=["--seed", "99"]) == 0
@@ -139,6 +148,10 @@ def _bump_radius(radius):
                         "bump": {**BASE_CONFIG["symbols"]["bump"], "radius": radius}}}
 
 
+def _with_symbol(name, spec):
+    return {"symbols": {**BASE_CONFIG["symbols"], name: spec}}
+
+
 @pytest.mark.parametrize("changes, named", [
     ({"n_modes": 8.9}, "n_modes"),
     ({"n_modes": True}, "n_modes"),
@@ -172,6 +185,15 @@ def _bump_radius(radius):
     (_bump_radius(-0.3), "radius"),
     (_bump_radius(0.0), "radius"),
     ({"schur_kernel_file": 3}, "schur_kernel_file"),
+    (_with_symbol("bump", {**BASE_CONFIG["symbols"]["bump"], "metirc": "invariant"}), "metirc"),
+    (_with_symbol("flat", {"type": "const", "matrix": [[1, 0], [0, 1]], "scale": 2.0}), "scale"),
+    (_with_symbol("drift", {"type": "poly", "entries": [
+        {"i": 0, "k": 0, "terms": [{"a": 1, "b": 0, "a2": 1, "c": 1.0}]}]}), "a2"),
+    (_with_symbol("drift", {"type": "poly", "entries": [{"i": 0, "k": 0, "row": 1, "terms": []}]}),
+     "row"),
+    ({"operator": {"type": "toeplitz", "symbol": "drift", "weight": 2.0}}, "weight"),
+    ({"operator": {"type": "toeplitz_product", "symbols": ["drift"], "symbol": "bump"}},
+     "'symbol'"),
 ], ids=["n_modes-float", "n_modes-bool", "seed-negative", "seed-float", "n_pairs-zero",
         "n_pairs-float", "degree-negative", "bidisc-point-1", "bidisc-point-3",
         "rf-number", "rf-r-string", "rf-s-negative", "rf-unknown-key", "rank1-unknown-key",
@@ -179,7 +201,9 @@ def _bump_radius(radius):
         "essnorm_threshold-bool", "berezin_threshold-string", "p-string",
         "operator-string", "operator-list", "symbols-list", "shells-empty", "shells-nested",
         "radii-nested", "space-d-float", "space-d-bool", "ball-radius-negative",
-        "ball-radius-zero", "schur_kernel_file-number"])
+        "ball-radius-zero", "schur_kernel_file-number", "ball-unknown-key", "const-unknown-key",
+        "poly-term-unknown-key", "poly-entry-unknown-key", "operator-unknown-key",
+        "operator-product-unknown-key"])
 def test_bad_config_value_exits_2_and_writes_nothing(changes, named, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**BASE_CONFIG, **changes}))

@@ -6,12 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berglab import spaces
-from berglab.coeffs import (BasisSpec, CoeffFunction, eval_coeffs, from_flat,
-                            inner, kernel_coeff_vector, project_grid_function,
+from berglab.coeffs import (BasisSpec, CoeffFunction, _factor_basis_matrix,
+                            _factor_log_normalizers, eval_coeffs, from_flat, inner,
+                            kernel_coeff_vector, project_grid_function,
                             random_coeff_function, random_polynomial,
                             scalar_basis_matrix)
 from berglab.quadrature import build_rule
 from conftest import sample_points
+
+
+@pytest.mark.parametrize("n", [1, 2, 24, 64, 128])
+def test_basis_powers_match_complex_power(n):
+    space = spaces.disc_space(0.0, d=1)
+    pts = np.concatenate(([0.0], 0.99956 * np.exp(2j * np.pi * np.arange(64) / 64)))
+    ref = np.exp(_factor_log_normalizers(space, n))[:, None] * pts[None, :] ** np.arange(n)[:, None]
+    got = _factor_basis_matrix(space, n, pts)
+    assert np.array_equal(got[:, 0], ref[:, 0])
+    assert np.max(np.abs(got[:, 1:] - ref[:, 1:]) / np.abs(ref[:, 1:])) <= 1e-13
 
 
 def _gram(basis, rule):

@@ -19,6 +19,7 @@ from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
                                rank_one_toeplitz_sum, toeplitz_matrix,
                                toeplitz_measure_matrix,
                                translation_certificate, translation_matrix)
+from berglab.operators import _scalar_translation
 from berglab.quadrature import build_rule
 from conftest import fft_disc_translation, sample_points
 
@@ -299,6 +300,35 @@ def test_disc_translation_matches_fft_oracle(alpha):
             z = r * np.exp(0.7j)
             U = translation_matrix(basis, z).mat
             assert np.abs(U - fft_disc_translation(space, n_modes, z)).max() <= 1e-12
+
+
+def _ring(radii, n_angles=5):
+    return np.concatenate([r * np.exp(2j * np.pi * (np.arange(n_angles) + 0.3) / n_angles)
+                           for r in radii])
+
+
+@pytest.mark.parametrize("space, radii", [
+    *[(spaces.disc_space(a, d=1, r_max=0.995), (0.0, 0.3, 0.6, 0.9, 0.99))
+      for a in (-0.5, 0.0, 1.5, 3.0)],
+    (spaces.fock_space(d=1), (0.0, 0.5, 1.5, 2.5, 3.0)),
+], ids=["disc-0.5", "disc0", "disc1.5", "disc3", "fock"])
+def test_batched_scalar_translation_matches_per_point(space, radii):
+    z = _ring(radii)
+    for n_modes in (1, 2, 24, 96):
+        stack = _scalar_translation(space, n_modes, z)
+        assert stack.shape == (z.size, n_modes, n_modes)
+        for U, p in zip(stack, z):
+            assert np.abs(U - _scalar_translation(space, n_modes, p)).max() <= 1e-13
+
+
+def test_batched_bidisc_translation_matches_per_point():
+    basis = BasisSpec(spaces.bidisc_space(0.0, 0.5, d=2), 8)
+    z = sample_points(basis.space, 7, seed=3, scale=1.0)
+    stacks = [_scalar_translation(f, 8, c)
+              for f, c in zip(basis.space.factors, spaces.coords(basis.space, z))]
+    for p, U1, U2 in zip(z, *stacks):
+        U = np.kron(np.kron(U1, U2), np.eye(2))
+        assert np.abs(U - translation_matrix(basis, p).mat).max() <= 1e-13
 
 
 def _mpmath_disc_translation(alpha, n_modes, z):
