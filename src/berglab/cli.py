@@ -111,12 +111,14 @@ def _run_toeplitz(cfg, args):
     basis, rule = _context(cfg, args.resolution_scale)
     T = _operator(cfg, basis, rule)
     svs = T.singular_values()
+    cutoff = T.dim * sys.float_info.epsilon * float(svs[0])    # below it, SVD rounding
     payload = {
         "dim": T.dim,
         "n_modes": basis.n_modes,
         "component_dim": basis.space.d,
         "norm": T.norm(),
-        "singular_values": svs,
+        "singular_values": svs * (svs >= cutoff),
+        "sv_cutoff": cutoff,
         "matrix": {"re": T.mat.real, "im": T.mat.imag},
     }
     rows = [[i, j, T.mat[i, j].real, T.mat[i, j].imag]

@@ -27,7 +27,7 @@ the triangle inequality through a pivot prunes to a fixed slack, see
 `_diameter`) and the localization estimate are built from factor cells.  The
 localization blocks (each factor cell's enlargement Gram and core QR factor)
 depend only on the covering and the basis; they are built on the first call for
-a basis and live as long as the covering.
+a basis, live as long as the covering, and are applied to stacked cells in chunks.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .spaces import KIND_DISC, SpaceSpec
 
 _TWO_PI = 2.0 * np.pi
 _SLACK = 1e-6       # far above the metric rounding (under 1e-12) that _diameter must absorb
+_CHUNK_ROWS = 4096  # rows (of T.dim entries) of a chunk's first product in localization_error
 
 
 def _diameter(space1: SpaceSpec, pts: np.ndarray) -> float:
@@ -237,21 +238,21 @@ def _factor_blocks(covering: Covering, basis: BasisSpec) -> list:
 
 
 def _kron_rows(mats, Y: np.ndarray) -> np.ndarray:
-    """kron(*mats) @ Y, one factor axis of Y's rows at a time: each step multiplies the
-    leading mode axis and moves its result behind the other mode axes."""
-    c = Y.shape[1]
+    """Stacked kron(*mats) @ Y for (cells, q, n) factor stacks and Y (cells, N, c): each step
+    multiplies every cell's leading mode axis at once and moves it behind the other mode axes."""
+    cells, c = len(Y), Y.shape[-1]
     for A in mats:
-        Y = (A @ Y.reshape(A.shape[1], -1)).reshape(A.shape[0], -1, c).transpose(1, 0, 2)
-    return Y.reshape(-1, c)
+        Y = (A @ Y.reshape(cells, A.shape[2], -1)).reshape(cells, A.shape[1], -1, c).transpose(0, 2, 1, 3)
+    return Y.reshape(cells, -1, c)
 
 
 def _kron_cols(X: np.ndarray, mats) -> np.ndarray:
-    """X @ kron(*mats), one factor axis of X's columns at a time: each step multiplies
-    the trailing mode axis and moves its result in front of the other mode axes."""
-    rows = X.shape[0]
+    """Stacked X @ kron(*mats) for X (cells, rows, N) and (cells, n, m) factor stacks: each step
+    multiplies every cell's trailing mode axis at once and moves it before the other mode axes."""
+    cells, rows = X.shape[:2]
     for G in reversed(mats):
-        X = (X.reshape(-1, G.shape[0]) @ G).reshape(rows, -1, G.shape[1]).transpose(0, 2, 1)
-    return X.reshape(rows, -1)
+        X = (X.reshape(cells, -1, G.shape[1]) @ G).reshape(cells, rows, -1, G.shape[2]).transpose(0, 1, 3, 2)
+    return X.reshape(cells, rows, -1)
 
 
 def localization_error(T: OperatorMatrix, covering: Covering) -> float:
@@ -267,21 +268,32 @@ def localization_error(T: OperatorMatrix, covering: Covering) -> float:
 
     On the tensor mesh (the same assumption as `Covering.cell_diameters`) the cell
     j = (a_1, ..., a_k) has G_j = kron of its factor cells' enlargement Grams and
-    Q = kron of their core QR factors (at most n_modes rows each).  Those factor
-    blocks are built on the first call for T's basis and kept on the covering, so
-    later operators only apply them, one factor axis at a time; no n_scalar x
-    n_scalar Kronecker product is formed.  On one factor this is the cell's own
-    Gram and QR factor.
+    Q = kron of their core QR factors (`_factor_blocks`), applied one factor axis at a
+    time to stacks of cells whose core factors have equal row counts, in chunks of at
+    most _CHUNK_ROWS rows: one matmul per factor axis and chunk, (Q_{a_1} x I) T once per
+    first-factor cell, and one Gram update per chunk, of the real form [Re res | Im res].
     """
     if T.basis.space != covering.space:
         raise ValueError("the operator and the covering are on different spaces")
-    n, d, dim = T.basis.n_scalar, T.basis.space.d, T.dim
-    blocks = _factor_blocks(covering, T.basis)
+    n, n_scalar, d, dim = T.basis.n_modes, T.basis.n_scalar, T.basis.space.d, T.dim
+    Gs, Rs = zip(*_factor_blocks(covering, T.basis))
     # columns as (component, mode): G_j x I_d acts on the last axis, M is permuted alike
-    Tp = T.mat.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n, d * dim)
-    M = np.zeros((dim, dim), dtype=complex)
-    for pick in covering.pick:
-        X = _kron_rows([R[a] for (_, R), a in zip(blocks, pick)], Tp).reshape(-1, n)
-        res = (X - _kron_cols(X, [G[a] for (G, _), a in zip(blocks, pick)])).reshape(-1, dim)
-        M += res.conj().T @ res
+    Tp = T.mat.reshape(n_scalar, d, n_scalar, d).transpose(0, 1, 3, 2).reshape(n, -1)
+    # the cells grouped by their core factors' row counts, each group in first-factor order
+    rows = np.stack([np.array([len(q) for q in R])[a] for R, a in zip(Rs, covering.pick.T)], 1)
+    key = np.ravel_multi_index(rows.T, (n + 1,) * len(Rs))
+    order = np.lexsort((covering.pick[:, 0], key))
+    P = np.zeros((2 * dim, 2 * dim))
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        step = max(1, _CHUNK_ROWS * n // (rows[group[0], 0] * n_scalar * d))
+        for p in np.split(covering.pick[group], range(step, group.size, step)):
+            first, at = np.unique(p[:, 0], return_inverse=True)
+            Y = np.stack([Rs[0][a] for a in first]).reshape(-1, n) @ Tp
+            Y = Y.reshape(first.size, -1, n_scalar // n, d * dim).transpose(0, 2, 1, 3)
+            Y = _kron_rows([np.stack([R[a] for a in col]) for R, col in zip(Rs[1:], p.T[1:])],
+                           Y[at] if first.size < len(p) else Y).reshape(len(p), -1, n_scalar)
+            Y -= _kron_cols(Y, [G[a] for G, a in zip(Gs, p.T)])
+            A = Y.reshape(-1, dim).view(np.float64)          # the residual's Re and Im columns
+            P += A.T @ A
+    M = P[::2, ::2] + P[1::2, 1::2] + 1j * (P[::2, 1::2] - P[1::2, ::2])
     return float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))

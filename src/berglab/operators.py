@@ -76,10 +76,6 @@ class MatrixSymbol:
             out += inside[:, None, None] * b.value[None, :, :]
         return out
 
-    def sup_norm(self, rule: QuadratureRule) -> float:
-        vals = self.eval(rule.nodes)
-        return float(np.max(np.linalg.norm(vals, 2, axis=(1, 2))))
-
 
 def _compile_poly(space: SpaceSpec, entries: Dict[Tuple[int, int], Dict[tuple, complex]]):
     d = space.d

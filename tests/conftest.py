@@ -3,6 +3,7 @@ import pytest
 
 from berglab import spaces
 from berglab.coeffs import BasisSpec, _factor_log_normalizers
+from berglab.covering import _factor_blocks
 from berglab.operators import translation_matrix
 from berglab.quadrature import build_rule
 
@@ -130,3 +131,36 @@ def per_point_essential_profile(T, boundary_grid, seed):
                        float(np.linalg.norm(Tz @ R, axis=0).max()))
         profile.append(best)
     return np.array(profile)
+
+
+def sup_norm(symbol, rule):
+    """Largest operator 2-norm of a matrix symbol's values at the rule's nodes."""
+    vals = symbol.eval(rule.nodes)
+    return float(np.max(np.linalg.norm(vals, 2, axis=(1, 2))))
+
+
+def per_cell_localization_error(T, covering):
+    """Oracle for localization_error: the same factor blocks applied one cell at a time,
+    each cell's residual Gram added on its own in complex arithmetic."""
+    n, d, dim = T.basis.n_scalar, T.basis.space.d, T.dim
+    blocks = _factor_blocks(covering, T.basis)
+
+    def kron_rows(mats, Y):          # kron(*mats) @ Y, one factor axis at a time
+        c = Y.shape[1]
+        for A in mats:
+            Y = (A @ Y.reshape(A.shape[1], -1)).reshape(A.shape[0], -1, c).transpose(1, 0, 2)
+        return Y.reshape(-1, c)
+
+    def kron_cols(X, mats):          # X @ kron(*mats), one factor axis at a time
+        rows = X.shape[0]
+        for G in reversed(mats):
+            X = (X.reshape(-1, G.shape[0]) @ G).reshape(rows, -1, G.shape[1]).transpose(0, 2, 1)
+        return X.reshape(rows, -1)
+
+    Tp = T.mat.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n, d * dim)
+    M = np.zeros((dim, dim), dtype=complex)
+    for pick in covering.pick:
+        X = kron_rows([R[a] for (_, R), a in zip(blocks, pick)], Tp).reshape(-1, n)
+        res = (X - kron_cols(X, [G[a] for (G, _), a in zip(blocks, pick)])).reshape(-1, dim)
+        M += res.conj().T @ res
+    return float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))

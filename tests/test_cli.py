@@ -113,6 +113,22 @@ def test_essnorm_report_records_shell_certified_modes(config_path, tmp_path):
     assert all(isinstance(m, int) and 0 <= m <= 8 for m in modes)
 
 
+def test_toeplitz_singular_values_below_the_cutoff_read_zero(tmp_path):
+    # the README config on the Fock space of perfbench/configs/fock.json (n=24, d=2)
+    cfg = dict(BASE_CONFIG, space={"kind": "fock", "d": 2}, n_modes=24, seed=7,
+               operator={"type": "toeplitz_product", "symbols": ["drift", "bump"]})
+    path = tmp_path / "fock.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("toeplitz", str(path), tmp_path / "out") == 0
+    result = _load(tmp_path / "out", "toeplitz")[0]["result"]
+    svs, cutoff = np.array(result["singular_values"]), result["sv_cutoff"]
+    assert cutoff == 48 * np.finfo(float).eps * svs[0]
+    # about 1e-31 and 1e-33 as SVD output: rounding noise far below the cutoff
+    assert svs[32] == 0.0 and svs[34] == 0.0
+    assert np.all((svs == 0.0) | (svs >= cutoff))
+    assert np.all(np.diff(svs) <= 0.0) and 0 < np.count_nonzero(svs) < svs.size
+
+
 def test_seed_flag_overrides_config(config_path, tmp_path):
     out = tmp_path / "out"
     assert _run("rank1", config_path, out, extra=["--seed", "99"]) == 0

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from berglab import spaces
-from berglab.covering import _diameter, _disc_cells, build_covering, localization_error
+from berglab.covering import (_CHUNK_ROWS, _diameter, _disc_cells, _factor_blocks, build_covering,
+                              localization_error)
 from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_symbol,
                                identity_operator, poly_symbol, toeplitz_matrix)
 from berglab.coeffs import BasisSpec, scalar_basis_matrix
 from berglab.quadrature import QuadratureRule, build_rule
-from conftest import enlargement
+from conftest import enlargement, per_cell_localization_error
 
 RADII = (0.5, 1.0, 2.0, 4.0)
 
@@ -299,6 +300,49 @@ def test_localization_error_matches_full_grid_oracle(disc, disc_rule, disc_weigh
             c = build_covering(T.basis.space, r, rule)
             err, ref = localization_error(T, c), _ref_localization_error(T, c)
             assert abs(err - ref) <= max(1e-12 * ref, 1e-14)
+
+
+def _random_operator(space, n_modes, seed):
+    basis = BasisSpec(space, n_modes)
+    rng = np.random.default_rng(seed)
+    shape = (basis.dim, basis.dim)
+    return OperatorMatrix(basis, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def test_stacked_localization_matches_per_cell_oracle(disc_weighted, fock, fock_rule, bidisc,
+                                                      bidisc_rule):
+    disc1, disc3 = spaces.disc_space(0.0, d=1), spaces.disc_space(0.0, d=3)
+    sym = poly_symbol(disc3, {(0, 2): {(1, 0): 1.0}, (2, 1): {(0, 1): 0.7}, (1, 1): {(0, 0): 0.4}})
+    cases = [
+        (_random_operator(disc1, 16, 1), build_rule(disc1), (0.5, 1.0, 16.0)),
+        (toeplitz_matrix(BasisSpec(disc3, 8), build_rule(disc3), sym), build_rule(disc3), (0.5, 2.0)),
+        (_random_operator(disc3, 8, 2), build_rule(disc3), (1.0,)),
+        (_random_operator(fock, 16, 3), fock_rule, (0.5, 1.0, 16.0)),
+        (_random_operator(disc_weighted, 12, 4), build_rule(disc_weighted), (0.5, 1.0)),
+        (_random_operator(bidisc, 8, 5), bidisc_rule, (0.5,)),
+        (_random_operator(bidisc, 4, 6), bidisc_rule, (1.0, 2.0)),
+    ]
+    for T, rule, radii in cases:
+        for r in radii:
+            c = build_covering(T.basis.space, r, rule)
+            err, ref = localization_error(T, c), per_cell_localization_error(T, c)
+            assert abs(err - ref) <= 1e-13 * ref
+    # one-cell coverings
+    assert build_covering(disc1, 16.0, cases[0][1]).n_cells == 1
+    assert build_covering(fock, 16.0, fock_rule).n_cells == 1
+    assert build_covering(bidisc, 2.0, bidisc_rule).n_cells == 1
+    # bidisc n=8, r=0.5: several row-shape groups, each of the larger ones split into
+    # chunks whose cells share first-factor cells
+    T = cases[5][0]
+    c = build_covering(bidisc, 0.5, bidisc_rule)
+    assert c.n_cells == 1617
+    rows = [np.array([len(q) for q in R])[a]     # each cell's core factor row counts
+            for (_, R), a in zip(_factor_blocks(c, T.basis), c.pick.T)]
+    shapes, counts = np.unique(np.stack(rows, axis=1), axis=0, return_counts=True)
+    assert len(shapes) >= 3
+    assert (counts * shapes.prod(axis=1) * bidisc.d).max() > _CHUNK_ROWS
+    # fewer first-factor cells than cells: chunks share first-factor products
+    assert len(np.unique(c.pick[:, 0])) < c.n_cells
 
 
 def test_localization_error_one_cell_bidisc_holds_no_grid_samples(bidisc, bidisc_rule):
