@@ -8,7 +8,7 @@ randomness is seeded.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,7 +31,7 @@ def default_probe_grid(space: SpaceSpec) -> List:
         radii = [0.35, 0.6]
     else:
         radii = [0.8, min(1.8, space.fock_probe_radius)]
-    ang = [1.0, np.exp(2j * np.pi / 3)]
+    ang = [1.0 + 0.0j, np.exp(2j * np.pi / 3)]
     grid: List = [0.0 + 0.0j]
     for r in radii:
         grid.extend(r * a for a in ang)
@@ -77,18 +77,6 @@ class RktReport:
         self.sup = float(self.values.max()) if self.values.size else 0.0
         self.p_threshold = (4.0 - self.kappa) / (2.0 - self.kappa)
         self.admissible = self.p > self.p_threshold
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "p": self.p,
-            "kappa": self.kappa,
-            "p_threshold": self.p_threshold,
-            "admissible": self.admissible,
-            "sup": self.sup,
-            "values": self.values.tolist(),
-            "z_grid": [spaces.point_to_jsonable(z) for z in self.z_grid],
-        }
 
 
 def _check_p(p: float) -> None:
@@ -234,25 +222,13 @@ class BerezinProfile:
     profile: np.ndarray       # per-radius max |entry|
     threshold: float
     decaying: bool = field(init=False)
+    final_value: float = field(init=False)
 
     def __post_init__(self):
         tail = self.profile[-3:]
         strictly_down = len(tail) == 3 and tail[0] > tail[1] > tail[2]
         self.decaying = bool(strictly_down and self.profile[-1] < self.threshold)
-
-    @property
-    def final_value(self) -> float:
-        return float(self.profile[-1])
-
-    def as_dict(self) -> dict:
-        return {
-            "radii": self.radii.tolist(),
-            "angles": self.angles.tolist(),
-            "profile": self.profile.tolist(),
-            "threshold": self.threshold,
-            "decaying": self.decaying,
-            "final_value": self.final_value,
-        }
+        self.final_value = float(self.profile[-1])
 
 
 def berezin_decay_profile(T: OperatorMatrix, radii: Optional[Sequence[float]] = None,
@@ -290,9 +266,6 @@ class EssentialNormReport:
     sv_proxy_value: float
     top_singular_value: float
     last_two_decreasing: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def essential_norm_estimate(T: OperatorMatrix, boundary_grid: Optional[Sequence[Sequence]] = None,
@@ -354,17 +327,6 @@ class InjectivityReport:
     rank: int
     full_rank: bool
     grid: list
-
-    def as_dict(self) -> dict:
-        return {
-            "n_modes": self.n_modes,
-            "d": self.d,
-            "n_parameters": self.n_parameters,
-            "n_samples": self.n_samples,
-            "rank": self.rank,
-            "full_rank": self.full_rank,
-            "grid": [spaces.point_to_jsonable(z) for z in self.grid],
-        }
 
 
 def _spiral_grid(space: SpaceSpec, n_points: int):

@@ -76,7 +76,8 @@ def _fmt_point(space, z):
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (claim_id, payload, csv_header, csv_rows, exit_code)
+# runners: each returns (claim_id, payload, csv_header, csv_rows, exit_code); the
+# payload is a dict or a result dataclass, and reporting.jsonable writes either
 
 def _run_kernel(cfg, args) -> Tuple[str, dict, list, list, int]:
     from . import spaces
@@ -133,13 +134,11 @@ def _run_berezin(cfg, args):
     T = _operator(cfg, basis, rule)
     prof = berezin_decay_profile(
         T, radii=cfg.radii, angles=cfg.angles, threshold=cfg.berezin_threshold)
-    payload = prof.as_dict()
-    payload["matrices"] = prof.matrices
     rows = [[r, th, i, k, v.real, v.imag]
             for a, r in enumerate(prof.radii) for b, th in enumerate(prof.angles)
             for i, row in enumerate(prof.matrices[a, b]) for k, v in enumerate(row)]
     header = ["radius", "angle", "i", "k", "re", "im"]
-    return "berezin-transform", payload, header, rows, 0
+    return "berezin-transform", prof, header, rows, 0
 
 
 def _run_rkt(cfg, args):
@@ -149,47 +148,37 @@ def _run_rkt(cfg, args):
     basis, rule = _context(cfg, args.resolution_scale)
     zg = _zgrid(cfg)
     T = _operator(cfg, basis, rule)
-    reports = {}
-    b1, b2 = rkt_boundedness_check(basis, rule, T, p=cfg.p, z_grid=zg)
-    reports["boundedness"] = [b1.as_dict(), b2.as_dict()]
+    reports = {"boundedness": rkt_boundedness_check(basis, rule, T, p=cfg.p, z_grid=zg)}
     names = cfg.operator or ()
     if names:
         F = cfg.symbols[names[0]]
-        s1, s2 = rkt_toeplitz_symbol_check(rule, F, p=cfg.p, z_grid=zg)
-        reports["symbol"] = [s1.as_dict(), s2.as_dict()]
-        reports["hankel"] = hankel_rkt_check(rule, F, p=cfg.p, z_grid=zg).as_dict()
+        reports["symbol"] = rkt_toeplitz_symbol_check(rule, F, p=cfg.p, z_grid=zg)
+        reports["hankel"] = hankel_rkt_check(rule, F, p=cfg.p, z_grid=zg)
         if len(names) >= 2:
             try:
-                p1, p2 = rkt_product_check(rule, F, cfg.symbols[names[1]],
-                                           p=cfg.p, z_grid=zg)
-                reports["product"] = [p1.as_dict(), p2.as_dict()]
+                reports["product"] = rkt_product_check(rule, F, cfg.symbols[names[1]],
+                                                       p=cfg.p, z_grid=zg)
             except ValueError as exc:
                 reports["product_skipped"] = str(exc)
-    rows = []
-    def _expand(tag, rep_dict):
-        for zi, per_z in enumerate(rep_dict["values"]):
-            for ui, val in enumerate(per_z):
-                rows.append([tag, rep_dict["label"], zi, ui, val])
-    for tag, entry in reports.items():
-        if isinstance(entry, list):
-            for rep in entry:
-                _expand(tag, rep)
-        elif isinstance(entry, dict):
-            _expand(tag, entry)
+    # pairs are tuples of reports, the Hankel check is one report
+    rows = [[tag, rep.label, zi, ui, val]
+            for tag, entry in reports.items() if tag != "product_skipped"
+            for rep in (entry if isinstance(entry, tuple) else (entry,))
+            for zi, per_z in enumerate(rep.values.tolist()) for ui, val in enumerate(per_z)]
     header = ["check", "side", "z_index", "unit_index", "value"]
     return "boundedness-integrals", reports, header, rows, 0
 
 
 def _run_essnorm(cfg, args):
     from .analysis import boundary_shells, essential_norm_estimate
+    from .reporting import jsonable
 
     basis, rule = _context(cfg, args.resolution_scale)
     T = _operator(cfg, basis, rule)
     shells = boundary_shells(cfg.space, radii=cfg.shells)
     rep = essential_norm_estimate(T, boundary_grid=shells, seed=cfg.seed)
-    payload = rep.as_dict()
-    payload["threshold"] = cfg.essnorm_threshold
-    payload["below_threshold"] = rep.estimate < cfg.essnorm_threshold
+    payload = {**jsonable(rep), "threshold": cfg.essnorm_threshold,
+               "below_threshold": rep.estimate < cfg.essnorm_threshold}
     rows = [[i, m, v] for i, (m, v) in
             enumerate(zip(rep.shell_metric, rep.lower_profile))]
     return "essential-norm", payload, ["shell", "metric_distance", "lower_value"], rows, 0
@@ -201,10 +190,9 @@ def _run_rf(cfg, args):
     _, rule = _context(cfg, args.resolution_scale)
     zg = _zgrid(cfg)
     rep = rudin_forelli(cfg.space, rule, zg, cfg.rf["r"], cfg.rf["s"])
-    payload = rep.as_dict()
     rows = [[zi, float(rep.I[zi]), float(rep.J[zi]), float(rep.ratio[zi])]
             for zi in range(len(zg))]
-    return "kernel-power-integrals", payload, ["z_index", "I", "J", "ratio"], rows, 0
+    return "kernel-power-integrals", rep, ["z_index", "I", "J", "ratio"], rows, 0
 
 
 def _run_schur(cfg, args):

@@ -186,8 +186,8 @@ def _space(key, block, _) -> SpaceSpec:
 
 
 def _points(key, value, parsed) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list of points, got {value!r}")
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key} must be a non-empty list of points, got {value!r}")
     try:
         return [parse_point(parsed["space"], entry) for entry in value]
     except ConfigError as exc:

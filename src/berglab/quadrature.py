@@ -286,21 +286,10 @@ def discretized_norm(sample: MatrixKernelSample) -> float:
 class RudinForelliReport:
     r: float
     s: float
-    z_grid: np.ndarray
     I: np.ndarray
     J: np.ndarray
     ratio: np.ndarray
     sup_I: float
-
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "I": [float(v) for v in self.I],
-            "J": [float(v) for v in self.J],
-            "ratio": [float(v) for v in self.ratio],
-            "sup_I": float(self.sup_I),
-        }
 
 
 def rudin_forelli(space: SpaceSpec, rule: QuadratureRule, z_grid, r: float, s: float) -> RudinForelliReport:
@@ -330,4 +319,4 @@ def rudin_forelli(space: SpaceSpec, rule: QuadratureRule, z_grid, r: float, s: f
             nz_log = np.log(kernel_norm(space, z))
             I[idx] = np.sum(lam * np.exp((r + s) / 2.0 * pair_log - s * nz_log - r * nw_log))
             J[idx] = np.sum(lam * np.exp((r - s) / 2.0 * pair_log - r * nw_log))
-    return RudinForelliReport(r, s, z_grid, I, J, J / I, float(np.max(I)))
+    return RudinForelliReport(r, s, I, J, J / I, float(np.max(I)))

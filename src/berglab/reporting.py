@@ -1,14 +1,17 @@
 """Report emission: deterministic JSON and CSV with atomic writes.
 
-JSON payloads sort keys and encode complex numbers as {re, im}, so identical
-configs and seeds reproduce byte-identical files except for the timestamp
-field.  Files are staged to a temporary sibling and renamed into place, so a
-failed run never leaves partial reports.
+Results are dataclasses, and `jsonable` is the one encoder of every report: it
+writes a dataclass field by field, arrays as lists and every complex number,
+points included, as {re, im} (a bidisc point is a list of two).  JSON payloads
+sort keys, so identical configs and seeds reproduce byte-identical files
+except for the timestamp field.  Files are staged to a temporary sibling and
+renamed into place, so a failed run never leaves partial reports.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as _dt
 import json
 import os
@@ -39,7 +42,10 @@ CLAIMS = {
 
 
 def jsonable(obj):
-    """Recursively convert numpy/complex structures to plain JSON types."""
+    """Recursively convert results to plain JSON types; a dataclass instance becomes
+    {field: value} over its fields."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -284,22 +284,6 @@ def relative_kernel_tail(space: SpaceSpec, z, n_modes: int) -> np.ndarray:
     return np.where(head > 0.5, tail, 1.0 - head)
 
 
-def kernel_tail(space: SpaceSpec, z, n_modes: int) -> np.ndarray:
-    """Absolute truncation residual sum_{m >= N} |e_m(z)|^2 = ||K_z||^2 q."""
-    return kernel_norm(space, z) ** 2 * relative_kernel_tail(space, z, n_modes)
-
-
 def rf_exponent_ok(space: SpaceSpec, r: float) -> bool:
     """Integrability gate for kernel-power integrals: radial exponent > -1."""
     return r > 0 and all(f.kind == KIND_FOCK or r > 2.0 / (2.0 + f.alpha) for f in space.factors)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def point_to_jsonable(z):
-    """Complex point (or bidisc pair) as nested {re, im} dicts."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape == ():
-        return {"re": float(z.real), "im": float(z.imag)}
-    return [point_to_jsonable(p) for p in z]

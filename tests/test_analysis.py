@@ -16,6 +16,7 @@ from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_s
                                conjugate_operator, identity_operator, poly_symbol, rank_one,
                                toeplitz_matrix, translation_certificate, translation_matrix)
 from berglab.quadrature import build_rule
+from berglab.reporting import jsonable
 from conftest import per_point_essential_profile
 
 
@@ -90,7 +91,7 @@ def test_berezin_profile_constant_flat(basis24, rule24):
     prof = berezin_decay_profile(T)
     assert not prof.decaying
     assert np.allclose(prof.profile, 0.8, atol=1e-8)
-    d = prof.as_dict()
+    d = jsonable(prof)
     assert d["decaying"] is False and d["final_value"] == pytest.approx(0.8, abs=1e-8)
 
 

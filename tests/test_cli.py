@@ -29,6 +29,8 @@ BASE_CONFIG = {
     "rank1": {"n_pairs": 2, "degree": 2},
 }
 
+_BIDISC_NO_SYMBOLS = {"space": {"kind": "bidisc", "d": 2}, "symbols": {}, "operator": None}
+
 
 @pytest.fixture()
 def config_path(tmp_path):
@@ -113,6 +115,56 @@ def test_essnorm_report_records_shell_certified_modes(config_path, tmp_path):
     assert all(isinstance(m, int) and 0 <= m <= 8 for m in modes)
 
 
+@pytest.mark.parametrize("cfg", [BASE_CONFIG, {**BASE_CONFIG, **_BIDISC_NO_SYMBOLS}],
+                         ids=["disc", "bidisc"])
+def test_report_points_are_re_im(cfg, tmp_path):
+    """Every point in the kernel and rkt reports is {re, im}; a bidisc point is a list
+    of two of them."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert _run("kernel", str(path), out) == 0 and _run("rkt", str(path), out) == 0
+    kernel, rkt = (_load(out, command)[0]["result"] for command in ("kernel", "rkt"))
+    points = kernel["points"] + [row[k] for row in kernel["table"] for k in ("z", "w")]
+    for entry in rkt.values():
+        points += [z for rep in (entry if isinstance(entry, list) else [entry])
+                   for z in rep["z_grid"]]
+
+    def scalar(c):
+        return isinstance(c, dict) and set(c) == {"re", "im"} and all(
+            isinstance(v, float) for v in c.values())
+
+    bidisc = cfg["space"]["kind"] == "bidisc"
+    assert len(points) == 5 + 2 * 25 + 5 * (2 if bidisc else 5)
+    for z in points:
+        assert (isinstance(z, list) and len(z) == 2 and all(map(scalar, z))
+                if bidisc else scalar(z)), z
+
+
+def test_report_result_keys_are_pinned(tmp_path):
+    """Result dataclasses are written field by field, so a new field lands in the report;
+    these are the result keys of the commands that write them."""
+    cfg = dict(BASE_CONFIG, operator={"type": "toeplitz_product", "symbols": ["drift", "drift"]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    for command in ("rkt", "berezin", "rf", "essnorm"):
+        assert _run(command, str(path), out) == 0
+    rkt, berezin, rf, essnorm = (_load(out, command)[0]["result"]
+                                 for command in ("rkt", "berezin", "rf", "essnorm"))
+    assert set(rkt) == {"boundedness", "symbol", "hankel", "product"}
+    for rep in [*rkt["boundedness"], *rkt["symbol"], rkt["hankel"], *rkt["product"]]:
+        assert set(rep) == {"admissible", "kappa", "label", "p", "p_threshold", "sup",
+                            "values", "z_grid"}
+    assert set(berezin) == {"angles", "decaying", "final_value", "matrices", "profile",
+                            "radii", "threshold"}
+    assert set(rf) == {"I", "J", "r", "ratio", "s", "sup_I"}
+    assert set(essnorm) == {"shell_metric", "lower_profile", "shell_certified_modes",
+                            "estimate", "sv_proxy_index", "sv_proxy_value",
+                            "top_singular_value", "last_two_decreasing", "threshold",
+                            "below_threshold"}
+
+
 def test_toeplitz_singular_values_below_the_cutoff_read_zero(tmp_path):
     # the README config on the Fock space of perfbench/configs/fock.json (n=24, d=2)
     cfg = dict(BASE_CONFIG, space={"kind": "fock", "d": 2}, n_modes=24, seed=7,
@@ -156,9 +208,6 @@ def test_bad_config_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-_BIDISC_NO_SYMBOLS = {"space": {"kind": "bidisc", "d": 2}, "symbols": {}, "operator": None}
-
-
 def _bump_radius(radius):
     return {"symbols": {**BASE_CONFIG["symbols"],
                         "bump": {**BASE_CONFIG["symbols"]["bump"], "radius": radius}}}
@@ -194,6 +243,8 @@ def _with_symbol(name, spec):
     ({"operator": []}, "operator"),
     ({"symbols": [1]}, "symbols"),
     ({"shells": []}, "shells"),
+    ({"z_grid": []}, "z_grid"),
+    ({"kernel_points": []}, "kernel_points"),
     ({"shells": [[0.5]]}, "shells[0]"),
     ({"radii": [[0.5]]}, "radii[0]"),
     ({"space": {"kind": "bergman_disc", "d": 2.5}}, "space.d"),
@@ -215,7 +266,7 @@ def _with_symbol(name, spec):
         "rf-number", "rf-r-string", "rf-s-negative", "rf-unknown-key", "rank1-unknown-key",
         "covering_r-number", "covering_r-empty", "covering_r-bool", "covering_r-zero",
         "essnorm_threshold-bool", "berezin_threshold-string", "p-string",
-        "operator-string", "operator-list", "symbols-list", "shells-empty", "shells-nested",
+        "operator-string", "operator-list", "symbols-list", "shells-empty", "z_grid-empty", "kernel_points-empty", "shells-nested",
         "radii-nested", "space-d-float", "space-d-bool", "ball-radius-negative",
         "ball-radius-zero", "schur_kernel_file-number", "ball-unknown-key", "const-unknown-key",
         "poly-term-unknown-key", "poly-entry-unknown-key", "operator-unknown-key",
@@ -346,8 +397,9 @@ def test_commands_load_no_scipy(tmp_path):
         "        assert cli.main([command, '--config', path, '--out', out]) == 0, (path, command)\n"
         "from berglab import spaces\n"
         "for space, z in ((spaces.fock_space(), 1.5), (spaces.bidisc_space(0.0, 0.5), [0.5, 0.3j])):\n"
-        "    tail = float(spaces.kernel_tail(space, z, 8))\n"
-        "    assert 0.0 < tail < float(spaces.kernel_norm(space, z)) ** 2\n"
+        "    norm2 = float(spaces.kernel_norm(space, z)) ** 2\n"
+        "    tail = norm2 * float(spaces.relative_kernel_tail(space, z, 8))\n"
+        "    assert 0.0 < tail < norm2\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
     )

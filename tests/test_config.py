@@ -127,6 +127,26 @@ def test_jsonable_handles_numpy_and_complex():
     json.dumps(out)
 
 
+def test_jsonable_writes_dataclasses_field_by_field():
+    from dataclasses import dataclass, field
+
+    @dataclass
+    class Inner:
+        z: complex
+
+    @dataclass
+    class Outer:
+        values: np.ndarray
+        inner: Inner
+        total: float = field(init=False)
+
+        def __post_init__(self):
+            self.total = float(self.values.sum())
+
+    out = jsonable(Outer(np.array([0.5, 1.5]), Inner(1j)))
+    assert out == {"values": [0.5, 1.5], "inner": {"z": {"re": 0.0, "im": 1.0}}, "total": 2.0}
+
+
 def test_atomic_json_and_csv(tmp_path):
     path = tmp_path / "sub" / "r.json"
     write_json_atomic(str(path), {"x": np.float64(1.5), "z": 2 + 0.5j})

@@ -1,6 +1,7 @@
 """The study scripts under scripts/ run end to end at tiny sizes."""
 
 import csv
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +50,30 @@ def test_axiom_suite_reports_vacuous_translation_check_as_nan(tmp_path):
             assert float(value[(space, n, "certified_modes_min")]) == 0.0
         else:
             assert float(v) > 0.0
+
+
+def test_diff_reports_names_the_file_and_key_of_an_edited_number(tmp_path):
+    from berglab import cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"space": {"kind": "bergman_disc", "d": 2}, "n_modes": 6,
+                               "operator": None, "symbols": {}}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert cli.main(["rkt", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def diff():
+        return subprocess.run([sys.executable, str(SCRIPTS / "diff_reports.py"), str(a), str(b)],
+                              capture_output=True, text=True, timeout=60)
+
+    same = diff()
+    assert same.returncode == 0, same.stdout + same.stderr
+    report = json.loads((b / "rkt.json").read_text())
+    assert report["timestamp"] != json.loads((a / "rkt.json").read_text())["timestamp"]
+    report["result"]["boundedness"][1]["sup"] *= 1.0 + 1e-6
+    (b / "rkt.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    edited = diff()
+    assert edited.returncode == 1
+    line, = [ln for ln in edited.stdout.splitlines() if ln.startswith("rkt.json:")]
+    assert "result.boundedness[1].sup" in line and "1e-06" in line
+    assert "rkt.csv" not in edited.stdout
