@@ -74,14 +74,20 @@ class RktReport:
         self.values = np.asarray(self.values, dtype=float)
         if np.any(self.values < 0):
             raise ValueError("integral values must be nonnegative")
-        self.sup = float(self.values.max()) if self.values.size else 0.0
+        self.sup = float(self.values.max())
         self.p_threshold = (4.0 - self.kappa) / (2.0 - self.kappa)
         self.admissible = self.p > self.p_threshold
 
 
-def _check_p(p: float) -> None:
+def _probe_grid(space: SpaceSpec, p: float, z_grid: Optional[Sequence]) -> list:
+    """The probe points of an RKT check, the space's default grid for None, after checking
+    that p exceeds 1 and that the grid is not empty (its sup would read 0.0)."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
+    z_grid = default_probe_grid(space) if z_grid is None else list(z_grid)
+    if not z_grid:
+        raise ValueError("the probe grid z_grid is empty")
+    return z_grid
 
 
 def _lp_norm(rule: QuadratureRule, samples: np.ndarray, p: float) -> np.ndarray:
@@ -99,10 +105,8 @@ def rkt_boundedness_check(basis: BasisSpec, rule: QuadratureRule, T: OperatorMat
     kernel in component i, move it back with U_z, and take the L^p(sigma) norm
     of the pointwise l1 component sum.
     """
-    _check_p(p)
     space = basis.space
-    if z_grid is None:
-        z_grid = default_probe_grid(space)
+    z_grid = _probe_grid(space, p, z_grid)
     d = space.d
     sides = (("adjoint_side", T.adjoint()), ("direct_side", T))
     vals = {"adjoint_side": [], "direct_side": []}
@@ -125,10 +129,8 @@ def rkt_boundedness_check(basis: BasisSpec, rule: QuadratureRule, T: OperatorMat
 def rkt_toeplitz_symbol_check(rule: QuadratureRule, F, p: float = 4.0,
                               z_grid: Optional[Sequence] = None) -> Tuple[RktReport, RktReport]:
     """Row/column sums of L^p(sigma) norms of phi_z-pulled-back symbol entries."""
-    _check_p(p)
     space = F.space
-    if z_grid is None:
-        z_grid = default_probe_grid(space)
+    z_grid = _probe_grid(space, p, z_grid)
     rows, cols = [], []
     for z in z_grid:
         spaces.check_probe_point(space, z)
@@ -158,12 +160,10 @@ def rkt_product_check(rule: QuadratureRule, F, G, p: float = 4.0,
     Per z and unit index k: sum over i of the L^p(sigma) norm of
     u -> <G(z)* e_k, (F* o phi_z)(u) e_i>; plus the mirrored quantity.
     """
-    _check_p(p)
+    space = F.space
+    z_grid = _probe_grid(space, p, z_grid)
     _require_analytic(F)
     _require_analytic(G)
-    space = F.space
-    if z_grid is None:
-        z_grid = default_probe_grid(space)
     first, second = [], []
     for z in z_grid:
         spaces.check_probe_point(space, z)
@@ -181,10 +181,8 @@ def rkt_product_check(rule: QuadratureRule, F, G, p: float = 4.0,
 def hankel_rkt_check(rule: QuadratureRule, F, p: float = 4.0,
                      z_grid: Optional[Sequence] = None) -> RktReport:
     """Oscillation integrals sup_i {int (sum_k |F(z)-F(phi_z(u))|_ik)^p dsigma}^{1/p}."""
-    _check_p(p)
     space = F.space
-    if z_grid is None:
-        z_grid = default_probe_grid(space)
+    z_grid = _probe_grid(space, p, z_grid)
     out = []
     for z in z_grid:
         spaces.check_probe_point(space, z)

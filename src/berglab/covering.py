@@ -3,12 +3,13 @@
 A covering partitions the node-sampled domain into cells of invariant-metric
 diameter at most 4r, together with r-enlargements realized as membership
 predicates at the quadrature nodes.  Each factor keys its cells by integer
-arithmetic on its distinct coordinates:
+arithmetic on its rule:
 
-* disc factors: annuli of constant rapidity width 2r (rapidity = invariant
-  distance to 0, additive along rays) split into sectors whose angular width
-  costs at most another 2r of metric diameter at the annulus's outer radius;
-  annulus k, sector j has key k * max_sectors + j;
+* disc factors, whose rule must be its polar grid (rings x n angles, ring-major):
+  annuli of constant rapidity width 2r (rapidity = invariant distance to 0,
+  additive along rays) hold whole rings and split into n_sec sectors (angle
+  index j in sector (j * n_sec) // n) whose angular width costs at most another
+  2r of metric diameter at the annulus's outer radius;
 * Fock: axis-aligned squares of side 2*sqrt(2)*r (Euclidean diameter 4r)
   tiling a box that contains every node; square (ix, iy) has key ix * n_side + iy.
 
@@ -20,14 +21,14 @@ Enlargements are conservative coordinate boxes that contain the exact
 r-neighborhoods, so the measured overlap multiplicity upper-bounds the true
 one.  Only cells holding at least one node are materialized.
 
-The rule is a tensor mesh of the one-factor rules it keeps (`rule.factors`),
-and the covering reads their nodes.  So a cell's core and enlargement are
-products of factor node sets, and the exact diameters (found by a search that
-the triangle inequality through a pivot prunes to a fixed slack, see
-`_diameter`) and the localization estimate are built from factor cells.  The
-localization blocks (each factor cell's enlargement Gram and core QR factor)
-depend only on the covering and the basis; they are built on the first call for
-a basis, live as long as the covering, and are applied to stacked cells in chunks.
+The rule is a tensor mesh of the one-factor rules it keeps (`rule.factors`), so
+diameters and localization blocks come from factor cells.  |phi_z(w)| grows with
+the angle, and pseudo-hyperbolic discs are Euclidean discs, so along a radial
+segment it peaks at an end: a disc cell's diameter is over its end rings x its
+angle pairs of widest wrapped index gap; a Fock square's is found by a
+pivot-pruned search (`_diameter`).  The blocks (each factor cell's enlargement
+Gram, on a disc from ring moments and angle sums, and core QR factor) are built
+on the first call for a basis, kept on the covering, and applied in chunks.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import spaces
-from .coeffs import BasisSpec, scalar_basis_matrix
+from .coeffs import BasisSpec, _factor_log_normalizers, scalar_basis_matrix
 from .operators import OperatorMatrix
 from .quadrature import QuadratureRule, build_rule
 from .spaces import KIND_DISC, SpaceSpec
@@ -50,13 +51,13 @@ _CHUNK_ROWS = 4096  # rows (of T.dim entries) of a chunk's first product in loca
 
 
 def _diameter(space1: SpaceSpec, pts: np.ndarray) -> float:
-    """Max pairwise metric distance of single-factor points, bit for bit the all-pairs max.
+    """Bit for bit the all-pairs max metric distance of one-factor points (Fock squares here).
 
     Sorted farthest first from a pivot c (the point nearest their centroid), the points
     meet in 128-row blocks only partners b, from the block's first row a on, with
     d(c, a) + d(c, b) >= max - _SLACK, until no later row can.  A skipped pair falls
     short of the max by at least the slack less the rounding of three metric values,
-    under 1e-12 on the default rules (outermost disc node |z| = 0.99956).  The metric
+    under 1e-12 on the default rules (disc points out to |z| = 0.99956).  The metric
     is symmetric bit for bit, so each pair is evaluated in one argument order."""
     def pairs(a, b):
         return spaces.metric(space1, a[:, None], b[None, :])
@@ -108,11 +109,12 @@ class Covering:
     def cell_diameters(self) -> np.ndarray:
         """Exact max pairwise invariant distance between nodes of each cell.  On the
         tensor mesh it is the max of the cell's factor cells' diameters, each taken once
-        by a pivot-pruned search (`_diameter`) that equals the all-pairs max bit for bit."""
+        (`_disc_diameters`, `_diameter`) and equal to the all-pairs max bit for bit."""
         out = np.zeros(self.n_cells)
         for fr, index, member, pick in zip(self.rule.factors, self.factor_index,
                                            self.factor_enlargement, self.pick.T):
-            diam = np.array([_diameter(fr.space, fr.nodes[g]) for g in _groups(index, len(member))])
+            diam = (_disc_diameters(fr, index, len(member)) if fr.space.kind == KIND_DISC else
+                    np.array([_diameter(fr.space, fr.nodes[g]) for g in _groups(index, len(member))]))
             out = np.maximum(out, diam[pick])
         return out
 
@@ -142,19 +144,25 @@ def _describe(kind: str, **bounds) -> List[dict]:
             for v in zip(*(b.tolist() for b in bounds.values()))]
 
 
-def _disc_cells(space1, r: float, pts: np.ndarray):
-    """(cells, index, member) of one disc factor, cells numbered by their first point."""
-    s = spaces.metric(space1, 0.0, pts)
-    theta = np.mod(np.angle(pts), _TWO_PI)
+def _disc_cells(rule: QuadratureRule, r: float):
+    """(cells, index, member) of a disc factor rule that is its polar grid (ValueError for any
+    other), cells numbered by their first node; member is a ring AND an angle predicate."""
+    shape = (rule.radial_order, rule.angular_order)
+    grid, w = rule.nodes.reshape(shape), rule.sigma_weights.reshape(shape)
+    rho, theta = grid[:, 0].real, _TWO_PI * np.arange(shape[1]) / shape[1]
+    if not (rho[0] >= 0 and np.all(np.diff(rho) >= 0) and np.all(w == w[:, :1])
+            and np.array_equal(grid, rho[:, None] * np.exp(1j * theta))):
+        raise ValueError("a disc covering needs a rule that is its polar grid, ring-major")
+    s = spaces.metric(rule.space, 0.0, rho)       # rapidity of each ring
     step = 2.0 * r
     annuli = np.arange(max(1, int(np.ceil((float(s.max()) + 1e-9) / step))))
     half = _angular_halfwidth(step, np.tanh(step * (annuli + 1)))
     half[0] = np.pi     # any two points of rapidity <= 2r are within 4r through the origin
     n_sec = np.ceil(np.pi / half).astype(int)
     width = _TWO_PI / n_sec
-    k = np.minimum((s / step).astype(int), annuli.size - 1)
-    j = np.minimum((theta / width[k]).astype(int), n_sec[k] - 1)
-    keys, index = _first_seen(k * n_sec.max() + j)
+    k = np.minimum((s / step).astype(int), annuli.size - 1)                 # annulus of each ring
+    j = np.arange(theta.size) * n_sec[k][:, None] // theta.size             # sector of each node
+    keys, index = _first_seen((k[:, None] * n_sec.max() + j).ravel())
     k, j = np.divmod(keys, n_sec.max())
     s_lo, s_hi, t_lo, t_hi = step * k, step * (k + 1), j * width[k], (j + 1) * width[k]
     cells = _describe("annulus_sector", s_lo=s_lo, s_hi=s_hi, theta_lo=t_lo, theta_hi=t_hi)
@@ -163,9 +171,26 @@ def _disc_cells(space1, r: float, pts: np.ndarray):
     e_lo, e_hi = np.maximum(s_lo - r, 0.0), s_hi + r
     halfw = 0.5 * (t_hi - t_lo) + _angular_halfwidth(r, np.tanh(e_lo))
     wrapped = np.abs(np.mod(theta - 0.5 * (t_lo + t_hi)[:, None] + np.pi, _TWO_PI) - np.pi)
-    member = ((s >= e_lo[:, None] - 1e-12) & (s <= e_hi[:, None] + 1e-12)
-              & ((halfw >= np.pi)[:, None] | (wrapped <= halfw[:, None] + 1e-12)))
-    return cells, index, member
+    rings = (s >= e_lo[:, None] - 1e-12) & (s <= e_hi[:, None] + 1e-12)
+    angles = (halfw >= np.pi)[:, None] | (wrapped <= halfw[:, None] + 1e-12)
+    return cells, index, (rings[:, :, None] & angles[:, None, :]).reshape(keys.size, -1)
+
+
+def _disc_diameters(rule: QuadratureRule, index: np.ndarray, n_cells: int) -> np.ndarray:
+    """Each disc factor cell's diameter from O(cells x angles) metric values: its end rings x
+    its angle pairs (j, j + d) with d = gap or n - gap, gap its widest wrapped index gap."""
+    na, cell = rule.angular_order, np.arange(n_cells)[:, None]
+    grid, at, angle = rule.nodes.reshape(-1, na), index.reshape(-1, na), np.arange(na)
+    i0, j0 = np.divmod(np.unique(index, return_index=True)[1], na)    # each cell's first node
+    ends = (i0, i0 + (at[:, j0].T == cell).sum(axis=1) - 1)          # its first and last ring
+    stop = j0 + (at[i0] == cell).sum(axis=1)                         # one past its last angle
+    gap = np.minimum(stop - j0 - 1, na // 2)
+    d = np.stack([gap, na - gap], axis=1)
+    inside = (angle >= j0[:, None, None]) & (angle + d[:, :, None] < stop[:, None, None])
+    c, t, j = np.nonzero(inside)        # per pair: its cell, which d, its first angle
+    vals = reduce(np.maximum, (spaces.metric(rule.space, grid[a[c], j], grid[b[c], j + d[c, t]])
+                               for a in ends for b in ends))
+    return np.maximum.reduceat(vals, np.flatnonzero(np.diff(c, prepend=-1)))
 
 
 def _fock_cells(r: float, pts: np.ndarray):
@@ -194,7 +219,7 @@ def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = 
     if rule.space != space:
         raise ValueError("the rule and the covering are on different spaces")
     factor_cells, factor_index, factor_member = zip(*(
-        _disc_cells(fr.space, r, fr.nodes) if fr.space.kind == KIND_DISC
+        _disc_cells(fr, r) if fr.space.kind == KIND_DISC
         else _fock_cells(r, fr.nodes) for fr in rule.factors))
     if not all(np.all(m[i, np.arange(i.size)]) for m, i in zip(factor_member, factor_index)):
         raise AssertionError("enlargement must contain its own cell")
@@ -210,10 +235,24 @@ def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = 
 # ---------------------------------------------------------------------------
 # localization
 
+def _disc_grams(rule: QuadratureRule, member: np.ndarray, n: int) -> np.ndarray:
+    """Disc enlargement Grams c_m c_k H_a[m + k] A_a[k - m] from ring moments H_a[p] = sum of
+    w rho^p (w a ring node's weight) and angle sums A_a[q] = sum of e^(iq theta) = conj(A_a[-q])."""
+    na = rule.angular_order
+    on = member.reshape(len(member), rule.radial_order, na)   # rings x angles, so any() splits it
+    p = np.arange(2 * n - 1)
+    H = on.any(axis=2) @ (rule.sigma_weights[::na, None] * rule.nodes[::na, None].real ** p)
+    A = on.any(axis=1) @ np.exp(1j * _TWO_PI * (np.outer(np.arange(na), p[:n]) % na) / na)
+    A = np.concatenate([A[:, :0:-1].conj(), A], axis=1)       # q = 1 - n .. n - 1
+    c, mode = np.exp(_factor_log_normalizers(rule.space, n)), np.arange(n)
+    plus, minus = mode[:, None] + mode, mode - mode[:, None] + n - 1    # m + k and k - m + n - 1
+    return np.outer(c, c) * H.take(plus, axis=1) * A.take(minus, axis=1)
+
+
 def _factor_blocks(covering: Covering, basis: BasisSpec) -> list:
     """Per factor, (G, R): G[a] the Gram conj(S) S^T of factor cell a's enlargement, S
-    the factor's sigma-weighted basis samples; R[a] the triangular QR factor of its core
-    samples, built over row chunks.  Built once per basis and kept on the covering."""
+    the factor's sigma-weighted basis samples (`_disc_grams` on a disc); R[a] the triangular
+    QR factor of its core samples, over row chunks.  Built once per basis, kept on the covering."""
     if basis in covering.blocks:
         return covering.blocks[basis]
     n = basis.n_modes
@@ -224,7 +263,8 @@ def _factor_blocks(covering: Covering, basis: BasisSpec) -> list:
         S *= np.sqrt(fr.sigma_weights)                # conj(S) @ S.T: the sigma inner product
         def chunks(cols):           # at most 2048 columns of S at a time
             return (S[:, cols[i:i + 2048]] for i in range(0, cols.size, 2048))
-        G = np.stack([sum(s.conj() @ s.T for s in chunks(np.flatnonzero(m))) for m in member])
+        G = (_disc_grams(fr, member, n) if fr.space.kind == KIND_DISC else
+             np.stack([sum(s.conj() @ s.T for s in chunks(np.flatnonzero(m))) for m in member]))
         R = []
         for core in _groups(index, len(member)):
             Q = np.empty((0, n), dtype=complex)

@@ -146,6 +146,22 @@ def test_boundedness_rejects_bad_p(basis24, rule24):
         rkt_boundedness_check(basis24, rule24, identity_operator(basis24), p=1.0)
 
 
+def test_rkt_checks_reject_an_empty_probe_grid(basis24):
+    # an empty grid would report sup 0.0 and admissible; every check refuses it before any
+    # compute, so the rule (None here) is never read
+    I2 = constant_symbol(basis24.space, np.eye(2))
+    checks = [lambda z: rkt_boundedness_check(basis24, None, identity_operator(basis24), z_grid=z),
+              lambda z: rkt_toeplitz_symbol_check(None, I2, z_grid=z),
+              lambda z: rkt_product_check(None, I2, I2, z_grid=z),
+              lambda z: hankel_rkt_check(None, I2, z_grid=z)]
+    for check in checks:
+        for empty in ([], (), np.zeros(0, dtype=complex)):
+            with pytest.raises(ValueError, match="z_grid is empty"):
+                check(empty)
+    with pytest.raises(ValueError):
+        analysis.RktReport("direct_side", 4.0, [], np.zeros((0, 2)), basis24.space.kappa)
+
+
 def test_symbol_check_oracle(basis24, rule24):
     # F = w E_00 at z = 0, p = 4: the only nonzero row/column norm is
     # (int |w|^4 dsigma)^(1/4) = (1/3)^(1/4)

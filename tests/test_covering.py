@@ -11,7 +11,7 @@ from berglab.covering import (_CHUNK_ROWS, _diameter, _disc_cells, _factor_block
 from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_symbol,
                                identity_operator, poly_symbol, toeplitz_matrix)
 from berglab.coeffs import BasisSpec, scalar_basis_matrix
-from berglab.quadrature import QuadratureRule, build_rule
+from berglab.quadrature import QuadratureRule, ball_rule, build_rule
 from conftest import enlargement, per_cell_localization_error
 
 RADII = (0.5, 1.0, 2.0, 4.0)
@@ -76,7 +76,7 @@ def _ref_diameter(space1, pts):
 
 def test_cell_diameters_match_all_pairs_oracle(disc, disc_rule, disc_weighted, fock,
                                                fock_rule, bidisc, bidisc_rule):
-    cases = [(disc, disc_rule), (disc, build_rule(disc, 10, 20)),
+    cases = [(disc, disc_rule), (disc, build_rule(disc, 10, 20)), (disc, build_rule(disc, 17, 33)),
              (disc_weighted, build_rule(disc_weighted)),
              (disc_weighted, build_rule(disc_weighted, 10, 20)), (fock, fock_rule),
              (bidisc, bidisc_rule), (bidisc, build_rule(bidisc, 6, 12))]
@@ -90,7 +90,7 @@ def test_cell_diameters_match_all_pairs_oracle(disc, disc_rule, disc_weighted, f
                 seen[key] = _ref_diameter(f, z)
             return seen[key]
 
-        for r in (0.3,) + RADII + (16.0,):
+        for r in (0.2, 0.3) + RADII + (16.0,):
             c = build_covering(space, r, rule)
             cell_nodes = np.split(np.argsort(c.cell_index, kind="stable"),
                                   np.cumsum(c.cell_node_counts())[:-1])
@@ -167,9 +167,12 @@ def _ref_halfwidth(step, rho):
     return np.pi if arg >= 1.0 else float(np.arcsin(arg))
 
 
-def _ref_disc_cells(space1, r, pts):
-    """Disc cells by a loop over the points, keyed through a dict in first-seen order."""
-    s = spaces.metric(space1, 0.0, pts)
+def _ref_disc_cells(rule, r):
+    """Disc cells by a loop over the nodes, keyed through a dict in first-seen order; a node's
+    sector comes from its angle index u % angular_order, its rapidity and enlargement
+    membership from its own coordinates."""
+    pts, na = rule.nodes, rule.angular_order
+    s = spaces.metric(rule.space, 0.0, pts)
     theta = np.mod(np.angle(pts), 2.0 * np.pi)
     n_sec = []
     for k in range(max(1, int(np.ceil((float(s.max()) + 1e-9) / (2.0 * r))))):
@@ -180,7 +183,7 @@ def _ref_disc_cells(space1, r, pts):
     for u in range(pts.shape[0]):
         k = annulus[u]
         width = 2.0 * np.pi / n_sec[k]
-        j = min(int(theta[u] / width), n_sec[k] - 1)
+        j = (u % na) * n_sec[k] // na
         if (k, j) not in keys:
             keys[(k, j)] = len(cells)
             cells.append({"kind": "annulus_sector", "s_lo": 2.0 * r * k, "s_hi": 2.0 * r * (k + 1),
@@ -221,22 +224,20 @@ def _ref_fock_cells(r, pts):
 
 
 def test_cells_match_per_node_loop(disc, disc_rule, disc_weighted, fock, fock_rule, bidisc):
-    cases = [(disc, disc_rule, lambda r, z: _ref_disc_cells(disc, r, z)),
-             (disc_weighted, build_rule(disc_weighted),
-              lambda r, z: _ref_disc_cells(disc_weighted, r, z)),
-             (fock, fock_rule, _ref_fock_cells)]
-    for space, rule, ref in cases:
+    cases = [(disc, disc_rule), (disc, build_rule(disc, 17, 33)),
+             (disc_weighted, build_rule(disc_weighted)), (fock, fock_rule)]
+    for space, rule in cases:
         for r in (0.3,) + RADII + (16.0,):
             c = build_covering(space, r, rule)
-            cells, index, member = ref(r, rule.nodes)
+            cells, index, member = (_ref_fock_cells(r, rule.nodes) if space is fock
+                                    else _ref_disc_cells(rule, r))
             assert c.cells == cells
             assert np.array_equal(c.cell_index, index)
             assert np.array_equal(enlargement(c), member)
-    # factor coordinates of a product rule repeat every value
-    rule = build_rule(bidisc, 6, 12)
-    for f, z in zip(bidisc.factors, spaces.coords(bidisc, rule.nodes)):
+    # the factor rules of a product rule
+    for fr in build_rule(bidisc, 6, 12).factors:
         for r in (0.3, 1.0):
-            got, want = _disc_cells(f, r, z), _ref_disc_cells(f, r, z)
+            got, want = _disc_cells(fr, r), _ref_disc_cells(fr, r)
             assert got[0] == want[0]
             assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
 
@@ -408,7 +409,7 @@ def test_localization_error_rejects_an_operator_from_another_space(disc, fock, f
         localization_error(identity_operator(BasisSpec(disc, 8)), one_cell)
 
 
-def test_localization_error_rejects_a_rule_off_the_factor_mesh(bidisc):
+def test_localization_error_rejects_a_rule_off_the_factor_mesh(bidisc, disc, disc_rule):
     # the factor blocks need the rule to be the product of the factors' own rules
     rule = build_rule(bidisc, 6, 12)
     p = np.random.default_rng(0).permutation(rule.n_nodes)
@@ -416,6 +417,16 @@ def test_localization_error_rejects_a_rule_off_the_factor_mesh(bidisc):
     with pytest.raises(ValueError):
         localization_error(identity_operator(BasisSpec(bidisc, 4)),
                            build_covering(bidisc, 1.0, shuffled))
+    # and a disc factor's cells and Grams need its rule to be its own polar grid: not its
+    # nodes permuted, nor its weights varying around a ring, nor another polar grid's nodes
+    p = np.random.default_rng(0).permutation(disc_rule.n_nodes)
+    off_grid = (QuadratureRule(disc, disc_rule.nodes[p], disc_rule.sigma_weights[p], 40, 64),
+                QuadratureRule(disc, disc_rule.nodes, disc_rule.sigma_weights[p], 40, 64),
+                ball_rule(disc, 0.2 + 0.1j, 0.5, 10, 20))
+    for rule in off_grid:
+        with pytest.raises(ValueError, match="polar grid"):
+            localization_error(identity_operator(BasisSpec(disc, 4)),
+                               build_covering(disc, 1.0, rule))
 
 
 def test_single_cell_localization_is_exact(disc, disc_rule):

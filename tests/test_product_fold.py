@@ -68,9 +68,12 @@ def _ref_projector(basis, m):
 
 
 def _ref_covering(space, r, rule):
-    """(cells, cell_index, enlargement) of the product covering, keys i1 * (max(i2)+1) + i2."""
-    c1, i1, m1 = _disc_cells(space.factors[0], r, rule.nodes[:, 0])
-    c2, i2, m2 = _disc_cells(space.factors[1], r, rule.nodes[:, 1])
+    """(cells, cell_index, enlargement) of the product covering, keys i1 * (max(i2)+1) + i2,
+    from the two factor rules' cells lifted to the product nodes (first factor slowest)."""
+    (c1, i1, m1), (c2, i2, m2) = (_disc_cells(fr, r) for fr in rule.factors)
+    n1, n2 = i1.size, i2.size
+    i1, m1 = np.repeat(i1, n2), np.repeat(m1, n2, axis=1)
+    i2, m2 = np.tile(i2, n1), np.tile(m2, (1, n1))
     uniq, index = np.unique(i1 * (max(i2) + 1) + i2, return_inverse=True)
     cells, member = [], np.zeros((len(uniq), rule.n_nodes), dtype=bool)
     for j, key in enumerate(uniq):
