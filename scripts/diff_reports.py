@@ -7,8 +7,11 @@ their text differs.  CSV reports are compared as text.  For each file that
 differs the script prints the first differing key (a JSON path such as
 ``result.boundedness[0].sup``, or a CSV line and column) and the largest
 relative change |a - b| / max(|a|, |b|) over the numbers found at the same
-place on both sides.  It exits 1 on any difference, a file present on one side
-only included, and 0 when every file matches.
+place on both sides.  Rounding noise in a value near zero can make that
+change O(1), so the same line also gives the largest scaled change
+|a - b| / max|x|, x over every number in the two files, with its key.  It
+exits 1 on any difference, a file present on one side only included, and 0
+when every file matches.
 
 Usage:
     python3 scripts/diff_reports.py reports_a reports_b
@@ -25,6 +28,17 @@ _MISSING = object()
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(value):
+    """Every number in a parsed JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for v in value:
+            yield from _numbers(v)
+    elif _is_number(value):
+        yield value
 
 
 def _json_diffs(a, b, path):
@@ -71,21 +85,33 @@ def _relative_change(a, b) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _scaled_change(a, b, scale: float) -> float:
+    """|a - b| / scale, scale the largest finite |x| in the two files (so at least |a|, |b|)."""
+    if not (_is_number(a) and _is_number(b)) or a == b:
+        return 0.0
+    change = abs(a - b)
+    return change / scale if math.isfinite(change) else math.inf
+
+
 def compare(path_a: Path, path_b: Path):
-    """The differing leaves of two report files, in report order; a file that is not
-    JSON is read as CSV."""
+    """The differing leaves of two report files, in report order, and the largest finite
+    magnitude of a number in either; a file that is not JSON is read as CSV."""
     raw_a, raw_b = path_a.read_bytes(), path_b.read_bytes()
     if path_a.suffix == ".json":
         a, b = json.loads(raw_a), json.loads(raw_b)
         for report in (a, b):
             if isinstance(report, dict):
                 report.pop("timestamp", None)
-        return list(_json_diffs(a, b, ""))
-    if raw_a == raw_b:
-        return []
-    # texts that differ only in line endings or quoting have equal cells
-    return (list(_csv_diffs(raw_a.decode(), raw_b.decode()))
-            or [("the text (equal cells)", None, None)])
+        diffs, numbers = list(_json_diffs(a, b, "")), [*_numbers(a), *_numbers(b)]
+    elif raw_a == raw_b:
+        return [], 0.0
+    else:
+        texts = raw_a.decode(), raw_b.decode()
+        # texts that differ only in line endings or quoting have equal cells
+        diffs = list(_csv_diffs(*texts)) or [("the text (equal cells)", None, None)]
+        numbers = [x for t in texts for row in csv.reader(t.splitlines())
+                   for x in map(_as_number, row) if _is_number(x)]
+    return diffs, max((abs(x) for x in numbers if math.isfinite(x)), default=0.0)
 
 
 def main(argv) -> int:
@@ -101,13 +127,16 @@ def main(argv) -> int:
             print(f"{name}: only in {dir_a if a.exists() else dir_b}")
             differing += 1
             continue
-        diffs = compare(a, b)
+        diffs, scale = compare(a, b)
         if not diffs:
             continue
         differing += 1
         key = diffs[0][0]
         rel, where = max((_relative_change(x, y), k) for k, x, y in diffs)
         change = f"{rel:.3g} at {where}" if rel > 0 else "none (no number changed)"
+        scaled, at = max((_scaled_change(x, y, scale), k) for k, x, y in diffs)
+        if scaled > 0:
+            change += f"; largest change scaled by max|x| = {scale:.3g}: {scaled:.3g} at {at}"
         print(f"{name}: {len(diffs)} differences, first at {key}; "
               f"largest relative change {change}")
     if differing:

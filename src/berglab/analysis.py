@@ -81,12 +81,13 @@ class RktReport:
 
 def _probe_grid(space: SpaceSpec, p: float, z_grid: Optional[Sequence]) -> list:
     """The probe points of an RKT check, the space's default grid for None, after checking
-    that p exceeds 1 and that the grid is not empty (its sup would read 0.0)."""
+    that p exceeds 1 and that the grid is non-empty (its sup would read 0.0) and admissible."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
     z_grid = default_probe_grid(space) if z_grid is None else list(z_grid)
     if not z_grid:
         raise ValueError("the probe grid z_grid is empty")
+    spaces.check_probe_point(space, spaces.as_points(space, z_grid))
     return z_grid
 
 
@@ -112,7 +113,6 @@ def rkt_boundedness_check(basis: BasisSpec, rule: QuadratureRule, T: OperatorMat
     vals = {"adjoint_side": [], "direct_side": []}
     E = scalar_basis_matrix(basis, rule.nodes)
     for z in z_grid:
-        spaces.check_probe_point(space, z)
         v = kernel_coeff_vector(basis, z)
         X = np.einsum("m,ik->mik", v, np.eye(d)).reshape(basis.dim, d)  # columns k_z e_i
         U = translation_matrix(basis, z)
@@ -133,7 +133,6 @@ def rkt_toeplitz_symbol_check(rule: QuadratureRule, F, p: float = 4.0,
     z_grid = _probe_grid(space, p, z_grid)
     rows, cols = [], []
     for z in z_grid:
-        spaces.check_probe_point(space, z)
         moved = spaces.involution(space, z, rule.nodes)
         V = F.eval(moved)                      # (n, d, d)
         entry_norms = _lp_norm(rule, V, p)     # (d, d)
@@ -166,7 +165,6 @@ def rkt_product_check(rule: QuadratureRule, F, G, p: float = 4.0,
     _require_analytic(G)
     first, second = [], []
     for z in z_grid:
-        spaces.check_probe_point(space, z)
         moved = spaces.involution(space, z, rule.nodes)
         for out, A, B in ((first, F, G), (second, G, F)):
             Av = A.eval(moved)                                # (n, d, d)
@@ -185,7 +183,6 @@ def hankel_rkt_check(rule: QuadratureRule, F, p: float = 4.0,
     z_grid = _probe_grid(space, p, z_grid)
     out = []
     for z in z_grid:
-        spaces.check_probe_point(space, z)
         moved = spaces.involution(space, z, rule.nodes)
         Fz = F.eval(z)[0]
         delta = Fz[None, :, :] - F.eval(moved)
@@ -360,18 +357,10 @@ def berezin_injectivity_probe(space: SpaceSpec, d: int, n_small: int,
         grid = _spiral_grid(basis.space, max(9, basis.n_scalar ** 2 + 1))
     if len(grid) < basis.n_scalar ** 2:
         raise ValueError("grid too small to resolve all mode pairs")
-    n = basis.n_scalar
-    dim = basis.dim
-    rows = []
-    for z in grid:
-        v = kernel_coeff_vector(basis, z)
-        outer = np.outer(v.conj(), v)
-        for i in range(d):
-            for k in range(d):
-                block = np.zeros((n, d, n, d), dtype=complex)
-                block[:, i, :, k] = outer
-                rows.append(block.reshape(dim * dim))
-    A = np.array(rows)
+    dim, I_d = basis.dim, np.eye(d)
+    V = np.array([kernel_coeff_vector(basis, z) for z in grid])      # (point, mode)
+    # row (point, i, k) samples <T k_z e_k, k_z e_i>: entry conj(v_a) v_b at T[(a, i), (b, k)]
+    A = np.einsum("pa,pb,ij,kl->pikajbl", V.conj(), V, I_d, I_d).reshape(-1, dim * dim)
     svs = np.linalg.svd(A, compute_uv=False)
     rank = int(np.sum(svs > max(A.shape) * np.finfo(float).eps * svs[0]))
     return InjectivityReport(n_small, d, dim * dim, A.shape[0], rank,

@@ -46,7 +46,7 @@ from .quadrature import QuadratureRule, build_rule
 from .spaces import KIND_DISC, SpaceSpec
 
 _TWO_PI = 2.0 * np.pi
-_SLACK = 1e-6       # far above the metric rounding (under 1e-12) that _diameter must absorb
+_SLACK = 1e-6       # far above the metric rounding (under 1e-13) that _diameter must absorb
 _CHUNK_ROWS = 4096  # rows (of T.dim entries) of a chunk's first product in localization_error
 
 
@@ -56,9 +56,9 @@ def _diameter(space1: SpaceSpec, pts: np.ndarray) -> float:
     Sorted farthest first from a pivot c (the point nearest their centroid), the points
     meet in 128-row blocks only partners b, from the block's first row a on, with
     d(c, a) + d(c, b) >= max - _SLACK, until no later row can.  A skipped pair falls
-    short of the max by at least the slack less the rounding of three metric values,
-    under 1e-12 on the default rules (disc points out to |z| = 0.99956).  The metric
-    is symmetric bit for bit, so each pair is evaluated in one argument order."""
+    short of the max by at least the slack less the rounding of three values |z - w|,
+    each a few ulp of |z| + |w| (under 1e-13 on the default Fock rule, |z| <= 11.93).
+    The metric is symmetric bit for bit, so each pair is evaluated in one argument order."""
     def pairs(a, b):
         return spaces.metric(space1, a[:, None], b[None, :])
     to_pivot = spaces.metric(space1, pts[np.argmin(np.abs(pts - pts.mean()))], pts)
@@ -251,8 +251,8 @@ def _disc_grams(rule: QuadratureRule, member: np.ndarray, n: int) -> np.ndarray:
 
 def _factor_blocks(covering: Covering, basis: BasisSpec) -> list:
     """Per factor, (G, R): G[a] the Gram conj(S) S^T of factor cell a's enlargement, S
-    the factor's sigma-weighted basis samples (`_disc_grams` on a disc); R[a] the triangular
-    QR factor of its core samples, over row chunks.  Built once per basis, kept on the covering."""
+    the factor's sigma-weighted basis samples (`_disc_grams` on a disc); R[a] the QR factor
+    of its core samples (themselves if at most n).  Built once per basis, kept on the covering."""
     if basis in covering.blocks:
         return covering.blocks[basis]
     n = basis.n_modes
@@ -261,17 +261,10 @@ def _factor_blocks(covering: Covering, basis: BasisSpec) -> list:
                                  covering.factor_enlargement):
         S = scalar_basis_matrix(BasisSpec(fr.space, n), fr.nodes)
         S *= np.sqrt(fr.sigma_weights)                # conj(S) @ S.T: the sigma inner product
-        def chunks(cols):           # at most 2048 columns of S at a time
-            return (S[:, cols[i:i + 2048]] for i in range(0, cols.size, 2048))
         G = (_disc_grams(fr, member, n) if fr.space.kind == KIND_DISC else
-             np.stack([sum(s.conj() @ s.T for s in chunks(np.flatnonzero(m))) for m in member]))
-        R = []
-        for core in _groups(index, len(member)):
-            Q = np.empty((0, n), dtype=complex)
-            for s in chunks(core):
-                Q = np.vstack([Q, s.T])
-                Q = np.linalg.qr(Q, mode="r") if Q.shape[0] > n else Q
-            R.append(Q)
+             np.stack([(s := S[:, np.flatnonzero(m)]).conj() @ s.T for m in member]))
+        R = [S[:, core].T if core.size <= n else np.linalg.qr(S[:, core].T, mode="r")
+             for core in _groups(index, len(member))]
         blocks.append((G, R))
     covering.blocks[basis] = blocks
     return blocks

@@ -147,17 +147,21 @@ def test_boundedness_rejects_bad_p(basis24, rule24):
 
 
 def test_rkt_checks_reject_an_empty_probe_grid(basis24):
-    # an empty grid would report sup 0.0 and admissible; every check refuses it before any
-    # compute, so the rule (None here) is never read
+    # an empty grid would report sup 0.0 and admissible, and 0.95 lies outside the disc's
+    # admissible region (r_max 0.9); every check refuses the whole grid before any compute,
+    # so the rule (None here) is never read
     I2 = constant_symbol(basis24.space, np.eye(2))
     checks = [lambda z: rkt_boundedness_check(basis24, None, identity_operator(basis24), z_grid=z),
               lambda z: rkt_toeplitz_symbol_check(None, I2, z_grid=z),
               lambda z: rkt_product_check(None, I2, I2, z_grid=z),
               lambda z: hankel_rkt_check(None, I2, z_grid=z)]
+    grids = [([], "z_grid is empty"), ((), "z_grid is empty"),
+             (np.zeros(0, dtype=complex), "z_grid is empty"),
+             ([0.0, 0.3, 0.95], "outside admissible region")]
     for check in checks:
-        for empty in ([], (), np.zeros(0, dtype=complex)):
-            with pytest.raises(ValueError, match="z_grid is empty"):
-                check(empty)
+        for grid, match in grids:
+            with pytest.raises(ValueError, match=match):
+                check(grid)
     with pytest.raises(ValueError):
         analysis.RktReport("direct_side", 4.0, [], np.zeros((0, 2)), basis24.space.kappa)
 

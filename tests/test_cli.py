@@ -92,6 +92,31 @@ def test_verify_axioms_all_pass(config_path, tmp_path):
     assert all(c["pass"] for c in report["result"]["checks"])
 
 
+@pytest.mark.parametrize("n_modes, points", [(8, 0), (32, 4)])
+def test_verify_axioms_counts_the_translation_points_it_checks(n_modes, points, tmp_path):
+    # the default grid's four non-origin points certify no U_z mode at n=8, so both
+    # translation checks pass on nothing; at n=32 every one of them is checked
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, n_modes=n_modes)))
+    out = tmp_path / "out"
+    assert _run("verify-axioms", str(path), out) == 0
+    report, csv_text = _load(out, "verify-axioms")
+    checked = {c["name"]: c["points_checked"] for c in report["result"]["checks"]
+               if "points_checked" in c}
+    assert checked == {"translation_unitarity_certified": points,
+                       "translation_involutivity_certified": points}
+    assert csv_text.splitlines()[0] == "check,value,tol,pass"
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan"])
+def test_bad_resolution_scale_exits_2_and_writes_nothing(scale, config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("rf", config_path, out, extra=[f"--resolution-scale={scale}"]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert "--resolution-scale" in payload["error"]
+    assert not out.exists()
+
+
 def test_reports_byte_identical_modulo_timestamp(config_path, tmp_path):
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:

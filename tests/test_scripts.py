@@ -77,3 +77,19 @@ def test_diff_reports_names_the_file_and_key_of_an_edited_number(tmp_path):
     line, = [ln for ln in edited.stdout.splitlines() if ln.startswith("rkt.json:")]
     assert "result.boundedness[1].sup" in line and "1e-06" in line
     assert "rkt.csv" not in edited.stdout
+
+
+def test_diff_reports_scaled_ranking_names_the_change_that_matters(tmp_path):
+    # a 1e-17 change to a value of about 1e-17 is the largest relative change, but scaled by
+    # the file's largest magnitude it is noise next to a 1e-9 relative change of an O(1) value
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, noise, value in ((a, 1.0e-17, 0.75), (b, 2.0e-17, 0.75 * (1.0 + 1e-9))):
+        out.mkdir()
+        (out / "r.json").write_text(json.dumps({"result": {"noise": noise, "value": value}}))
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "diff_reports.py"), str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    line, = [ln for ln in proc.stdout.splitlines() if ln.startswith("r.json:")]
+    relative, scaled = line.split("; largest change scaled by")
+    assert "at result.noise" in relative
+    assert scaled.endswith("at result.value")
