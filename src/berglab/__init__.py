@@ -33,7 +33,7 @@ _EXPORTS = {
                   "poly_symbol", "pullback_symbol", "rank_one",
                   "rank_one_toeplitz_sum", "toeplitz_matrix",
                   "translation_certificate", "translation_matrix"),
-    "analysis": ("berezin", "berezin_decay_profile",
+    "analysis": ("axiom_checks", "berezin", "berezin_decay_profile",
                  "berezin_injectivity_probe", "essential_norm_estimate",
                  "hankel_rkt_check", "rkt_boundedness_check",
                  "rkt_product_check", "rkt_toeplitz_symbol_check"),

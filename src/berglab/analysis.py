@@ -1,23 +1,25 @@
 """Diagnostic functionals on assembled operators.
 
-Boundedness integrals probe sup_z of kernel-displaced L^p(sigma) quantities;
-the Berezin transform and conjugated-operator shells diagnose compactness at
-truncation.  All z probes are gated by the space's admissible region, and all
-randomness is seeded.
+The axiom suite checks the identities of the model spaces; boundedness
+integrals probe sup_z of kernel-displaced L^p(sigma) quantities; the Berezin
+transform and conjugated-operator shells diagnose compactness at truncation.
+All z probes are gated by the space's admissible region, and all randomness
+is seeded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import spaces
-from .coeffs import BasisSpec, kernel_coeff_vector, scalar_basis_matrix
+from .coeffs import BasisSpec, kernel_coeff_vector, rule_inner, scalar_basis_matrix
 from .operators import (OperatorMatrix, _certified_modes, _conjugate_blocks, _factor_tails,
                         _scalar_translation, translation_matrix)
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, integrate_lambda, integrate_sigma
 from .spaces import KIND_BIDISC, KIND_DISC, KIND_FOCK, SpaceSpec
 
 
@@ -52,6 +54,88 @@ def boundary_shells(space: SpaceSpec, radii: Optional[Sequence[float]] = None) -
             radii = [0.5 * top, 0.7 * top, 0.85 * top, top]
     angles = np.exp(2j * np.pi * np.arange(3) / 3)
     return [[spaces.point(space, [r * a] * space.nfactors) for a in angles] for r in radii]
+
+
+def _translations(basis: BasisSpec, points) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points as one array, their scalar U_z blocks (p, N, N) and least certified modes
+    (tau 1e-12), after checking that all are admissible: one translation call per factor."""
+    space = basis.space
+    points = spaces.as_points(space, points)
+    spaces.check_probe_point(space, points)
+    blocks = [_scalar_translation(f, basis.n_modes, c)
+              for f, c in zip(space.factors, spaces.coords(space, points))]
+    U = reduce(lambda A, B: (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(
+        len(A), A.shape[1] * B.shape[1], -1), blocks)        # kron per point, first factor slowest
+    return points, U, _certified_modes([_factor_tails(B) for B in blocks], 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# axiom suite
+
+def axiom_checks(basis: BasisSpec, rule: QuadratureRule, z_grid: Sequence,
+                 seed: int) -> List[dict]:
+    """Residuals of the identities of the model space, each {name, value, tol, pass}.
+
+    The sigma mass and the basis Gram on the rule; involutivity, the kernel-involution
+    identity, metric invariance and Cauchy-Schwarz on seeded points within 0.8 of the
+    probe radius; kernel-norm growth along a ray; invariance of the lambda measure (no
+    test function on the bidisc); and unitarity and involutivity of U_z on its certified
+    modes at the non-origin points of z_grid, on the scalar block (U (x) I_d has the same
+    norms), with points_checked: the points with a certified mode, 0 if none.  The whole
+    grid must be admissible (ValueError), and is checked before any work.
+    """
+    space = basis.space
+    top = spaces.probe_radius_max(space)
+    points, U, modes = _translations(basis, z_grid)
+    rng = np.random.default_rng(seed)
+    checks = []
+
+    def record(name, value, tol, **extra):
+        checks.append({"name": name, "value": float(value), "tol": tol,
+                       "pass": bool(value <= tol), **extra})
+
+    def rand_points(n):
+        return spaces.point(space, [0.8 * top * np.sqrt(rng.uniform(0, 1, n))
+                                    * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+                                    for _ in space.factors])
+
+    record("sigma_probability", abs(integrate_sigma(rule, np.ones(rule.n_nodes)) - 1.0), 1e-12)
+    record("basis_orthonormality",
+           np.abs(rule_inner(basis, rule) - np.eye(basis.n_scalar)).max(), 1e-10)
+    z, w = rand_points(400), rand_points(400)
+    zw = spaces.involution(space, z, w)
+    record("involutivity", np.max(np.abs(spaces.involution(space, z, zw) - w)), 1e-12)
+    record("kernel_involution_identity",
+           np.max(np.abs(spaces.normalized_pairing(space, z, w)
+                         * spaces.kernel_norm(space, zw) - 1.0)), 1e-10)
+    a, u, v = rand_points(200), rand_points(200), rand_points(200)
+    record("metric_invariance",
+           np.max(np.abs(spaces.metric(space, spaces.involution(space, a, u),
+                                       spaces.involution(space, a, v))
+                         - spaces.metric(space, u, v))), 1e-10)
+    record("cauchy_schwarz_pairing",
+           max(0.0, float(np.max(spaces.normalized_pairing(space, z, w))) - 1.0), 1e-12)
+    # the kernel norm grows along a ray toward the boundary of the region
+    ray = np.linspace(0.2, 1.0, 8) * top
+    norms = spaces.kernel_norm(space, spaces.point(space, [ray] * space.nfactors))
+    record("kernel_norm_growth", max(0.0, float(np.max(norms[:-1] - norms[1:]))), 0.0)
+    test = {spaces.KIND_DISC: lambda p: (1.0 - np.abs(p) ** 2) ** 3,
+            spaces.KIND_FOCK: lambda p: np.exp(-np.abs(p) ** 2)}.get(space.kind)
+    if test is not None:
+        base = integrate_lambda(rule, test(rule.nodes))
+        moved = [spaces.involution(space, zz * top, rule.nodes) for zz in (0.2, 0.35 * np.exp(1j))]
+        record("lambda_invariance",
+               max(abs(integrate_lambda(rule, test(m)) - base) for m in moved), 1e-6)
+    away = spaces.point_radius(space, points) > 0
+    U, modes = U[away], modes[away]
+    high = np.indices((basis.n_modes,) * space.nfactors).reshape(space.nfactors, -1).max(axis=0)
+    keep = high < modes[:, None]             # a scalar mode is certified if all its factor modes are
+    P, I = keep[:, :, None] & keep[:, None, :], np.eye(basis.n_scalar)
+    for name, R in (("translation_unitarity_certified", np.conj(np.swapaxes(U, -1, -2)) @ U),
+                    ("translation_involutivity_certified", U @ U)):
+        record(name, np.linalg.norm(P * (R - I), 2, axis=(-2, -1)).max(initial=0.0), 1e-6,
+               points_checked=int(np.count_nonzero(modes)))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +367,14 @@ def essential_norm_estimate(T: OperatorMatrix, boundary_grid: Optional[Sequence[
     R = rng.standard_normal((basis.dim, 8)) + 1j * rng.standard_normal((basis.dim, 8))
     R = R / np.linalg.norm(R, axis=0, keepdims=True)
     origin = spaces.point(space, [0.0] * space.nfactors)
-    points = spaces.as_points(space, [z for shell in boundary_grid for z in shell])
-    spaces.check_probe_point(space, points)
-    blocks = [_scalar_translation(f, basis.n_modes, c)
-              for f, c in zip(space.factors, spaces.coords(space, points))]
+    points, U, modes = _translations(basis, [z for shell in boundary_grid for z in shell])
     starts = np.cumsum([0] + [len(shell) for shell in boundary_grid])
     profile = []
     for a, b in zip(starts[:-1], starts[1:]):
-        U = np.array([spaces.kron(parts) for parts in zip(*(B[a:b] for B in blocks))])
-        Tz = _conjugate_blocks(T.mat, U, space.d)
+        Tz = _conjugate_blocks(T.mat, U[a:b], space.d)
         profile.append(max(float(np.linalg.norm(Tz, axis=-2).max()),
                            float(np.linalg.norm(Tz @ R, axis=-2).max())))
     profile = np.array(profile)
-    modes = _certified_modes([_factor_tails(U) for U in blocks], 1e-12)
     svs = T.singular_values()
     idx = max(1, basis.dim // 4)
     return EssentialNormReport(

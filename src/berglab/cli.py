@@ -298,87 +298,10 @@ def _run_rank1(cfg, args):
 
 
 def _run_verify_axioms(cfg, args):
-    import numpy as np
-
-    from . import spaces
-    from .coeffs import rule_inner
-    from .operators import (certified_projector, translation_certificate,
-                            translation_matrix)
-    from .quadrature import integrate_lambda, integrate_sigma
+    from .analysis import axiom_checks
 
     basis, rule = _context(cfg, args.resolution_scale)
-    space = cfg.space
-    rng = np.random.default_rng(cfg.seed)
-    checks = []
-
-    def record(name, value, tol, **extra):
-        checks.append({"name": name, "value": float(value), "tol": tol,
-                       "pass": bool(value <= tol), **extra})
-
-    def rand_points(n):
-        lim = 0.8 * spaces.probe_radius_max(space)
-        return spaces.point(space, [
-            lim * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
-            for _ in space.factors])
-
-    record("sigma_probability",
-           abs(integrate_sigma(rule, np.ones(rule.n_nodes)) - 1.0), 1e-12)
-
-    G = rule_inner(basis, rule)
-    record("basis_orthonormality", np.abs(G - np.eye(basis.n_scalar)).max(), 1e-10)
-
-    z, w = rand_points(400), rand_points(400)
-    record("involutivity",
-           np.max(np.abs(spaces.involution(space, z, spaces.involution(space, z, w)) - w)),
-           1e-12)
-    record("kernel_involution_identity",
-           np.max(np.abs(spaces.normalized_pairing(space, z, w)
-                         * spaces.kernel_norm(space, spaces.involution(space, z, w)) - 1.0)),
-           1e-10)
-    a, u, v = rand_points(200), rand_points(200), rand_points(200)
-    record("metric_invariance",
-           np.max(np.abs(spaces.metric(space, spaces.involution(space, a, u),
-                                       spaces.involution(space, a, v))
-                         - spaces.metric(space, u, v))), 1e-10)
-    record("cauchy_schwarz_pairing",
-           max(0.0, float(np.max(spaces.normalized_pairing(space, z, w))) - 1.0), 1e-12)
-
-    # kernel norm must grow along a ray toward the boundary of the region
-    ray = np.linspace(0.2, 1.0, 8) * spaces.probe_radius_max(space)
-    norms = np.array([float(spaces.kernel_norm(space, spaces.point(space, [r] * space.nfactors)))
-                      for r in ray])
-    record("kernel_norm_growth", max(0.0, float(np.max(norms[:-1] - norms[1:]))), 0.0)
-
-    # invariance of the kernel-weighted measure under the involutions, tested
-    # with a per-kind function (none is set for the bidisc)
-    test = {spaces.KIND_DISC: lambda p: (1.0 - np.abs(p) ** 2) ** 3,
-            spaces.KIND_FOCK: lambda p: np.exp(-np.abs(p) ** 2)}.get(space.kind)
-    if test is not None:
-        base = integrate_lambda(rule, test(rule.nodes))
-        worst = 0.0
-        for zz in [0.2, 0.35 * np.exp(1j)]:
-            moved = spaces.involution(space, zz * spaces.probe_radius_max(space), rule.nodes)
-            worst = max(worst, abs(integrate_lambda(rule, test(moved)) - base))
-        record("lambda_invariance", worst, 1e-6)
-
-    # translation identities on certified modes
-    origin = spaces.point(space, [0.0] * space.nfactors)
-    zg = [p for p in _zgrid(cfg) if spaces.metric(space, origin, p) > 0]
-    worst_u, worst_i, checked = 0.0, 0.0, 0
-    for zz in zg:
-        cert = translation_certificate(basis, zz)
-        if cert.certified_modes == 0:
-            continue
-        checked += 1
-        U = translation_matrix(basis, zz)
-        P = certified_projector(basis, cert).mat
-        I = np.eye(basis.dim)
-        worst_u = max(worst_u, np.linalg.norm(P @ (U.mat.conj().T @ U.mat - I) @ P, 2))
-        worst_i = max(worst_i, np.linalg.norm(P @ (U.mat @ U.mat - I) @ P, 2))
-    # points_checked: the probe points with a certified mode (0 makes the check vacuous)
-    record("translation_unitarity_certified", worst_u, 1e-6, points_checked=checked)
-    record("translation_involutivity_certified", worst_i, 1e-6, points_checked=checked)
-
+    checks = axiom_checks(basis, rule, _zgrid(cfg), cfg.seed)
     all_pass = all(c["pass"] for c in checks)
     payload = {"checks": checks, "all_pass": all_pass}
     rows = [[c["name"], c["value"], c["tol"], c["pass"]] for c in checks]
@@ -403,15 +326,16 @@ COMMANDS = tuple(_RUNNERS)
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_threads(args.threads)
-    from .config import ConfigError, load_config
-    from .reporting import report_envelope, write_csv_atomic, write_json_atomic
-
     try:
+        if args.threads is not None and args.threads < 1:     # before any variable is written
+            raise ValueError(f"--threads must be an integer >= 1, got {args.threads!r}")
+        _apply_threads(args.threads)
+        from .config import ConfigError, _int_at_least, load_config
+        from .reporting import report_envelope, write_csv_atomic, write_json_atomic
+
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
-            cfg.raw["seed"] = args.seed
+            cfg.seed = cfg.raw["seed"] = _int_at_least("--seed", args.seed, 0)
         if not 0 < args.resolution_scale < float("inf"):      # false for nan too
             raise ConfigError(f"--resolution-scale must be finite and > 0, got {args.resolution_scale!r}")
         claim, payload, header, rows, code = _RUNNERS[args.command](cfg, args)
@@ -423,7 +347,7 @@ def main(argv: Optional[list] = None) -> int:
         # left behind without its JSON
         write_json_atomic(json_path, envelope)
         write_csv_atomic(csv_path, header, rows)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:                     # ConfigError is a ValueError
         details = getattr(exc, "details", {"error": str(exc)})
         json.dump({"command": args.command, **details}, sys.stderr, indent=2,
                   sort_keys=True, default=str)

@@ -446,13 +446,6 @@ def translation_certificate(basis: BasisSpec, z, tau: float = 1e-12) -> Translat
     return TranslationCertificate(spaces.point(space, zs), tau, tails, certified)
 
 
-def certified_projector(basis: BasisSpec, cert: TranslationCertificate) -> OperatorMatrix:
-    """Orthogonal projection onto the certified scalar-mode prefix (all components)."""
-    prefix = (np.arange(basis.n_modes) < cert.certified_modes).astype(float)
-    mask = spaces.kron([prefix] * basis.space.nfactors)
-    return scalar_block_to_operator(basis, np.diag(mask))
-
-
 def conjugate_operator(T: OperatorMatrix, z) -> OperatorMatrix:
     """T^z = U_z T U_z^*, applied as U (x) I_d on the scalar block."""
     return OperatorMatrix(T.basis, _conjugate_blocks(T.mat, _scalar_block(T.basis, z), T.basis.space.d))

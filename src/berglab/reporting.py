@@ -28,16 +28,12 @@ CLAIMS = {
     "schur-test": "matrix-weighted Schur domination of the discretized operator norm",
     "kernel-power-integrals": "uniform-in-z bounds on normalized kernel-power integrals",
     "toeplitz-calculus": "Toeplitz assembly, contraction bound, and involutive covariance",
-    "translation-identities": "unitarity and involutivity of translation operators on certified modes",
     "rank-one-factorization": "rank-one operators as sums of Toeplitz products through a point mass",
-    "compactness-diagnostics": "kernel-state decay and conjugated-shell estimates for compactness",
     "berezin-transform": "operator-valued kernel-state expectations and their boundary decay",
     "boundedness-integrals": "sup-z L^p integral tests sufficient for operator boundedness",
     "essential-norm": "lower profile of the essential norm via conjugated probes",
     "covering": "bounded-overlap metric covering with cells of diameter at most 4r",
     "localization": "approximation of an operator by its covering localization",
-    "injectivity": "full rank of the operator-to-kernel-state-samples map",
-    "reproducibility": "deterministic reports from identical config and seed",
 }
 
 

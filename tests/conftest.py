@@ -4,7 +4,8 @@ import pytest
 from berglab import spaces
 from berglab.coeffs import BasisSpec, _factor_log_normalizers
 from berglab.covering import _factor_blocks
-from berglab.operators import translation_matrix
+from berglab.operators import (scalar_block_to_operator, translation_certificate,
+                               translation_matrix)
 from berglab.quadrature import build_rule
 
 
@@ -131,6 +132,33 @@ def per_point_essential_profile(T, boundary_grid, seed):
                        float(np.linalg.norm(Tz @ R, axis=0).max()))
         profile.append(best)
     return np.array(profile)
+
+
+def certified_projector(basis, cert):
+    """Orthogonal projection onto the certified scalar-mode prefix (all components)."""
+    prefix = (np.arange(basis.n_modes) < cert.certified_modes).astype(float)
+    mask = spaces.kron([prefix] * basis.space.nfactors)
+    return scalar_block_to_operator(basis, np.diag(mask))
+
+
+def per_point_translation_residuals(basis, z_grid):
+    """Oracle for the translation entries of axiom_checks: one non-origin point at a time,
+    the dense U_z (x) I_d of translation_matrix on the projector of its own certificate.
+    Returns the worst unitarity and involutivity residuals and the points checked."""
+    space = basis.space
+    origin = spaces.point(space, [0.0] * space.nfactors)
+    I = np.eye(basis.dim)
+    worst_u, worst_i, checked = 0.0, 0.0, 0
+    for z in z_grid:
+        cert = translation_certificate(basis, z)
+        if spaces.metric(space, origin, z) == 0 or cert.certified_modes == 0:
+            continue
+        checked += 1
+        U = translation_matrix(basis, z).mat
+        P = certified_projector(basis, cert).mat
+        worst_u = max(worst_u, np.linalg.norm(P @ (U.conj().T @ U - I) @ P, 2))
+        worst_i = max(worst_i, np.linalg.norm(P @ (U @ U - I) @ P, 2))
+    return worst_u, worst_i, checked
 
 
 def sup_norm(symbol, rule):

@@ -48,8 +48,7 @@ from berglab import (
     translation_matrix,
 )
 from berglab.coeffs import eval_coeffs
-from berglab.operators import certified_projector
-from conftest import sample_points, sup_norm
+from conftest import certified_projector, sample_points, sup_norm
 
 
 def test_criterion_01_kernel_axioms_and_reproducing_property():

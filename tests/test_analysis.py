@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from berglab import analysis, operators, spaces
-from berglab.analysis import (berezin, berezin_decay_profile,
+from berglab.analysis import (axiom_checks, berezin, berezin_decay_profile,
                               berezin_injectivity_probe, boundary_shells,
                               default_probe_grid, essential_norm_estimate,
                               hankel_rkt_check, rkt_boundedness_check,
@@ -17,7 +17,7 @@ from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_s
                                toeplitz_matrix, translation_certificate, translation_matrix)
 from berglab.quadrature import build_rule
 from berglab.reporting import jsonable
-from conftest import per_point_essential_profile
+from conftest import per_point_essential_profile, per_point_translation_residuals
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +337,38 @@ def test_essential_norm_translates_once_per_factor(monkeypatch):
         calls.clear()
         essential_norm_estimate(identity_operator(BasisSpec(space, n_modes)))
         assert calls == [(12,)] * space.nfactors
+
+
+# ---------------------------------------------------------------------------
+# axiom suite
+
+@pytest.mark.parametrize("space, n_modes, inner", [
+    (spaces.disc_space(0.0, d=2), 32, True), (spaces.disc_space(1.5, d=3), 24, True),
+    (spaces.fock_space(d=2), 24, True), (spaces.bidisc_space(0.0, 0.5, d=2), 12, True),
+    (spaces.disc_space(0.0, d=2), 8, False),
+], ids=["disc", "disc-1.5-d3", "fock", "bidisc", "disc-none-checked"])
+def test_axiom_translation_checks_match_per_point_oracle(space, n_modes, inner):
+    # the default grid, plus two inner points that certify modes on every space; without
+    # them, the disc at n=8 certifies no mode at any point
+    basis = BasisSpec(space, n_modes)
+    top = spaces.probe_radius_max(space)
+    grid = default_probe_grid(space) + [spaces.point(space, [r * np.exp(0.9j)] * space.nfactors)
+                                        for r in (0.05 * top, 0.15 * top) if inner]
+    checks = {c["name"]: c for c in axiom_checks(basis, build_rule(space), grid, seed=0)}
+    worst_u, worst_i, checked = per_point_translation_residuals(basis, grid)
+    assert (checked > 0) == inner
+    for name, ref in (("translation_unitarity_certified", worst_u),
+                      ("translation_involutivity_certified", worst_i)):
+        assert checks[name]["points_checked"] == checked
+        assert abs(checks[name]["value"] - ref) <= 1e-15
+        assert (checks[name]["value"] > 0.0) == inner
+
+
+def test_axiom_checks_refuse_an_inadmissible_grid_first(basis24):
+    # 0.95 lies outside the disc's admissible region (r_max 0.9): the whole grid is refused
+    # before any check runs, so the rule (None here) is never read
+    with pytest.raises(ValueError, match="radius 0.9500 outside admissible region"):
+        axiom_checks(basis24, None, [0.0, 0.95], seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,45 @@ def test_seed_flag_overrides_config(config_path, tmp_path):
     assert report["config"]["seed"] == 99
 
 
+@pytest.mark.parametrize("command", ["kernel", "rank1"])
+def test_negative_seed_flag_exits_2_and_writes_nothing(command, config_path, tmp_path, capsys):
+    # the flag follows the config key's rule, an integer >= 0, and the error names the flag
+    out = tmp_path / "out"
+    assert _run(command, config_path, out, extra=["--seed", "-1"]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["command"] == command
+    assert "--seed" in payload["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_thread_count_below_1_exits_2_before_writing_the_environment(threads, config_path,
+                                                                     tmp_path, capsys,
+                                                                     monkeypatch):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+    for name in names:
+        monkeypatch.setenv(name, "unchanged")
+    out = tmp_path / "out"
+    assert _run("kernel", config_path, out, extra=["--threads", threads]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["command"] == "kernel"
+    assert "--threads" in payload["error"]
+    assert all(os.environ[name] == "unchanged" for name in names)
+    assert not out.exists()
+
+
+def test_verify_axioms_refuses_an_inadmissible_probe_grid(tmp_path, capsys):
+    # 0.95 lies outside the disc's admissible region (r_max 0.9), as rkt and kernel refuse it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, z_grid=[0.0, 0.95])))
+    out = tmp_path / "out"
+    assert cli.main(["verify-axioms", "--config", str(path), "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["command"] == "verify-axioms"
+    assert "radius 0.9500" in payload["error"]
+    assert not out.exists()
+
+
 def test_resolution_scale_changes_orders(config_path, tmp_path):
     out = tmp_path / "out"
     assert _run("rf", config_path, out, extra=["--resolution-scale", "1.5"]) == 0

@@ -12,7 +12,7 @@ from berglab.coeffs import (BasisSpec, CoeffFunction, eval_coeffs, from_flat,
                             random_coeff_function, random_polynomial,
                             scalar_basis_matrix)
 from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
-                               certified_projector, conjugate_operator,
+                               conjugate_operator,
                                constant_symbol, hankel_apply,
                                identity_operator, poly_symbol,
                                pullback_symbol, rank_one,
@@ -21,7 +21,7 @@ from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
                                translation_certificate, translation_matrix)
 from berglab.operators import _scalar_translation
 from berglab.quadrature import build_rule
-from conftest import fft_disc_translation, sample_points, sup_norm
+from conftest import certified_projector, fft_disc_translation, sample_points, sup_norm
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ import numpy as np
 from berglab import spaces
 from berglab.coeffs import BasisSpec, _factor_basis_matrix, basis_normalizer, scalar_basis_matrix
 from berglab.covering import _disc_cells, build_covering
-from berglab.operators import (_scalar_translation, certified_projector,
-                               translation_certificate, translation_matrix)
+from berglab.operators import _scalar_translation, translation_certificate, translation_matrix
 from berglab.quadrature import _polar_grid, _radial_rule, build_rule
-from conftest import enlargement, sample_points
+from conftest import certified_projector, enlargement, sample_points
 
 
 def _ref_relative_kernel_tail(space, z, n_modes):

@@ -13,7 +13,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 CASES = [
-    ("run_axiom_suite.py", ["--n-pairs", "5"]),
+    ("run_axiom_suite.py", []),
     ("run_rf_sweep.py", ["--alphas", "0.0"]),
     ("run_compactness_study.py", ["--n-per-class", "1", "--n-modes", "8"]),
     ("run_localization_study.py", ["--n-modes", "4", "--n-ops", "1", "--radii", "1.0", "2.0"]),
@@ -31,25 +31,23 @@ def test_script_runs_and_writes_csv(script, args, tmp_path):
 
 
 def test_axiom_suite_reports_vacuous_translation_check_as_nan(tmp_path):
-    """With no certified mode at any displacement radius the translation residual is
-    nan, never a perfect-looking 0."""
+    """A translation check that checked no point (no certified mode at any displacement
+    radius) reads nan, never a perfect-looking 0."""
     out = tmp_path / "axioms.csv"
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "run_axiom_suite.py"), "--n-pairs", "5",
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "run_axiom_suite.py"),
                            "--out", str(out)], capture_output=True, text=True, cwd=tmp_path,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     _, *rows = csv.reader(out.read_text().splitlines())
     value = {(space, n, check): v for space, n, check, v in rows}
-    translation = {key[:2]: v for key, v in value.items() if key[2] == "translation_certified"}
-    assert translation[("bidisc", "4")] == "nan"
+    names = ("translation_unitarity_certified", "translation_involutivity_certified")
+    translation = {key: v for key, v in value.items() if key[2] in names}
+    assert {key[2] for key in translation} == set(names)
+    assert all(translation[("bidisc", "4", name)] == "nan" for name in names)
     # at N=8 the smallest displacement certifies modes on every space
     eight = [v for (space, n, check), v in value.items() if n == "8"]
     assert eight and all(np.isfinite(float(v)) for v in eight)
-    for (space, n), v in translation.items():
-        if v == "nan":
-            assert float(value[(space, n, "certified_modes_min")]) == 0.0
-        else:
-            assert float(v) > 0.0
+    assert all(v == "nan" or float(v) > 0.0 for v in translation.values())
 
 
 def test_diff_reports_names_the_file_and_key_of_an_edited_number(tmp_path):
