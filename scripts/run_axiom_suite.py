@@ -24,7 +24,7 @@ from berglab import (  # noqa: E402
     BasisSpec, axiom_checks, bidisc_space, build_rule, disc_space, fock_space, kernel_eval,
     random_coeff_function,
 )
-from berglab.coeffs import eval_coeffs  # noqa: E402
+from berglab.coeffs import eval_coeffs, rule_samples  # noqa: E402
 from berglab.reporting import write_csv_atomic  # noqa: E402
 from berglab.spaces import point, probe_radius_max  # noqa: E402
 
@@ -38,7 +38,7 @@ def reproducing_residual(basis, rule, seed):
     z = point(space, [lim * np.sqrt(rng.uniform(0, 1, 8)) * np.exp(2j * np.pi * rng.uniform(0, 1, 8))
                       for _ in space.factors])
     K = kernel_eval(space, z[:, None], rule.nodes[None])             # (point, node)
-    quad = (np.conj(K) * rule.sigma_weights) @ eval_coeffs(f, rule.nodes)
+    quad = (np.conj(K) * rule.sigma_weights) @ rule_samples(basis, rule, f.coeffs)
     return float(np.max(np.abs(quad - eval_coeffs(f, z))))
 
 

@@ -2,7 +2,7 @@
 
 Concrete model regions (weighted disc, Gaussian plane, bidisc) carry component
 spaces of square-summable sequences.  The package builds quadrature rules,
-orthonormal coefficient bases, Toeplitz/Hankel/translation operators, and the
+orthonormal coefficient bases, Toeplitz and translation operators, and the
 compactness and localization diagnostics used by the batch CLI.
 
 Importing the package loads no numpy: the computational submodules are
@@ -29,7 +29,7 @@ _EXPORTS = {
                "scalar_basis_matrix"),
     "operators": ("BallPart", "MatrixSymbol", "OperatorMatrix",
                   "ball_indicator_symbol", "constant_symbol",
-                  "conjugate_operator", "hankel_apply", "identity_operator",
+                  "conjugate_operator", "identity_operator",
                   "poly_symbol", "pullback_symbol", "rank_one",
                   "rank_one_toeplitz_sum", "toeplitz_matrix",
                   "translation_certificate", "translation_matrix"),

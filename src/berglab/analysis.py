@@ -16,9 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import spaces
-from .coeffs import BasisSpec, kernel_coeff_vector, rule_inner, scalar_basis_matrix
+from .coeffs import BasisSpec, kernel_coeff_vector, rule_gram, rule_samples
 from .operators import (OperatorMatrix, _certified_modes, _conjugate_blocks, _factor_tails,
-                        _scalar_translation, translation_matrix)
+                        _scalar_translation)
 from .quadrature import QuadratureRule, integrate_lambda, integrate_sigma
 from .spaces import KIND_BIDISC, KIND_DISC, KIND_FOCK, SpaceSpec
 
@@ -56,10 +56,12 @@ def boundary_shells(space: SpaceSpec, radii: Optional[Sequence[float]] = None) -
     return [[spaces.point(space, [r * a] * space.nfactors) for a in angles] for r in radii]
 
 
-def _translations(basis: BasisSpec, points) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _translations(basis: BasisSpec, points, grid: str = "z_grid") -> Tuple[np.ndarray, ...]:
     """The points as one array, their scalar U_z blocks (p, N, N) and least certified modes
-    (tau 1e-12), after checking that all are admissible: one translation call per factor."""
+    (tau 1e-12) of a non-empty (ValueError naming the grid), admissible grid: one call per factor."""
     space = basis.space
+    if not len(points):
+        raise ValueError(f"the probe grid {grid} is empty")
     points = spaces.as_points(space, points)
     spaces.check_probe_point(space, points)
     blocks = [_scalar_translation(f, basis.n_modes, c)
@@ -101,7 +103,7 @@ def axiom_checks(basis: BasisSpec, rule: QuadratureRule, z_grid: Sequence,
 
     record("sigma_probability", abs(integrate_sigma(rule, np.ones(rule.n_nodes)) - 1.0), 1e-12)
     record("basis_orthonormality",
-           np.abs(rule_inner(basis, rule) - np.eye(basis.n_scalar)).max(), 1e-10)
+           np.abs(rule_gram(basis, rule) - np.eye(basis.n_scalar)).max(), 1e-10)
     z, w = rand_points(400), rand_points(400)
     zw = spaces.involution(space, z, w)
     record("involutivity", np.max(np.abs(spaces.involution(space, z, zw) - w)), 1e-12)
@@ -186,28 +188,24 @@ def rkt_boundedness_check(basis: BasisSpec, rule: QuadratureRule, T: OperatorMat
                           z_grid: Optional[Sequence] = None) -> Tuple[RktReport, RktReport]:
     """Kernel-displacement boundedness integrals for T* (first) and T (second).
 
-    Per z and unit index i: apply the operator to the normalized truncated
-    kernel in component i, move it back with U_z, and take the L^p(sigma) norm
-    of the pointwise l1 component sum.
+    Per z and unit index i: apply the operator to the normalized truncated kernel k_z in
+    component i, move it back with U_z, and take the L^p(sigma) norm of the pointwise l1
+    component sum.  All points at once: one batched U_z per factor, and node values from
+    the factor samples of the basis (`rule_samples`), never a basis matrix on product nodes.
     """
     space = basis.space
     z_grid = _probe_grid(space, p, z_grid)
-    d = space.d
-    sides = (("adjoint_side", T.adjoint()), ("direct_side", T))
-    vals = {"adjoint_side": [], "direct_side": []}
-    E = scalar_basis_matrix(basis, rule.nodes)
-    for z in z_grid:
-        v = kernel_coeff_vector(basis, z)
-        X = np.einsum("m,ik->mik", v, np.eye(d)).reshape(basis.dim, d)  # columns k_z e_i
-        U = translation_matrix(basis, z)
-        for side, A in sides:
-            H = U.mat @ (A.mat @ X)                       # (dim, d) columns
-            C = H.reshape(basis.n_scalar, d, d)           # (mode, component, probe i)
-            S = np.einsum("mu,mki->uki", E, C)            # samples (node, component, i)
-            vals[side].append(_lp_norm(rule, np.sum(np.abs(S), axis=1), p))
-    kap = space.kappa
-    return (RktReport("adjoint_side", p, list(z_grid), np.array(vals["adjoint_side"]), kap),
-            RktReport("direct_side", p, list(z_grid), np.array(vals["direct_side"]), kap))
+    n, d = basis.n_scalar, space.d
+    points, U, _ = _translations(basis, z_grid)
+    V = kernel_coeff_vector(basis, points)                           # (mode, point)
+    reports = []
+    for side, A in (("adjoint_side", T.adjoint()), ("direct_side", T)):
+        AV = A.mat.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(-1, n) @ V
+        H = U @ AV.reshape(n, d * d, -1).transpose(2, 0, 1)          # (point, mode, (k, i))
+        S = rule_samples(basis, rule, H).reshape(len(points), -1, d, d)
+        values = _lp_norm(rule, np.abs(S).sum(axis=2).transpose(1, 0, 2), p)   # (point, i)
+        reports.append(RktReport(side, p, list(z_grid), values, space.kappa))
+    return tuple(reports)
 
 
 def rkt_toeplitz_symbol_check(rule: QuadratureRule, F, p: float = 4.0,
@@ -367,7 +365,8 @@ def essential_norm_estimate(T: OperatorMatrix, boundary_grid: Optional[Sequence[
     R = rng.standard_normal((basis.dim, 8)) + 1j * rng.standard_normal((basis.dim, 8))
     R = R / np.linalg.norm(R, axis=0, keepdims=True)
     origin = spaces.point(space, [0.0] * space.nfactors)
-    points, U, modes = _translations(basis, [z for shell in boundary_grid for z in shell])
+    points, U, modes = _translations(basis, [z for shell in boundary_grid for z in shell],
+                                     "boundary_grid")
     starts = np.cumsum([0] + [len(shell) for shell in boundary_grid])
     profile = []
     for a, b in zip(starts[:-1], starts[1:]):

@@ -24,17 +24,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="path to a JSON config")
     parser.add_argument("--out", default="reports", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS/OpenMP thread count")
-    parser.add_argument("--resolution-scale", type=float, default=1.0,
-                        help="multiplies quadrature orders")
+    parser.add_argument("--seed", default=None, help="override config seed")
+    parser.add_argument("--threads", default=None, help="BLAS/OpenMP thread count")
+    parser.add_argument("--resolution-scale", default="1", help="multiplies quadrature orders")
     return parser
 
 
-def _apply_threads(n: Optional[int]) -> None:
-    if n is None:
+def _flag(name: str, text: str, kind, ok, rule: str):
+    """A numeric flag's text as kind if ok holds for the value, else ValueError naming the flag."""
+    try:
+        if ok(value := kind(text)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be {rule}, got {text!r}")
+
+
+def _apply_threads(text: Optional[str]) -> None:
+    if text is None:
         return
+    n = _flag("--threads", text, int, lambda k: k >= 1, "an integer >= 1")   # before any variable is set
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(n)
@@ -327,17 +336,15 @@ COMMANDS = tuple(_RUNNERS)
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads is not None and args.threads < 1:     # before any variable is written
-            raise ValueError(f"--threads must be an integer >= 1, got {args.threads!r}")
         _apply_threads(args.threads)
-        from .config import ConfigError, _int_at_least, load_config
+        from .config import load_config
         from .reporting import report_envelope, write_csv_atomic, write_json_atomic
 
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = cfg.raw["seed"] = _int_at_least("--seed", args.seed, 0)
-        if not 0 < args.resolution_scale < float("inf"):      # false for nan too
-            raise ConfigError(f"--resolution-scale must be finite and > 0, got {args.resolution_scale!r}")
+            cfg.seed = cfg.raw["seed"] = _flag("--seed", args.seed, int, lambda n: n >= 0, "an integer >= 0")
+        args.resolution_scale = _flag("--resolution-scale", args.resolution_scale, float,
+                                      lambda x: 0 < x < float("inf"), "finite and > 0")
         claim, payload, header, rows, code = _RUNNERS[args.command](cfg, args)
         envelope = report_envelope(args.command, claim, cfg.echo(), cfg.seed, payload)
         stem = args.command.replace("-", "_")

@@ -123,26 +123,35 @@ def eval_coeffs(f: CoeffFunction, points) -> np.ndarray:
     return E.T @ f.coeffs
 
 
-def rule_inner(basis: BasisSpec, rule: QuadratureRule, samples=None) -> np.ndarray:
-    """<samples, e_m> in L^2(sigma) by the rule: sum_u conj(e_m(u)) w_u samples[u, ...].
-
-    Without samples this is the Gram matrix <e_n, e_m> of the basis on the rule.
-    """
-    E = scalar_basis_matrix(basis, rule.nodes)
-    return (E.conj() * rule.sigma_weights[None, :]) @ (E.T if samples is None else samples)
+def factor_samples(basis: BasisSpec, rule: QuadratureRule) -> list:
+    """e_m on each factor rule: (n_modes, n_factor_nodes) per pair of basis.space.factors and
+    rule.factors.  The one place the basis meets a rule: no basis matrix on product nodes."""
+    return [_factor_basis_matrix(f, basis.n_modes, fr.nodes)
+            for f, fr in zip(basis.space.factors, rule.factors)]
 
 
-def project_grid_function(basis: BasisSpec, rule: QuadratureRule, samples) -> CoeffFunction:
-    """Orthogonal projection of grid samples onto the truncated analytic space.
+def rule_gram(basis: BasisSpec, rule: QuadratureRule) -> np.ndarray:
+    """Gram <e_n, e_m> of the basis on the rule: the Kronecker product of the factor Grams
+    sum_u conj(e_m(u)) w_u e_n(u), since a product rule is the tensor mesh of its factors."""
+    return spaces.kron([(E.conj() * fr.sigma_weights) @ E.T
+                        for E, fr in zip(factor_samples(basis, rule), rule.factors)])
 
-    samples: (n_nodes, d), or (n_nodes,) scalar samples, which land in component 0.
-    """
-    s = np.asarray(samples, dtype=complex)
-    if s.ndim == 1:
-        s = np.pad(s[:, None], ((0, 0), (0, basis.space.d - 1)))
-    if s.shape != (rule.n_nodes, basis.space.d):
-        raise ValueError("samples must be (n_nodes,) or (n_nodes, d)")
-    return CoeffFunction(basis, rule_inner(basis, rule, s))
+
+def _kron_rows(mats, Y: np.ndarray) -> np.ndarray:
+    """Stacked kron(*mats) @ Y for (cells or 1, q, n) factor stacks and Y (cells, N, c): each step
+    multiplies every cell's leading mode axis at once and moves it behind the other mode axes."""
+    cells, c = len(Y), Y.shape[-1]
+    for A in mats:
+        Y = (A @ Y.reshape(cells, A.shape[2], -1)).reshape(cells, A.shape[1], -1, c).transpose(0, 2, 1, 3)
+    return Y.reshape(cells, -1, c)
+
+
+def rule_samples(basis: BasisSpec, rule: QuadratureRule, C) -> np.ndarray:
+    """Node values sum_m C[..., m, :] e_m(u) of a coefficient stack, (..., n_scalar, c) ->
+    (..., n_nodes, c): the factor samples applied one mode axis at a time."""
+    Y = _kron_rows([E.T[None] for E in factor_samples(basis, rule)],
+                   C.reshape(-1, basis.n_scalar, C.shape[-1]))
+    return Y.reshape(C.shape[:-2] + Y.shape[1:])
 
 
 def kernel_coeff_vector(basis: BasisSpec, z) -> np.ndarray:

@@ -40,7 +40,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import spaces
-from .coeffs import BasisSpec, _factor_log_normalizers, scalar_basis_matrix
+from .coeffs import BasisSpec, _factor_log_normalizers, _kron_rows, factor_samples
 from .operators import OperatorMatrix
 from .quadrature import QuadratureRule, build_rule
 from .spaces import KIND_DISC, SpaceSpec
@@ -250,16 +250,15 @@ def _disc_grams(rule: QuadratureRule, member: np.ndarray, n: int) -> np.ndarray:
 
 
 def _factor_blocks(covering: Covering, basis: BasisSpec) -> list:
-    """Per factor, (G, R): G[a] the Gram conj(S) S^T of factor cell a's enlargement, S
-    the factor's sigma-weighted basis samples (`_disc_grams` on a disc); R[a] the QR factor
-    of its core samples (themselves if at most n).  Built once per basis, kept on the covering."""
+    """Per factor, (G, R): G[a] the Gram conj(S) S^T of factor cell a's enlargement, S the
+    factor's sigma-weighted `factor_samples` (`_disc_grams` on a disc); R[a] the QR factor of
+    its core samples (themselves if at most n).  Built once per basis, kept on the covering."""
     if basis in covering.blocks:
         return covering.blocks[basis]
     n = basis.n_modes
     blocks = []
-    for fr, index, member in zip(covering.rule.factors, covering.factor_index,
-                                 covering.factor_enlargement):
-        S = scalar_basis_matrix(BasisSpec(fr.space, n), fr.nodes)
+    for fr, S, index, member in zip(covering.rule.factors, factor_samples(basis, covering.rule),
+                                    covering.factor_index, covering.factor_enlargement):
         S *= np.sqrt(fr.sigma_weights)                # conj(S) @ S.T: the sigma inner product
         G = (_disc_grams(fr, member, n) if fr.space.kind == KIND_DISC else
              np.stack([(s := S[:, np.flatnonzero(m)]).conj() @ s.T for m in member]))
@@ -268,15 +267,6 @@ def _factor_blocks(covering: Covering, basis: BasisSpec) -> list:
         blocks.append((G, R))
     covering.blocks[basis] = blocks
     return blocks
-
-
-def _kron_rows(mats, Y: np.ndarray) -> np.ndarray:
-    """Stacked kron(*mats) @ Y for (cells, q, n) factor stacks and Y (cells, N, c): each step
-    multiplies every cell's leading mode axis at once and moves it behind the other mode axes."""
-    cells, c = len(Y), Y.shape[-1]
-    for A in mats:
-        Y = (A @ Y.reshape(cells, A.shape[2], -1)).reshape(cells, A.shape[1], -1, c).transpose(0, 2, 1, 3)
-    return Y.reshape(cells, -1, c)
 
 
 def _kron_cols(X: np.ndarray, mats) -> np.ndarray:

@@ -34,8 +34,7 @@ import numpy as np
 
 from . import spaces
 from .coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers,
-                     basis_normalizer, from_flat, project_grid_function,
-                     rule_inner, scalar_basis_matrix)
+                     basis_normalizer, from_flat, rule_gram, scalar_basis_matrix)
 from .quadrature import QuadratureRule, ball_rule, euclidean_ball
 from .spaces import KIND_DISC, KIND_FOCK, SpaceSpec
 
@@ -284,7 +283,7 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
         brule = ball_rule(basis.space, b.center, b.radius,
                           radial_order=max(rule.radial_order, basis.n_modes + 8),
                           angular_order=max(rule.angular_order, 2 * basis.n_modes + 8))
-        T4 += np.einsum("ab,ik->aibk", rule_inner(basis, brule), b.value)
+        T4 += np.einsum("ab,ik->aibk", rule_gram(basis, brule), b.value)
     return OperatorMatrix(basis, T)
 
 
@@ -452,31 +451,7 @@ def conjugate_operator(T: OperatorMatrix, z) -> OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Hankel, rank-one
-
-@dataclass
-class HankelResult:
-    residual_samples: np.ndarray  # (n_nodes, d)
-    norm: float
-    projected: CoeffFunction
-
-
-def hankel_apply(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol,
-                 f: CoeffFunction) -> HankelResult:
-    """H_F f = (I - P)(F f), realized on the quadrature grid.
-
-    Ball parts are sampled pointwise here, so indicator symbols carry the
-    grid's discontinuity error; polynomial symbols are clean.
-    """
-    from .coeffs import eval_coeffs
-    fvals = eval_coeffs(f, rule.nodes)                      # (n, d)
-    Fvals = symbol.eval(rule.nodes)                         # (n, d, d)
-    prod = np.einsum("nik,nk->ni", Fvals, fvals)
-    proj = project_grid_function(basis, rule, prod)
-    resid = prod - eval_coeffs(proj, rule.nodes)
-    nrm = float(np.sqrt(np.real(np.sum(rule.sigma_weights[:, None] * np.abs(resid) ** 2))))
-    return HankelResult(resid, nrm, proj)
-
+# rank-one
 
 def rank_one(f: CoeffFunction, g: CoeffFunction) -> OperatorMatrix:
     """f (x) g: h -> <h, g> f."""

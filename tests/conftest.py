@@ -1,8 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from berglab import spaces
-from berglab.coeffs import BasisSpec, _factor_log_normalizers
+from berglab.analysis import _lp_norm, _probe_grid
+from berglab.coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers, eval_coeffs,
+                            kernel_coeff_vector, scalar_basis_matrix)
 from berglab.covering import _factor_blocks
 from berglab.operators import (scalar_block_to_operator, translation_certificate,
                                translation_matrix)
@@ -192,3 +196,68 @@ def per_cell_localization_error(T, covering):
         res = (X - kron_cols(X, [G[a] for (G, _), a in zip(blocks, pick)])).reshape(-1, dim)
         M += res.conj().T @ res
     return float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))
+
+
+def dense_rule_inner(basis, rule, samples):
+    """Oracle for rule sums: sum_u conj(e_m(u)) w_u samples[u, ...] over the rule's nodes, with
+    the basis matrix on all of them (on a product rule, its product nodes)."""
+    E = scalar_basis_matrix(basis, rule.nodes)
+    return (E.conj() * rule.sigma_weights[None, :]) @ samples
+
+
+def dense_rule_gram(basis, rule):
+    """Oracle for rule_gram: the Gram <e_n, e_m> of the basis summed over every rule node."""
+    return dense_rule_inner(basis, rule, scalar_basis_matrix(basis, rule.nodes).T)
+
+
+def project_grid_function(basis, rule, samples):
+    """Orthogonal projection of grid samples onto the truncated analytic space.
+
+    samples: (n_nodes, d), or (n_nodes,) scalar samples, which land in component 0.
+    """
+    s = np.asarray(samples, dtype=complex)
+    if s.ndim == 1:
+        s = np.pad(s[:, None], ((0, 0), (0, basis.space.d - 1)))
+    if s.shape != (rule.n_nodes, basis.space.d):
+        raise ValueError("samples must be (n_nodes,) or (n_nodes, d)")
+    return CoeffFunction(basis, dense_rule_inner(basis, rule, s))
+
+
+@dataclass
+class HankelResult:
+    residual_samples: np.ndarray  # (n_nodes, d)
+    norm: float
+    projected: CoeffFunction
+
+
+def hankel_apply(basis, rule, symbol, f):
+    """H_F f = (I - P)(F f), realized on the quadrature grid.
+
+    Ball parts are sampled pointwise here, so indicator symbols carry the
+    grid's discontinuity error; polynomial symbols are clean.
+    """
+    fvals = eval_coeffs(f, rule.nodes)                      # (n, d)
+    Fvals = symbol.eval(rule.nodes)                         # (n, d, d)
+    prod = np.einsum("nik,nk->ni", Fvals, fvals)
+    proj = project_grid_function(basis, rule, prod)
+    resid = prod - eval_coeffs(proj, rule.nodes)
+    nrm = float(np.sqrt(np.real(np.sum(rule.sigma_weights[:, None] * np.abs(resid) ** 2))))
+    return HankelResult(resid, nrm, proj)
+
+
+def per_point_rkt(basis, rule, T, p=4.0, z_grid=None):
+    """Oracle for rkt_boundedness_check's values (adjoint side, direct side): one point at a
+    time, the dense U_z (x) I_d of translation_matrix and the basis matrix on every rule node."""
+    d = basis.space.d
+    z_grid = _probe_grid(basis.space, p, z_grid)
+    E = scalar_basis_matrix(basis, rule.nodes)
+    vals = {"adjoint": [], "direct": []}
+    for z in z_grid:
+        v = kernel_coeff_vector(basis, z)
+        X = np.einsum("m,ik->mik", v, np.eye(d)).reshape(basis.dim, d)  # columns k_z e_i
+        U = translation_matrix(basis, z)
+        for side, A in (("adjoint", T.adjoint()), ("direct", T)):
+            C = (U.mat @ (A.mat @ X)).reshape(basis.n_scalar, d, d)   # (mode, component, i)
+            S = np.einsum("mu,mki->uki", E, C)                        # (node, component, i)
+            vals[side].append(_lp_norm(rule, np.sum(np.abs(S), axis=1), p))
+    return np.array(vals["adjoint"]), np.array(vals["direct"])

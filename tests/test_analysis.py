@@ -17,7 +17,7 @@ from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_s
                                toeplitz_matrix, translation_certificate, translation_matrix)
 from berglab.quadrature import build_rule
 from berglab.reporting import jsonable
-from conftest import per_point_essential_profile, per_point_translation_residuals
+from conftest import per_point_essential_profile, per_point_rkt, per_point_translation_residuals
 
 
 @pytest.fixture(scope="module")
@@ -147,20 +147,23 @@ def test_boundedness_rejects_bad_p(basis24, rule24):
 
 
 def test_rkt_checks_reject_an_empty_probe_grid(basis24):
-    # an empty grid would report sup 0.0 and admissible, and 0.95 lies outside the disc's
-    # admissible region (r_max 0.9); every check refuses the whole grid before any compute,
-    # so the rule (None here) is never read
+    # an empty grid would report sup 0.0 and admissible (or, in the axiom suite and the
+    # essential norm, a numpy reduction error), and 0.95 lies outside the disc's admissible
+    # region (r_max 0.9); every check refuses the whole grid before any compute, so the rule
+    # (None here) is never read.  The essential norm gets each point as a shell of its own.
     I2 = constant_symbol(basis24.space, np.eye(2))
-    checks = [lambda z: rkt_boundedness_check(basis24, None, identity_operator(basis24), z_grid=z),
-              lambda z: rkt_toeplitz_symbol_check(None, I2, z_grid=z),
-              lambda z: rkt_product_check(None, I2, I2, z_grid=z),
-              lambda z: hankel_rkt_check(None, I2, z_grid=z)]
-    grids = [([], "z_grid is empty"), ((), "z_grid is empty"),
-             (np.zeros(0, dtype=complex), "z_grid is empty"),
+    I = identity_operator(basis24)
+    checks = [(lambda z: rkt_boundedness_check(basis24, None, I, z_grid=z), "z_grid"),
+              (lambda z: rkt_toeplitz_symbol_check(None, I2, z_grid=z), "z_grid"),
+              (lambda z: rkt_product_check(None, I2, I2, z_grid=z), "z_grid"),
+              (lambda z: hankel_rkt_check(None, I2, z_grid=z), "z_grid"),
+              (lambda z: axiom_checks(basis24, None, z, 0), "z_grid"),
+              (lambda z: essential_norm_estimate(I, [[p] for p in z]), "boundary_grid")]
+    grids = [([], "{} is empty"), ((), "{} is empty"), (np.zeros(0, dtype=complex), "{} is empty"),
              ([0.0, 0.3, 0.95], "outside admissible region")]
-    for check in checks:
+    for check, name in checks:
         for grid, match in grids:
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(ValueError, match=match.format(name)):
                 check(grid)
     with pytest.raises(ValueError):
         analysis.RktReport("direct_side", 4.0, [], np.zeros((0, 2)), basis24.space.kappa)
@@ -299,6 +302,40 @@ def test_essential_norm_matches_per_point_oracle(space, n_modes, d):
     U = translation_matrix(T.basis, z).mat
     dense = U @ T.mat @ U.conj().T
     assert np.abs(conjugate_operator(T, z).mat - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("space, n_modes", _ORACLE_SPACES, ids=["disc", "disc-1.5", "fock", "bidisc"])
+def test_boundedness_matches_per_point_oracle(space, n_modes):
+    # all points at once through the factor samples, against one dense U_z (x) I_d per point
+    # and the basis matrix on every rule node
+    T = _random_operator(space, n_modes, 2, seed=7)
+    rule = build_rule(T.basis.space)
+    reports = rkt_boundedness_check(T.basis, rule, T)
+    for rep, ref in zip(reports, per_point_rkt(T.basis, rule, T)):
+        assert rep.values.shape == ref.shape
+        assert np.max(np.abs(rep.values - ref) / ref) <= 1e-13
+
+
+def test_rule_sums_on_the_bidisc_stay_within_a_memory_budget():
+    # a basis matrix on the 36,864 product nodes at n=16 is 151 MB per copy; the factor
+    # samples keep the axiom suite and the boundedness integrals well below one such copy
+    import tracemalloc
+
+    basis = BasisSpec(spaces.bidisc_space(0.0, 0.5, d=2), 16)
+    rule = build_rule(basis.space)
+    T = _random_operator(basis.space, 16, 2, seed=3)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (lambda: axiom_checks(basis, rule, default_probe_grid(basis.space), 0),
+                    lambda: rkt_boundedness_check(basis, rule, T)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append((tracemalloc.get_traced_memory()[1] - base) / 2 ** 20)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 100.0, peaks
 
 
 @pytest.mark.parametrize("space, n_modes", _ORACLE_SPACES, ids=["disc", "disc-1.5", "fock", "bidisc"])

@@ -108,7 +108,7 @@ def test_verify_axioms_counts_the_translation_points_it_checks(n_modes, points, 
     assert csv_text.splitlines()[0] == "check,value,tol,pass"
 
 
-@pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan", "x"])
 def test_bad_resolution_scale_exits_2_and_writes_nothing(scale, config_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert _run("rf", config_path, out, extra=[f"--resolution-scale={scale}"]) == 2
@@ -216,16 +216,18 @@ def test_seed_flag_overrides_config(config_path, tmp_path):
 
 @pytest.mark.parametrize("command", ["kernel", "rank1"])
 def test_negative_seed_flag_exits_2_and_writes_nothing(command, config_path, tmp_path, capsys):
-    # the flag follows the config key's rule, an integer >= 0, and the error names the flag
+    # the flag follows the config key's rule, an integer >= 0, and the error names the flag;
+    # a value that is no integer at all gets the same error, not argparse's usage text
     out = tmp_path / "out"
-    assert _run(command, config_path, out, extra=["--seed", "-1"]) == 2
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["command"] == command
-    assert "--seed" in payload["error"]
-    assert not out.exists()
+    for seed in ("-1", "abc"):
+        assert _run(command, config_path, out, extra=["--seed", seed]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["command"] == command
+        assert "--seed" in payload["error"]
+        assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("threads", ["0", "-1", "1.5"])
 def test_thread_count_below_1_exits_2_before_writing_the_environment(threads, config_path,
                                                                      tmp_path, capsys,
                                                                      monkeypatch):

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from berglab import spaces
 from berglab.coeffs import (BasisSpec, CoeffFunction, _factor_basis_matrix,
                             _factor_log_normalizers, eval_coeffs, from_flat, inner,
-                            kernel_coeff_vector, project_grid_function,
-                            random_coeff_function, random_polynomial,
-                            scalar_basis_matrix)
+                            kernel_coeff_vector, random_coeff_function,
+                            random_polynomial, rule_gram, rule_samples, scalar_basis_matrix)
 from berglab.quadrature import build_rule
-from conftest import sample_points
+from conftest import dense_rule_gram, project_grid_function, sample_points
 
 
 @pytest.mark.parametrize("n", [1, 2, 24, 64, 128])
@@ -25,17 +24,31 @@ def test_basis_powers_match_complex_power(n):
     assert np.max(np.abs(got[:, 1:] - ref[:, 1:]) / np.abs(ref[:, 1:])) <= 1e-13
 
 
-def _gram(basis, rule):
-    E = scalar_basis_matrix(basis, rule.nodes)
-    return (E.conj() * rule.sigma_weights[None, :]) @ E.T
-
-
 def test_scalar_basis_orthonormal(all_spaces):
     for sp in all_spaces:
         n = 6 if sp.kind == spaces.KIND_BIDISC else 16
         basis = BasisSpec(sp, n)
-        G = _gram(basis, build_rule(sp))
+        G = dense_rule_gram(basis, build_rule(sp))
         assert np.abs(G - np.eye(basis.n_scalar)).max() < 1e-10
+
+
+def test_factor_wise_rule_sums_match_the_product_node_oracle(all_spaces):
+    # the Gram from factor Grams and node values applied one factor axis at a time agree
+    # with the basis matrix on every node; on one factor the Gram is the same GEMM, bit for bit
+    rng = np.random.default_rng(5)
+    for sp in all_spaces:
+        basis = BasisSpec(sp, 6 if sp.kind == spaces.KIND_BIDISC else 16)
+        rule = build_rule(sp)
+        G, ref = rule_gram(basis, rule), dense_rule_gram(basis, rule)
+        assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
+        if sp.nfactors == 1:
+            assert np.array_equal(G, ref)
+        C = rng.standard_normal((3, basis.n_scalar, 4)) + 1j * rng.standard_normal((3, basis.n_scalar, 4))
+        E = scalar_basis_matrix(basis, rule.nodes)
+        got, want = rule_samples(basis, rule, C), np.einsum("mu,pmc->puc", E, C)
+        assert got.shape == (3, rule.n_nodes, 4)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(rule_samples(basis, rule, C[1]) - want[1]).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_basis_dimensions(disc, bidisc):

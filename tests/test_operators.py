@@ -13,7 +13,7 @@ from berglab.coeffs import (BasisSpec, CoeffFunction, eval_coeffs, from_flat,
                             scalar_basis_matrix)
 from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
                                conjugate_operator,
-                               constant_symbol, hankel_apply,
+                               constant_symbol,
                                identity_operator, poly_symbol,
                                pullback_symbol, rank_one,
                                rank_one_toeplitz_sum, toeplitz_matrix,
@@ -21,7 +21,8 @@ from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
                                translation_certificate, translation_matrix)
 from berglab.operators import _scalar_translation
 from berglab.quadrature import build_rule
-from conftest import certified_projector, fft_disc_translation, sample_points, sup_norm
+from conftest import (certified_projector, fft_disc_translation, hankel_apply, sample_points,
+                      sup_norm)
 
 
 # ---------------------------------------------------------------------------
