@@ -361,13 +361,16 @@ def essential_norm_estimate(T: OperatorMatrix, boundary_grid: Optional[Sequence[
     space = basis.space
     if boundary_grid is None:
         boundary_grid = boundary_shells(space)
+    sizes = [len(shell) for shell in boundary_grid]
+    if 0 in sizes:
+        raise ValueError(f"shell {sizes.index(0)} of the probe grid boundary_grid is empty")
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((basis.dim, 8)) + 1j * rng.standard_normal((basis.dim, 8))
     R = R / np.linalg.norm(R, axis=0, keepdims=True)
     origin = spaces.point(space, [0.0] * space.nfactors)
     points, U, modes = _translations(basis, [z for shell in boundary_grid for z in shell],
                                      "boundary_grid")
-    starts = np.cumsum([0] + [len(shell) for shell in boundary_grid])
+    starts = np.cumsum([0] + sizes)
     profile = []
     for a, b in zip(starts[:-1], starts[1:]):
         Tz = _conjugate_blocks(T.mat, U[a:b], space.d)

@@ -131,8 +131,8 @@ def _run_toeplitz(cfg, args):
         "sv_cutoff": cutoff,
         "matrix": {"re": T.mat.real, "im": T.mat.imag},
     }
-    rows = [[i, j, T.mat[i, j].real, T.mat[i, j].imag]
-            for i in range(T.dim) for j in range(T.dim)]
+    rows = ([i, j, T.mat[i, j].real, T.mat[i, j].imag]
+            for i in range(T.dim) for j in range(T.dim))
     return "toeplitz-calculus", payload, ["row", "col", "re", "im"], rows, 0
 
 

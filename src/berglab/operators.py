@@ -7,10 +7,11 @@ index of a reshaped matrix, so no dense U_z (x) I_d is formed.
 
 Toeplitz assembly T_F = P M_F is exact for polynomial symbols: the term
 z^a conj(z)^b maps e_n to c_n c_m / c_{n+a}^2 e_m with m = n + a - b (a
-monomial moment), so these entries use no quadrature rule at all.  Other
-smooth symbols (pullbacks, user-supplied functions) are sampled on the global
-rule, and ball-indicator parts are integrated on region-aligned rules
-(sampling an indicator on the global grid would lose ~3 digits).
+monomial moment), so each term is written by index on its one nonzero
+diagonal, with no quadrature rule and no dense block.  Other smooth symbols
+(pullbacks, user-supplied functions) are sampled on the global rule, and
+ball-indicator parts are integrated on region-aligned rules (sampling an
+indicator on the global grid would lose ~3 digits).
 
 Translation operators U_z f = (f o phi_z) k_z are compressions of unitaries.
 U_z e_k is analytic, so its compression is its Taylor coefficients divided
@@ -230,24 +231,21 @@ def scalar_block_to_operator(basis: BasisSpec, scalar: np.ndarray) -> OperatorMa
 # ---------------------------------------------------------------------------
 # Toeplitz operators
 
-def _factor_monomial_block(space1: SpaceSpec, n_modes: int, a: int, b: int) -> np.ndarray:
-    """Exact <z^a conj(z)^b e_n, e_m> on one factor: c_n c_m / c_{n+a}^2 at m = n + a - b.
-
-    The integral of |z|^(2k) against sigma is 1/c_k^2 on the disc (any alpha)
-    and on the Fock space, so no quadrature enters.
+def _monomial_diagonal(basis: BasisSpec, powers: tuple):
+    """Exact <z^a conj(z)^b e_n, e_m> of one monomial term as (rows, cols, values) on the
+    scalar modes: per factor one diagonal m = n + a - b of c_n c_m / c_{n+a}^2 (empty when
+    |a - b| >= n_modes), folded first factor slowest.  |z|^(2k) integrates to 1/c_k^2
+    against sigma on the disc (any alpha) and on the Fock space, so no quadrature enters.
     """
-    logc = _factor_log_normalizers(space1, n_modes + a)
-    n = np.arange(max(0, b - a), min(n_modes, n_modes + b - a))
-    m = n + a - b
-    out = np.zeros((n_modes, n_modes))
-    out[m, n] = np.exp(logc[n] + logc[m] - 2.0 * logc[n + a])
-    return out
-
-
-def _monomial_block(basis: BasisSpec, powers: tuple) -> np.ndarray:
-    """Scalar block of one monomial term: the Kronecker product of its factor blocks."""
-    return spaces.kron([_factor_monomial_block(f, basis.n_modes, a, b)
-                        for f, a, b in zip(basis.space.factors, powers[::2], powers[1::2])])
+    N = basis.n_modes
+    parts = []
+    for f, a, b in zip(basis.space.factors, powers[::2], powers[1::2]):
+        logc = _factor_log_normalizers(f, N + a)
+        n = np.arange(max(0, b - a), min(N, N + b - a))
+        m = n + a - b
+        parts.append((m, n, np.exp(logc[n] + logc[m] - 2.0 * logc[n + a])))
+    return reduce(lambda x, y: ((x[0][:, None] * N + y[0]).ravel(), (x[1][:, None] * N + y[1]).ravel(),
+                                (x[2][:, None] * y[2]).ravel()), parts)
 
 
 def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol) -> OperatorMatrix:
@@ -268,7 +266,8 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
     if symbol.poly is not None:
         for (i, k), terms in symbol.poly.items():
             for powers, c in terms.items():
-                T4[:, i, :, k] += c * _monomial_block(basis, powers)
+                rows, cols, vals = _monomial_diagonal(basis, powers)
+                T4[rows, i, cols, k] += c * vals
     elif symbol.smooth is not None:
         if (rule.space.kind, rule.space.alphas) != (basis.space.kind, basis.space.alphas):
             raise ValueError("a smooth symbol needs a rule for the basis's measure")
@@ -465,12 +464,9 @@ def _analytic_component_entry(basis: BasisSpec, scalar_coeffs: np.ndarray, conju
     c = basis_normalizer(basis)
     nz = np.flatnonzero(scalar_coeffs)
     modes = zip(*np.unravel_index(nz, (basis.n_modes,) * basis.space.nfactors))
-    entry: Dict[tuple, complex] = {}
-    for idx, ms in zip(nz, modes):   # ms: the mode index on each factor
-        mono = scalar_coeffs[idx] * c[idx]
-        key = sum(((0, int(m)) if conjugate else (int(m), 0) for m in ms), ())
-        entry[key] = entry.get(key, 0.0) + (np.conj(mono) if conjugate else mono)
-    return entry
+    mono = scalar_coeffs[nz] * c[nz]
+    return {sum(((0, int(m)) if conjugate else (int(m), 0) for m in ms), ()): v   # ms: mode per factor
+            for v, ms in zip(np.conj(mono) if conjugate else mono, modes)}
 
 
 def rank_one_toeplitz_sum(basis: BasisSpec, rule: QuadratureRule,
@@ -479,23 +475,24 @@ def rank_one_toeplitz_sum(basis: BasisSpec, rule: QuadratureRule,
 
     sum_{i,k} T[f_i E_ii] T[||K_0||^-1 delta_0 E_ii] T[conj(g_k) E_ii] T[E_ik]
     applied to h evaluates the analytic pairing <h, g> and reinstates f, one
-    component pair at a time.
+    component pair at a time.  Assembled are T[diag(f_1, ..., f_d)], each T[conj(g_k) I_d]
+    and T[||K_0||^-1 delta_0 I_d], whose (i, i) blocks F_ii, G_ii, D_ii are those of the E_ii
+    symbols.  D_ii lives on the modes s where the basis is nonzero at the origin (the constant
+    mode), so block (i, k), placed by index as T[E_ik] does, is F_ii[:, s] D_ii[s, s] G_ii[s, :].
     """
-    space = basis.space
-    d = space.d
-    dim = basis.dim
+    space, d, n = basis.space, basis.space.d, basis.n_scalar
     origin = spaces.point(space, [np.zeros(1)] * space.nfactors)   # one point
     k0 = float(spaces.kernel_norm(space, origin)[0])
-    total = np.zeros((dim, dim), dtype=complex)
-    for i in range(d):
-        Eii = np.zeros((d, d)); Eii[i, i] = 1.0
-        T_fi = toeplitz_matrix(basis, rule, poly_symbol(
-            space, {(i, i): _analytic_component_entry(basis, f.coeffs[:, i], conjugate=False)}))
-        T_delta = toeplitz_measure_matrix(basis, PointMassMeasure(origin, Eii[None, :, :] / k0))
-        for k in range(d):
-            T_gk = toeplitz_matrix(basis, rule, poly_symbol(
-                space, {(i, i): _analytic_component_entry(basis, g.coeffs[:, k], conjugate=True)}))
-            Eik = np.zeros((d, d)); Eik[i, k] = 1.0
-            T_ik = np.kron(np.eye(basis.n_scalar), Eik)  # constant symbols need no quadrature
-            total += T_fi.mat @ T_delta.mat @ T_gk.mat @ T_ik
-    return OperatorMatrix(basis, total)
+    def diagonal_blocks(T: OperatorMatrix) -> np.ndarray:   # (d, n, n): block (i, i) at [i]
+        return T.mat.reshape(n, d, n, d)[:, range(d), :, range(d)]
+    F = diagonal_blocks(toeplitz_matrix(basis, rule, poly_symbol(space, {
+        (i, i): _analytic_component_entry(basis, f.coeffs[:, i], conjugate=False) for i in range(d)})))
+    D = diagonal_blocks(toeplitz_measure_matrix(basis, PointMassMeasure(origin, np.eye(d)[None] / k0)))
+    s = np.flatnonzero(np.any(D != 0, axis=(0, 1)))                  # D's support: the constant mode
+    FD = F[:, :, s] @ D[:, s][:, :, s]                                # (d, n, |s|)
+    total = np.zeros((n, d, n, d), dtype=complex)
+    for k in range(d):
+        gk = _analytic_component_entry(basis, g.coeffs[:, k], conjugate=True)
+        G = diagonal_blocks(toeplitz_matrix(basis, rule, poly_symbol(space, {(i, i): gk for i in range(d)})))
+        total[:, :, :, k] = np.swapaxes(FD @ G[:, s], 0, 1)          # block (i, k) from the (i, i) product
+    return OperatorMatrix(basis, total.reshape(basis.dim, basis.dim))

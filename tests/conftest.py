@@ -8,8 +8,9 @@ from berglab.analysis import _lp_norm, _probe_grid
 from berglab.coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers, eval_coeffs,
                             kernel_coeff_vector, scalar_basis_matrix)
 from berglab.covering import _factor_blocks
-from berglab.operators import (scalar_block_to_operator, translation_certificate,
-                               translation_matrix)
+from berglab.operators import (PointMassMeasure, _analytic_component_entry, poly_symbol,
+                               scalar_block_to_operator, toeplitz_measure_matrix,
+                               translation_certificate, translation_matrix)
 from berglab.quadrature import build_rule
 
 
@@ -261,3 +262,50 @@ def per_point_rkt(basis, rule, T, p=4.0, z_grid=None):
             S = np.einsum("mu,mki->uki", E, C)                        # (node, component, i)
             vals[side].append(_lp_norm(rule, np.sum(np.abs(S), axis=1), p))
     return np.array(vals["adjoint"]), np.array(vals["direct"])
+
+
+def dense_poly_toeplitz(basis, symbol):
+    """Oracle for the polynomial branch of toeplitz_matrix: each monomial term as the dense
+    Kronecker product of dense factor blocks, added to all of its (i, k) block."""
+    n, d, N = basis.n_scalar, basis.space.d, basis.n_modes
+
+    def factor_block(space1, a, b):   # <z^a conj(z)^b e_n, e_m> = c_n c_m / c_{n+a}^2 at m = n + a - b
+        logc = _factor_log_normalizers(space1, N + a)
+        cols = np.arange(max(0, b - a), min(N, N + b - a))
+        rows = cols + a - b
+        out = np.zeros((N, N))
+        out[rows, cols] = np.exp(logc[cols] + logc[rows] - 2.0 * logc[cols + a])
+        return out
+
+    T4 = np.zeros((n, d, n, d), dtype=complex)
+    for (i, k), terms in symbol.poly.items():
+        for powers, c in terms.items():
+            T4[:, i, :, k] += c * spaces.kron([factor_block(f, a, b) for f, a, b in zip(
+                basis.space.factors, powers[::2], powers[1::2])])
+    return T4.reshape(basis.dim, basis.dim)
+
+
+def dense_rank_one_toeplitz_sum(basis, f, g):
+    """Oracle for rank_one_toeplitz_sum: d + d^2 Toeplitz assemblies, each of one (i, i) entry,
+    and the dense product T[f_i E_ii] T[delta_0 E_ii / ||K_0||] T[conj(g_k) E_ii] (I (x) E_ik)
+    for every component pair (i, k)."""
+    space, d = basis.space, basis.space.d
+    origin = spaces.point(space, [np.zeros(1)] * space.nfactors)
+    k0 = float(spaces.kernel_norm(space, origin)[0])
+
+    def entry_toeplitz(i, h, conjugate):
+        return dense_poly_toeplitz(basis, poly_symbol(
+            space, {(i, i): _analytic_component_entry(basis, h, conjugate)}))
+
+    total = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for i in range(d):
+        Eii = np.zeros((d, d))
+        Eii[i, i] = 1.0
+        T_fi = entry_toeplitz(i, f.coeffs[:, i], False)
+        T_delta = toeplitz_measure_matrix(basis, PointMassMeasure(origin, Eii[None, :, :] / k0)).mat
+        for k in range(d):
+            Eik = np.zeros((d, d))
+            Eik[i, k] = 1.0
+            total += T_fi @ T_delta @ entry_toeplitz(i, g.coeffs[:, k], True) \
+                @ np.kron(np.eye(basis.n_scalar), Eik)
+    return total

@@ -165,6 +165,9 @@ def test_rkt_checks_reject_an_empty_probe_grid(basis24):
         for grid, match in grids:
             with pytest.raises(ValueError, match=match.format(name)):
                 check(grid)
+    # an empty shell among non-empty ones is named by its index
+    with pytest.raises(ValueError, match="shell 1 of the probe grid boundary_grid is empty"):
+        essential_norm_estimate(I, [[0.5], []])
     with pytest.raises(ValueError):
         analysis.RktReport("direct_side", 4.0, [], np.zeros((0, 2)), basis24.space.kappa)
 

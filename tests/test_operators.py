@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berglab import spaces
+from berglab import operators, spaces
 from berglab.coeffs import (BasisSpec, CoeffFunction, eval_coeffs, from_flat,
                             kernel_coeff_vector,
                             random_coeff_function, random_polynomial,
@@ -21,8 +21,8 @@ from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
                                translation_certificate, translation_matrix)
 from berglab.operators import _scalar_translation
 from berglab.quadrature import build_rule
-from conftest import (certified_projector, fft_disc_translation, hankel_apply, sample_points,
-                      sup_norm)
+from conftest import (certified_projector, dense_poly_toeplitz, dense_rank_one_toeplitz_sum,
+                      fft_disc_translation, hankel_apply, sample_points, sup_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +229,24 @@ def test_poly_toeplitz_does_not_depend_on_the_rule(label):
     coarse = toeplitz_matrix(basis, build_rule(space, 4, 8), sym).mat
     fine = toeplitz_matrix(basis, build_rule(space), sym).mat
     assert np.array_equal(coarse, fine)
+
+
+@pytest.mark.parametrize("label", list(_POLY_SPACES))
+def test_poly_toeplitz_matches_the_dense_kron_oracle_bit_for_bit(label):
+    # one power tuple shared by three (i, k) entries, and terms whose diagonal
+    # m = n + a - b leaves the window on some factor (|a - b| >= n_modes)
+    space, sizes = _POLY_SPACES[label]
+    N, nf = sizes[0], space.nfactors
+    entries = _random_poly_entries(space, np.random.default_rng(7))
+    shared = (1, 2) * nf
+    for key, c in (((0, 0), 0.5), ((0, 1), -1.25j), ((1, 1), 2.0)):
+        entries[key][shared] = c
+    entries[(1, 0)][(N, 0) * nf] = 1.0
+    entries[(1, 0)][(0, N + 1) + (1, 0) * (nf - 1)] = 0.5j
+    entries[(0, 1)][(1, 1) * (nf - 1) + (N + 2, 2)] = -0.75
+    sym = poly_symbol(space, entries)
+    basis = BasisSpec(space, N)
+    assert np.array_equal(toeplitz_matrix(basis, None, sym).mat, dense_poly_toeplitz(basis, sym))
 
 
 @pytest.mark.parametrize("label, z", [
@@ -617,3 +635,44 @@ def test_rank_one_identity_property(seed, degree):
     g = random_polynomial(basis, rng, degree)
     S = rank_one_toeplitz_sum(basis, rule, f, g)
     assert (S - rank_one(f, g)).norm() < 1e-9
+
+
+_RANK1_SPACES = {
+    "disc": (lambda d: spaces.disc_space(0.0, d=d), 12),
+    "disc1.5": (lambda d: spaces.disc_space(1.5, d=d), 12),
+    "fock": (lambda d: spaces.fock_space(d=d), 12),
+    "bidisc": (lambda d: spaces.bidisc_space(0.0, 0.5, d=d), 5),
+}
+
+
+@pytest.mark.parametrize("label, d", [(label, d) for label in _RANK1_SPACES for d in (1, 2, 3)])
+def test_rank_one_toeplitz_sum_matches_the_dense_triple_product_oracle(label, d):
+    make, n_modes = _RANK1_SPACES[label]
+    basis = BasisSpec(make(d), n_modes)
+    rng = np.random.default_rng(16 + d)
+    for degree in (0, 4):
+        f = random_polynomial(basis, rng, degree)
+        g = random_polynomial(basis, rng, degree)
+        S = rank_one_toeplitz_sum(basis, None, f, g).mat
+        assert np.abs(S - dense_rank_one_toeplitz_sum(basis, f, g)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rank_one_toeplitz_sum_assembles_1_plus_d_toeplitz_matrices(monkeypatch, d):
+    calls = {"toeplitz_matrix": 0, "toeplitz_measure_matrix": 0}
+
+    def counted(name):
+        fn = getattr(operators, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(operators, name, counted(name))
+    basis = BasisSpec(spaces.bidisc_space(0.0, 0.5, d=d), 4)
+    rng = np.random.default_rng(d)
+    f, g = random_polynomial(basis, rng, 3), random_polynomial(basis, rng, 3)
+    operators.rank_one_toeplitz_sum(basis, None, f, g)
+    assert calls == {"toeplitz_matrix": 1 + d, "toeplitz_measure_matrix": 1}
