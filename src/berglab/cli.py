@@ -126,7 +126,7 @@ def _run_toeplitz(cfg, args):
         "dim": T.dim,
         "n_modes": basis.n_modes,
         "component_dim": basis.space.d,
-        "norm": T.norm(),
+        "norm": float(svs[0]),
         "singular_values": svs * (svs >= cutoff),
         "sv_cutoff": cutoff,
         "matrix": {"re": T.mat.real, "im": T.mat.imag},

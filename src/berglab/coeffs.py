@@ -47,7 +47,7 @@ class BasisSpec:
 def _factor_log_normalizers(space1: SpaceSpec, n: int) -> np.ndarray:
     """Read-only log c_m, m < n, on one factor: half the cumulative sum of the log
     ratios c_k^2 / c_{k-1}^2 = 1 + (1+alpha)/k on a disc, 1/k on the Fock space.
-    Memoized, as Toeplitz assembly asks for the same table for every monomial."""
+    Memoized, as every Toeplitz assembly and basis evaluation asks for the same tables."""
     if space1.kind not in (KIND_DISC, KIND_FOCK):
         raise ValueError(space1.kind)
     k = np.arange(1.0, n)

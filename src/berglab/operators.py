@@ -7,7 +7,7 @@ index of a reshaped matrix, so no dense U_z (x) I_d is formed.
 
 Toeplitz assembly T_F = P M_F is exact for polynomial symbols: the term
 z^a conj(z)^b maps e_n to c_n c_m / c_{n+a}^2 e_m with m = n + a - b (a
-monomial moment), so each term is written by index on its one nonzero
+monomial moment), so one scatter writes every term on its one nonzero
 diagonal, with no quadrature rule and no dense block.  Other smooth symbols
 (pullbacks, user-supplied functions) are sampled on the global rule, and
 ball-indicator parts are integrated on region-aligned rules (sampling an
@@ -231,21 +231,24 @@ def scalar_block_to_operator(basis: BasisSpec, scalar: np.ndarray) -> OperatorMa
 # ---------------------------------------------------------------------------
 # Toeplitz operators
 
-def _monomial_diagonal(basis: BasisSpec, powers: tuple):
-    """Exact <z^a conj(z)^b e_n, e_m> of one monomial term as (rows, cols, values) on the
-    scalar modes: per factor one diagonal m = n + a - b of c_n c_m / c_{n+a}^2 (empty when
-    |a - b| >= n_modes), folded first factor slowest.  |z|^(2k) integrates to 1/c_k^2
-    against sigma on the disc (any alpha) and on the Fock space, so no quadrature enters.
-    """
-    N = basis.n_modes
-    parts = []
-    for f, a, b in zip(basis.space.factors, powers[::2], powers[1::2]):
-        logc = _factor_log_normalizers(f, N + a)
-        n = np.arange(max(0, b - a), min(N, N + b - a))
-        m = n + a - b
-        parts.append((m, n, np.exp(logc[n] + logc[m] - 2.0 * logc[n + a])))
-    return reduce(lambda x, y: ((x[0][:, None] * N + y[0]).ravel(), (x[1][:, None] * N + y[1]).ravel(),
-                                (x[2][:, None] * y[2]).ravel()), parts)
+def _poly_scatter(basis: BasisSpec, poly: Dict[Tuple[int, int], Dict[tuple, complex]]):
+    """Index (rows, i, cols, k) into T.reshape(n, d, n, d) and values of every monomial term of
+    a polynomial symbol, in the dict's order.  On each factor z^a conj(z)^b maps e_n to
+    c_n c_m / c_{n+a}^2 e_m, m = n + a - b (NaN where m leaves the window), folded first
+    factor slowest: |z|^(2k) integrates to 1/c_k^2 against sigma on the disc (any alpha) and
+    on the Fock space, so no quadrature enters."""
+    N, nf = basis.n_modes, basis.space.nfactors
+    ikp = np.array([ik + p for ik, terms in poly.items() for p in terms], dtype=int).reshape(-1, 2 + 2 * nf)
+    coef = np.array([c for terms in poly.values() for c in terms.values()], dtype=complex)
+    n, digits = np.arange(N), np.indices((N,) * nf).reshape(nf, -1)   # each scalar mode's n per factor
+    rows, vals = np.arange(N ** nf), 1.0
+    for j, (f, a, b) in enumerate(zip(basis.space.factors, ikp.T[2::2, :, None], ikp.T[3::2, :, None])):
+        logc, m = _factor_log_normalizers(f, N + int(a.max(initial=0))), n + a - b   # m: (terms, N)
+        vals = vals * np.exp(np.where((m >= 0) & (m < N), logc[n] + logc[m % N] - 2.0 * logc[n + a],
+                                      np.nan))[:, digits[j]]
+        rows = rows + (a - b) * N ** (nf - 1 - j)
+    term, cols = np.nonzero(~np.isnan(vals))
+    return (rows[term, cols], ikp[term, 0], cols, ikp[term, 1]), coef[term] * vals[term, cols]
 
 
 def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol) -> OperatorMatrix:
@@ -264,10 +267,7 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
     T = np.zeros((basis.dim, basis.dim), dtype=complex)
     T4 = T.reshape(n, d, n, d)
     if symbol.poly is not None:
-        for (i, k), terms in symbol.poly.items():
-            for powers, c in terms.items():
-                rows, cols, vals = _monomial_diagonal(basis, powers)
-                T4[rows, i, cols, k] += c * vals
+        np.add.at(T4, *_poly_scatter(basis, symbol.poly))   # unbuffered: terms add up in order
     elif symbol.smooth is not None:
         if (rule.space.kind, rule.space.alphas) != (basis.space.kind, basis.space.alphas):
             raise ValueError("a smooth symbol needs a rule for the basis's measure")

@@ -47,7 +47,7 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return jsonable(obj.tolist())
+        return obj.tolist() if obj.dtype.kind in "biu" or obj.dtype == np.float64 else jsonable(obj.tolist())
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
     if isinstance(obj, (np.floating,)):

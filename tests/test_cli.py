@@ -200,6 +200,7 @@ def test_toeplitz_singular_values_below_the_cutoff_read_zero(tmp_path):
     result = _load(tmp_path / "out", "toeplitz")[0]["result"]
     svs, cutoff = np.array(result["singular_values"]), result["sv_cutoff"]
     assert cutoff == 48 * np.finfo(float).eps * svs[0]
+    assert result["norm"] == svs[0]   # the 2-norm is the largest singular value
     # about 1e-31 and 1e-33 as SVD output: rounding noise far below the cutoff
     assert svs[32] == 0.0 and svs[34] == 0.0
     assert np.all((svs == 0.0) | (svs >= cutoff))

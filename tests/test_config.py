@@ -127,6 +127,16 @@ def test_jsonable_handles_numpy_and_complex():
     json.dumps(out)
 
 
+def test_jsonable_writes_real_arrays_as_the_recursive_path_does():
+    rng = np.random.default_rng(0)
+    arrays = (rng.standard_normal((4, 3)), np.array([-0.0, 5e-324, 1e300]), rng.integers(-9, 9, (2, 3, 2)),
+              rng.random(5) < 0.5, np.arange(3, dtype=np.uint8), rng.standard_normal((2, 2)) * (1 + 1j))
+    for a in arrays:
+        fast, nested = jsonable(a), jsonable(a.tolist())
+        assert json.dumps(fast) == json.dumps(nested)
+        assert [type(v) for v in np.ravel(fast)] == [type(v) for v in np.ravel(nested)]
+
+
 def test_jsonable_writes_dataclasses_field_by_field():
     from dataclasses import dataclass, field
 
@@ -171,7 +181,7 @@ def test_reports_get_the_umask_mode(tmp_path):
 
 
 def test_json_rejects_nan_and_writes_nothing(tmp_path):
-    for bad in (float("nan"), float("inf"), complex(1.0, float("-inf"))):
+    for bad in (float("nan"), float("inf"), complex(1.0, float("-inf")), np.array([[0.5, np.nan]])):
         with pytest.raises(ValueError):
             write_json_atomic(str(tmp_path / "r.json"), {"x": bad})
     assert not list(tmp_path.iterdir())

@@ -241,12 +241,21 @@ def test_poly_toeplitz_matches_the_dense_kron_oracle_bit_for_bit(label):
     shared = (1, 2) * nf
     for key, c in (((0, 0), 0.5), ((0, 1), -1.25j), ((1, 1), 2.0)):
         entries[key][shared] = c
-    entries[(1, 0)][(N, 0) * nf] = 1.0
-    entries[(1, 0)][(0, N + 1) + (1, 0) * (nf - 1)] = 0.5j
+    outside = {(N, 0) * nf: 1.0, (0, N + 1) + (1, 0) * (nf - 1): 0.5j}
+    entries[(1, 0)].update(outside)
     entries[(0, 1)][(1, 1) * (nf - 1) + (N + 2, 2)] = -0.75
-    sym = poly_symbol(space, entries)
+    # four terms on the main diagonal: their sum's rounding depends on the term order
+    entries[(1, 1)].update({(j, j) * nf: c for j, c in ((0, 0.1), (1, 0.7j + 1e-3), (2, -0.3), (3, 1 / 3))})
+    real = {key: {p: c.real for p, c in terms.items()} for key, terms in entries.items()}
+    # with no term at all, or no term inside the window, the matrix is zero
+    zero = [constant_symbol(space, np.zeros((2, 2))), poly_symbol(space, {(0, 1): {}}),
+            poly_symbol(space, {(1, 0): outside, (1, 1): {(0, N) * nf: -2.0}})]
     basis = BasisSpec(space, N)
-    assert np.array_equal(toeplitz_matrix(basis, None, sym).mat, dense_poly_toeplitz(basis, sym))
+    for j, sym in enumerate([poly_symbol(space, entries), poly_symbol(space, real)] + zero):
+        T, ref = toeplitz_matrix(basis, None, sym).mat, dense_poly_toeplitz(basis, sym)
+        assert np.array_equal(T, ref)
+        assert np.array_equal(np.signbit(T.view(float)), np.signbit(ref.view(float)))
+        assert T.any() == (j < 2)
 
 
 @pytest.mark.parametrize("label, z", [

@@ -257,6 +257,8 @@ def test_log_normalizers_match_gammaln(alpha):
         ref = 0.5 * (gammaln(m + 2.0 + alpha) - gammaln(m + 1.0) - gammaln(2.0 + alpha))
     for n in (1, 2, 24, 128):
         assert np.max(np.abs(_factor_log_normalizers(space, n) - ref[:n])) <= 1e-13
+        # a shorter table is a prefix of a longer one, bit for bit
+        assert np.array_equal(_factor_log_normalizers(space, n), _factor_log_normalizers(space, 128)[:n])
 
 
 @pytest.mark.parametrize("n_modes", [1, 8, 24, 64])
