@@ -3,22 +3,22 @@
 The axiom suite checks the identities of the model spaces; boundedness
 integrals probe sup_z of kernel-displaced L^p(sigma) quantities; the Berezin
 transform and conjugated-operator shells diagnose compactness at truncation.
-All z probes are gated by the space's admissible region, and all randomness
-is seeded.
+Every probe grid passes one gate, `spaces.probe_points` (non-empty, inside the
+admissible region); its U_z stack comes from the one fold of factor blocks,
+`operators._translations`, and the symbol checks sample all its pulled-back
+nodes at once.  All randomness is seeded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import spaces
 from .coeffs import BasisSpec, kernel_coeff_vector, rule_gram, rule_samples
-from .operators import (OperatorMatrix, _certified_modes, _conjugate_blocks, _factor_tails,
-                        _scalar_translation)
+from .operators import OperatorMatrix, _conjugate_blocks, _translations
 from .quadrature import QuadratureRule, integrate_lambda, integrate_sigma
 from .spaces import KIND_BIDISC, KIND_DISC, KIND_FOCK, SpaceSpec
 
@@ -54,21 +54,6 @@ def boundary_shells(space: SpaceSpec, radii: Optional[Sequence[float]] = None) -
             radii = [0.5 * top, 0.7 * top, 0.85 * top, top]
     angles = np.exp(2j * np.pi * np.arange(3) / 3)
     return [[spaces.point(space, [r * a] * space.nfactors) for a in angles] for r in radii]
-
-
-def _translations(basis: BasisSpec, points, grid: str = "z_grid") -> Tuple[np.ndarray, ...]:
-    """The points as one array, their scalar U_z blocks (p, N, N) and least certified modes
-    (tau 1e-12) of a non-empty (ValueError naming the grid), admissible grid: one call per factor."""
-    space = basis.space
-    if not len(points):
-        raise ValueError(f"the probe grid {grid} is empty")
-    points = spaces.as_points(space, points)
-    spaces.check_probe_point(space, points)
-    blocks = [_scalar_translation(f, basis.n_modes, c)
-              for f, c in zip(space.factors, spaces.coords(space, points))]
-    U = reduce(lambda A, B: (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(
-        len(A), A.shape[1] * B.shape[1], -1), blocks)        # kron per point, first factor slowest
-    return points, U, _certified_modes([_factor_tails(B) for B in blocks], 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +150,25 @@ class RktReport:
         self.admissible = self.p > self.p_threshold
 
 
-def _probe_grid(space: SpaceSpec, p: float, z_grid: Optional[Sequence]) -> list:
-    """The probe points of an RKT check, the space's default grid for None, after checking
-    that p exceeds 1 and that the grid is non-empty (its sup would read 0.0) and admissible."""
+def _probe_grid(space: SpaceSpec, p: float, z_grid: Optional[Sequence]) -> np.ndarray:
+    """The gated probe points of an RKT check (an empty grid would read sup 0.0), the space's
+    default grid for None, after checking that p exceeds 1."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    z_grid = default_probe_grid(space) if z_grid is None else list(z_grid)
-    if not z_grid:
-        raise ValueError("the probe grid z_grid is empty")
-    spaces.check_probe_point(space, spaces.as_points(space, z_grid))
-    return z_grid
+    return spaces.probe_points(space, default_probe_grid(space) if z_grid is None else z_grid)
 
 
 def _lp_norm(rule: QuadratureRule, samples: np.ndarray, p: float) -> np.ndarray:
     """L^p(sigma) norms along axis 0 of samples (n_nodes, ...)."""
     w = rule.sigma_weights.reshape((-1,) + (1,) * (samples.ndim - 1))
     return np.sum(w * np.abs(samples) ** p, axis=0) ** (1.0 / p)
+
+
+def _pulled_back(rule: QuadratureRule, F, points: np.ndarray) -> np.ndarray:
+    """The symbol F at phi_z(u) for every rule node u and probe point z, all at once,
+    node-major: (n_nodes, n_points, d, d)."""
+    moved = spaces.involution(F.space, points[None], rule.nodes[:, None])
+    return F.eval(moved).reshape(rule.n_nodes, len(points), F.space.d, F.space.d)
 
 
 def rkt_boundedness_check(basis: BasisSpec, rule: QuadratureRule, T: OperatorMatrix,
@@ -194,9 +182,8 @@ def rkt_boundedness_check(basis: BasisSpec, rule: QuadratureRule, T: OperatorMat
     the factor samples of the basis (`rule_samples`), never a basis matrix on product nodes.
     """
     space = basis.space
-    z_grid = _probe_grid(space, p, z_grid)
     n, d = basis.n_scalar, space.d
-    points, U, _ = _translations(basis, z_grid)
+    points, U, _ = _translations(basis, _probe_grid(space, p, z_grid))
     V = kernel_coeff_vector(basis, points)                           # (mode, point)
     reports = []
     for side, A in (("adjoint_side", T.adjoint()), ("direct_side", T)):
@@ -204,25 +191,18 @@ def rkt_boundedness_check(basis: BasisSpec, rule: QuadratureRule, T: OperatorMat
         H = U @ AV.reshape(n, d * d, -1).transpose(2, 0, 1)          # (point, mode, (k, i))
         S = rule_samples(basis, rule, H).reshape(len(points), -1, d, d)
         values = _lp_norm(rule, np.abs(S).sum(axis=2).transpose(1, 0, 2), p)   # (point, i)
-        reports.append(RktReport(side, p, list(z_grid), values, space.kappa))
+        reports.append(RktReport(side, p, list(points), values, space.kappa))
     return tuple(reports)
 
 
 def rkt_toeplitz_symbol_check(rule: QuadratureRule, F, p: float = 4.0,
                               z_grid: Optional[Sequence] = None) -> Tuple[RktReport, RktReport]:
     """Row/column sums of L^p(sigma) norms of phi_z-pulled-back symbol entries."""
-    space = F.space
-    z_grid = _probe_grid(space, p, z_grid)
-    rows, cols = [], []
-    for z in z_grid:
-        moved = spaces.involution(space, z, rule.nodes)
-        V = F.eval(moved)                      # (n, d, d)
-        entry_norms = _lp_norm(rule, V, p)     # (d, d)
-        rows.append(entry_norms.sum(axis=1))   # over k for each i
-        cols.append(entry_norms.sum(axis=0))   # over i for each k
-    kap = space.kappa
-    return (RktReport("row_side", p, list(z_grid), np.array(rows), kap),
-            RktReport("column_side", p, list(z_grid), np.array(cols), kap))
+    points = _probe_grid(F.space, p, z_grid)
+    entry_norms = _lp_norm(rule, _pulled_back(rule, F, points), p)     # (point, i, k)
+    kap = F.space.kappa
+    return (RktReport("row_side", p, list(points), entry_norms.sum(axis=2), kap),      # over k
+            RktReport("column_side", p, list(points), entry_norms.sum(axis=1), kap))  # over i
 
 
 def _require_analytic(F) -> None:
@@ -241,35 +221,22 @@ def rkt_product_check(rule: QuadratureRule, F, G, p: float = 4.0,
     Per z and unit index k: sum over i of the L^p(sigma) norm of
     u -> <G(z)* e_k, (F* o phi_z)(u) e_i>; plus the mirrored quantity.
     """
-    space = F.space
-    z_grid = _probe_grid(space, p, z_grid)
+    points = _probe_grid(F.space, p, z_grid)
     _require_analytic(F)
     _require_analytic(G)
-    first, second = [], []
-    for z in z_grid:
-        moved = spaces.involution(space, z, rule.nodes)
-        for out, A, B in ((first, F, G), (second, G, F)):
-            Av = A.eval(moved)                                # (n, d, d)
-            Bz = B.eval(z)[0]
-            S = np.einsum("uij,kj->uki", Av, np.conj(Bz))
-            out.append(_lp_norm(rule, S, p).sum(axis=1))      # over i, per k
-    kap = space.kappa
-    return (RktReport("first_side", p, list(z_grid), np.array(first), kap),
-            RktReport("second_side", p, list(z_grid), np.array(second), kap))
+    sides = []
+    for label, A, B in (("first_side", F, G), ("second_side", G, F)):   # sums over i, per k
+        S = np.einsum("upij,pkj->upki", _pulled_back(rule, A, points), np.conj(B.eval(points)))
+        sides.append(RktReport(label, p, list(points), _lp_norm(rule, S, p).sum(axis=2), F.space.kappa))
+    return tuple(sides)
 
 
 def hankel_rkt_check(rule: QuadratureRule, F, p: float = 4.0,
                      z_grid: Optional[Sequence] = None) -> RktReport:
     """Oscillation integrals sup_i {int (sum_k |F(z)-F(phi_z(u))|_ik)^p dsigma}^{1/p}."""
-    space = F.space
-    z_grid = _probe_grid(space, p, z_grid)
-    out = []
-    for z in z_grid:
-        moved = spaces.involution(space, z, rule.nodes)
-        Fz = F.eval(z)[0]
-        delta = Fz[None, :, :] - F.eval(moved)
-        out.append(_lp_norm(rule, np.sum(np.abs(delta), axis=2), p))
-    return RktReport("oscillation", p, list(z_grid), np.array(out), space.kappa)
+    points = _probe_grid(F.space, p, z_grid)
+    delta = np.abs(F.eval(points)[None] - _pulled_back(rule, F, points)).sum(axis=3)   # (node, point, i)
+    return RktReport("oscillation", p, list(points), _lp_norm(rule, delta, p), F.space.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +278,15 @@ class BerezinProfile:
 def berezin_decay_profile(T: OperatorMatrix, radii: Optional[Sequence[float]] = None,
                           angles: Optional[Sequence[float]] = None,
                           threshold: float = 0.05) -> BerezinProfile:
+    """The Berezin matrices of T at r e^(i theta) (on the diagonal of a product space) and,
+    per radius, their largest entry modulus.  By default six radii run evenly from 0.15 top
+    to top, with top fock_probe_radius on the Fock space, min(0.85, r_max) on the bidisc and
+    min(0.9, r_max) on the disc, at eight equally spaced angles.  The profile is `decaying`
+    when its last three values fall strictly and the last lies below threshold."""
     space = T.basis.space
     if radii is None:
-        if space.kind == KIND_FOCK:
-            top = spaces.probe_radius_max(space)
-        elif space.kind == KIND_BIDISC:
-            top = min(0.85, space.r_max)
-        else:
-            top = min(0.9, space.r_max)
+        top = (space.fock_probe_radius if space.kind == KIND_FOCK
+               else min(0.85 if space.kind == KIND_BIDISC else 0.9, space.r_max))
         radii = np.linspace(0.15 * top, top, 6)
     if angles is None:
         angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)

@@ -93,9 +93,9 @@ def _run_kernel(cfg, args) -> Tuple[str, dict, list, list, int]:
 
     space = cfg.space
     pts = cfg.kernel_points or _zgrid(cfg)
+    spaces.probe_points(space, pts, "kernel_points" if cfg.kernel_points else "z_grid")
     rows, table = [], []
     for z in pts:
-        spaces.check_probe_point(space, z)
         for w in pts:
             val = complex(spaces.kernel_eval(space, z, w))
             entry = {

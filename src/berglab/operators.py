@@ -19,10 +19,14 @@ by c_m, with no quadrature rule: an exact recurrence (multiplication by
 phi_z in coefficient space) per disc factor, the closed-form displacement
 matrix (Laguerre polynomials) on the Fock space, each for one point or a
 stack of points, and the Kronecker product of the factors' matrices on a
-product space.  Top basis modes unavoidably leak outside any fixed
-truncation window for z != 0, which is why every U_z comes with a
-per-column leakage certificate (1 - retained column mass) from which
-identity-quality statements are scoped.
+product space.  That fold is written once, in `_translations`: it gates a
+probe grid (`spaces.probe_points`) and translates all its points with one
+call per factor.  `analysis` takes its stacks whole; `translation_matrix`
+and `conjugate_operator` take entry 0 of a one-point stack.  Top basis
+modes unavoidably leak outside any fixed truncation window for z != 0,
+which is why every U_z comes with a per-column leakage certificate
+(1 - retained column mass) from which identity-quality statements are
+scoped.
 """
 
 from __future__ import annotations
@@ -373,12 +377,17 @@ def _scalar_translation(space: SpaceSpec, n_modes: int, z) -> np.ndarray:
     return (_fock_translation if space.kind == KIND_FOCK else _disc_translation)(space, n_modes, z)
 
 
-def _scalar_block(basis: BasisSpec, z) -> np.ndarray:
-    """Scalar-mode U_z of one admissible point: the product of its factor blocks."""
+def _translations(basis: BasisSpec, grid, name: str = "z_grid") -> Tuple[np.ndarray, ...]:
+    """The gated points of a probe grid (`spaces.probe_points`), their scalar U_z blocks
+    (p, N, N) and least certified modes (tau 1e-12): one call per factor for all points,
+    folded by a Kronecker product per point.  The only code that folds factor U_z blocks."""
     space = basis.space
-    spaces.check_probe_point(space, z)
-    return spaces.kron([_scalar_translation(f, basis.n_modes, complex(c))
-                        for f, c in zip(space.factors, spaces.coords(space, z))])
+    points = spaces.probe_points(space, grid, name)
+    blocks = [_scalar_translation(f, basis.n_modes, c)
+              for f, c in zip(space.factors, spaces.coords(space, points))]
+    U = reduce(lambda A, B: (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(
+        len(A), A.shape[1] * B.shape[1], -1), blocks)        # kron per point, first factor slowest
+    return points, U, _certified_modes([_factor_tails(B) for B in blocks], 1e-12)
 
 
 def _conjugate_blocks(mat: np.ndarray, U: np.ndarray, d: int) -> np.ndarray:
@@ -395,14 +404,9 @@ def _conjugate_blocks(mat: np.ndarray, U: np.ndarray, d: int) -> np.ndarray:
 
 
 def translation_matrix(basis: BasisSpec, z) -> OperatorMatrix:
-    """Compression of U_z f = (f o phi_z) k_z; block diagonal over components.
-
-    Entry [m, k] is the m-th Taylor coefficient of U_z e_k divided by c_m,
-    computed exactly: a recurrence in coefficient space per disc factor, the
-    closed-form displacement matrix on the Fock space, and the Kronecker
-    product of the factors' matrices on a product space.
-    """
-    return scalar_block_to_operator(basis, _scalar_block(basis, z))
+    """Compression of U_z f = (f o phi_z) k_z, block diagonal over components: the scalar
+    block is entry 0 of the one-point stack of `_translations`."""
+    return scalar_block_to_operator(basis, _translations(basis, [z])[1][0])
 
 
 @dataclass
@@ -434,9 +438,9 @@ def _certified_modes(tails, tau: float) -> np.ndarray:
 
 
 def translation_certificate(basis: BasisSpec, z, tau: float = 1e-12) -> TranslationCertificate:
-    """Column leakage of U_z; on a product space the factor tails add (capped at 1)."""
+    """Column leakage of U_z at an admissible z; on a product the factor tails add (capped at 1)."""
     space = basis.space
-    zs = [complex(c) for c in spaces.coords(space, z)]
+    zs = [complex(c) for c in spaces.coords(space, spaces.probe_points(space, [z])[0])]
     tails = [_factor_tails(_scalar_translation(f, basis.n_modes, c))
              for f, c in zip(space.factors, zs)]
     certified = int(_certified_modes(tails, tau))
@@ -445,8 +449,9 @@ def translation_certificate(basis: BasisSpec, z, tau: float = 1e-12) -> Translat
 
 
 def conjugate_operator(T: OperatorMatrix, z) -> OperatorMatrix:
-    """T^z = U_z T U_z^*, applied as U (x) I_d on the scalar block."""
-    return OperatorMatrix(T.basis, _conjugate_blocks(T.mat, _scalar_block(T.basis, z), T.basis.space.d))
+    """T^z = U_z T U_z^*, applied as U (x) I_d on the scalar block (a one-point stack)."""
+    U = _translations(T.basis, [z])[1][0]
+    return OperatorMatrix(T.basis, _conjugate_blocks(T.mat, U, T.basis.space.d))
 
 
 # ---------------------------------------------------------------------------

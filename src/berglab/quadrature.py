@@ -299,7 +299,8 @@ def rudin_forelli(space: SpaceSpec, rule: QuadratureRule, z_grid, r: float, s: f
         J(z) = int |<K_z, K_w>|^((r-s)/2) / ||K_w||^r d lambda(w)
 
     Both share the boundary radial exponent governed by r; pairs with a
-    non-integrable exponent are rejected up front.
+    non-integrable exponent are rejected up front, and so is an empty or
+    inadmissible grid (`spaces.probe_points`).
     """
     if s <= 0 or r <= 0:
         raise ValueError("exponents must be positive")
@@ -308,7 +309,8 @@ def rudin_forelli(space: SpaceSpec, rule: QuadratureRule, z_grid, r: float, s: f
             f"non-integrable kernel-power integrand for r={r} on {space.kind}: "
             "radial boundary exponent <= -1"
         )
-    z_grid = spaces.point(space, [c.reshape(-1) for c in spaces.coords(space, z_grid)])
+    points = spaces.probe_points(space, z_grid)
+    z_grid = spaces.point(space, [c.reshape(-1) for c in spaces.coords(space, points)])
     lam = rule.lambda_weights
     nw_log = np.log(kernel_norm(space, rule.nodes))
     I = np.empty(len(z_grid))

@@ -173,6 +173,16 @@ def check_probe_point(space: SpaceSpec, z) -> None:
         )
 
 
+def probe_points(space: SpaceSpec, grid, name: str = "z_grid") -> np.ndarray:
+    """The gate of every probe grid: the grid as one point array, after refusing an empty
+    grid (ValueError naming it) and any point outside the admissible region."""
+    if not len(grid):
+        raise ValueError(f"the probe grid {name} is empty")
+    points = as_points(space, grid)
+    check_probe_point(space, points)
+    return points
+
+
 # ---------------------------------------------------------------------------
 # kernels (each function: the one-factor formula, or a fold over the factors)
 

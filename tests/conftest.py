@@ -264,6 +264,38 @@ def per_point_rkt(basis, rule, T, p=4.0, z_grid=None):
     return np.array(vals["adjoint"]), np.array(vals["direct"])
 
 
+def per_point_symbol_check(rule, F, p, z_grid):
+    """Oracle for rkt_toeplitz_symbol_check's values (row side, column side): one point at a
+    time, the symbol sampled on that point's pulled-back nodes."""
+    rows, cols = [], []
+    for z in z_grid:
+        moved = spaces.involution(F.space, z, rule.nodes)
+        entry_norms = _lp_norm(rule, F.eval(moved), p)   # (d, d)
+        rows.append(entry_norms.sum(axis=1))              # over k for each i
+        cols.append(entry_norms.sum(axis=0))              # over i for each k
+    return np.array(rows), np.array(cols)
+
+
+def per_point_product_check(rule, F, G, p, z_grid):
+    """Oracle for rkt_product_check's values (first side, second side): one point at a time."""
+    first, second = [], []
+    for z in z_grid:
+        moved = spaces.involution(F.space, z, rule.nodes)
+        for out, A, B in ((first, F, G), (second, G, F)):
+            S = np.einsum("uij,kj->uki", A.eval(moved), np.conj(B.eval(z)[0]))
+            out.append(_lp_norm(rule, S, p).sum(axis=1))  # over i, per k
+    return np.array(first), np.array(second)
+
+
+def per_point_hankel_check(rule, F, p, z_grid):
+    """Oracle for hankel_rkt_check's values: one point at a time."""
+    out = []
+    for z in z_grid:
+        delta = F.eval(z)[0][None, :, :] - F.eval(spaces.involution(F.space, z, rule.nodes))
+        out.append(_lp_norm(rule, np.sum(np.abs(delta), axis=2), p))
+    return np.array(out)
+
+
 def dense_poly_toeplitz(basis, symbol):
     """Oracle for the polynomial branch of toeplitz_matrix: each monomial term as the dense
     Kronecker product of dense factor blocks, added to all of its (i, k) block."""

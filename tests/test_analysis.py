@@ -15,9 +15,10 @@ from berglab.coeffs import BasisSpec, kernel_coeff_vector, random_polynomial
 from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_symbol,
                                conjugate_operator, identity_operator, poly_symbol, rank_one,
                                toeplitz_matrix, translation_certificate, translation_matrix)
-from berglab.quadrature import build_rule
+from berglab.quadrature import build_rule, rudin_forelli
 from berglab.reporting import jsonable
-from conftest import per_point_essential_profile, per_point_rkt, per_point_translation_residuals
+from conftest import (per_point_essential_profile, per_point_hankel_check, per_point_product_check,
+                      per_point_rkt, per_point_symbol_check, per_point_translation_residuals)
 
 
 @pytest.fixture(scope="module")
@@ -147,10 +148,11 @@ def test_boundedness_rejects_bad_p(basis24, rule24):
 
 
 def test_rkt_checks_reject_an_empty_probe_grid(basis24):
-    # an empty grid would report sup 0.0 and admissible (or, in the axiom suite and the
-    # essential norm, a numpy reduction error), and 0.95 lies outside the disc's admissible
-    # region (r_max 0.9); every check refuses the whole grid before any compute, so the rule
-    # (None here) is never read.  The essential norm gets each point as a shell of its own.
+    # an empty grid would report sup 0.0 and admissible (or, in the axiom suite, the
+    # essential norm and the kernel-power integrals, a numpy reduction error), and 0.95 lies
+    # outside the disc's admissible region (r_max 0.9); every check refuses the whole grid
+    # before any compute, so the rule (None here) is never read.  The essential norm gets
+    # each point as a shell of its own.
     I2 = constant_symbol(basis24.space, np.eye(2))
     I = identity_operator(basis24)
     checks = [(lambda z: rkt_boundedness_check(basis24, None, I, z_grid=z), "z_grid"),
@@ -158,6 +160,7 @@ def test_rkt_checks_reject_an_empty_probe_grid(basis24):
               (lambda z: rkt_product_check(None, I2, I2, z_grid=z), "z_grid"),
               (lambda z: hankel_rkt_check(None, I2, z_grid=z), "z_grid"),
               (lambda z: axiom_checks(basis24, None, z, 0), "z_grid"),
+              (lambda z: rudin_forelli(basis24.space, None, z, 3.0, 3.0), "z_grid"),
               (lambda z: essential_norm_estimate(I, [[p] for p in z]), "boundary_grid")]
     grids = [([], "{} is empty"), ((), "{} is empty"), (np.zeros(0, dtype=complex), "{} is empty"),
              ([0.0, 0.3, 0.95], "outside admissible region")]
@@ -226,6 +229,54 @@ def test_hankel_check_oracle(basis24, rule24):
     C = constant_symbol(basis24.space, np.diag([2.0, 3.0]))
     rep = hankel_rkt_check(rule24, C, p=4.0, z_grid=[0.0, 0.4])
     assert np.allclose(rep.values, 0.0, atol=1e-10)
+
+
+def _check_symbols(space):
+    """A poly symbol with conjugate powers, an analytic one, a constant and (one factor only)
+    a ball symbol, each 2 x 2; poly terms on the last factor too."""
+    first = lambda a, b: (a, b) + (0, 0) * (space.nfactors - 1)     # noqa: E731
+    last = lambda a, b: (0, 0) * (space.nfactors - 1) + (a, b)      # noqa: E731
+    symbols = {
+        "poly": poly_symbol(space, {(0, 0): {first(1, 0): 0.7, first(0, 2): 0.3j, first(0, 0): 0.2},
+                                    (0, 1): {first(2, 1): -0.4, last(0, 1): 0.5},
+                                    (1, 1): {first(0, 0): 0.5, first(1, 1): 0.25}}),
+        "analytic": poly_symbol(space, {(0, 0): {first(1, 0): 0.6, first(0, 0): 0.3},
+                                        (1, 0): {last(1, 0): 0.4}, (1, 1): {first(2, 0): -0.5}}),
+        "const": constant_symbol(space, [[1.0, 0.5j], [0.2, 0.8]]),
+    }
+    if space.nfactors == 1:
+        radius = 0.3 if space.kind == spaces.KIND_DISC else 1.0
+        symbols["ball"] = ball_indicator_symbol(space, 0.1 + 0.2j, radius, [[0.9, 0.1], [0.0, 0.6]])
+    return symbols
+
+
+_SYMBOL_CHECK_SPACES = {"disc": spaces.disc_space(0.0, d=2), "disc-1.5": spaces.disc_space(1.5, d=2),
+                        "fock": spaces.fock_space(d=2), "bidisc": spaces.bidisc_space(0.0, 0.5, d=2)}
+
+
+@pytest.mark.parametrize("space_name, kind", [
+    (name, kind) for name in _SYMBOL_CHECK_SPACES for kind in ("poly", "analytic", "const", "ball")
+    if kind != "ball" or name != "bidisc"])
+def test_symbol_checks_match_per_point_loops_bit_for_bit(space_name, kind):
+    # the three symbol checks sample every pulled-back node of every point at once; the
+    # per-point loops they replaced are the oracle, on the default grid plus a point near
+    # the edge of the admissible region
+    space = _SYMBOL_CHECK_SPACES[space_name]
+    symbols = _check_symbols(space)
+    F, rule = symbols[kind], build_rule(space)
+    edge = 0.999 * spaces.probe_radius_max(space) * np.exp(0.4j)
+    grid = default_probe_grid(space) + [spaces.point(space, [edge] * space.nfactors)]
+    reports = rkt_toeplitz_symbol_check(rule, F, p=3.0, z_grid=grid)
+    refs = per_point_symbol_check(rule, F, 3.0, grid)
+    reports += (hankel_rkt_check(rule, F, p=3.0, z_grid=grid),)
+    refs += (per_point_hankel_check(rule, F, 3.0, grid),)
+    if kind in ("analytic", "const"):          # the product check takes analytic pairs only
+        reports += rkt_product_check(rule, F, symbols["analytic"], p=3.0, z_grid=grid)
+        refs += per_point_product_check(rule, F, symbols["analytic"], 3.0, grid)
+    for rep, ref in zip(reports, refs):
+        assert rep.values.shape == (len(grid), space.d)
+        assert np.array_equal(rep.values, ref)
+    assert len(reports) == (5 if kind in ("analytic", "const") else 3)
 
 
 def test_fock_admissibility_threshold():
@@ -364,6 +415,8 @@ def test_shell_certified_modes_disc_24(basis24):
 
 
 def test_essential_norm_translates_once_per_factor(monkeypatch):
+    # every U_z comes from the one fold, operators._translations: the essential norm stacks
+    # its 12 shell points, translation_matrix and conjugate_operator a stack of one
     calls = []
     original = operators._scalar_translation
 
@@ -371,12 +424,16 @@ def test_essential_norm_translates_once_per_factor(monkeypatch):
         calls.append(np.shape(z))
         return original(space1, n_modes, z)
 
-    monkeypatch.setattr(analysis, "_scalar_translation", counted)
     monkeypatch.setattr(operators, "_scalar_translation", counted)
     for space, n_modes in _ORACLE_SPACES:
-        calls.clear()
-        essential_norm_estimate(identity_operator(BasisSpec(space, n_modes)))
-        assert calls == [(12,)] * space.nfactors
+        basis = BasisSpec(space, n_modes)
+        z = spaces.point(space, [0.3 * spaces.probe_radius_max(space)] * space.nfactors)
+        for run, shape in ((lambda: essential_norm_estimate(identity_operator(basis)), (12,)),
+                           (lambda: translation_matrix(basis, z), (1,)),
+                           (lambda: conjugate_operator(identity_operator(basis), z), (1,))):
+            calls.clear()
+            run()
+            assert calls == [shape] * space.nfactors
 
 
 # ---------------------------------------------------------------------------

@@ -244,16 +244,19 @@ def test_thread_count_below_1_exits_2_before_writing_the_environment(threads, co
     assert not out.exists()
 
 
-def test_verify_axioms_refuses_an_inadmissible_probe_grid(tmp_path, capsys):
-    # 0.95 lies outside the disc's admissible region (r_max 0.9), as rkt and kernel refuse it
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(BASE_CONFIG, z_grid=[0.0, 0.95])))
-    out = tmp_path / "out"
-    assert cli.main(["verify-axioms", "--config", str(path), "--out", str(out)]) == 2
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["command"] == "verify-axioms"
-    assert "radius 0.9500" in payload["error"]
-    assert not out.exists()
+@pytest.mark.parametrize("command", ["verify-axioms", "rf"])
+def test_verify_axioms_refuses_an_inadmissible_probe_grid(command, tmp_path, capsys):
+    # 0.95 lies outside the disc's admissible region (r_max 0.9), as rkt and kernel refuse
+    # it; 1.5 lies outside the disc itself, where rf's integrals are not finite
+    for grid, radius in (([0.0, 0.95], "0.9500"), ([1.5], "1.5000")):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, z_grid=grid)))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["command"] == command
+        assert f"radius {radius} outside admissible region" in payload["error"]
+        assert not out.exists()
 
 
 def test_resolution_scale_changes_orders(config_path, tmp_path):

@@ -481,8 +481,16 @@ def test_translation_moves_kernel_direction():
 
 
 def test_translation_gate_rejects_far_centers(disc_basis):
-    with pytest.raises(ValueError):
-        translation_matrix(disc_basis, 0.95)
+    # 0.95 lies outside the disc's admissible region (r_max 0.9), and 1.2 outside the disc
+    # itself, where an ungated certificate reads every mode as certified
+    for z in (0.95, 1.2):
+        for call in (lambda: translation_matrix(disc_basis, z),
+                     lambda: translation_certificate(disc_basis, z),
+                     lambda: conjugate_operator(identity_operator(disc_basis), z)):
+            with pytest.raises(ValueError, match="outside admissible region"):
+                call()
+    with pytest.raises(ValueError, match="radius 1.2000"):
+        translation_certificate(BasisSpec(spaces.disc_space(0.0, d=1), 8), 1.2)
 
 
 def test_bidisc_translation_certified_block():
