@@ -27,6 +27,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", default=None, help="override config seed")
     parser.add_argument("--threads", default=None, help="BLAS/OpenMP thread count")
     parser.add_argument("--resolution-scale", default="1", help="multiplies quadrature orders")
+
+    def usage_error(message: str):   # main's exit-2 JSON error, not argparse's usage text
+        raise ValueError(message)
+
+    parser.error = usage_error
     return parser
 
 
@@ -220,13 +225,8 @@ def _run_schur(cfg, args):
     if not isinstance(data, dict):
         raise ConfigError(f"schur_kernel_file must hold a JSON object, got {type(data).__name__}")
     try:
-        sample = MatrixKernelSample(
-            np.asarray(data["values"], dtype=float),
-            np.asarray(data["mu"], dtype=float),
-            np.asarray(data["nu"], dtype=float),
-        )
-        h_x = np.asarray(data["h_x"], dtype=float) if "h_x" in data else None
-        h_y = np.asarray(data["h_y"], dtype=float) if "h_y" in data else None
+        sample = MatrixKernelSample(*(np.asarray(data[key], dtype=float) for key in ("values", "mu", "nu")))
+        h_x, h_y = (np.asarray(data[key], dtype=float) if key in data else None for key in ("h_x", "h_y"))
         p = float(data.get("p", 2.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad kernel file: {exc}")
@@ -334,8 +334,9 @@ COMMANDS = tuple(_RUNNERS)
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         _apply_threads(args.threads)
         from .config import load_config
         from .reporting import report_envelope, write_csv_atomic, write_json_atomic
@@ -356,7 +357,7 @@ def main(argv: Optional[list] = None) -> int:
         write_csv_atomic(csv_path, header, rows)
     except ValueError as exc:                     # ConfigError is a ValueError
         details = getattr(exc, "details", {"error": str(exc)})
-        json.dump({"command": args.command, **details}, sys.stderr, indent=2,
+        json.dump({"command": getattr(args, "command", None), **details}, sys.stderr, indent=2,
                   sort_keys=True, default=str)
         sys.stderr.write("\n")
         return 2

@@ -170,19 +170,29 @@ def _block(table: dict):
     return lambda key, value, _: _object(key, value, table, f"{key}.")
 
 
+_SPACE_FIELDS = {spaces.KIND_DISC: ("kind", "d", "alpha", "r_max"),
+                 spaces.KIND_FOCK: ("kind", "d", "fock_probe_radius"),
+                 spaces.KIND_BIDISC: ("kind", "d", "alpha", "alpha2", "r_max")}
+_SPACE_DEFAULTS = {f.name: f.default for f in fields(SpaceSpec)}
+
+
 def _space(key, block, _) -> SpaceSpec:
-    """The space block's fields are SpaceSpec's.  Their values are checked but not
-    converted, so the report echo repeats them as given."""
-    _require_object(key, block, [f.name for f in fields(SpaceSpec)])
+    """SpaceSpec's fields; one the kind does not use may only hold its default, as the report echo
+    names them all.  Values are checked, not converted, so the echo repeats them as given."""
+    _require_object(key, block, _SPACE_DEFAULTS)
     for name, value in block.items():
         if name == "d":
             _int_at_least("space.d", value, 1)
         elif name != "kind" and not (name == "alpha2" and value is None):
             _number(f"space.{name}", value)
     try:
-        return SpaceSpec(**block)
+        space = SpaceSpec(**block)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad space block: {exc}") from exc
+    unused = [n for n, v in block.items() if n not in _SPACE_FIELDS[space.kind] and v != _SPACE_DEFAULTS[n]]
+    if unused:
+        raise ConfigError(f"{key} fields {unused} do not apply to kind {space.kind}")
+    return space
 
 
 def _points(key, value, parsed) -> list:

@@ -31,9 +31,10 @@ scoped.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -55,24 +56,32 @@ class BallPart:
     value: np.ndarray  # (d, d)
 
 
+class PolyTerms(NamedTuple):
+    """A polynomial symbol's term table, one row per term in entry order: rows[t] =
+    (i, k, a_1, b_1, a_2, b_2, ...) puts coef[t] z_1^a_1 conj(z_1)^b_1 ... in entry (i, k)."""
+    rows: np.ndarray   # (terms, 2 + 2 * nfactors) int
+    coef: np.ndarray   # (terms,) complex
+
+
 @dataclass
 class MatrixSymbol:
-    """d x d matrix symbol: optional smooth part plus ball-indicator parts.
-
-    poly, when set, holds the monomial terms that smooth samples; Toeplitz
-    assembly then works from poly exactly and never calls smooth.
-    """
+    """d x d matrix symbol: the sum of its polynomial terms, smooth part and ball-indicator parts."""
 
     space: SpaceSpec
     smooth: Optional[Callable[[np.ndarray], np.ndarray]] = None  # points -> (n, d, d)
     balls: List[BallPart] = field(default_factory=list)
-    poly: Optional[Dict[Tuple[int, int], Dict[tuple, complex]]] = None
+    poly: Optional[PolyTerms] = None
 
     def eval(self, points) -> np.ndarray:
         pts = spaces.as_points(self.space, points)
-        n = spaces.coords(self.space, pts)[0].size
-        d = self.space.d
-        out = np.zeros((n, d, d), dtype=complex)
+        p = [c.reshape(-1) for c in spaces.coords(self.space, pts)]
+        out = np.zeros((p[0].size, self.space.d, self.space.d), dtype=complex)
+        if self.poly is not None:   # Python ints: numpy's fast paths for small powers
+            for (i, k, *powers), c in zip(self.poly.rows.tolist(), self.poly.coef.tolist()):
+                term = c
+                for pj, a, b in zip(p, powers[::2], powers[1::2]):   # (a, b) per factor
+                    term = term * pj ** a * np.conj(pj) ** b
+                out[:, i, k] += term
         if self.smooth is not None:
             out += self.smooth(pts)
         for b in self.balls:
@@ -81,58 +90,44 @@ class MatrixSymbol:
         return out
 
 
-def _compile_poly(space: SpaceSpec, entries: Dict[Tuple[int, int], Dict[tuple, complex]]):
-    d = space.d
-
-    def smooth(pts: np.ndarray) -> np.ndarray:
-        p = [c.reshape(-1) for c in spaces.coords(space, pts)]
-        out = np.zeros((p[0].size, d, d), dtype=complex)
-        for (i, k), terms in entries.items():
-            acc = np.zeros(p[0].size, dtype=complex)
-            for powers, c in terms.items():
-                term = c
-                for pj, a, b in zip(p, powers[::2], powers[1::2]):   # (a, b) per factor
-                    term = term * pj ** a * np.conj(pj) ** b
-                acc += term
-            out[:, i, k] = acc
-        return out
-
-    return smooth
+_INDEX_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
+_NUMBER_TYPES = _INDEX_TYPES | {float, complex, *(np.dtype(c).type for c in np.typecodes["AllFloat"])}
 
 
-def _is_index(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
+def _poly_terms(space: SpaceSpec, names: list, values: list) -> PolyTerms:
+    """The term table of names[t] = ((i, k), powers) with coefficients values[t], checked in one
+    pass: (i, k) must index a d x d matrix, powers be 2 * nfactors non-negative integers (not
+    bools) and the coefficient a finite number, else ValueError naming the term."""
+    d, width = space.d, 2 + 2 * space.nfactors
+    for (key, powers), c in zip(names, values):
+        row = key + powers if isinstance(key, tuple) and isinstance(powers, tuple) else ()
+        if not (len(row) == width and len(key) == 2 and set(map(type, row)) <= _INDEX_TYPES and min(row) >= 0
+                and max(key) < d and type(c) in _NUMBER_TYPES and cmath.isfinite(c)):
+            raise ValueError(f"entry {key!r}, term {powers!r}: {c!r}: a term needs (i, k) below d={d}, "
+                             f"{width - 2} non-negative integer powers and a finite coefficient")
+    table = np.array([key + powers for key, powers in names], dtype=int).reshape(-1, width)
+    return PolyTerms(table, np.array(values, dtype=complex))
 
 
 def poly_symbol(space: SpaceSpec, entries: Dict[Tuple[int, int], Dict[tuple, complex]]) -> MatrixSymbol:
-    """Polynomial symbol: entries[(i, k)] maps power tuples to coefficients.
-
-    Power tuples hold one (a, b) pair per factor, for z_j^a conj(z_j)^b, with
-    non-negative integer powers; every (i, k) must index a d x d matrix.
-    Anything else raises ValueError.
-    """
-    n_powers = 2 * space.nfactors
-    for key, terms in entries.items():
-        if not (isinstance(key, tuple) and len(key) == 2
-                and all(_is_index(j) and j < space.d for j in key)):
-            raise ValueError(f"entry {key!r} outside d={space.d}")
-        for powers in terms:
-            if not (isinstance(powers, tuple) and len(powers) == n_powers
-                    and all(_is_index(p) for p in powers)):
-                raise ValueError(f"entry {key!r}: power tuple {powers!r} is not "
-                                 f"{n_powers} non-negative integers")
-    return MatrixSymbol(space, smooth=_compile_poly(space, entries), poly=dict(entries))
+    """Polynomial symbol: entries[(i, k)] maps power tuples, one (a, b) pair per factor for
+    z_j^a conj(z_j)^b, to coefficients.  The dict is flattened once, in its order, into the
+    symbol's term table; an (i, k) outside a d x d matrix, a power that is no non-negative
+    integer or a coefficient that is no finite number raises ValueError."""
+    return MatrixSymbol(space, poly=_poly_terms(
+        space, [(key, powers) for key, terms in entries.items() for powers in terms],
+        [c for terms in entries.values() for c in terms.values()]))
 
 
 def constant_symbol(space: SpaceSpec, matrix) -> MatrixSymbol:
-    m = np.asarray(matrix, dtype=complex)
+    """The constant d x d matrix as one degree-0 term per nonzero entry; ValueError names an
+    entry that is no finite number."""
+    m = np.asarray(matrix, dtype=object)   # its entries as given, or as Python numbers
     if m.shape != (space.d, space.d):
         raise ValueError("constant symbol needs a d x d matrix")
-    entries = {
-        (i, k): {(0, 0) * space.nfactors: m[i, k]}
-        for i in range(space.d) for k in range(space.d) if m[i, k] != 0
-    }
-    return poly_symbol(space, entries)
+    rows, coef = _poly_terms(space, [(ik, (0, 0) * space.nfactors) for ik in np.ndindex(m.shape)],
+                             m.ravel().tolist())
+    return MatrixSymbol(space, poly=PolyTerms(rows[coef != 0], coef[coef != 0]))
 
 
 def ball_indicator_symbol(space: SpaceSpec, center: complex, radius: float, matrix,
@@ -170,14 +165,9 @@ def pullback_symbol(symbol: MatrixSymbol, z) -> MatrixSymbol:
             balls.append(BallPart(c, r, b.value))
         else:
             raise ValueError("ball pullback is single-factor")
-    smooth = None
-    if symbol.smooth is not None:
-        base = symbol.smooth
-
-        def smooth(pts, _base=base, _z=z):
-            return _base(spaces.involution(space, _z, pts))
-
-    return MatrixSymbol(space, smooth=smooth, balls=balls)
+    base = MatrixSymbol(space, smooth=symbol.smooth, poly=symbol.poly)   # the non-ball part
+    return MatrixSymbol(space, balls=balls, smooth=None if base.smooth is None and base.poly is None
+                        else lambda pts: base.eval(spaces.involution(space, z, pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +225,14 @@ def scalar_block_to_operator(basis: BasisSpec, scalar: np.ndarray) -> OperatorMa
 # ---------------------------------------------------------------------------
 # Toeplitz operators
 
-def _poly_scatter(basis: BasisSpec, poly: Dict[Tuple[int, int], Dict[tuple, complex]]):
+def _poly_scatter(basis: BasisSpec, poly: PolyTerms):
     """Index (rows, i, cols, k) into T.reshape(n, d, n, d) and values of every monomial term of
-    a polynomial symbol, in the dict's order.  On each factor z^a conj(z)^b maps e_n to
+    a polynomial symbol, in its table's order.  On each factor z^a conj(z)^b maps e_n to
     c_n c_m / c_{n+a}^2 e_m, m = n + a - b (NaN where m leaves the window), folded first
     factor slowest: |z|^(2k) integrates to 1/c_k^2 against sigma on the disc (any alpha) and
     on the Fock space, so no quadrature enters."""
     N, nf = basis.n_modes, basis.space.nfactors
-    ikp = np.array([ik + p for ik, terms in poly.items() for p in terms], dtype=int).reshape(-1, 2 + 2 * nf)
-    coef = np.array([c for terms in poly.values() for c in terms.values()], dtype=complex)
+    ikp, coef = poly
     n, digits = np.arange(N), np.indices((N,) * nf).reshape(nf, -1)   # each scalar mode's n per factor
     rows, vals = np.arange(N ** nf), 1.0
     for j, (f, a, b) in enumerate(zip(basis.space.factors, ikp.T[2::2, :, None], ikp.T[3::2, :, None])):
@@ -464,14 +453,17 @@ def rank_one(f: CoeffFunction, g: CoeffFunction) -> OperatorMatrix:
     return OperatorMatrix(f.basis, np.outer(f.flat, np.conj(g.flat)))
 
 
-def _analytic_component_entry(basis: BasisSpec, scalar_coeffs: np.ndarray, conjugate: bool) -> Dict[tuple, complex]:
-    """Monomial power dict for an analytic polynomial given by basis coefficients."""
-    c = basis_normalizer(basis)
-    nz = np.flatnonzero(scalar_coeffs)
-    modes = zip(*np.unravel_index(nz, (basis.n_modes,) * basis.space.nfactors))
-    mono = scalar_coeffs[nz] * c[nz]
-    return {sum(((0, int(m)) if conjugate else (int(m), 0) for m in ms), ()): v   # ms: mode per factor
-            for v, ms in zip(np.conj(mono) if conjugate else mono, modes)}
+def _diagonal_analytic_symbol(basis: BasisSpec, coeffs: np.ndarray, conjugate: bool) -> MatrixSymbol:
+    """The diagonal polynomial symbol whose entry (i, i) is the analytic function with basis
+    coefficients coeffs[:, i] (its conjugate when asked): one term per nonzero mode, whose
+    monomial coefficient is the mode's coefficient times c_m."""
+    i, m = np.nonzero(coeffs.T)                        # per component, its modes in order
+    mono = coeffs[m, i] * basis_normalizer(basis)[m]
+    modes = np.unravel_index(m, (basis.n_modes,) * basis.space.nfactors)   # mode per factor
+    rows = np.zeros((m.size, 2 + 2 * len(modes)), dtype=int)
+    rows[:, 0] = rows[:, 1] = i
+    rows[:, (3 if conjugate else 2)::2] = np.transpose(modes)
+    return MatrixSymbol(basis.space, poly=PolyTerms(rows, np.conj(mono) if conjugate else mono))
 
 
 def rank_one_toeplitz_sum(basis: BasisSpec, rule: QuadratureRule,
@@ -490,14 +482,13 @@ def rank_one_toeplitz_sum(basis: BasisSpec, rule: QuadratureRule,
     k0 = float(spaces.kernel_norm(space, origin)[0])
     def diagonal_blocks(T: OperatorMatrix) -> np.ndarray:   # (d, n, n): block (i, i) at [i]
         return T.mat.reshape(n, d, n, d)[:, range(d), :, range(d)]
-    F = diagonal_blocks(toeplitz_matrix(basis, rule, poly_symbol(space, {
-        (i, i): _analytic_component_entry(basis, f.coeffs[:, i], conjugate=False) for i in range(d)})))
+    F = diagonal_blocks(toeplitz_matrix(basis, rule, _diagonal_analytic_symbol(basis, f.coeffs, False)))
     D = diagonal_blocks(toeplitz_measure_matrix(basis, PointMassMeasure(origin, np.eye(d)[None] / k0)))
     s = np.flatnonzero(np.any(D != 0, axis=(0, 1)))                  # D's support: the constant mode
     FD = F[:, :, s] @ D[:, s][:, :, s]                                # (d, n, |s|)
     total = np.zeros((n, d, n, d), dtype=complex)
     for k in range(d):
-        gk = _analytic_component_entry(basis, g.coeffs[:, k], conjugate=True)
-        G = diagonal_blocks(toeplitz_matrix(basis, rule, poly_symbol(space, {(i, i): gk for i in range(d)})))
+        G = diagonal_blocks(toeplitz_matrix(basis, rule, _diagonal_analytic_symbol(
+            basis, np.repeat(g.coeffs[:, k, None], d, axis=1), True)))   # conj(g_k) I_d
         total[:, :, :, k] = np.swapaxes(FD @ G[:, s], 0, 1)          # block (i, k) from the (i, i) product
     return OperatorMatrix(basis, total.reshape(basis.dim, basis.dim))

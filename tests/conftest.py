@@ -5,10 +5,10 @@ import pytest
 
 from berglab import spaces
 from berglab.analysis import _lp_norm, _probe_grid
-from berglab.coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers, eval_coeffs,
-                            kernel_coeff_vector, scalar_basis_matrix)
+from berglab.coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers, basis_normalizer,
+                            eval_coeffs, kernel_coeff_vector, scalar_basis_matrix)
 from berglab.covering import _factor_blocks
-from berglab.operators import (PointMassMeasure, _analytic_component_entry, poly_symbol,
+from berglab.operators import (PointMassMeasure, poly_symbol,
                                scalar_block_to_operator, toeplitz_measure_matrix,
                                translation_certificate, translation_matrix)
 from berglab.quadrature import build_rule
@@ -296,6 +296,27 @@ def per_point_hankel_check(rule, F, p, z_grid):
     return np.array(out)
 
 
+def compile_poly(space, entries):
+    """Oracle for MatrixSymbol.eval of a polynomial symbol: the entries dict summed entry by
+    entry, term by term in dict order, into a function of points."""
+    d = space.d
+
+    def smooth(pts: np.ndarray) -> np.ndarray:
+        p = [c.reshape(-1) for c in spaces.coords(space, pts)]
+        out = np.zeros((p[0].size, d, d), dtype=complex)
+        for (i, k), terms in entries.items():
+            acc = np.zeros(p[0].size, dtype=complex)
+            for powers, c in terms.items():
+                term = c
+                for pj, a, b in zip(p, powers[::2], powers[1::2]):   # (a, b) per factor
+                    term = term * pj ** a * np.conj(pj) ** b
+                acc += term
+            out[:, i, k] = acc
+        return out
+
+    return smooth
+
+
 def dense_poly_toeplitz(basis, symbol):
     """Oracle for the polynomial branch of toeplitz_matrix: each monomial term as the dense
     Kronecker product of dense factor blocks, added to all of its (i, k) block."""
@@ -310,11 +331,20 @@ def dense_poly_toeplitz(basis, symbol):
         return out
 
     T4 = np.zeros((n, d, n, d), dtype=complex)
-    for (i, k), terms in symbol.poly.items():
-        for powers, c in terms.items():
-            T4[:, i, :, k] += c * spaces.kron([factor_block(f, a, b) for f, a, b in zip(
-                basis.space.factors, powers[::2], powers[1::2])])
+    for (i, k, *powers), c in zip(symbol.poly.rows.tolist(), symbol.poly.coef):
+        T4[:, i, :, k] += c * spaces.kron([factor_block(f, a, b) for f, a, b in zip(
+            basis.space.factors, powers[::2], powers[1::2])])
     return T4.reshape(basis.dim, basis.dim)
+
+
+def _analytic_component_entry(basis, scalar_coeffs, conjugate):
+    """Monomial power dict for an analytic polynomial given by basis coefficients."""
+    c = basis_normalizer(basis)
+    nz = np.flatnonzero(scalar_coeffs)
+    modes = zip(*np.unravel_index(nz, (basis.n_modes,) * basis.space.nfactors))
+    mono = scalar_coeffs[nz] * c[nz]
+    return {sum(((0, int(m)) if conjugate else (int(m), 0) for m in ms), ()): v   # ms: mode per factor
+            for v, ms in zip(np.conj(mono) if conjugate else mono, modes)}
 
 
 def dense_rank_one_toeplitz_sum(basis, f, g):

@@ -228,6 +228,25 @@ def test_negative_seed_flag_exits_2_and_writes_nothing(command, config_path, tmp
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["nosuch"], ["kernel", "--bogus", "1"], [], ["kernel", "--config"],
+], ids=["unknown-command", "unknown-flag", "no-command", "flag-without-value"])
+def test_bad_command_line_exits_2_with_a_json_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--out", str(tmp_path / "out")] if argv else argv) == 2
+    captured = capsys.readouterr()
+    assert "error" in json.loads(captured.err)
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: berglab")
+
+
 @pytest.mark.parametrize("threads", ["0", "-1", "1.5"])
 def test_thread_count_below_1_exits_2_before_writing_the_environment(threads, config_path,
                                                                      tmp_path, capsys,
@@ -319,6 +338,7 @@ def _with_symbol(name, spec):
     ({"radii": [[0.5]]}, "radii[0]"),
     ({"space": {"kind": "bergman_disc", "d": 2.5}}, "space.d"),
     ({"space": {"kind": "bergman_disc", "d": True}}, "space.d"),
+    ({"space": {"kind": "fock", "d": 2, "alpha": 7.0, "alpha2": 3.0, "r_max": 0.5}}, "alpha"),
     (_bump_radius(-0.3), "radius"),
     (_bump_radius(0.0), "radius"),
     ({"schur_kernel_file": 3}, "schur_kernel_file"),
@@ -337,7 +357,7 @@ def _with_symbol(name, spec):
         "covering_r-number", "covering_r-empty", "covering_r-bool", "covering_r-zero",
         "essnorm_threshold-bool", "berezin_threshold-string", "p-string",
         "operator-string", "operator-list", "symbols-list", "shells-empty", "z_grid-empty", "kernel_points-empty", "shells-nested",
-        "radii-nested", "space-d-float", "space-d-bool", "ball-radius-negative",
+        "radii-nested", "space-d-float", "space-d-bool", "space-fock-disc-fields", "ball-radius-negative",
         "ball-radius-zero", "schur_kernel_file-number", "ball-unknown-key", "const-unknown-key",
         "poly-term-unknown-key", "poly-entry-unknown-key", "operator-unknown-key",
         "operator-product-unknown-key"])

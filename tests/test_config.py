@@ -33,11 +33,25 @@ def test_space_block_round_trip():
     assert cfg.space.d == 3
 
 
+@pytest.mark.parametrize("block, field", [
+    ({"kind": "bergman_disc", "alpha2": 0.5}, "alpha2"),
+    ({"kind": "bergman_disc", "fock_probe_radius": 2.0}, "fock_probe_radius"),
+    ({"kind": "fock", "alpha": 7.0}, "alpha"),
+    ({"kind": "fock", "alpha2": 3.0}, "alpha2"),
+    ({"kind": "fock", "r_max": 0.5}, "r_max"),
+    ({"kind": "bidisc", "fock_probe_radius": 2.0}, "fock_probe_radius"),
+    ({"kind": "bidisc", "alpha": 0.0, "alpha2": None, "d": 2, "r_max": 0.5, "radius": 1.0}, "radius"),
+])
+def test_space_field_its_kind_ignores_is_refused(block, field):
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        config_from_dict({"space": block})
+
+
 def test_bad_values_rejected():
     for raw in ({"n_modes": 0}, {"p": 1.0}, {"p": 0.5},
                 {"radial_order": 0}, {"angular_order": 0},
                 {"radial_order": -3}, {"angular_order": 12.5}, {"radial_order": "40"},
-                {"space": {"kind": "nope"}},
+                {"space": {"kind": "nope"}}, {"space": {"kind": ["fock"]}},
                 {"space": {"kind": "bidisc", "alpha2": -1.0}},
                 {"space": {"kind": "bidisc", "alpha2": -2.5}},
                 {"space": {"kind": "fock", "fock_probe_radius": 0.0}},
@@ -99,7 +113,8 @@ def test_operator_block_resolved_upfront():
         "symbols": {"m": {"type": "const", "matrix": [[1, 0], [0, 1]]}},
         "operator": {"type": "toeplitz", "symbol": "m"}})
     assert cfg.operator == ("m",)
-    assert cfg.symbols["m"].poly == {(0, 0): {(0, 0): 1}, (1, 1): {(0, 0): 1}}
+    assert cfg.symbols["m"].poly.rows.tolist() == [[0, 0, 0, 0], [1, 1, 0, 0]]
+    assert cfg.symbols["m"].poly.coef.tolist() == [1, 1]
     assert config_from_dict({}).operator is None
     assert config_from_dict({"operator": {"type": "identity"}}).operator == ()
     with pytest.raises(ConfigError):

@@ -21,7 +21,7 @@ from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
                                translation_certificate, translation_matrix)
 from berglab.operators import _scalar_translation
 from berglab.quadrature import build_rule
-from conftest import (certified_projector, dense_poly_toeplitz, dense_rank_one_toeplitz_sum,
+from conftest import (certified_projector, compile_poly, dense_poly_toeplitz, dense_rank_one_toeplitz_sum,
                       fft_disc_translation, hankel_apply, sample_points, sup_norm)
 
 
@@ -49,11 +49,34 @@ def test_poly_symbol_eval(disc):
     ("disc", {(2, 0): {(0, 0): 1.0}}),
     ("disc", {(0, -1): {(0, 0): 1.0}}),
     ("disc", {(0,): {(0, 0): 1.0}}),
+    ("disc", {(0, 0): {(1, 0): float("nan")}}),
+    ("disc", {(0, 0): {(1, 0): None}}),
+    ("disc", {(0, 0): {(1, 0): "abc"}}),
 ], ids=["negative", "short", "bidisc-powers-on-disc", "float", "bool", "str",
-        "disc-powers-on-bidisc", "negative-bidisc", "i-outside-d", "k-negative", "short-key"])
+        "disc-powers-on-bidisc", "negative-bidisc", "i-outside-d", "k-negative", "short-key",
+        "nan-coefficient", "none-coefficient", "str-coefficient"])
 def test_poly_symbol_rejects_bad_keys(space_name, entries, disc, bidisc):
     with pytest.raises(ValueError):
         poly_symbol({"disc": disc, "bidisc": bidisc}[space_name], entries)
+
+
+def test_bad_coefficient_error_names_the_entry(disc):
+    for c in (float("inf"), complex(0.0, float("nan")), "1", True):
+        with pytest.raises(ValueError, match=r"entry \(1, 0\)"):
+            poly_symbol(disc, {(0, 0): {(1, 0): 1.0}, (1, 0): {(0, 2): 0.5, (1, 1): c}})
+        with pytest.raises(ValueError, match=r"entry \(1, 0\)"):
+            constant_symbol(disc, [[1.0, 0.0], [c, 2.0]])
+
+
+def test_poly_symbol_table_holds_the_terms_in_dict_order(bidisc):
+    entries = {(1, 0): {(np.int64(2), 0, 1, np.int32(3)): 0.5j, (0, 0, 0, 0): 2},
+               (0, 1): {(1, 1, 0, 0): -1.5}, (0, 0): {},
+               (np.uint8(1), 1): {(0, np.uint16(4), 2, 0): 1, (3, 0, 0, 0): 0.25}}
+    table = poly_symbol(bidisc, entries).poly
+    assert table.rows.tolist() == [[1, 0, 2, 0, 1, 3], [1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0],
+                                   [1, 1, 0, 4, 2, 0], [1, 1, 3, 0, 0, 0]]
+    assert table.coef.tolist() == [0.5j, 2, -1.5, 1, 0.25]
+    assert table.rows.dtype.kind == "i" and table.coef.dtype == complex
 
 
 def test_constant_symbol_matches_matrix(fock):
@@ -185,7 +208,7 @@ def test_bidisc_constant_and_shift(bidisc_basis, bidisc_rule):
 # smooth symbol sampled on the rule and contracted in one 4-index einsum.
 
 def _einsum_toeplitz(basis, rule, symbol):
-    vals = symbol.smooth(rule.nodes)
+    vals = symbol.eval(rule.nodes)
     E = scalar_basis_matrix(basis, rule.nodes)
     Ew = E.conj() * rule.sigma_weights[None, :]
     return np.einsum("an,nik,bn->aibk", Ew, vals, E,
@@ -271,6 +294,25 @@ def test_pullback_toeplitz_matches_einsum_oracle(label, z):
     ref = _einsum_toeplitz(basis, rule, sym)
     T = toeplitz_matrix(basis, rule, sym).mat
     assert np.abs(T - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("label", list(_POLY_SPACES))
+def test_poly_eval_matches_the_compiled_oracle_bit_for_bit(label):
+    # several terms in each entry, four of them on the main diagonal of one entry, conjugate
+    # powers, and int, real and complex coefficients; then the same symbol pulled back
+    space = _POLY_SPACES[label][0]
+    nf = space.nfactors
+    entries = _random_poly_entries(space, np.random.default_rng(11), n_terms=4)
+    entries[(0, 0)].update({(j, j) * nf: c for j, c in ((0, 3), (1, -0.5), (2, 0.25 - 2j), (4, 7))})
+    entries[(1, 0)] = {(0, 3) * nf: -2, (1, 0) + (0, 2) * (nf - 1): 1e-3, (2, 1) * nf: 1.5}
+    sym = poly_symbol(space, entries)
+    oracle = compile_poly(space, entries)
+    pts = sample_points(space, 40, seed=3)
+    z = sample_points(space, 1, seed=4)[0]
+    for got, ref in ((sym.eval(pts), oracle(pts)),
+                     (pullback_symbol(sym, z).eval(pts), oracle(spaces.involution(space, z, pts)))):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(ref.view(float)))
 
 
 def test_smooth_toeplitz_rejects_a_rule_for_another_measure(disc, disc_weighted, fock, bidisc):

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from berglab.config import load_config
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -28,6 +30,14 @@ def test_script_runs_and_writes_csv(script, args, tmp_path):
     assert proc.returncode == 0, proc.stderr
     header, *rows = out.read_text().splitlines()
     assert header and rows
+
+
+@pytest.mark.parametrize("path", sorted((SCRIPTS / "configs").glob("*.json")),
+                         ids=lambda path: path.name)
+def test_committed_config_loads_and_its_kernel_file_exists(path):
+    cfg = load_config(str(path))
+    # kernel file paths are relative to the repository root, where the report-diff loop runs
+    assert cfg.schur_kernel_file is None or (SCRIPTS.parent / cfg.schur_kernel_file).is_file()
 
 
 def test_axiom_suite_reports_vacuous_translation_check_as_nan(tmp_path):
