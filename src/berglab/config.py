@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import spaces
-from .operators import MatrixSymbol, ball_indicator_symbol, constant_symbol, poly_symbol
+from .operators import MatrixSymbol, _poly_terms, ball_indicator_symbol, constant_symbol
 from .spaces import SpaceSpec
 
 
@@ -102,18 +102,17 @@ def _parse_symbol(space: SpaceSpec, name: str, spec: dict) -> MatrixSymbol:
     allowed = {"poly": ("type", "entries"), "const": ("type", "matrix"),
                "ball": ("type", "center", "radius", "matrix", "metric")}
     _require_object(f"symbol {name!r}", spec, allowed.get(kind))
-    if kind == "poly":
+    if kind == "poly":   # one term-table row per config term, in order: repeated terms add up
         k = space.nfactors
         keys = [f"{p}{i + 1}" if k > 1 else p for i in range(k) for p in "ab"]
-        entries: Dict = {}
+        names, values = [], []
         for item in spec.get("entries", []):
-            _require_object(f"symbol {name!r} entry", item, ("i", "k", "terms"))
-            terms = {}
+            ik = (_require_object(f"symbol {name!r} entry", item, ("i", "k", "terms"))["i"], item["k"])
             for t in item.get("terms", []):
                 _require_object(f"symbol {name!r} term", t, keys + ["c"])
-                terms[tuple(t[key] for key in keys)] = _parse_scalar_point(t["c"])
-            entries[(item["i"], item["k"])] = terms
-        return poly_symbol(space, entries)
+                names.append((ik, tuple(t[key] for key in keys)))
+                values.append(_parse_scalar_point(t["c"]))
+        return MatrixSymbol(space, poly=_poly_terms(space, names, values))
     if kind == "ball":
         if space.nfactors > 1:
             raise ConfigError(f"symbol {name!r}: ball symbols are single-factor")

@@ -8,10 +8,11 @@ index of a reshaped matrix, so no dense U_z (x) I_d is formed.
 Toeplitz assembly T_F = P M_F is exact for polynomial symbols: the term
 z^a conj(z)^b maps e_n to c_n c_m / c_{n+a}^2 e_m with m = n + a - b (a
 monomial moment), so one scatter writes every term on its one nonzero
-diagonal, with no quadrature rule and no dense block.  Other smooth symbols
-(pullbacks, user-supplied functions) are sampled on the global rule, and
-ball-indicator parts are integrated on region-aligned rules (sampling an
-indicator on the global grid would lose ~3 digits).
+diagonal, with no quadrature rule and no dense block.  So is a ball part: a
+ball is phi_a(D(0, s)), and T[F o phi_a] = U_a T[F] U_a (Zhu, Operator Theory
+in Function Spaces, 2nd ed., 2007, 7.1) gives T[1_ball] = U_a diag(D) U_a, D_j
+the share of mode j's mass inside D(0, s).  Other smooth symbols (pullbacks,
+user-supplied functions) are sampled on the global rule.
 
 Translation operators U_z f = (f o phi_z) k_z are compressions of unitaries.
 U_z e_k is analytic, so its compression is its Taylor coefficients divided
@@ -32,7 +33,7 @@ scoped.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -40,8 +41,8 @@ import numpy as np
 
 from . import spaces
 from .coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers,
-                     basis_normalizer, from_flat, rule_gram, scalar_basis_matrix)
-from .quadrature import QuadratureRule, ball_rule, euclidean_ball
+                     basis_normalizer, from_flat, scalar_basis_matrix)
+from .quadrature import QuadratureRule
 from .spaces import KIND_DISC, KIND_FOCK, SpaceSpec
 
 
@@ -50,7 +51,7 @@ from .spaces import KIND_DISC, KIND_FOCK, SpaceSpec
 
 @dataclass(frozen=True)
 class BallPart:
-    """value * indicator of the euclidean disc D(center, radius), one factor only."""
+    """value * indicator of the metric ball {w : spaces.metric(center, w) <= radius}, one factor only."""
     center: complex
     radius: float
     value: np.ndarray  # (d, d)
@@ -85,7 +86,7 @@ class MatrixSymbol:
         if self.smooth is not None:
             out += self.smooth(pts)
         for b in self.balls:
-            inside = (np.abs(pts - b.center) <= b.radius).reshape(-1)
+            inside = (spaces.metric(self.space, b.center, pts) <= b.radius).reshape(-1)
             out += inside[:, None, None] * b.value[None, :, :]
         return out
 
@@ -132,39 +133,33 @@ def constant_symbol(space: SpaceSpec, matrix) -> MatrixSymbol:
 
 def ball_indicator_symbol(space: SpaceSpec, center: complex, radius: float, matrix,
                           ball_metric: str = "euclidean") -> MatrixSymbol:
+    """matrix times the indicator of a ball on one factor, kept as the space's metric ball
+    (`BallPart`), as an "invariant" ball is given.  A "euclidean" D(c, r) on the disc must lie
+    inside it (ValueError) and converts once, free of cancellation: with p1, p2 = |c| -+ r, the
+    centre a = 2c / [1 + p1 p2 + sqrt((1 - p1^2)(1 - p2^2))] and the radius arctanh |phi_a(p1)|."""
     if space.nfactors > 1:
         raise ValueError("ball symbols are single-factor")
+    if ball_metric not in ("euclidean", "invariant"):
+        raise ValueError(f"unknown ball metric {ball_metric!r}")
     if not radius > 0:
         raise ValueError(f"ball radius must be positive, got {radius!r}")
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (space.d, space.d):
         raise ValueError("ball symbol needs a d x d matrix")
-    center, radius = euclidean_ball(space, center, radius, ball_metric)
-    return MatrixSymbol(space, balls=[BallPart(complex(center), float(radius), m)])
-
-
-def _mobius_circle_image(z: complex, center: complex, radius: float):
-    """Image of the circle |w - center| = radius under phi_z on the disc."""
-    pts = [center + radius * np.exp(2j * np.pi * j / 3) for j in range(3)]
-    q = [(z - p) / (1 - np.conj(z) * p) for p in pts]
-    num = (abs(q[0]) ** 2) * (q[1] - q[2]) + (abs(q[1]) ** 2) * (q[2] - q[0]) + (abs(q[2]) ** 2) * (q[0] - q[1])
-    den = np.conj(q[0]) * (q[1] - q[2]) + np.conj(q[1]) * (q[2] - q[0]) + np.conj(q[2]) * (q[0] - q[1])
-    c = num / den
-    return complex(c), float(abs(q[0] - c))
+    center, radius = complex(center), float(radius)
+    if space.kind == KIND_DISC and abs(center) + (radius if ball_metric == "euclidean" else 0.0) >= 1.0:
+        raise ValueError(f"ball D({center}, {radius}) sticks out of the disc")
+    if space.kind == KIND_DISC and ball_metric == "euclidean":
+        p1, p2 = abs(center) - radius, abs(center) + radius
+        center = 2.0 * center / (1.0 + p1 * p2 + np.sqrt((1.0 - p1) * (1.0 + p1) * (1.0 - p2) * (1.0 + p2)))
+        radius = float(np.arctanh((abs(center) - p1) / (1.0 - abs(center) * p1)))
+    return MatrixSymbol(space, balls=[BallPart(center, radius, m)])
 
 
 def pullback_symbol(symbol: MatrixSymbol, z) -> MatrixSymbol:
-    """Symbol composed with phi_z.  Ball parts stay exact balls."""
+    """Symbol composed with phi_z, an isometry: a ball part keeps its radius about phi_z(center)."""
     space = symbol.space
-    balls = []
-    for b in symbol.balls:
-        if space.kind == KIND_FOCK:
-            balls.append(BallPart(complex(z) - b.center, b.radius, b.value))
-        elif space.kind == KIND_DISC:
-            c, r = _mobius_circle_image(complex(z), b.center, b.radius)
-            balls.append(BallPart(c, r, b.value))
-        else:
-            raise ValueError("ball pullback is single-factor")
+    balls = [replace(b, center=complex(spaces.involution(space, z, b.center))) for b in symbol.balls]
     base = MatrixSymbol(space, smooth=symbol.smooth, poly=symbol.poly)   # the non-ball part
     return MatrixSymbol(space, balls=balls, smooth=None if base.smooth is None and base.poly is None
                         else lambda pts: base.eval(spaces.involution(space, z, pts)))
@@ -230,9 +225,11 @@ def _poly_scatter(basis: BasisSpec, poly: PolyTerms):
     a polynomial symbol, in its table's order.  On each factor z^a conj(z)^b maps e_n to
     c_n c_m / c_{n+a}^2 e_m, m = n + a - b (NaN where m leaves the window), folded first
     factor slowest: |z|^(2k) integrates to 1/c_k^2 against sigma on the disc (any alpha) and
-    on the Fock space, so no quadrature enters."""
+    on the Fock space, so no quadrature enters.  A term with |a - b| >= N on some factor writes
+    nothing and is dropped before any normalizer table is built."""
     N, nf = basis.n_modes, basis.space.nfactors
-    ikp, coef = poly
+    keep = np.all(np.abs(poly.rows[:, 2::2] - poly.rows[:, 3::2]) < N, axis=1)   # else no entry
+    ikp, coef = poly.rows[keep], poly.coef[keep]
     n, digits = np.arange(N), np.indices((N,) * nf).reshape(nf, -1)   # each scalar mode's n per factor
     rows, vals = np.arange(N ** nf), 1.0
     for j, (f, a, b) in enumerate(zip(basis.space.factors, ikp.T[2::2, :, None], ikp.T[3::2, :, None])):
@@ -244,16 +241,41 @@ def _poly_scatter(basis: BasisSpec, poly: PolyTerms):
     return (rows[term, cols], ikp[term, 0], cols, ikp[term, 1]), coef[term] * vals[term, cols]
 
 
+BALL_MODE_CAP = 25000   # K, the columns of a ball's U_a block: 38 MB of complex at N = 96
+
+
+def _ball_shares(space: SpaceSpec, radius: float) -> np.ndarray:
+    """D_j = P(X > j), j < K: mode j's share of its mass inside the centred metric ball, X negative
+    binomial of order alpha + 1 at x = tanh(radius)^2 (disc) or Poisson(radius^2).  log P(X = i) =
+    log p_0 + i log x + 2 log c_i (- log(1 + i/(alpha + 1)) on the disc), 1 - x kept exact, up to a
+    length doubled until the geometric tail bound past it is < 1e-20; summed from the far end over
+    the total (1 but for i log x's rounding).  K is the first j with D_j < 1e-17 (a row of U_a has
+    norm <= 1, so the cut costs <= D_K); ValueError past BALL_MODE_CAP."""
+    disc, e, order = space.kind == KIND_DISC, np.exp(-2.0 * radius), space.alpha + 1.0
+    logx = 2.0 * (np.log1p(-e) - np.log1p(e)) if disc else 2.0 * np.log(radius)   # tanh = (1-e)/(1+e)
+    head = -2.0 * order * (radius + np.log1p(e) - np.log(2.0)) if disc else -radius ** 2
+    for L in (2 ** k for k in range(6, 17)):   # up to 65536, past any K under the cap
+        i = np.arange(L)   # the disc's last term is 0 on the Fock space (disc = False)
+        logp = head + i * logx + 2.0 * _factor_log_normalizers(space, L) - disc * np.log1p(i / order)
+        q = np.exp(logx) * ((L + max(space.alpha, 0.0)) if disc else 1.0) / L   # >= every later ratio
+        if q < 1.0 and logp[-1] + np.log(q / (1.0 - q)) < np.log(1e-20):
+            D = np.append(np.cumsum(np.exp(logp[:0:-1]))[::-1], 0.0) / np.exp(logp).sum()
+            if np.argmax(D < 1e-17) <= BALL_MODE_CAP:
+                return D[:np.argmax(D < 1e-17)]
+    raise ValueError(f"the ball of radius {radius} needs more than {BALL_MODE_CAP} modes")
+
+
 def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol) -> OperatorMatrix:
     """T_F = P M_F on the truncated space.
 
     Polynomial symbols (symbol.poly) are assembled exactly from monomial
-    moments and do not depend on the rule.  Other smooth symbols are sampled
-    on the rule, one GEMM per nonzero (i, k) entry; they are exact whenever
+    moments, and each ball part B(a, radius) as (U diag(D) U^H) (x) value, U
+    the N x K block of U_a and D the shares of `_ball_shares`; neither reads
+    the rule.  Other smooth symbols are sampled on the rule, one GEMM per
+    nonzero (i, k) entry; they are exact whenever
     radial exactness (degree in t up to 2*radial_order - 1) and angular
     separation (frequency spread less than angular_order) hold, and need a
-    rule for the basis's measure (ValueError on another kind or weight).  Ball
-    parts are assembled on their own region rules.
+    rule for the basis's measure (ValueError on another kind or weight).
     """
     d = basis.space.d
     n = basis.n_scalar
@@ -272,10 +294,9 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
                 if np.any(vals[:, i, k]):
                     T4[:, i, :, k] = (Ew * vals[None, :, i, k]) @ E.T
     for b in symbol.balls:
-        brule = ball_rule(basis.space, b.center, b.radius,
-                          radial_order=max(rule.radial_order, basis.n_modes + 8),
-                          angular_order=max(rule.angular_order, 2 * basis.n_modes + 8))
-        T4 += np.einsum("ab,ik->aibk", rule_gram(basis, brule), b.value)
+        D = _ball_shares(basis.space, b.radius)
+        U = _scalar_translation(basis.space, basis.n_modes, b.center, D.size)
+        T4 += np.einsum("ab,ik->aibk", (U * D) @ U.conj().T, b.value)
     return OperatorMatrix(basis, T)
 
 
@@ -309,7 +330,7 @@ def toeplitz_measure_matrix(basis: BasisSpec, measure: PointMassMeasure) -> Oper
 # ---------------------------------------------------------------------------
 # translation operators
 
-def _disc_translation(space: SpaceSpec, n_modes: int, z) -> np.ndarray:
+def _disc_translation(space: SpaceSpec, n_modes: int, z, n_cols: Optional[int] = None) -> np.ndarray:
     """Taylor coefficients of U_z e_k = c_k phi_z^k k_z, exactly, by a recurrence.
 
     Multiplying a power series by
@@ -319,51 +340,52 @@ def _disc_translation(space: SpaceSpec, n_modes: int, z) -> np.ndarray:
     c_m^2 conj(z)^m / ||K_z||, and row k+1 is P times row k.  Entry [m, k] is
     then c_k series[k, m] / c_m.  The first n coefficients of a product
     depend only on the first n of each factor, so the truncation is exact:
-    nothing is sampled and nothing aliases.  Points stack on leading axes.
+    nothing is sampled and nothing aliases.  Rows m < n_modes, columns
+    k < n_cols (default n_modes); points stack on leading axes.
     """
-    logc = _factor_log_normalizers(space, n_modes)
+    K = n_modes if n_cols is None else n_cols
+    logc = _factor_log_normalizers(space, max(n_modes, K))
     m = np.arange(n_modes)
     z = np.asarray(z, dtype=complex)
     zc = np.conj(z)[..., None]
     phi = np.concatenate((z[..., None], -(1.0 - np.abs(zc) ** 2) * zc ** m[:-1]), axis=-1)
     P = np.tril(phi[..., m[:, None] - m[None, :]])
-    series = np.empty(z.shape + (n_modes, n_modes), dtype=complex)
-    series[..., 0, :] = np.exp(2.0 * logc) * zc ** m / spaces.kernel_norm(space, z[..., None])
-    for k in range(n_modes - 1):
+    series = np.empty(z.shape + (K, n_modes), dtype=complex)
+    series[..., 0, :] = np.exp(2.0 * logc[m]) * zc ** m / spaces.kernel_norm(space, z[..., None])
+    for k in range(K - 1):
         series[..., k + 1, :] = (P @ series[..., k, :, None])[..., 0]
-    return np.swapaxes(series, -1, -2) * np.exp(logc[None, :] - logc[:, None])
+    return np.swapaxes(series, -1, -2) * np.exp(logc[None, :K] - logc[m, None])
 
 
-def _fock_translation(space: SpaceSpec, n_modes: int, z) -> np.ndarray:
+def _fock_translation(space: SpaceSpec, n_modes: int, z, n_cols: Optional[int] = None) -> np.ndarray:
     """Closed-form U_z = D(conj z) P: Glauber displacement after parity.
 
     With t = |z|^2, lo = min(m, k), hi = max(m, k), entry [m, k] is
     (-1)^k e^(-t/2) sqrt(lo!/hi!) L_lo^(hi-lo)(t) times conj(z)^(m-k) for
     m >= k and (-z)^(k-m) otherwise (Cahill & Glauber, Phys. Rev. 177, 1969).
-    The factor sqrt(lo!/hi!) L_lo^(b)(t), b = hi - lo, comes from the
-    orthonormal three-term recurrence of the Laguerre polynomials in the
-    degree, started at the Fock normalizer c_b = 1/sqrt(b!), for all b and z.
+    The magnitude e^(-t/2) |z|^b sqrt(lo!/hi!) L_lo^(b)(t), b = hi - lo, is the
+    orthonormal three-term Laguerre recurrence in the degree, started at the
+    product e^(-t/2) prod_(i<=b) |z|/sqrt(i), finite for every b; the powers of
+    z keep their phase.  Rows m < n_modes, columns k < n_cols (default n_modes).
     """
-    m = np.arange(n_modes)
-    diff = m[:, None] - m[None, :]
-    lo = np.minimum.outer(m, m)
-    hi = np.maximum.outer(m, m)
+    K = n_modes if n_cols is None else n_cols
+    m, k, b = np.arange(n_modes), np.arange(K), np.arange(max(n_modes, K))
+    diff = m[:, None] - k[None, :]
     z = np.asarray(z, dtype=complex)[..., None, None]
-    t = np.abs(z) ** 2
-    j = np.arange(n_modes - 1)[:, None]   # recurrence coefficients, row j for every b
-    up, back, scale = 2 * j + 1 + m - t, np.sqrt(j * (j + m)), np.sqrt((j + 1) * (j + 1 + m))
-    ell = np.zeros(t.shape[:-2] + (n_modes + 1, n_modes))   # [..., j + 1, b]: sqrt(j!/(j+b)!) L_j^(b)(t)
-    ell[..., 1, :] = np.exp(_factor_log_normalizers(space, n_modes))
-    for i in range(n_modes - 1):
+    t, r = np.abs(z) ** 2, np.abs(z)[..., 0]
+    j = np.arange(min(n_modes, K) - 1)[:, None]   # recurrence coefficients, row j for every b
+    up, back, scale = 2 * j + 1 + b - t, np.sqrt(j * (j + b)), np.sqrt((j + 1) * (j + 1 + b))
+    ell = np.zeros(t.shape[:-2] + (j.size + 2, b.size))   # [..., j + 1, b]: the magnitude at lo = j
+    ell[..., 1, :] = np.cumprod(np.concatenate((np.exp(-t[..., 0] / 2.0), r / np.sqrt(b[1:])), -1), -1)
+    for i in range(j.size):
         ell[..., i + 2, :] = (up[..., i, :] * ell[..., i + 1, :] - back[i] * ell[..., i, :]) / scale[i]
-    magnitude = np.exp(-t / 2.0) * ell[..., lo + 1, hi - lo]
-    power = np.where(diff >= 0, np.conj(z), -z) ** np.abs(diff)
-    return magnitude * power * (-1.0) ** m
+    power = np.where(diff >= 0, np.exp(-1j * np.angle(z)), -np.exp(1j * np.angle(z))) ** np.abs(diff)
+    return ell[..., np.minimum.outer(m, k) + 1, np.abs(diff)] * power * (-1.0) ** k
 
 
-def _scalar_translation(space: SpaceSpec, n_modes: int, z) -> np.ndarray:
-    """<U_z e_k, e_m> on one factor: (n, n) for one point, (p, n, n) for p points."""
-    return (_fock_translation if space.kind == KIND_FOCK else _disc_translation)(space, n_modes, z)
+def _scalar_translation(space: SpaceSpec, n_modes: int, z, n_cols: Optional[int] = None) -> np.ndarray:
+    """<U_z e_k, e_m> on one factor, m < n_modes, k < n_cols (default n_modes); points stack first."""
+    return (_fock_translation if space.kind == KIND_FOCK else _disc_translation)(space, n_modes, z, n_cols)
 
 
 def _translations(basis: BasisSpec, grid, name: str = "z_grid") -> Tuple[np.ndarray, ...]:

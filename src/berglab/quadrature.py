@@ -10,10 +10,9 @@ are integrated exactly up to degree 2*radial_order - 1 in t:
 * fock: Gauss-Laguerre with weight e^(-t) on [0, inf), so no radial cutoff
   is imposed and sum(weights) = sigma(domain) = 1 holds exactly.
 
-Indicator symbols and small-ball masses are integrated with dedicated
-region-aligned rules (a Gauss grid mapped onto the ball); sampling an
-indicator on the global grid would cost ~1e-2 accuracy, the aligned rule is
-spectrally accurate.
+No operator reads a rule for a ball: `operators.toeplitz_matrix` assembles
+indicator symbols in closed form.  The region-aligned rule below (a Gauss
+grid mapped onto a disc) is the tests' oracle for them.
 """
 
 from __future__ import annotations
@@ -163,19 +162,7 @@ def integrate_lambda(rule: QuadratureRule, values) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# region-aligned rules for balls (indicator integration)
-
-def metric_ball_euclidean(space: SpaceSpec, center: complex, rho: float):
-    """Euclidean center/radius of the invariant-metric ball (single factor)."""
-    if space.kind == KIND_FOCK:
-        return complex(center), float(rho)
-    if space.kind == KIND_DISC:
-        s = np.tanh(rho)
-        a = complex(center)
-        denom = 1.0 - s**2 * abs(a) ** 2
-        return a * (1.0 - s**2) / denom, s * (1.0 - abs(a) ** 2) / denom
-    raise ValueError("per-factor geometry only")
-
+# region-aligned rules for balls (the tests' indicator oracle)
 
 def ball_rule(
     space: SpaceSpec,
@@ -189,7 +176,8 @@ def ball_rule(
     The integrand picks up the sigma-density explicitly, so the rule is
     spectrally accurate for smooth functions.  It is exact for polynomials only
     where that density is constant (the disc at alpha = 0); (1-|w|^2)^alpha and
-    the Fock Gaussian are smooth but not polynomial factors.
+    the Fock Gaussian are smooth but not polynomial factors.  No run path calls it: the
+    tests' oracle for ball Toeplitz operators, kept while the benchmark traces it.
     """
     if space.nfactors > 1:
         raise ValueError("ball rules are per-factor")
@@ -203,15 +191,6 @@ def ball_rule(
     area_w = np.repeat((gw * np.pi * radius**2 / angular_order)[:, None], angular_order, axis=1).ravel()
     weights = area_w * sigma_density(space, nodes)
     return QuadratureRule(space, nodes, weights, radial_order, angular_order)
-
-
-def euclidean_ball(space: SpaceSpec, center: complex, radius: float, ball_metric: str):
-    """Euclidean center/radius of a ball given in the "euclidean" or "invariant" metric."""
-    if ball_metric not in ("euclidean", "invariant"):
-        raise ValueError(f"unknown ball metric {ball_metric!r}")
-    if ball_metric == "invariant":
-        return metric_ball_euclidean(space, center, radius)
-    return center, radius
 
 
 # ---------------------------------------------------------------------------

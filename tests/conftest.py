@@ -69,6 +69,28 @@ def bidisc_basis(bidisc):
     return BasisSpec(bidisc, 6)
 
 
+def metric_ball_euclidean(space, center, rho):
+    """Euclidean center/radius of the invariant-metric ball (single factor): the oracle for
+    the metric balls that ball symbols are kept as."""
+    if space.kind == spaces.KIND_FOCK:
+        return complex(center), float(rho)
+    if space.kind == spaces.KIND_DISC:
+        s = np.tanh(rho)
+        a = complex(center)
+        denom = 1.0 - s**2 * abs(a) ** 2
+        return a * (1.0 - s**2) / denom, s * (1.0 - abs(a) ** 2) / denom
+    raise ValueError("per-factor geometry only")
+
+
+def euclidean_ball(space, center, radius, ball_metric):
+    """Euclidean center/radius of a ball given in the "euclidean" or "invariant" metric."""
+    if ball_metric not in ("euclidean", "invariant"):
+        raise ValueError(f"unknown ball metric {ball_metric!r}")
+    if ball_metric == "invariant":
+        return metric_ball_euclidean(space, center, radius)
+    return center, radius
+
+
 def rule_for(space):
     return build_rule(space)
 

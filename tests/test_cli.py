@@ -429,6 +429,21 @@ def test_unknown_ball_metric_exits_2_and_writes_nothing(tmp_path, capsys):
                            tmp_path, capsys)
 
 
+@pytest.mark.parametrize("command", ["kernel", "covering", "rf", "verify-axioms"])
+def test_disc_ball_outside_the_disc_exits_2_and_writes_nothing(command, tmp_path, capsys):
+    # these commands assemble no ball; the symbol is refused when the config is read
+    cfg = dict(BASE_CONFIG, symbols={**BASE_CONFIG["symbols"],
+                                     "bump": {**BASE_CONFIG["symbols"]["bump"], "center": [0.9, 0.0],
+                                              "radius": 0.5}})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "bump" in error and "sticks out of the disc" in error
+    assert not out.exists()
+
+
 def test_nan_payload_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
     def runner(cfg, args):
         return "axioms", {"value": float("nan")}, ["value"], [[float("nan")]], 0

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from berglab.coeffs import BasisSpec
 from berglab.config import (ConfigError, config_from_dict, load_config,
                             parse_point, parse_symbol)
+from berglab.operators import poly_symbol, toeplitz_matrix
 from berglab.reporting import (CLAIMS, jsonable, report_envelope,
                                write_csv_atomic, write_json_atomic)
 from berglab import spaces
@@ -74,11 +76,26 @@ def test_symbol_parsing_poly():
     assert v[0, 0] == 0
 
 
+def test_symbol_parsing_poly_keeps_every_term():
+    # a repeated entry and a repeated power tuple add up: a symbol is the sum of its terms
+    sp = spaces.disc_space(0.0, d=1)
+    sym = parse_symbol(sp, "s", {"type": "poly", "entries": [
+        {"i": 0, "k": 0, "terms": [{"a": 1, "b": 0, "c": 1.0}, {"a": 1, "b": 0, "c": 5.0}]},
+        {"i": 0, "k": 0, "terms": [{"a": 2, "b": 0, "c": 2.0}]}]})
+    assert sym.poly.rows.tolist() == [[0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 2, 0]]
+    assert sym.poly.coef.tolist() == [1.0, 5.0, 2.0]
+    basis = BasisSpec(sp, 8)
+    expected = toeplitz_matrix(basis, None, poly_symbol(sp, {(0, 0): {(1, 0): 6.0, (2, 0): 2.0}})).mat
+    assert np.allclose(toeplitz_matrix(basis, None, sym).mat, expected, rtol=0, atol=1e-15)
+
+
 def test_symbol_parsing_ball_and_const():
     sp = spaces.disc_space(0.0, d=2)
     ball = parse_symbol(sp, "b", {"type": "ball", "center": [0.2, 0.0], "radius": 0.3,
                                   "matrix": [[1, 0], [0, 1]]})
-    assert ball.balls[0].radius == 0.3
+    b = ball.balls[0]   # the metric ball whose Euclidean disc is D(0.2, 0.3)
+    assert float(spaces.metric(sp, b.center, 0.5)) == pytest.approx(b.radius, rel=1e-14)
+    assert float(spaces.metric(sp, b.center, -0.1)) == pytest.approx(b.radius, rel=1e-14)
     for radius in (-0.3, 0, "0.3", True):
         with pytest.raises(ConfigError, match="radius"):
             parse_symbol(sp, "b", {"type": "ball", "center": 0.2, "radius": radius,

@@ -1,5 +1,7 @@
 """Toeplitz, Hankel, translation, and rank-one operator assembly."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from berglab import operators, spaces
 from berglab.coeffs import (BasisSpec, CoeffFunction, eval_coeffs, from_flat,
-                            kernel_coeff_vector,
+                            kernel_coeff_vector, rule_gram,
                             random_coeff_function, random_polynomial,
                             scalar_basis_matrix)
 from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
@@ -20,9 +22,10 @@ from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
                                toeplitz_measure_matrix,
                                translation_certificate, translation_matrix)
 from berglab.operators import _scalar_translation
-from berglab.quadrature import build_rule
+from berglab.quadrature import ball_rule, build_rule
 from conftest import (certified_projector, compile_poly, dense_poly_toeplitz, dense_rank_one_toeplitz_sum,
-                      fft_disc_translation, hankel_apply, sample_points, sup_norm)
+                      fft_disc_translation, hankel_apply, metric_ball_euclidean, sample_points,
+                      sup_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +107,12 @@ def test_ball_symbol_rejects_a_radius_that_is_not_positive(disc, radius):
 def test_invariant_ball_symbol_converts_radius(disc):
     sym = ball_indicator_symbol(disc, 0.5, 0.4, np.eye(2), ball_metric="invariant")
     ball = sym.balls[0]
-    # membership must agree with the invariant metric
+    assert (ball.center, ball.radius) == (0.5, 0.4)   # kept as the metric ball it is
+    # membership must agree with the Euclidean disc of that invariant ball
+    center, radius = metric_ball_euclidean(disc, 0.5, 0.4)
     pts = sample_points(disc, 300, seed=17)
-    in_euclid = np.abs(pts - ball.center) <= ball.radius
-    in_metric = spaces.metric(disc, 0.5, pts) <= 0.4
+    in_euclid = np.abs(pts - center) <= radius
+    in_metric = sym.eval(pts)[:, 0, 0].real == 1.0
     assert np.array_equal(in_euclid, in_metric)
 
 
@@ -178,6 +183,113 @@ def test_ball_toeplitz_singular_value_decay(disc_basis, disc_rule):
     svs = T.singular_values()
     assert svs[0] < 1.0 + 1e-9
     assert svs[disc_basis.dim // 4] < 1e-3 * svs[0]
+
+
+def _criterion_07_balls(count):
+    """The first (centre, Euclidean radius) pairs of criterion 07's seed-21 draw."""
+    rng = np.random.default_rng(21)
+    balls = []
+    for _ in range(count):
+        balls.append((0.3 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()),
+                      0.25 + 0.1 * rng.uniform()))
+        rng.uniform(0.5, 1.0, 2)   # the draw's diagonal matrix
+    return balls
+
+
+_FOCK_BALLS = [(c, r) for c in (0.0, 1.0 - 0.5j, 2.0 + 1.0j, -2.1j, 3.0) for r in (0.3, 0.9, 2.5)]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_ball_shares_match_the_regularized_incomplete_beta(alpha):
+    # D_j = I_{s^2}(j + 1, alpha + 1): the share of mode j's mass inside D(0, s)
+    space = spaces.disc_space(alpha, d=1)
+    for s in (0.05, 0.5, 0.9, 0.99, 0.999):
+        D = operators._ball_shares(space, np.arctanh(s))
+        js = np.unique(np.concatenate((np.geomspace(1, D.size + 1, 40), np.linspace(
+            1, min(D.size, 1000), 150))).astype(int)) - 1   # the bulk, and the tail up to K = D.size
+        with mpmath.workdps(30):
+            ref = [float(mpmath.betainc(j + 1, alpha + 1, 0, mpmath.mpf(s) ** 2, regularized=True))
+                   for j in js]
+        assert np.abs(D[js[:-1]] - ref[:-1]).max() <= 1e-14
+        assert D[-1] >= 1e-17 > ref[-1]   # K is the first j with D_j < 1e-17
+
+
+def test_ball_shares_match_the_regularized_lower_incomplete_gamma():
+    space = spaces.fock_space(d=1)
+    for rho in (0.1, 0.9, 2.5, 5.0):
+        D = operators._ball_shares(space, rho)
+        with mpmath.workdps(30):
+            ref = [float(mpmath.gammainc(j + 1, 0, mpmath.mpf(rho) ** 2, regularized=True))
+                   for j in range(D.size + 1)]
+        assert np.abs(D - ref[:-1]).max() <= 1e-14
+        assert D[-1] >= 1e-17 > ref[-1]
+
+
+def _region_rule_oracle(basis, ball):
+    """T[1_ball] for a Euclidean disc (center, radius), integrated on its own region rule at the
+    orders toeplitz_matrix once used; exact only where sigma's density is constant (alpha = 0)."""
+    N = basis.n_modes
+    return rule_gram(basis, ball_rule(basis.space, *ball, radial_order=max(40, N + 8),
+                                      angular_order=max(64, 2 * N + 8)))
+
+
+@pytest.mark.parametrize("n_modes", [8, 24, 96])
+@pytest.mark.parametrize("space", [spaces.disc_space(0.0, d=2), spaces.disc_space(1.5, d=2),
+                                   spaces.fock_space(d=2)], ids=["disc", "disc1.5", "fock"])
+def test_ball_toeplitz_matches_the_region_rule_oracle(space, n_modes):
+    basis = BasisSpec(space, n_modes)
+    M = np.array([[0.9, 0.1], [0.0, 0.6]])
+    balls = _FOCK_BALLS if space.kind == spaces.KIND_FOCK else _criterion_07_balls(4)
+    for ball in balls[:: 1 if n_modes < 96 else 3]:
+        T = toeplitz_matrix(basis, None, ball_indicator_symbol(space, *ball, M)).mat
+        assert np.abs(T - np.kron(_region_rule_oracle(basis, ball), M)).max() <= 1e-13
+
+
+def test_centred_ball_toeplitz_is_the_diagonal_of_its_shares():
+    # the region rule is off by 5e-8 here, as (1 - |w|^2)^1.5 is no polynomial
+    space, s = spaces.disc_space(1.5, d=1), 0.999
+    T = toeplitz_matrix(BasisSpec(space, 24), None, ball_indicator_symbol(space, 0.0, s, [[1.0]])).mat
+    with mpmath.workdps(30):
+        D = [float(mpmath.betainc(j + 1, 2.5, 0, mpmath.mpf(s) ** 2, regularized=True)) for j in range(24)]
+    assert np.abs(T - np.diag(D)).max() <= 1e-14
+
+
+def test_ball_past_the_mode_cap_raises():
+    for space, radius in ((spaces.disc_space(0.0, d=1), 6.0), (spaces.fock_space(d=1), 200.0)):
+        with pytest.raises(ValueError, match=f"ball of radius {radius}"):
+            toeplitz_matrix(BasisSpec(space, 8), None,
+                            ball_indicator_symbol(space, 0.0, radius, [[1.0]], ball_metric="invariant"))
+
+
+def test_fock_ball_and_translation_stay_finite_past_factorial_underflow():
+    # 1/sqrt(b!) underflows and 3^b overflows for b in the hundreds; their product does not
+    space, N = spaces.fock_space(d=1), 700
+    U = _scalar_translation(space, N, 3.0)
+    assert np.isfinite(U).all()
+    assert np.abs(np.linalg.norm(U[:, :400], axis=0) - 1.0).max() <= 1e-12
+    T = toeplitz_matrix(BasisSpec(space, N), None, ball_indicator_symbol(space, 3.0, 2.5, [[1.0]])).mat
+    assert np.isfinite(T).all()
+    assert np.abs(T[:96, :96] - _region_rule_oracle(BasisSpec(space, 96), (3.0, 2.5))).max() <= 1e-13
+
+
+@pytest.mark.parametrize("center, radius", [(0.9, 0.5), (0.6, 0.4), (-0.3j, 0.7)])
+def test_euclidean_disc_ball_must_lie_inside_the_disc(disc, center, radius):
+    with pytest.raises(ValueError, match="sticks out of the disc"):
+        ball_indicator_symbol(disc, center, radius, np.eye(2))
+
+
+def test_euclidean_ball_converts_without_cancellation():
+    # a centre of 1e-8: the quadratic-formula root loses 1e-10 there
+    disc = spaces.disc_space(0.0, d=1)
+    ball = ball_indicator_symbol(disc, 1e-8, 0.3, [[1.0]]).balls[0]
+    with mpmath.workdps(40):
+        c, r = mpmath.mpf(1e-8), mpmath.mpf(0.3)
+        p1, p2 = c - r, c + r
+        g = 1 + p1 * p2
+        a = (g - mpmath.sqrt(g * g - (p1 + p2) ** 2)) / (p1 + p2)
+        rho = mpmath.atanh((a - p1) / (1 - a * p1))
+        assert abs(ball.center - float(a)) <= 1e-17
+        assert ball.radius == pytest.approx(float(rho), rel=1e-15)
 
 
 def test_measure_toeplitz_recovers_rule(disc_basis, disc_rule):
@@ -252,6 +364,22 @@ def test_poly_toeplitz_does_not_depend_on_the_rule(label):
     coarse = toeplitz_matrix(basis, build_rule(space, 4, 8), sym).mat
     fine = toeplitz_matrix(basis, build_rule(space), sym).mat
     assert np.array_equal(coarse, fine)
+
+
+def test_poly_term_outside_the_window_builds_no_table():
+    # z^a with a = 10^6 + 7 writes no entry at n = 8; its normalizer table alone would take
+    # 8 MB and the (terms, N) index arrays more (a power no earlier call cached)
+    disc = spaces.disc_space(0.0, d=1)
+    sym = poly_symbol(disc, {(0, 0): {(10 ** 6 + 7, 0): 1.0, (1, 0): 1.0}})
+    tracemalloc.start()
+    try:
+        T = toeplitz_matrix(BasisSpec(disc, 8), None, sym).mat
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert np.array_equal(T, toeplitz_matrix(BasisSpec(disc, 8), None, poly_symbol(
+        disc, {(0, 0): {(1, 0): 1.0}})).mat)
 
 
 @pytest.mark.parametrize("label", list(_POLY_SPACES))

@@ -10,9 +10,9 @@ from berglab import spaces
 from berglab.coeffs import _factor_log_normalizers
 from berglab.operators import _fock_translation
 from berglab.quadrature import (MatrixKernelSample, QuadratureRule, _radial_rule, ball_rule,
-                                build_rule, discretized_norm, euclidean_ball, integrate_lambda,
-                                integrate_sigma, metric_ball_euclidean,
-                                rudin_forelli, schur_test)
+                                build_rule, discretized_norm, integrate_lambda,
+                                integrate_sigma, rudin_forelli, schur_test)
+from conftest import euclidean_ball, metric_ball_euclidean
 
 
 def test_sigma_is_probability(all_spaces):
