@@ -299,8 +299,8 @@ def _run_rank1(cfg, args):
         f = random_polynomial(basis, rng, degree)
         g = random_polynomial(basis, rng, degree)
         S = rank_one_toeplitz_sum(basis, rule, f, g)
-        devs.append(float((S - rank_one(f, g)).norm()))
-    payload = {"n_pairs": n_pairs, "degree": degree,
+        devs.append(float(np.linalg.norm((S - rank_one(f, g)).mat, "fro")))   # >= the spectral norm
+    payload = {"n_pairs": n_pairs, "degree": degree, "norm": "frobenius",
                "max_deviation": max(devs), "deviations": devs}
     rows = [[i, v] for i, v in enumerate(devs)]
     return "rank-one-factorization", payload, ["pair", "deviation"], rows, 0
@@ -351,7 +351,7 @@ def main(argv: Optional[list] = None) -> int:
         stem = args.command.replace("-", "_")
         json_path = os.path.join(args.out, f"{stem}.json")
         csv_path = os.path.join(args.out, f"{stem}.csv")
-        # raises ValueError on NaN/infinity before writing, so the CSV is never
+        # raises ValueError on NaN/infinity and leaves no file, so the CSV is never
         # left behind without its JSON
         write_json_atomic(json_path, envelope)
         write_csv_atomic(csv_path, header, rows)

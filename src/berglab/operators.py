@@ -22,8 +22,11 @@ matrix (Laguerre polynomials) on the Fock space, each for one point or a
 stack of points, and the Kronecker product of the factors' matrices on a
 product space.  That fold is written once, in `_translations`: it gates a
 probe grid (`spaces.probe_points`) and translates all its points with one
-call per factor.  `analysis` takes its stacks whole; `translation_matrix`
-and `conjugate_operator` take entry 0 of a one-point stack.  Top basis
+call per factor.  It memoizes the last grid it translated, one entry keyed
+by the basis and the gated points' shape and bytes, with read-only arrays:
+a study that runs many operators on one basis and grid translates it once.
+`analysis` takes its stacks whole; `translation_matrix` and
+`conjugate_operator` take entry 0 of a one-point stack.  Top basis
 modes unavoidably leak outside any fixed truncation window for z != 0,
 which is why every U_z comes with a per-column leakage certificate
 (1 - retained column mass) from which identity-quality statements are
@@ -388,17 +391,33 @@ def _scalar_translation(space: SpaceSpec, n_modes: int, z, n_cols: Optional[int]
     return (_fock_translation if space.kind == KIND_FOCK else _disc_translation)(space, n_modes, z, n_cols)
 
 
+_translated: dict = {}   # the last grid translated: (basis, shape, bytes) -> (points, U, modes)
+
+
 def _translations(basis: BasisSpec, grid, name: str = "z_grid") -> Tuple[np.ndarray, ...]:
     """The gated points of a probe grid (`spaces.probe_points`), their scalar U_z blocks
     (p, N, N) and least certified modes (tau 1e-12): one call per factor for all points,
-    folded by a Kronecker product per point.  The only code that folds factor U_z blocks."""
+    folded by a Kronecker product per point.  The only code that folds factor U_z blocks.
+
+    Every grid is gated; the last one translated is memoized, keyed by the basis and the
+    gated points' shape and bytes, so repeating it (one basis, many operators) translates
+    nothing.  The memo holds one entry, and its three arrays (the points a copy) are
+    read-only."""
     space = basis.space
     points = spaces.probe_points(space, grid, name)
-    blocks = [_scalar_translation(f, basis.n_modes, c)
-              for f, c in zip(space.factors, spaces.coords(space, points))]
-    U = reduce(lambda A, B: (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(
-        len(A), A.shape[1] * B.shape[1], -1), blocks)        # kron per point, first factor slowest
-    return points, U, _certified_modes([_factor_tails(B) for B in blocks], 1e-12)
+    key = (basis, points.shape, points.tobytes())
+    stack = _translated.get(key)
+    if stack is None:
+        _translated.clear()   # the old stack goes before the new one is built
+        blocks = [_scalar_translation(f, basis.n_modes, c)
+                  for f, c in zip(space.factors, spaces.coords(space, points))]
+        U = reduce(lambda A, B: (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(
+            len(A), A.shape[1] * B.shape[1], -1), blocks)    # kron per point, first factor slowest
+        stack = (points.copy(), U, _certified_modes([_factor_tails(B) for B in blocks], 1e-12))
+        for a in stack:
+            a.setflags(write=False)
+        _translated[key] = stack
+    return stack
 
 
 def _conjugate_blocks(mat: np.ndarray, U: np.ndarray, d: int) -> np.ndarray:

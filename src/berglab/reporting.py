@@ -4,8 +4,10 @@ Results are dataclasses, and `jsonable` is the one encoder of every report: it
 writes a dataclass field by field, arrays as lists and every complex number,
 points included, as {re, im} (a bidisc point is a list of two).  JSON payloads
 sort keys, so identical configs and seeds reproduce byte-identical files
-except for the timestamp field.  Files are staged to a temporary sibling and
-renamed into place, so a failed run never leaves partial reports.
+except for the timestamp field.  JSON is encoded in chunks straight into the
+file, so a report never exists whole as one string.  Files are staged to a
+temporary sibling and renamed into place, so a failed run never leaves partial
+reports.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime as _dt
+import itertools
 import json
 import os
 import tempfile
@@ -59,13 +62,21 @@ def jsonable(obj):
     return obj
 
 
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temporary sibling and rename it to path; if anything fails,
+    the temporary file and the directories made for it are removed."""
+    directory = os.path.dirname(os.path.abspath(path))
+    made, parent = [], directory   # made: the missing directories, innermost first
+    while not os.path.isdir(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+            chunks = iter(chunks)
+            while batch := list(itertools.islice(chunks, 4096)):   # one write per chunk is slower
+                fh.write("".join(batch))
         # mkstemp creates the file 0600; give the report the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -74,13 +85,17 @@ def _atomic_write(path: str, data: str) -> None:
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        for d in made:
+            os.rmdir(d)
         raise
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
-    """Strict JSON: a NaN or infinity raises ValueError before anything is written."""
-    _atomic_write(path, json.dumps(jsonable(payload), sort_keys=True, indent=2,
-                                   allow_nan=False) + "\n")
+    """Strict JSON, streamed chunk by chunk into the temporary file (the text of json.dumps
+    with the same options, never held whole): a NaN or infinity raises ValueError and
+    leaves no file behind."""
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+    _atomic_write(path, itertools.chain(encoder.iterencode(jsonable(payload)), ["\n"]))
 
 
 def write_csv_atomic(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -91,7 +106,7 @@ def write_csv_atomic(path: str, header: Sequence[str], rows: Iterable[Sequence])
     writer.writerow(header)
     for row in rows:
         writer.writerow(["" if v is None else v for v in row])
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, [buf.getvalue()])
 
 
 def tool_version() -> str:

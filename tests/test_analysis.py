@@ -414,9 +414,9 @@ def test_shell_certified_modes_disc_24(basis24):
     assert rep.shell_certified_modes.tolist() == [1, 0, 0, 0]
 
 
-def test_essential_norm_translates_once_per_factor(monkeypatch):
-    # every U_z comes from the one fold, operators._translations: the essential norm stacks
-    # its 12 shell points, translation_matrix and conjugate_operator a stack of one
+@pytest.fixture
+def translation_calls(monkeypatch):
+    """The point-stack shapes passed to operators._scalar_translation, with an empty memo."""
     calls = []
     original = operators._scalar_translation
 
@@ -425,15 +425,73 @@ def test_essential_norm_translates_once_per_factor(monkeypatch):
         return original(space1, n_modes, z)
 
     monkeypatch.setattr(operators, "_scalar_translation", counted)
+    operators._translated.clear()
+    yield calls
+    operators._translated.clear()
+
+
+def test_essential_norm_translates_once_per_factor(translation_calls):
+    # every U_z comes from the one fold, operators._translations: the essential norm stacks
+    # its 12 shell points, translation_matrix and conjugate_operator a stack of one
     for space, n_modes in _ORACLE_SPACES:
         basis = BasisSpec(space, n_modes)
         z = spaces.point(space, [0.3 * spaces.probe_radius_max(space)] * space.nfactors)
         for run, shape in ((lambda: essential_norm_estimate(identity_operator(basis)), (12,)),
                            (lambda: translation_matrix(basis, z), (1,)),
                            (lambda: conjugate_operator(identity_operator(basis), z), (1,))):
-            calls.clear()
+            operators._translated.clear()   # conjugate_operator repeats translation_matrix's z
+            translation_calls.clear()
             run()
-            assert calls == [shape] * space.nfactors
+            assert translation_calls == [shape] * space.nfactors
+
+
+def _reports_identical(a, b) -> bool:
+    return all(np.asarray(getattr(a, f)).tobytes() == np.asarray(getattr(b, f)).tobytes()
+               for f in a.__dataclass_fields__)
+
+
+@pytest.mark.parametrize("space, n_modes", _ORACLE_SPACES, ids=["disc", "disc-1.5", "fock", "bidisc"])
+def test_essential_norm_repeats_its_grid_from_the_memo(translation_calls, space, n_modes):
+    # operators on one basis share the shells' U_z stack: the second estimate translates
+    # nothing and is the same report, bit for bit
+    basis = BasisSpec(space, n_modes)
+    rng = np.random.default_rng(5)
+    T = OperatorMatrix(basis, rng.standard_normal((basis.dim,) * 2) + 1j * rng.standard_normal((basis.dim,) * 2))
+    first = essential_norm_estimate(T)
+    assert len(translation_calls) == space.nfactors
+    translation_calls.clear()
+    assert _reports_identical(essential_norm_estimate(T), first)
+    assert translation_calls == []
+
+
+def test_translation_memo_key_is_basis_and_grid(translation_calls):
+    # a different alpha, n_modes, d or grid translates again; the last one is held
+    space = spaces.disc_space(0.0, d=2)
+    shells = boundary_shells(space)
+    runs = [(BasisSpec(space, 8), shells), (BasisSpec(spaces.disc_space(0.5, d=2), 8), shells),
+            (BasisSpec(space, 9), shells), (BasisSpec(spaces.disc_space(0.0, d=3), 8), shells),
+            (BasisSpec(space, 8), shells[:3]), (BasisSpec(space, 8), shells[:3])]
+    counts = []
+    for basis, grid in runs:
+        translation_calls.clear()
+        essential_norm_estimate(identity_operator(basis), boundary_grid=grid)
+        counts.append(len(translation_calls))
+    assert counts == [1, 1, 1, 1, 1, 0]
+    assert len(operators._translated) == 1
+
+
+def test_translation_memo_arrays_are_read_only(translation_calls):
+    basis = BasisSpec(spaces.bidisc_space(0.0, 0.5, d=2), 4)
+    grid = np.array([[0.3, 0.2j], [0.1, -0.4]], dtype=complex)
+    for _ in range(2):   # a miss, then a hit
+        points, U, modes = operators._translations(basis, grid)
+        assert not any(a.flags.writeable for a in (points, U, modes))
+        with pytest.raises(ValueError):
+            U[0, 0, 0] = 0.0
+    assert len(translation_calls) == 2 and grid.flags.writeable
+    grid[0, 0] = 0.5                               # the memo holds a copy of the points
+    assert points[0, 0] == 0.3
+    assert operators._translations(basis, grid)[0][0, 0] == 0.5
 
 
 # ---------------------------------------------------------------------------

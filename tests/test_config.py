@@ -219,6 +219,22 @@ def test_json_rejects_nan_and_writes_nothing(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_json_is_streamed_as_the_text_of_dumps(tmp_path):
+    # the chunks add up to json.dumps's text; a NaN past the first written batch still leaves the
+    # previous report in place and no temporary file
+    payload = {"b": np.arange(6.0).reshape(2, 3), "a": [1 + 2j, {"k": None, "j": True}]}
+    path = tmp_path / "r.json"
+    write_json_atomic(str(path), payload)
+    expected = json.dumps(jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert path.read_text() == expected
+    with pytest.raises(ValueError):
+        write_json_atomic(str(path), {**payload, "z": [0.5] * 10000 + [np.inf]})
+    assert path.read_text() == expected and os.listdir(tmp_path) == ["r.json"]
+    with pytest.raises(ValueError):   # the directories made for the report go too
+        write_json_atomic(str(tmp_path / "new" / "sub" / "r.json"), {"x": np.nan})
+    assert os.listdir(tmp_path) == ["r.json"]
+
+
 def test_report_envelope_structure():
     env = report_envelope("kernel", "axioms", {"n_modes": 4}, 7, {"v": 1})
     assert env["tool"] == "berglab"
