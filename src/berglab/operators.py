@@ -14,23 +14,24 @@ in Function Spaces, 2nd ed., 2007, 7.1) gives T[1_ball] = U_a diag(D) U_a, D_j
 the share of mode j's mass inside D(0, s).  Other smooth symbols (pullbacks,
 user-supplied functions) are sampled on the global rule.
 
-Translation operators U_z f = (f o phi_z) k_z are compressions of unitaries.
-U_z e_k is analytic, so its compression is its Taylor coefficients divided
-by c_m, with no quadrature rule: an exact recurrence (multiplication by
-phi_z in coefficient space) per disc factor, the closed-form displacement
-matrix (Laguerre polynomials) on the Fock space, each for one point or a
-stack of points, and the Kronecker product of the factors' matrices on a
-product space.  That fold is written once, in `_translations`: it gates a
-probe grid (`spaces.probe_points`) and translates all its points with one
-call per factor.  It memoizes the last grid it translated, one entry keyed
-by the basis and the gated points' shape and bytes, with read-only arrays:
-a study that runs many operators on one basis and grid translates it once.
-`analysis` takes its stacks whole; `translation_matrix` and
-`conjugate_operator` take entry 0 of a one-point stack.  Top basis
-modes unavoidably leak outside any fixed truncation window for z != 0,
-which is why every U_z comes with a per-column leakage certificate
-(1 - retained column mass) from which identity-quality statements are
-scoped.
+Translation operators U_z f = (f o phi_z) k_z are compressions of unitaries
+with closed-form entries, so no quadrature rule enters: on each factor,
+<U_z e_k, e_m> is a phase times a normalized Jacobi polynomial (disc: the
+holomorphic discrete series of SU(1, 1), Perelomov 1986) or Laguerre
+polynomial (Fock: the displacement operator, Cahill & Glauber 1969) in |z|^2
+of degree min(m, k).  One three-term recurrence in that degree gives every
+band |m - k| at once, for one point or a stack of points, and one phase step,
+shared by both kinds, places the bands.  A product space takes the Kronecker
+product of its factors' matrices, written once, in `_translations`: it gates
+a probe grid (`spaces.probe_points`), translates all its points with one call
+per factor and memoizes the last grid, keyed by the basis and the gated
+points' shape and bytes, with read-only arrays: a study that runs many
+operators on one basis and grid translates it once.  `analysis` takes its
+stacks whole; `translation_matrix` and `conjugate_operator` take entry 0 of a
+one-point stack.  Top basis modes unavoidably leak outside any fixed
+truncation window for z != 0, which is why every U_z comes with a per-column
+leakage certificate (1 - retained column mass) from which identity-quality
+statements are scoped.
 """
 
 from __future__ import annotations
@@ -298,8 +299,8 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
                     T4[:, i, :, k] = (Ew * vals[None, :, i, k]) @ E.T
     for b in symbol.balls:
         D = _ball_shares(basis.space, b.radius)
-        U = _scalar_translation(basis.space, basis.n_modes, b.center, D.size)
-        T4 += np.einsum("ab,ik->aibk", (U * D) @ U.conj().T, b.value)
+        W = _scalar_translation(basis.space, basis.n_modes, b.center, D.size) * np.sqrt(D)  # W W^H = U D U^H
+        T4 += np.einsum("ab,ik->aibk", W @ W.conj().T, b.value)
     return OperatorMatrix(basis, T)
 
 
@@ -333,62 +334,60 @@ def toeplitz_measure_matrix(basis: BasisSpec, measure: PointMassMeasure) -> Oper
 # ---------------------------------------------------------------------------
 # translation operators
 
-def _disc_translation(space: SpaceSpec, n_modes: int, z, n_cols: Optional[int] = None) -> np.ndarray:
-    """Taylor coefficients of U_z e_k = c_k phi_z^k k_z, exactly, by a recurrence.
-
-    Multiplying a power series by
-    phi_z(w) = z - (1-|z|^2) sum_{j>=1} conj(z)^(j-1) w^j
-    is the lower-triangular Toeplitz matrix P of those coefficients.  Row k of
-    `series` holds the coefficients of phi_z^k k_z: row 0 is
-    c_m^2 conj(z)^m / ||K_z||, and row k+1 is P times row k.  Entry [m, k] is
-    then c_k series[k, m] / c_m.  The first n coefficients of a product
-    depend only on the first n of each factor, so the truncation is exact:
-    nothing is sampled and nothing aliases.  Rows m < n_modes, columns
-    k < n_cols (default n_modes); points stack on leading axes.
-    """
-    K = n_modes if n_cols is None else n_cols
-    logc = _factor_log_normalizers(space, max(n_modes, K))
-    m = np.arange(n_modes)
-    z = np.asarray(z, dtype=complex)
-    zc = np.conj(z)[..., None]
-    phi = np.concatenate((z[..., None], -(1.0 - np.abs(zc) ** 2) * zc ** m[:-1]), axis=-1)
-    P = np.tril(phi[..., m[:, None] - m[None, :]])
-    series = np.empty(z.shape + (K, n_modes), dtype=complex)
-    series[..., 0, :] = np.exp(2.0 * logc[m]) * zc ** m / spaces.kernel_norm(space, z[..., None])
-    for k in range(K - 1):
-        series[..., k + 1, :] = (P @ series[..., k, :, None])[..., 0]
-    return np.swapaxes(series, -1, -2) * np.exp(logc[None, :K] - logc[m, None])
-
-
-def _fock_translation(space: SpaceSpec, n_modes: int, z, n_cols: Optional[int] = None) -> np.ndarray:
-    """Closed-form U_z = D(conj z) P: Glauber displacement after parity.
-
-    With t = |z|^2, lo = min(m, k), hi = max(m, k), entry [m, k] is
-    (-1)^k e^(-t/2) sqrt(lo!/hi!) L_lo^(hi-lo)(t) times conj(z)^(m-k) for
-    m >= k and (-z)^(k-m) otherwise (Cahill & Glauber, Phys. Rev. 177, 1969).
-    The magnitude e^(-t/2) |z|^b sqrt(lo!/hi!) L_lo^(b)(t), b = hi - lo, is the
-    orthonormal three-term Laguerre recurrence in the degree, started at the
-    product e^(-t/2) prod_(i<=b) |z|/sqrt(i), finite for every b; the powers of
-    z keep their phase.  Rows m < n_modes, columns k < n_cols (default n_modes).
-    """
-    K = n_modes if n_cols is None else n_cols
-    m, k, b = np.arange(n_modes), np.arange(K), np.arange(max(n_modes, K))
-    diff = m[:, None] - k[None, :]
-    z = np.asarray(z, dtype=complex)[..., None, None]
-    t, r = np.abs(z) ** 2, np.abs(z)[..., 0]
-    j = np.arange(min(n_modes, K) - 1)[:, None]   # recurrence coefficients, row j for every b
-    up, back, scale = 2 * j + 1 + b - t, np.sqrt(j * (j + b)), np.sqrt((j + 1) * (j + 1 + b))
-    ell = np.zeros(t.shape[:-2] + (j.size + 2, b.size))   # [..., j + 1, b]: the magnitude at lo = j
-    ell[..., 1, :] = np.cumprod(np.concatenate((np.exp(-t[..., 0] / 2.0), r / np.sqrt(b[1:])), -1), -1)
-    for i in range(j.size):
-        ell[..., i + 2, :] = (up[..., i, :] * ell[..., i + 1, :] - back[i] * ell[..., i, :]) / scale[i]
-    power = np.where(diff >= 0, np.exp(-1j * np.angle(z)), -np.exp(1j * np.angle(z))) ** np.abs(diff)
-    return ell[..., np.minimum.outer(m, k) + 1, np.abs(diff)] * power * (-1.0) ** k
+def _band_magnitudes(space: SpaceSpec, r: np.ndarray, J: int, B: int) -> np.ndarray:
+    """s[j] = (-1)^j ell[j, b] of `_scalar_translation` at |z| = r[..., 0], j < J, in rows 1..J of a
+    (J + 1, ..., bands) table whose row 0 is s[-1] = 0: the orthonormal Laguerre (Fock) or Jacobi
+    (disc: p = 2j+b+g, coefficients halved) recurrence s[j+1] = (X s[j] + Y s[j-1]) / D, D < 0, for
+    every band from s[0] = head prod_(i<=b) |z| sqrt(w_i).  A band that starts at 0 (z = 0,
+    underflow) stays 0, so the bands stop at the last nonzero start (at most B)."""
+    t, i = r ** 2, np.arange(1.0, B)
+    disc, g = space.kind != KIND_FOCK, space.alpha + 2.0
+    head, w = ((1.0 - t) ** (g / 2.0), (i + (g - 1.0)) / i) if disc else (np.exp(-t / 2.0), 1.0 / i)
+    start = np.cumprod(np.concatenate((head, r * np.sqrt(w)), -1), -1)
+    b = np.arange(np.count_nonzero(start.reshape(-1, B).max(0, initial=0.0)))
+    jq = np.arange(float(J)).reshape((-1,) + (1,) * r.ndim)   # the degree, ahead of the point axes
+    j, s = jq[:-1], jq + b
+    if disc:
+        p = s[:-1] + (j + g)
+        X = p * ((p * p - 1.0) * (0.5 - t) + 0.5 * (b * b - (g - 1.0) ** 2))
+        Q = np.sqrt(jq * (jq + (g - 1.0)) * (s * (s + (g - 1.0))))
+        Y, D = (p + 1.0) * Q[:-1], (1.0 - p) * Q[1:]
+    else:
+        Q = np.sqrt(jq * s)
+        X, Y, D = (s[:-1] + (j + 1.0)) - t, Q[:-1], -Q[1:]
+    ell = np.zeros((J + 1,) + r.shape[:-1] + (b.size,))
+    ell[1] = start[..., :b.size]
+    for r0, r1, r2, x, y, d in zip(ell, ell[1:], ell[2:], X, Y, D):
+        np.divide(x * r1 + y * r0, d, out=r2)
+    return ell
 
 
 def _scalar_translation(space: SpaceSpec, n_modes: int, z, n_cols: Optional[int] = None) -> np.ndarray:
-    """<U_z e_k, e_m> on one factor, m < n_modes, k < n_cols (default n_modes); points stack first."""
-    return (_fock_translation if space.kind == KIND_FOCK else _disc_translation)(space, n_modes, z, n_cols)
+    """<U_z e_k, e_m> on one factor, m < n_modes, k < n_cols (default n_modes); points stack first.
+
+    Entry [m, k] is (-1)^lo ell[lo, b] u^m conj(u)^k, lo = min(m, k), b = |m - k|, u = conj(z)/|z|
+    (1 at z = 0), with real band magnitudes in t = |z|^2 and g = alpha + 2 (`_band_magnitudes`):
+      Fock: e^(-t/2) t^(b/2) sqrt(lo!/(lo+b)!) L_lo^(b)(t) (Cahill & Glauber, Phys. Rev. 177, 1969);
+      disc: (1-t)^(g/2) t^(b/2) sqrt(lo! Gamma(lo+b+g)/((lo+b)! Gamma(lo+g))) P_lo^(b, g-1)(1-2t), the
+            holomorphic discrete series of SU(1, 1) (Perelomov, Generalized Coherent States, 1986).
+    The phase step is shared: row m from column m on is (-1)^m ell[m] conj(u)^b, and column k from
+    row k down its conjugate, both read through one strided view, with no index arrays.  At z = 0
+    nothing rounds for dyadic alpha (such as 1.5), so U_0 = diag((-1)^m) exactly."""
+    N, K = n_modes, n_modes if n_cols is None else n_cols
+    J, B = min(N, K), max(N, K)
+    z = np.asarray(z, dtype=complex)
+    ell = _band_magnitudes(space, np.abs(z)[..., None], J, B)
+    E = np.zeros(ell.shape[:-1] + (B,), dtype=complex)
+    np.multiply(ell, np.exp(1j * np.angle(z)[..., None] * np.arange(ell.shape[-1])), E[..., :ell.shape[-1]])
+    # V[..., m, c] = E[m + 1, ..., c - m], read where c >= m; inside E, as B >= N, K
+    V = np.ndarray(z.shape + (J, B), E.dtype, E, E.strides[0],
+                   E.strides[1:-1] + (E.strides[0] - E.itemsize, E.itemsize))
+    m, k = np.arange(N), np.arange(K)
+    U, lower = np.empty(z.shape + (N, K), dtype=complex), m[:, None] > k[:J]
+    np.copyto(U[..., :J, :], V[..., :K], where=k >= m[:J, None])            # lo = m
+    np.copyto(U[..., :J], np.swapaxes(V[..., :N], -1, -2), where=lower)     # lo = k
+    np.conjugate(U[..., :J], out=U[..., :J], where=lower)
+    return U
 
 
 _translated: dict = {}   # the last grid translated: (basis, shape, bytes) -> (points, U, modes)

@@ -479,7 +479,8 @@ def test_cli_import_leaves_numpy_unloaded():
 
 def test_commands_load_no_scipy(tmp_path):
     """Every command on a Fock and a bidisc config, and the kernel tails of those
-    spaces, run without importing scipy."""
+    spaces, run without importing scipy, or numpy.ma (which a plain np.unique
+    imports on its first call, a few ms per process)."""
     kern = tmp_path / "kern.json"
     kern.write_text(json.dumps({"values": np.ones((3, 2, 2, 2)).tolist(),
                                 "mu": [0.3] * 3, "nu": [0.5] * 2}))
@@ -505,7 +506,8 @@ def test_commands_load_no_scipy(tmp_path):
         "    norm2 = float(spaces.kernel_norm(space, z)) ** 2\n"
         "    tail = norm2 * float(spaces.relative_kernel_tail(space, z, 8))\n"
         "    assert 0.0 < tail < norm2\n"
-        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "loaded = sorted(m for m in sys.modules for p in ('scipy', 'numpy.ma')\n"
+        "                if m == p or m.startswith(p + '.'))\n"
         "assert not loaded, loaded\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])

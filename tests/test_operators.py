@@ -489,6 +489,16 @@ def test_translation_at_origin_is_parity(disc_basis, fock_basis):
         assert np.array_equal(U.mat, np.diag(signs))
 
 
+@pytest.mark.parametrize("space", [spaces.disc_space(a, d=1) for a in (-0.5, 0.0, 1.5, 3.0)]
+                         + [spaces.fock_space(d=1)], ids=["disc-0.5", "disc0", "disc1.5", "disc3", "fock"])
+def test_scalar_translation_at_origin_is_parity(space):
+    # every block shape and a point stack: N x K windows of diag((-1)^m), bit for bit
+    for n_modes, n_cols in ((1, 1), (24, 24), (24, 14), (14, 40)):
+        parity = np.eye(n_modes, n_cols) * (-1.0) ** np.arange(n_modes)[:, None]
+        assert np.array_equal(_scalar_translation(space, n_modes, 0.0, n_cols), parity)
+        assert np.array_equal(_scalar_translation(space, n_modes, np.zeros(3), n_cols), [parity] * 3)
+
+
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5, 3.0])
 def test_disc_translation_matches_fft_oracle(alpha):
     space = spaces.disc_space(alpha, d=1, r_max=0.995)
@@ -549,10 +559,11 @@ def _mpmath_disc_translation(alpha, n_modes, z):
     return U
 
 
-def test_disc_translation_matches_mpmath_at_high_order():
-    z = 0.9 * np.exp(0.7j)
-    U = translation_matrix(BasisSpec(spaces.disc_space(3.0, d=1), 128), z).mat
-    assert np.abs(U - _mpmath_disc_translation(3.0, 128, z)).max() <= 1e-12
+@pytest.mark.parametrize("alpha, n_modes, r", [(3.0, 128, 0.9), (1.5, 256, 0.99)])
+def test_disc_translation_matches_mpmath_at_high_order(alpha, n_modes, r):
+    z = r * np.exp(0.7j)
+    U = translation_matrix(BasisSpec(spaces.disc_space(alpha, d=1, r_max=0.995), n_modes), z).mat
+    assert np.abs(U - _mpmath_disc_translation(alpha, n_modes, z)).max() <= 1e-14
 
 
 # Reference for the exact translation paths: the compression <U_z e_k, e_m>

@@ -8,7 +8,7 @@ from scipy.special import eval_genlaguerre, gammaln, roots_jacobi, roots_laguerr
 
 from berglab import spaces
 from berglab.coeffs import _factor_log_normalizers
-from berglab.operators import _fock_translation
+from berglab.operators import _scalar_translation
 from berglab.quadrature import (MatrixKernelSample, QuadratureRule, _radial_rule, ball_rule,
                                 build_rule, discretized_norm, integrate_lambda,
                                 integrate_sigma, rudin_forelli, schur_test)
@@ -273,4 +273,4 @@ def test_fock_laguerre_recurrence_matches_eval_genlaguerre(n_modes):
         magnitude = np.exp(0.5 * (gammaln(lo + 1.0) - gammaln(hi + 1.0)) - t / 2.0) \
             * eval_genlaguerre(lo, hi - lo, t)
         ref = magnitude * np.where(diff >= 0, np.conj(z), -z) ** np.abs(diff) * (-1.0) ** m
-        assert np.max(np.abs(_fock_translation(spaces.fock_space(), n_modes, z) - ref)) <= 1e-13
+        assert np.max(np.abs(_scalar_translation(spaces.fock_space(), n_modes, z) - ref)) <= 1e-13
