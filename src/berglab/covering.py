@@ -26,9 +26,8 @@ diameters and localization blocks come from factor cells.  |phi_z(w)| grows with
 the angle, and pseudo-hyperbolic discs are Euclidean discs, so along a radial
 segment it peaks at an end: a disc cell's diameter is over its end rings x its
 angle pairs of widest wrapped index gap; a Fock square's is found by a
-pivot-pruned search (`_diameter`).  The blocks (each factor cell's enlargement
-Gram, on a disc from ring moments and angle sums, and core QR factor) are built
-on the first call for a basis, kept on the covering, and applied in chunks.
+pivot-pruned search (`_diameter`).  The localization plan (factor cells' Grams and
+core factors, stacked, and the cells' chunks) is built once per basis and kept.
 """
 
 from __future__ import annotations
@@ -73,12 +72,6 @@ def _diameter(space1: SpaceSpec, pts: np.ndarray) -> float:
     return best
 
 
-def _groups(labels: np.ndarray, n: int) -> List[np.ndarray]:
-    """Positions holding each label 0..n-1, ascending, from one stable sort."""
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.searchsorted(labels[order], np.arange(1, n)))
-
-
 @dataclass
 class Covering:
     space: SpaceSpec
@@ -91,7 +84,7 @@ class Covering:
     # (n_factor_cells, n_factor_nodes) bool membership of the factor enlargements
     factor_index: tuple
     factor_enlargement: tuple
-    # localization blocks per basis, built on first use (see localization_error)
+    # localization plan per basis, built on first use (see _localization_plan)
     blocks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -114,7 +107,8 @@ class Covering:
         for fr, index, member, pick in zip(self.rule.factors, self.factor_index,
                                            self.factor_enlargement, self.pick.T):
             diam = (_disc_diameters(fr, index, len(member)) if fr.space.kind == KIND_DISC else
-                    np.array([_diameter(fr.space, fr.nodes[g]) for g in _groups(index, len(member))]))
+                    np.array([_diameter(fr.space, fr.nodes[g]) for g in np.split(   # each cell's nodes
+                        np.argsort(index, kind="stable"), np.cumsum(np.bincount(index))[:-1])]))
             out = np.maximum(out, diam[pick])
         return out
 
@@ -235,38 +229,58 @@ def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = 
 # ---------------------------------------------------------------------------
 # localization
 
-def _disc_grams(rule: QuadratureRule, member: np.ndarray, n: int) -> np.ndarray:
-    """Disc enlargement Grams c_m c_k H_a[m + k] A_a[k - m] from ring moments H_a[p] = sum of
-    w rho^p (w a ring node's weight) and angle sums A_a[q] = sum of e^(iq theta) = conj(A_a[-q])."""
+def _disc_grams(rule: QuadratureRule, member: np.ndarray, n: int, order: np.ndarray) -> np.ndarray:
+    """Disc enlargement Grams c_m c_k H_a[m + k] A_a[k - m], a in `order`, from ring moments H_a[p] =
+    sum of w rho^p (w a ring node's weight) and angle sums A_a[q] = sum of e^(iq theta) = conj(A_a[-q])."""
     na = rule.angular_order
     on = member.reshape(len(member), rule.radial_order, na)   # rings x angles, so any() splits it
     p = np.arange(2 * n - 1)
-    H = on.any(axis=2) @ (rule.sigma_weights[::na, None] * rule.nodes[::na, None].real ** p)
-    A = on.any(axis=1) @ np.exp(1j * _TWO_PI * (np.outer(np.arange(na), p[:n]) % na) / na)
+    H = on.any(axis=2)[order] @ (rule.sigma_weights[::na, None] * rule.nodes[::na, None].real ** p)
+    A = on.any(axis=1)[order] @ np.exp(1j * _TWO_PI * (np.outer(np.arange(na), p[:n]) % na) / na)
     A = np.concatenate([A[:, :0:-1].conj(), A], axis=1)       # q = 1 - n .. n - 1
     c, mode = np.exp(_factor_log_normalizers(rule.space, n)), np.arange(n)
     plus, minus = mode[:, None] + mode, mode - mode[:, None] + n - 1    # m + k and k - m + n - 1
     return np.outer(c, c) * H.take(plus, axis=1) * A.take(minus, axis=1)
 
 
-def _factor_blocks(covering: Covering, basis: BasisSpec) -> list:
-    """Per factor, (G, R): G[a] the Gram conj(S) S^T of factor cell a's enlargement, S the
-    factor's sigma-weighted `factor_samples` (`_disc_grams` on a disc); R[a] the QR factor of
-    its core samples (themselves if at most n).  Built once per basis, kept on the covering."""
+def _localization_plan(covering: Covering, basis: BasisSpec) -> tuple:
+    """(factors, chunks): what `localization_error` needs of the covering and a basis alone.
+
+    factors[k] = (stacks, q, pos): stacks[v] = (G, R) for factor k's cells a of v = q[a] =
+    min(nodes, n) core rows, by first node: G their enlargement Grams conj(S) S^T (S the sigma-
+    weighted `factor_samples`; `_disc_grams` on a disc), R their core samples (one gather) or,
+    past n nodes, QR factors; pos[a] is a's place there.  A chunk: its stacks, its first-factor
+    cells' places (a run, so a slice), each cell's slot among them (None if all differ) and
+    the later factors' places of its cells."""
     if basis in covering.blocks:
         return covering.blocks[basis]
-    n = basis.n_modes
-    blocks = []
+    n, factors, chunks = basis.n_modes, [], []
     for fr, S, index, member in zip(covering.rule.factors, factor_samples(basis, covering.rule),
                                     covering.factor_index, covering.factor_enlargement):
         S *= np.sqrt(fr.sigma_weights)                # conj(S) @ S.T: the sigma inner product
-        G = (_disc_grams(fr, member, n) if fr.space.kind == KIND_DISC else
-             np.stack([(s := S[:, np.flatnonzero(m)]).conj() @ s.T for m in member]))
-        R = [S[:, core].T if core.size <= n else np.linalg.qr(S[:, core].T, mode="r")
-             for core in _groups(index, len(member))]
-        blocks.append((G, R))
-    covering.blocks[basis] = blocks
-    return blocks
+        order = np.argsort(q := np.minimum(size := np.bincount(index), n), kind="stable")
+        G = (_disc_grams(fr, member, n, order) if fr.space.kind == KIND_DISC else   # rows in `order`
+             np.fromiter(((s := S[:, np.flatnonzero(member[a])]).conj() @ s.T for a in order),
+                         (complex, (n, n)), order.size))
+        nodes, size, qs = np.lexsort((index, q[index])), size[order], q[order]   # nodes by cell
+        top, edge = np.cumsum([np.append(0, qs), np.append(0, size)], axis=1)   # row, node offsets
+        R = S.T[nodes[np.arange(nodes.size) - np.repeat(edge[:-1], size) < n]]    # first q nodes
+        for j in np.flatnonzero(size > n):
+            R[top[j]:top[j + 1]] = np.linalg.qr(S[:, nodes[edge[j]:edge[j + 1]]].T, mode="r")
+        cut = np.flatnonzero(np.diff(qs)) + 1
+        stacks = ((g, r.reshape(len(g), -1, n)) for g, r in zip(np.split(G, cut), np.split(R, top[cut])))
+        factors.append(({r.shape[1]: (g, r) for g, r in stacks}, q, np.argsort(order) - qs.searchsorted(q)))
+    rows = np.stack([q[a] for (_, q, _), a in zip(factors, covering.pick.T)], 1)
+    order = np.lexsort((covering.pick[:, 0], *rows.T[::-1]))      # by row counts, then first factor
+    for group in np.split(order, np.flatnonzero(np.diff(rows[order], axis=0).any(axis=1)) + 1):
+        stacks = tuple(zip(*(f[0][v] for f, v in zip(factors, rows[group[0]].tolist()))))
+        step = max(1, _CHUNK_ROWS * n // (rows[group[0], 0] * basis.n_scalar * basis.space.d))
+        for p in np.split(covering.pick[group], range(step, group.size, step)):
+            at = np.cumsum(np.diff(p[:, 0], prepend=p[0, 0]) > 0)   # first-factor slots (p[:, 0] ascends)
+            start = factors[0][2][p[0, 0]]                # the first-factor cells are a run
+            chunks.append((*stacks, slice(start, start + at[-1] + 1), at if at[-1] + 1 < len(p) else None,
+                           [f[2][a] for f, a in zip(factors[1:], p.T[1:])]))
+    return covering.blocks.setdefault(basis, (factors, chunks))
 
 
 def _kron_cols(X: np.ndarray, mats) -> np.ndarray:
@@ -281,42 +295,31 @@ def _kron_cols(X: np.ndarray, mats) -> np.ndarray:
 def localization_error(T: OperatorMatrix, covering: Covering) -> float:
     """Distance from T to its covering localization, in grid space.
 
-    The localization applies T after compressing to each enlargement G_j and keeps
-    only the samples in the core cell F_j; the value is the largest singular value
-    of (T - localization) from coefficients to sigma-weighted grid samples.  Cells
-    own disjoint rows of those, so its square is the top eigenvalue of the sum over
-    cells of the Gram of (F T)(I - G_j x I_d), F the weighted basis samples on F_j,
-    which sees F only through F^H F = Q^H Q.  The residual is formed before its
-    Gram, so a small error keeps its relative accuracy.
+    The localization applies T after compressing to each enlargement G_j and keeps only the
+    samples in the core cell F_j; the value is the largest singular value of (T - localization)
+    from coefficients to sigma-weighted grid samples.  Cells own disjoint rows of those, so its
+    square is the top eigenvalue of the sum over cells of the Gram of (F T)(I - G_j x I_d), F
+    the weighted basis samples on F_j, which sees F only through F^H F = Q^H Q.  The residual
+    is formed before its Gram, so a small error keeps its relative accuracy.
 
-    On the tensor mesh (the same assumption as `Covering.cell_diameters`) the cell
-    j = (a_1, ..., a_k) has G_j = kron of its factor cells' enlargement Grams and
-    Q = kron of their core QR factors (`_factor_blocks`), applied one factor axis at a
-    time to stacks of cells whose core factors have equal row counts, in chunks of at
-    most _CHUNK_ROWS rows: one matmul per factor axis and chunk, (Q_{a_1} x I) T once per
-    first-factor cell, and one Gram update per chunk, of the real form [Re res | Im res].
+    On the tensor mesh (the same assumption as `Covering.cell_diameters`) the cell j = (a_1, ...,
+    a_k) has G_j = kron of its factor cells' enlargement Grams and Q = kron of their core factors,
+    stacked by the plan the covering keeps per basis (`_localization_plan`) for chunks of at most
+    _CHUNK_ROWS rows of cells of equal core row counts.  A call does per chunk one matmul per factor
+    axis, (Q_{a_1} x I) T once per first-factor cell and one Gram update of [Re res | Im res].
     """
     if T.basis.space != covering.space:
         raise ValueError("the operator and the covering are on different spaces")
     n, n_scalar, d, dim = T.basis.n_modes, T.basis.n_scalar, T.basis.space.d, T.dim
-    Gs, Rs = zip(*_factor_blocks(covering, T.basis))
     # columns as (component, mode): G_j x I_d acts on the last axis, M is permuted alike
     Tp = T.mat.reshape(n_scalar, d, n_scalar, d).transpose(0, 1, 3, 2).reshape(n, -1)
-    # the cells grouped by their core factors' row counts, each group in first-factor order
-    rows = np.stack([np.array([len(q) for q in R])[a] for R, a in zip(Rs, covering.pick.T)], 1)
-    key = np.ravel_multi_index(rows.T, (n + 1,) * len(Rs))
-    order = np.lexsort((covering.pick[:, 0], key))
     P = np.zeros((2 * dim, 2 * dim))
-    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        step = max(1, _CHUNK_ROWS * n // (rows[group[0], 0] * n_scalar * d))
-        for p in np.split(covering.pick[group], range(step, group.size, step)):
-            first, at = np.unique(p[:, 0], return_inverse=True)
-            Y = np.stack([Rs[0][a] for a in first]).reshape(-1, n) @ Tp
-            Y = Y.reshape(first.size, -1, n_scalar // n, d * dim).transpose(0, 2, 1, 3)
-            Y = _kron_rows([np.stack([R[a] for a in col]) for R, col in zip(Rs[1:], p.T[1:])],
-                           Y[at] if first.size < len(p) else Y).reshape(len(p), -1, n_scalar)
-            Y -= _kron_cols(Y, [G[a] for G, a in zip(Gs, p.T)])
-            A = Y.reshape(-1, dim).view(np.float64)          # the residual's Re and Im columns
-            P += A.T @ A
+    for (G0, *G), (R0, *R), first, at, cols in _localization_plan(covering, T.basis)[1]:
+        Y = (R0[first].reshape(-1, n) @ Tp).reshape(-1, R0.shape[1], n_scalar // n, d * dim).swapaxes(1, 2)
+        G0, Y = (G0[first], Y) if at is None else (G0[first][at], Y[at])
+        Y = _kron_rows([Rk[c] for Rk, c in zip(R, cols)], Y).reshape(len(Y), -1, n_scalar)
+        Y -= _kron_cols(Y, [G0] + [Gk[c] for Gk, c in zip(G, cols)])
+        A = Y.reshape(-1, dim).view(np.float64)          # the residual's Re and Im columns
+        P += A.T @ A
     M = P[::2, ::2] + P[1::2, 1::2] + 1j * (P[::2, 1::2] - P[1::2, ::2])
     return float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import spaces
 from .coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers,
-                     basis_normalizer, from_flat, scalar_basis_matrix)
+                     basis_normalizer, scalar_basis_matrix)
 from .quadrature import QuadratureRule
 from .spaces import KIND_DISC, KIND_FOCK, SpaceSpec
 
@@ -180,8 +180,8 @@ class OperatorMatrix:
     def __post_init__(self):
         n = self.basis.dim
         self.mat = np.asarray(self.mat, dtype=complex)
-        if self.mat.shape != (n, n):
-            raise ValueError(f"matrix shape {self.mat.shape}, expected ({n}, {n})")
+        if self.mat.shape != (n, n) or not np.isfinite(self.mat).all():
+            raise ValueError(f"an operator needs a finite ({n}, {n}) matrix, got shape {self.mat.shape}")
 
     @property
     def dim(self) -> int:
@@ -207,9 +207,6 @@ class OperatorMatrix:
 
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.mat, compute_uv=False)
-
-    def apply(self, f: CoeffFunction) -> CoeffFunction:
-        return from_flat(self.basis, self.mat @ f.flat)
 
 
 def identity_operator(basis: BasisSpec) -> OperatorMatrix:

@@ -7,7 +7,7 @@ from berglab import spaces
 from berglab.analysis import _lp_norm, _probe_grid
 from berglab.coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers, basis_normalizer,
                             eval_coeffs, kernel_coeff_vector, scalar_basis_matrix)
-from berglab.covering import _factor_blocks
+from berglab.covering import _localization_plan
 from berglab.operators import (PointMassMeasure, poly_symbol,
                                scalar_block_to_operator, toeplitz_measure_matrix,
                                translation_certificate, translation_matrix)
@@ -198,7 +198,10 @@ def per_cell_localization_error(T, covering):
     """Oracle for localization_error: the same factor blocks applied one cell at a time,
     each cell's residual Gram added on its own in complex arithmetic."""
     n, d, dim = T.basis.n_scalar, T.basis.space.d, T.dim
-    blocks = _factor_blocks(covering, T.basis)
+    factors, _ = _localization_plan(covering, T.basis)
+
+    def blocks(pick):                # each factor cell's (G, R), from the stack of its row count
+        return zip(*((s[q[a]][0][pos[a]], s[q[a]][1][pos[a]]) for (s, q, pos), a in zip(factors, pick)))
 
     def kron_rows(mats, Y):          # kron(*mats) @ Y, one factor axis at a time
         c = Y.shape[1]
@@ -215,8 +218,9 @@ def per_cell_localization_error(T, covering):
     Tp = T.mat.reshape(n, d, n, d).transpose(0, 1, 3, 2).reshape(n, d * dim)
     M = np.zeros((dim, dim), dtype=complex)
     for pick in covering.pick:
-        X = kron_rows([R[a] for (_, R), a in zip(blocks, pick)], Tp).reshape(-1, n)
-        res = (X - kron_cols(X, [G[a] for (G, _), a in zip(blocks, pick)])).reshape(-1, dim)
+        G, R = blocks(pick)
+        X = kron_rows(R, Tp).reshape(-1, n)
+        res = (X - kron_cols(X, G)).reshape(-1, dim)
         M += res.conj().T @ res
     return float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from berglab import spaces
-from berglab.covering import (_CHUNK_ROWS, _diameter, _disc_cells, _factor_blocks, build_covering,
+from berglab.covering import (_CHUNK_ROWS, _diameter, _disc_cells, _localization_plan, build_covering,
                               localization_error)
 from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_symbol,
                                identity_operator, poly_symbol, toeplitz_matrix)
@@ -337,8 +337,8 @@ def test_stacked_localization_matches_per_cell_oracle(disc_weighted, fock, fock_
     T = cases[5][0]
     c = build_covering(bidisc, 0.5, bidisc_rule)
     assert c.n_cells == 1617
-    rows = [np.array([len(q) for q in R])[a]     # each cell's core factor row counts
-            for (_, R), a in zip(_factor_blocks(c, T.basis), c.pick.T)]
+    rows = [q[a]                                 # each cell's core factor row counts
+            for (_, q, _), a in zip(_localization_plan(c, T.basis)[0], c.pick.T)]
     shapes, counts = np.unique(np.stack(rows, axis=1), axis=0, return_counts=True)
     assert len(shapes) >= 3
     assert (counts * shapes.prod(axis=1) * bidisc.d).max() > _CHUNK_ROWS
@@ -361,41 +361,45 @@ def test_localization_error_one_cell_bidisc_holds_no_grid_samples(bidisc, bidisc
     assert peak < bidisc_rule.n_nodes * bidisc.d * T.dim * 16
 
 
-def test_localization_blocks_are_reused_bit_for_bit(disc, disc_rule, disc_weighted):
-    # operators of two bases interleaved over the radii, as the localize workload
-    # calls them; every value equals a call on a freshly built covering
-    rng = np.random.default_rng(11)
-    radii = (0.5, 1.0, 2.0)
-    coverings = {r: build_covering(disc, r, disc_rule) for r in radii}
-    for n in (6, 8, 6, 8):
-        basis = BasisSpec(disc, n)
-        mat = rng.standard_normal((basis.dim, basis.dim)) \
-            + 1j * rng.standard_normal((basis.dim, basis.dim))
-        T = OperatorMatrix(basis, mat)
-        for r in radii:
-            fresh = build_covering(disc, r, disc_rule)
-            assert localization_error(T, coverings[r]) == localization_error(T, fresh)
-    assert set(coverings[1.0].blocks) == {BasisSpec(disc, 6), BasisSpec(disc, 8)}
-    # blocks held for n_modes 8 do not admit an operator on another space
+def test_localization_blocks_are_reused_bit_for_bit(disc, disc_rule, disc_weighted, fock, fock_rule,
+                                                    bidisc, bidisc_rule):
+    # operators of two bases interleaved over the radii, as the localize workload calls
+    # them: the call that builds a basis's plan, a repeated call and a call on a freshly
+    # built covering agree bit for bit, on one-factor coverings and on the bidisc's
+    # chunks that share first-factor cells
+    cases = [(disc, disc_rule, (6, 8)), (fock, fock_rule, (6, 8)), (bidisc, bidisc_rule, (3, 4))]
+    for space, rule, modes in cases:
+        coverings = {r: build_covering(space, r, rule) for r in (0.5, 1.0, 2.0)}
+        for seed, n in enumerate(modes + modes):
+            T = _random_operator(space, n, seed)
+            for r, c in coverings.items():
+                first = localization_error(T, c)
+                assert localization_error(T, c) == first
+                assert localization_error(T, build_covering(space, r, rule)) == first
+        assert set(coverings[1.0].blocks) == {BasisSpec(space, n) for n in modes}
+    # a plan held for n_modes 8 does not admit an operator on another space
     with pytest.raises(ValueError):
-        localization_error(identity_operator(BasisSpec(disc_weighted, 8)), coverings[1.0])
+        localization_error(identity_operator(BasisSpec(disc_weighted, 8)),
+                           build_covering(disc, 1.0, disc_rule))
 
 
-def test_localization_blocks_follow_factor_cells(bidisc, bidisc_rule):
-    basis = BasisSpec(bidisc, 8)
-    c = build_covering(bidisc, 0.5, bidisc_rule)
-    assert c.n_cells == 1617
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        localization_error(identity_operator(basis), c)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    # a Gram and a core factor of at most n_modes^2 complex entries per factor cell;
-    # the same per product cell would take about 212 MB
-    n_factor_cells = sum(len(member) for member in c.factor_enlargement)
-    assert retained <= 2 * n_factor_cells * basis.n_modes ** 2 * 16
+def test_localization_blocks_follow_factor_cells(bidisc, bidisc_rule, disc, disc_rule):
+    for space, rule, n, n_cells in ((bidisc, bidisc_rule, 8, 1617), (disc, disc_rule, 16, 257)):
+        c = build_covering(space, 0.5, rule)
+        assert c.n_cells == n_cells
+        ops = [identity_operator(BasisSpec(space, n)), _random_operator(space, n, 0)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for T in ops:           # the plan, built by the first call, is held after both
+                localization_error(T, c)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a Gram and a core factor of at most n_modes^2 complex entries per factor cell;
+        # the same per product cell would take about 212 MB on the bidisc
+        n_factor_cells = sum(len(member) for member in c.factor_enlargement)
+        assert retained <= 2 * n_factor_cells * n ** 2 * 16
 
 
 def test_localization_error_rejects_an_operator_from_another_space(disc, fock, fock_rule):

@@ -475,7 +475,20 @@ def test_operator_algebra(disc_basis):
     assert np.allclose(OA.adjoint().mat, A.conj().T)
     assert OA.norm() == pytest.approx(np.linalg.norm(A, 2))
     f = random_coeff_function(disc_basis, rng)
-    assert np.allclose(OA.apply(f).flat, A @ f.flat)
+    assert np.allclose(OA.mat @ f.flat, A @ f.flat)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(np.inf, 0), complex(-np.inf, 0),
+                                 complex(0, np.nan), complex(0, np.inf), complex(0, -np.inf)])
+def test_operator_matrix_refuses_non_finite_entries(disc_basis, bad):
+    # one gate at construction, before any SVD, eigensolver or Berezin transform sees it
+    from berglab.operators import OperatorMatrix
+    mat = np.eye(disc_basis.dim, dtype=complex)
+    mat[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        OperatorMatrix(disc_basis, mat)
+    with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+        bad * identity_operator(disc_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +811,7 @@ def test_rank_one_matrix(disc_basis):
     R = rank_one(f, g)
     h = random_coeff_function(disc_basis, rng)
     expect = complex(np.vdot(g.flat, h.flat)) * f.flat
-    assert np.allclose(R.apply(h).flat, expect, atol=1e-12)
+    assert np.allclose(R.mat @ h.flat, expect, atol=1e-12)
 
 
 def test_rank_one_toeplitz_sum_exact(disc_rule):
