@@ -72,6 +72,12 @@ def _diameter(space1: SpaceSpec, pts: np.ndarray) -> float:
     return best
 
 
+def _groups(labels: np.ndarray, n: int) -> List[np.ndarray]:
+    """Positions holding each label 0..n-1, ascending, from one stable sort."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.searchsorted(labels[order], np.arange(1, n)))
+
+
 @dataclass
 class Covering:
     space: SpaceSpec
@@ -107,8 +113,7 @@ class Covering:
         for fr, index, member, pick in zip(self.rule.factors, self.factor_index,
                                            self.factor_enlargement, self.pick.T):
             diam = (_disc_diameters(fr, index, len(member)) if fr.space.kind == KIND_DISC else
-                    np.array([_diameter(fr.space, fr.nodes[g]) for g in np.split(   # each cell's nodes
-                        np.argsort(index, kind="stable"), np.cumsum(np.bincount(index))[:-1])]))
+                    np.array([_diameter(fr.space, fr.nodes[g]) for g in _groups(index, len(member))]))
             out = np.maximum(out, diam[pick])
         return out
 
@@ -230,8 +235,9 @@ def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = 
 # localization
 
 def _disc_grams(rule: QuadratureRule, member: np.ndarray, n: int, order: np.ndarray) -> np.ndarray:
-    """Disc enlargement Grams c_m c_k H_a[m + k] A_a[k - m], a in `order`, from ring moments H_a[p] =
-    sum of w rho^p (w a ring node's weight) and angle sums A_a[q] = sum of e^(iq theta) = conj(A_a[-q])."""
+    """Disc enlargement Grams c_m c_k H_a[m + k] A_a[k - m], for the cells a in `order`, from ring
+    moments H_a[p] = sum of w rho^p (w a ring node's weight) and angle sums A_a[q] = sum of
+    e^(iq theta) = conj(A_a[-q])."""
     na = rule.angular_order
     on = member.reshape(len(member), rule.radial_order, na)   # rings x angles, so any() splits it
     p = np.arange(2 * n - 1)
@@ -246,41 +252,65 @@ def _disc_grams(rule: QuadratureRule, member: np.ndarray, n: int, order: np.ndar
 def _localization_plan(covering: Covering, basis: BasisSpec) -> tuple:
     """(factors, chunks): what `localization_error` needs of the covering and a basis alone.
 
-    factors[k] = (stacks, q, pos): stacks[v] = (G, R) for factor k's cells a of v = q[a] =
-    min(nodes, n) core rows, by first node: G their enlargement Grams conj(S) S^T (S the sigma-
-    weighted `factor_samples`; `_disc_grams` on a disc), R their core samples (one gather) or,
-    past n nodes, QR factors; pos[a] is a's place there.  A chunk: its stacks, its first-factor
-    cells' places (a run, so a slice), each cell's slot among them (None if all differ) and
-    the later factors' places of its cells."""
+    factors[k] = (stacks, q, pos) for factor k, whose cell a has q[a] = min(nodes, n) core rows.
+    stacks[v] = (G, R) holds the cells of v core rows, by first node: G their enlargement Grams
+    conj(S) S^T (S the sigma-weighted `factor_samples`; `_disc_grams` on a disc), R their core
+    samples or, past n nodes, their QR factors.  pos[a] is cell a's place in its stack.
+
+    A chunk is (Gs, Rs, first, at, cols): the stacks of its cells' row counts, its first-factor
+    cells' places (a run, so a slice), each cell's slot among them (None if all differ) and the
+    later factors' places of its cells.  Places are kept in the smallest unsigned type."""
     if basis in covering.blocks:
         return covering.blocks[basis]
-    n, factors, chunks = basis.n_modes, [], []
+    n = basis.n_modes
+    small = np.min_scalar_type(max(len(member) for member in covering.factor_enlargement))
+    factors = []
     for fr, S, index, member in zip(covering.rule.factors, factor_samples(basis, covering.rule),
                                     covering.factor_index, covering.factor_enlargement):
         S *= np.sqrt(fr.sigma_weights)                # conj(S) @ S.T: the sigma inner product
-        order = np.argsort(q := np.minimum(size := np.bincount(index), n), kind="stable")
-        G = (_disc_grams(fr, member, n, order) if fr.space.kind == KIND_DISC else   # rows in `order`
-             np.fromiter(((s := S[:, np.flatnonzero(member[a])]).conj() @ s.T for a in order),
-                         (complex, (n, n)), order.size))
-        nodes, size, qs = np.lexsort((index, q[index])), size[order], q[order]   # nodes by cell
-        top, edge = np.cumsum([np.append(0, qs), np.append(0, size)], axis=1)   # row, node offsets
-        R = S.T[nodes[np.arange(nodes.size) - np.repeat(edge[:-1], size) < n]]    # first q nodes
-        for j in np.flatnonzero(size > n):
-            R[top[j]:top[j + 1]] = np.linalg.qr(S[:, nodes[edge[j]:edge[j + 1]]].T, mode="r")
-        cut = np.flatnonzero(np.diff(qs)) + 1
-        stacks = ((g, r.reshape(len(g), -1, n)) for g, r in zip(np.split(G, cut), np.split(R, top[cut])))
-        factors.append(({r.shape[1]: (g, r) for g, r in stacks}, q, np.argsort(order) - qs.searchsorted(q)))
-    rows = np.stack([q[a] for (_, q, _), a in zip(factors, covering.pick.T)], 1)
-    order = np.lexsort((covering.pick[:, 0], *rows.T[::-1]))      # by row counts, then first factor
+        size = np.bincount(index)
+        q = np.minimum(size, n)
+        order = np.argsort(q, kind="stable")          # the cells by row count, then by first node
+        if fr.space.kind == KIND_DISC:
+            G = _disc_grams(fr, member, n, order)
+        else:
+            G = np.empty((order.size, n, n), dtype=complex)
+            for i, a in enumerate(order):
+                s = S[:, np.flatnonzero(member[a])]
+                G[i] = s.conj() @ s.T
+        size, qs = size[order], q[order]
+        top = np.cumsum(np.append(0, qs))             # each cell's first row in R
+        edge = np.cumsum(np.append(0, size))          # and its first node in `nodes`
+        nodes = np.lexsort((index, q[index]))         # the nodes, cell by cell in `order`
+        big = np.flatnonzero(size > n)                # QR first, so its work space and R never meet
+        qr = [np.linalg.qr(S[:, nodes[edge[j]:edge[j + 1]]].T, mode="r") for j in big]
+        rank = np.arange(nodes.size) - np.repeat(edge[:-1], size)    # a node's place in its cell
+        R = S.T[nodes[rank < n]]                      # each core's first q nodes, in one gather
+        for j, f in zip(big, qr):
+            R[top[j]:top[j + 1]] = f
+        cut = np.flatnonzero(np.diff(qs)) + 1         # where the row count changes
+        stacks = {}
+        for v, g, r in zip(qs[np.append(0, cut)].tolist(), np.split(G, cut), np.split(R, top[cut])):
+            stacks[v] = (g, r.reshape(len(g), v, n))
+        pos = np.argsort(order) - qs.searchsorted(q)
+        factors.append((stacks, q, pos.astype(small)))
+    # the cells grouped by their core factors' row counts, each group in first-factor order
+    rows = np.stack([q[a] for (_, q, _), a in zip(factors, covering.pick.T)], axis=1)
+    order = np.lexsort((covering.pick[:, 0], *rows.T[::-1]))
+    chunks = []
     for group in np.split(order, np.flatnonzero(np.diff(rows[order], axis=0).any(axis=1)) + 1):
-        stacks = tuple(zip(*(f[0][v] for f, v in zip(factors, rows[group[0]].tolist()))))
-        step = max(1, _CHUNK_ROWS * n // (rows[group[0], 0] * basis.n_scalar * basis.space.d))
+        shape = rows[group[0]].tolist()
+        Gs, Rs = zip(*(stacks[v] for (stacks, _, _), v in zip(factors, shape)))
+        step = max(1, _CHUNK_ROWS * n // (shape[0] * basis.n_scalar * basis.space.d))
         for p in np.split(covering.pick[group], range(step, group.size, step)):
-            at = np.cumsum(np.diff(p[:, 0], prepend=p[0, 0]) > 0)   # first-factor slots (p[:, 0] ascends)
-            start = factors[0][2][p[0, 0]]                # the first-factor cells are a run
-            chunks.append((*stacks, slice(start, start + at[-1] + 1), at if at[-1] + 1 < len(p) else None,
-                           [f[2][a] for f, a in zip(factors[1:], p.T[1:])]))
-    return covering.blocks.setdefault(basis, (factors, chunks))
+            at = np.cumsum(np.diff(p[:, 0], prepend=p[0, 0]) > 0)     # p[:, 0] ascends
+            start = int(factors[0][2][p[0, 0]])       # on the tensor mesh, a run of cells
+            first = slice(start, start + int(at[-1]) + 1)
+            at = None if at[-1] + 1 == len(p) else at.astype(small)
+            cols = [pos[a] for (_, _, pos), a in zip(factors[1:], p.T[1:])]
+            chunks.append((Gs, Rs, first, at, cols))
+    covering.blocks[basis] = factors, chunks
+    return factors, chunks
 
 
 def _kron_cols(X: np.ndarray, mats) -> np.ndarray:
@@ -315,8 +345,11 @@ def localization_error(T: OperatorMatrix, covering: Covering) -> float:
     Tp = T.mat.reshape(n_scalar, d, n_scalar, d).transpose(0, 1, 3, 2).reshape(n, -1)
     P = np.zeros((2 * dim, 2 * dim))
     for (G0, *G), (R0, *R), first, at, cols in _localization_plan(covering, T.basis)[1]:
-        Y = (R0[first].reshape(-1, n) @ Tp).reshape(-1, R0.shape[1], n_scalar // n, d * dim).swapaxes(1, 2)
-        G0, Y = (G0[first], Y) if at is None else (G0[first][at], Y[at])
+        Y = R0[first].reshape(-1, n) @ Tp
+        Y = Y.reshape(-1, R0.shape[1], n_scalar // n, d * dim).swapaxes(1, 2)
+        G0 = G0[first]
+        if at is not None:                               # cells sharing a first-factor cell
+            G0, Y = G0[at], Y[at]
         Y = _kron_rows([Rk[c] for Rk, c in zip(R, cols)], Y).reshape(len(Y), -1, n_scalar)
         Y -= _kron_cols(Y, [G0] + [Gk[c] for Gk, c in zip(G, cols)])
         A = Y.reshape(-1, dim).view(np.float64)          # the residual's Re and Im columns

@@ -10,7 +10,7 @@ from berglab.covering import (_CHUNK_ROWS, _diameter, _disc_cells, _localization
                               localization_error)
 from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_symbol,
                                identity_operator, poly_symbol, toeplitz_matrix)
-from berglab.coeffs import BasisSpec, scalar_basis_matrix
+from berglab.coeffs import BasisSpec, factor_samples, scalar_basis_matrix
 from berglab.quadrature import QuadratureRule, ball_rule, build_rule
 from conftest import enlargement, per_cell_localization_error
 
@@ -368,8 +368,9 @@ def test_localization_blocks_are_reused_bit_for_bit(disc, disc_rule, disc_weight
     # built covering agree bit for bit, on one-factor coverings and on the bidisc's
     # chunks that share first-factor cells
     cases = [(disc, disc_rule, (6, 8)), (fock, fock_rule, (6, 8)), (bidisc, bidisc_rule, (3, 4))]
+    held = {}
     for space, rule, modes in cases:
-        coverings = {r: build_covering(space, r, rule) for r in (0.5, 1.0, 2.0)}
+        coverings = held[space] = {r: build_covering(space, r, rule) for r in (0.5, 1.0, 2.0)}
         for seed, n in enumerate(modes + modes):
             T = _random_operator(space, n, seed)
             for r, c in coverings.items():
@@ -377,10 +378,36 @@ def test_localization_blocks_are_reused_bit_for_bit(disc, disc_rule, disc_weight
                 assert localization_error(T, c) == first
                 assert localization_error(T, build_covering(space, r, rule)) == first
         assert set(coverings[1.0].blocks) == {BasisSpec(space, n) for n in modes}
-    # a plan held for n_modes 8 does not admit an operator on another space
+    # a disc covering holding a plan for n_modes 8 does not admit an operator on another space
     with pytest.raises(ValueError):
-        localization_error(identity_operator(BasisSpec(disc_weighted, 8)),
-                           build_covering(disc, 1.0, disc_rule))
+        localization_error(identity_operator(BasisSpec(disc_weighted, 8)), held[disc][1.0])
+
+
+def test_localization_plan_holds_each_factor_cells_blocks(disc, disc_rule, fock, fock_rule, bidisc,
+                                                         bidisc_rule):
+    # each factor cell's blocks, read from the plan's stacks at its place, against the same
+    # blocks built from that cell's own nodes: the enlargement Gram conj(S) S^T directly
+    # (on the disc the plan builds it from ring moments and angle sums), and the core
+    # factor through R^H R = conj(S_core) S_core^T, whichever QR convention holds
+    for space, rule, n, r in ((disc, disc_rule, 8, 0.5), (fock, fock_rule, 8, 0.5),
+                              (bidisc, bidisc_rule, 4, 1.0)):
+        c = build_covering(space, r, rule)
+        factors, _ = _localization_plan(c, BasisSpec(space, n))
+        samples = factor_samples(BasisSpec(space, n), rule)
+        for (stacks, q, pos), S, fr, index, member in zip(factors, samples, rule.factors,
+                                                        c.factor_index, c.factor_enlargement):
+            S = S * np.sqrt(fr.sigma_weights)
+            assert sorted(stacks) == sorted(set(q.tolist()))
+            assert all(len(stacks[v][0]) == np.sum(q == v) for v in stacks)
+            assert any(q < n) and any(np.bincount(index) > n)      # both kinds of core factor
+            for a in range(len(member)):
+                G, R = stacks[q[a]][0][pos[a]], stacks[q[a]][1][pos[a]]
+                e, core = S[:, member[a]], S[:, index == a]
+                np.testing.assert_allclose(G, e.conj() @ e.T, rtol=0, atol=1e-13)
+                assert R.shape == (min(core.shape[1], n), n)
+                if core.shape[1] <= n:
+                    assert np.array_equal(R, core.T)
+                np.testing.assert_allclose(R.conj().T @ R, core.conj() @ core.T, rtol=0, atol=1e-13)
 
 
 def test_localization_blocks_follow_factor_cells(bidisc, bidisc_rule, disc, disc_rule):
