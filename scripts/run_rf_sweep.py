@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Sweep the kernel-power integrals over exponent pairs and weights.
 
-For each weight parameter and each exponent pair (r, s), evaluate the two
-kernel-power integrals I and J over a probe grid and record the value at the
-origin, the sup over the grid, and the spread of the J/I ratio.  The balanced
-diagonal r = s is the invariant regime: there I is constant in z and the ratio
-locks to 1.  Off the diagonal the integrals drift with the base point, and the
-sup grows as s approaches the integrability boundary.
+For each weight parameter and each exponent pair (r, s), evaluate the
+kernel-power integral I over a probe grid, in closed form
+(`berglab.quadrature.rudin_forelli`), and record the value at the origin, the
+sup over the grid and its spread.  Its companion J equals I for every pair
+(Euler's transformation of the disc series), so J/I = 1 everywhere and is not
+recorded.  On the balanced diagonal r = s, I is constant in z; off it, I
+drifts with the base point.
 
 Usage:
     python3 scripts/run_rf_sweep.py --out results/rf_sweep.csv
@@ -20,7 +21,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from berglab import build_rule, disc_space, fock_space, rudin_forelli  # noqa: E402
+from berglab import disc_space, fock_space, rudin_forelli  # noqa: E402
 from berglab.analysis import default_probe_grid  # noqa: E402
 from berglab.reporting import write_csv_atomic  # noqa: E402
 
@@ -36,19 +37,14 @@ def main():
     cases = [(f"disc_a{a:g}", disc_space(a, d=1)) for a in args.alphas]
     cases.append(("fock", fock_space(d=1)))
     for label, space in cases:
-        rule = build_rule(space)
         grid = default_probe_grid(space)
         for r, s in pairs:
-            rep = rudin_forelli(space, rule, grid, r, s)
-            ratio_spread = float(np.max(rep.ratio) - np.min(rep.ratio))
+            rep = rudin_forelli(space, grid, r, s)
             i_spread = float(np.max(rep.I) - np.min(rep.I))
-            rows.append([label, r, s, f"{rep.I[0]:.8f}", f"{rep.sup_I:.8f}",
-                         f"{i_spread:.3e}", f"{ratio_spread:.3e}"])
+            rows.append([label, r, s, f"{rep.I[0]:.8f}", f"{rep.sup_I:.8f}", f"{i_spread:.3e}"])
             print(f"{label:10s} r={r:g} s={s:g}  I(0)={rep.I[0]:.6f} "
-                  f"sup I={rep.sup_I:.6f}  spread(I)={i_spread:.2e} "
-                  f"spread(J/I)={ratio_spread:.2e}")
-    write_csv_atomic(args.out, ["space", "r", "s", "I_origin", "sup_I",
-                                "I_spread", "ratio_spread"], rows)
+                  f"sup I={rep.sup_I:.6f}  spread(I)={i_spread:.2e}")
+    write_csv_atomic(args.out, ["space", "r", "s", "I_origin", "sup_I", "I_spread"], rows)
     print(f"wrote {args.out}")
 
 

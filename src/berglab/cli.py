@@ -57,20 +57,28 @@ def _apply_threads(text: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 # shared helpers (imported lazily by runners)
 
-def _context(cfg, scale: float):
+def _basis(cfg):
+    from .coeffs import BasisSpec
+
+    return BasisSpec(cfg.space, cfg.n_modes)
+
+
+def _rule(cfg, scale: float):
+    """The config's rule, its orders times --resolution-scale.  Only the commands that
+    integrate on a rule build one: rkt, covering, localize and verify-axioms."""
     import numpy as np
 
-    from .coeffs import BasisSpec
     from .quadrature import build_rule, rule_orders
 
     radial, angular = rule_orders(cfg.space, cfg.radial_order, cfg.angular_order)
     if scale != 1.0:
         radial, angular = max(2, int(np.ceil(radial * scale))), max(4, int(np.ceil(angular * scale)))
-    return BasisSpec(cfg.space, cfg.n_modes), build_rule(cfg.space, radial, angular)
+    return build_rule(cfg.space, radial, angular)
 
 
 def _operator(cfg, basis, rule):
-    """The product of the Toeplitz factors the operator block names; without any, the identity."""
+    """The product of the Toeplitz factors the operator block names (else the identity); config
+    symbols (poly, const, ball) never read the rule, which may be None."""
     from .operators import identity_operator, toeplitz_matrix
 
     factors = [toeplitz_matrix(basis, rule, cfg.symbols[name]) for name in cfg.operator or ()]
@@ -123,8 +131,8 @@ def _run_toeplitz(cfg, args):
 
     if cfg.operator is None:
         raise ConfigError("toeplitz command needs an operator block")
-    basis, rule = _context(cfg, args.resolution_scale)
-    T = _operator(cfg, basis, rule)
+    basis = _basis(cfg)
+    T = _operator(cfg, basis, None)
     svs = T.singular_values()
     cutoff = T.dim * sys.float_info.epsilon * float(svs[0])    # below it, SVD rounding
     payload = {
@@ -144,8 +152,7 @@ def _run_toeplitz(cfg, args):
 def _run_berezin(cfg, args):
     from .analysis import berezin_decay_profile
 
-    basis, rule = _context(cfg, args.resolution_scale)
-    T = _operator(cfg, basis, rule)
+    T = _operator(cfg, _basis(cfg), None)
     prof = berezin_decay_profile(
         T, radii=cfg.radii, angles=cfg.angles, threshold=cfg.berezin_threshold)
     rows = [[r, th, i, k, v.real, v.imag]
@@ -159,7 +166,7 @@ def _run_rkt(cfg, args):
     from .analysis import (hankel_rkt_check, rkt_boundedness_check,
                            rkt_product_check, rkt_toeplitz_symbol_check)
 
-    basis, rule = _context(cfg, args.resolution_scale)
+    basis, rule = _basis(cfg), _rule(cfg, args.resolution_scale)
     zg = _zgrid(cfg)
     T = _operator(cfg, basis, rule)
     reports = {"boundedness": rkt_boundedness_check(basis, rule, T, p=cfg.p, z_grid=zg)}
@@ -187,8 +194,7 @@ def _run_essnorm(cfg, args):
     from .analysis import boundary_shells, essential_norm_estimate
     from .reporting import jsonable
 
-    basis, rule = _context(cfg, args.resolution_scale)
-    T = _operator(cfg, basis, rule)
+    T = _operator(cfg, _basis(cfg), None)
     shells = boundary_shells(cfg.space, radii=cfg.shells)
     rep = essential_norm_estimate(T, boundary_grid=shells, seed=cfg.seed)
     payload = {**jsonable(rep), "threshold": cfg.essnorm_threshold,
@@ -201,9 +207,8 @@ def _run_essnorm(cfg, args):
 def _run_rf(cfg, args):
     from .quadrature import rudin_forelli
 
-    _, rule = _context(cfg, args.resolution_scale)
     zg = _zgrid(cfg)
-    rep = rudin_forelli(cfg.space, rule, zg, cfg.rf["r"], cfg.rf["s"])
+    rep = rudin_forelli(cfg.space, zg, cfg.rf["r"], cfg.rf["s"])
     rows = [[zi, float(rep.I[zi]), float(rep.J[zi]), float(rep.ratio[zi])]
             for zi in range(len(zg))]
     return "kernel-power-integrals", rep, ["z_index", "I", "J", "ratio"], rows, 0
@@ -244,7 +249,7 @@ def _run_covering(cfg, args):
 
     from .covering import build_covering
 
-    _, rule = _context(cfg, args.resolution_scale)
+    rule = _rule(cfg, args.resolution_scale)
     summaries, rows = [], []
     for r in cfg.covering_r:
         c = build_covering(cfg.space, r, rule)
@@ -269,7 +274,7 @@ def _run_covering(cfg, args):
 def _run_localize(cfg, args):
     from .covering import build_covering, localization_error
 
-    basis, rule = _context(cfg, args.resolution_scale)
+    basis, rule = _basis(cfg), _rule(cfg, args.resolution_scale)
     T = _operator(cfg, basis, rule)
     curve = []
     for r in cfg.covering_r:
@@ -291,14 +296,14 @@ def _run_rank1(cfg, args):
     from .coeffs import random_polynomial
     from .operators import rank_one, rank_one_toeplitz_sum
 
-    basis, rule = _context(cfg, args.resolution_scale)
+    basis = _basis(cfg)
     n_pairs, degree = cfg.rank1["n_pairs"], cfg.rank1["degree"]
     rng = np.random.default_rng(cfg.seed)
     devs = []
     for _ in range(n_pairs):
         f = random_polynomial(basis, rng, degree)
         g = random_polynomial(basis, rng, degree)
-        S = rank_one_toeplitz_sum(basis, rule, f, g)
+        S = rank_one_toeplitz_sum(basis, None, f, g)
         devs.append(float(np.linalg.norm((S - rank_one(f, g)).mat, "fro")))   # >= the spectral norm
     payload = {"n_pairs": n_pairs, "degree": degree, "norm": "frobenius",
                "max_deviation": max(devs), "deviations": devs}
@@ -309,8 +314,7 @@ def _run_rank1(cfg, args):
 def _run_verify_axioms(cfg, args):
     from .analysis import axiom_checks
 
-    basis, rule = _context(cfg, args.resolution_scale)
-    checks = axiom_checks(basis, rule, _zgrid(cfg), cfg.seed)
+    checks = axiom_checks(_basis(cfg), _rule(cfg, args.resolution_scale), _zgrid(cfg), cfg.seed)
     all_pass = all(c["pass"] for c in checks)
     payload = {"checks": checks, "all_pass": all_pass}
     rows = [[c["name"], c["value"], c["tol"], c["pass"]] for c in checks]

@@ -109,14 +109,6 @@ class CoeffFunction:
         return float(np.linalg.norm(self.coeffs))
 
 
-def from_flat(basis: BasisSpec, flat: np.ndarray) -> CoeffFunction:
-    return CoeffFunction(basis, np.asarray(flat, dtype=complex).reshape(basis.n_scalar, basis.space.d))
-
-
-def inner(f: CoeffFunction, g: CoeffFunction) -> complex:
-    return complex(np.sum(f.coeffs * np.conj(g.coeffs)))
-
-
 def eval_coeffs(f: CoeffFunction, points) -> np.ndarray:
     """Pointwise values, shape (n_points, d)."""
     E = scalar_basis_matrix(f.basis, points)

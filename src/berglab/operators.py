@@ -97,19 +97,22 @@ class MatrixSymbol:
 
 _INDEX_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
 _NUMBER_TYPES = _INDEX_TYPES | {float, complex, *(np.dtype(c).type for c in np.typecodes["AllFloat"])}
+POLY_POWER_CAP = 2 ** 20   # a term's largest power: assembly's normalizer table costs ~48 B per unit
 
 
 def _poly_terms(space: SpaceSpec, names: list, values: list) -> PolyTerms:
     """The term table of names[t] = ((i, k), powers) with coefficients values[t], checked in one
     pass: (i, k) must index a d x d matrix, powers be 2 * nfactors non-negative integers (not
-    bools) and the coefficient a finite number, else ValueError naming the term."""
+    bools) up to POLY_POWER_CAP and the coefficient a finite number, else ValueError naming it."""
     d, width = space.d, 2 + 2 * space.nfactors
     for (key, powers), c in zip(names, values):
         row = key + powers if isinstance(key, tuple) and isinstance(powers, tuple) else ()
         if not (len(row) == width and len(key) == 2 and set(map(type, row)) <= _INDEX_TYPES and min(row) >= 0
-                and max(key) < d and type(c) in _NUMBER_TYPES and cmath.isfinite(c)):
+                and max(key) < d and max(powers) <= POLY_POWER_CAP and type(c) in _NUMBER_TYPES
+                and cmath.isfinite(c)):
             raise ValueError(f"entry {key!r}, term {powers!r}: {c!r}: a term needs (i, k) below d={d}, "
-                             f"{width - 2} non-negative integer powers and a finite coefficient")
+                             f"{width - 2} non-negative integer powers up to {POLY_POWER_CAP} "
+                             "and a finite coefficient")
     table = np.array([key + powers for key, powers in names], dtype=int).reshape(-1, width)
     return PolyTerms(table, np.array(values, dtype=complex))
 
@@ -213,11 +216,6 @@ def identity_operator(basis: BasisSpec) -> OperatorMatrix:
     return OperatorMatrix(basis, np.eye(basis.dim))
 
 
-def scalar_block_to_operator(basis: BasisSpec, scalar: np.ndarray) -> OperatorMatrix:
-    """Lift a scalar-mode matrix to the full space as scalar (x) I_d."""
-    return OperatorMatrix(basis, np.kron(scalar, np.eye(basis.space.d)))
-
-
 # ---------------------------------------------------------------------------
 # Toeplitz operators
 
@@ -269,14 +267,13 @@ def _ball_shares(space: SpaceSpec, radius: float) -> np.ndarray:
 def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol) -> OperatorMatrix:
     """T_F = P M_F on the truncated space.
 
-    Polynomial symbols (symbol.poly) are assembled exactly from monomial
-    moments, and each ball part B(a, radius) as (U diag(D) U^H) (x) value, U
-    the N x K block of U_a and D the shares of `_ball_shares`; neither reads
-    the rule.  Other smooth symbols are sampled on the rule, one GEMM per
-    nonzero (i, k) entry; they are exact whenever
-    radial exactness (degree in t up to 2*radial_order - 1) and angular
-    separation (frequency spread less than angular_order) hold, and need a
-    rule for the basis's measure (ValueError on another kind or weight).
+    The parts of a symbol add up.  Polynomial terms (symbol.poly) are assembled exactly
+    from monomial moments, and each ball part B(a, radius) as (U diag(D) U^H) (x) value,
+    U the N x K block of U_a and D the shares of `_ball_shares`; neither reads the rule,
+    which may then be None.  A smooth part is sampled on the rule, one GEMM per nonzero
+    (i, k) entry; it is exact whenever radial exactness (degree in t up to
+    2*radial_order - 1) and angular separation (frequency spread less than angular_order)
+    hold, and needs a rule for the basis's measure (ValueError on None or another one).
     """
     d = basis.space.d
     n = basis.n_scalar
@@ -284,8 +281,8 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
     T4 = T.reshape(n, d, n, d)
     if symbol.poly is not None:
         np.add.at(T4, *_poly_scatter(basis, symbol.poly))   # unbuffered: terms add up in order
-    elif symbol.smooth is not None:
-        if (rule.space.kind, rule.space.alphas) != (basis.space.kind, basis.space.alphas):
+    if symbol.smooth is not None:
+        if rule is None or (rule.space.kind, rule.space.alphas) != (basis.space.kind, basis.space.alphas):
             raise ValueError("a smooth symbol needs a rule for the basis's measure")
         vals = symbol.smooth(rule.nodes)
         E = scalar_basis_matrix(basis, rule.nodes)
@@ -293,7 +290,7 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
         for i in range(d):
             for k in range(d):
                 if np.any(vals[:, i, k]):
-                    T4[:, i, :, k] = (Ew * vals[None, :, i, k]) @ E.T
+                    T4[:, i, :, k] += (Ew * vals[None, :, i, k]) @ E.T
     for b in symbol.balls:
         D = _ball_shares(basis.space, b.radius)
         W = _scalar_translation(basis.space, basis.n_modes, b.center, D.size) * np.sqrt(D)  # W W^H = U D U^H
@@ -431,8 +428,8 @@ def _conjugate_blocks(mat: np.ndarray, U: np.ndarray, d: int) -> np.ndarray:
 
 def translation_matrix(basis: BasisSpec, z) -> OperatorMatrix:
     """Compression of U_z f = (f o phi_z) k_z, block diagonal over components: the scalar
-    block is entry 0 of the one-point stack of `_translations`."""
-    return scalar_block_to_operator(basis, _translations(basis, [z])[1][0])
+    block, entry 0 of the one-point stack of `_translations`, tensored with I_d."""
+    return OperatorMatrix(basis, np.kron(_translations(basis, [z])[1][0], np.eye(basis.space.d)))
 
 
 @dataclass

@@ -12,7 +12,9 @@ are integrated exactly up to degree 2*radial_order - 1 in t:
 
 No operator reads a rule for a ball: `operators.toeplitz_matrix` assembles
 indicator symbols in closed form.  The region-aligned rule below (a Gauss
-grid mapped onto a disc) is the tests' oracle for them.
+grid mapped onto a disc) is the tests' oracle for them.  Nor do the
+kernel-power integrals of `rudin_forelli` read a rule: they are series in
+|z|^2, summed to rounding.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from .spaces import (
     KIND_DISC,
     KIND_FOCK,
     SpaceSpec,
-    kernel_eval,
     kernel_norm,
-    rf_exponent_ok,
     sigma_density,
 )
 
@@ -219,10 +219,6 @@ class MatrixKernelSample:
         self.mu_weights = np.asarray(self.mu_weights, dtype=float)
         self.nu_weights = np.asarray(self.nu_weights, dtype=float)
 
-    @property
-    def d(self) -> int:
-        return self.values.shape[2]
-
 
 def schur_test(sample: MatrixKernelSample, p: float = 2.0, h_x=None, h_y=None) -> dict:
     """Two-sided Schur bound for the discrete operator of `sample`.
@@ -259,7 +255,28 @@ def discretized_norm(sample: MatrixKernelSample) -> float:
 
 
 # ---------------------------------------------------------------------------
-# normalized kernel-power integrals
+# normalized kernel-power integrals, in closed form
+
+RF_TERM_CAP = 2 ** 16   # terms of the disc series; |z|^2 = 0.998 needs 16384
+
+
+def _hyp2f1_aa(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """2F1(a, a; b; x) = sum_k (a)_k^2 x^k / ((b)_k k!) for x in [0, 1), b > 2a: non-negative
+    terms, with t_{k+1} <= x t_k from k0 = (a^2 - b) / (b + 1 - 2a) on.  One log-space table
+    for all x, summed by np.sum, doubles from 64 terms until the rest's geometric bound
+    t_last x / (1 - x) at the largest x (the largest share) is below 1e-17 of its sum;
+    ValueError past RF_TERM_CAP terms, never a silent cut."""
+    top, k0 = float(np.max(x)), (a * a - b) / (b + 1.0 - 2.0 * a)
+    with np.errstate(divide="ignore"):   # log 0 = -inf: x = 0, or (a)_k = 0 from some k on
+        for L in (2 ** k for k in range(6, RF_TERM_CAP.bit_length())):
+            k = np.arange(1.0, L)   # logt: log t_k - k log x, k >= 1; top_t: log t_k at the largest x
+            logt = np.cumsum(2.0 * np.log(np.abs(a + k - 1.0)) - np.log(b + k - 1.0) - np.log(k))
+            top_t = logt + k * np.log(top)
+            rest = top_t[-1] + np.log(top / (1.0 - top)) - np.log(1.0 + np.exp(top_t).sum())
+            if L - 1 >= k0 and rest < np.log(1e-17):
+                return 1.0 + np.sum(np.exp(logt + np.multiply.outer(np.log(x), k)), axis=-1)
+    raise ValueError(f"the kernel-power series at |z|^2 = {top} needs more than {RF_TERM_CAP} terms")
+
 
 @dataclass
 class RudinForelliReport:
@@ -271,33 +288,26 @@ class RudinForelliReport:
     sup_I: float
 
 
-def rudin_forelli(space: SpaceSpec, rule: QuadratureRule, z_grid, r: float, s: float) -> RudinForelliReport:
-    """Evaluate I(z) and its companion J(z) over a z-grid.
+def rudin_forelli(space: SpaceSpec, z_grid, r: float, s: float) -> RudinForelliReport:
+    """I(z) = int |<K_z, K_w>|^((r+s)/2) / (||K_z||^s ||K_w||^r) d lambda(w) and its companion
+    J(z) = int |<K_z, K_w>|^((r-s)/2) / ||K_w||^r d lambda(w) over a z-grid, in closed form.
 
-        I(z) = int |<K_z, K_w>|^((r+s)/2) / (||K_z||^s ||K_w||^r) d lambda(w)
-        J(z) = int |<K_z, K_w>|^((r-s)/2) / ||K_w||^r d lambda(w)
-
-    Both share the boundary radial exponent governed by r; pairs with a
-    non-integrable exponent are rejected up front, and so is an empty or
-    inadmissible grid (`spaces.probe_points`).
-    """
-    if s <= 0 or r <= 0:
-        raise ValueError("exponents must be positive")
-    if not rf_exponent_ok(space, r):
-        raise ValueError(
-            f"non-integrable kernel-power integrand for r={r} on {space.kind}: "
-            "radial boundary exponent <= -1"
-        )
-    points = spaces.probe_points(space, z_grid)
-    z_grid = spaces.point(space, [c.reshape(-1) for c in spaces.coords(space, points)])
-    lam = rule.lambda_weights
-    nw_log = np.log(kernel_norm(space, rule.nodes))
-    I = np.empty(len(z_grid))
-    J = np.empty(len(z_grid))
-    with np.errstate(under="ignore"):
-        for idx, z in enumerate(z_grid):
-            pair_log = np.log(np.abs(kernel_eval(space, z, rule.nodes)))
-            nz_log = np.log(kernel_norm(space, z))
-            I[idx] = np.sum(lam * np.exp((r + s) / 2.0 * pair_log - s * nz_log - r * nw_log))
-            J[idx] = np.sum(lam * np.exp((r - s) / 2.0 * pair_log - r * nw_log))
-    return RudinForelliReport(r, s, I, J, J / I, float(np.max(I)))
+    The kernel's power series integrates term by term (the Forelli-Rudin integrals: Zhu,
+    Spaces of Holomorphic Functions in the Unit Ball, GTM 226, 1.4).  On a disc factor, with
+    g = 2 + alpha, x = |z|^2, A = g(r-s)/4, c = g(r+s)/4 and b = g r/2, J = (alpha+1)
+    2F1(A, A; b; x) / (b-1) and I = (alpha+1) (1-x)^(g s/2) 2F1(c, c; b; x) / (b-1), which
+    Euler's transformation (DLMF 15.8.1) makes equal; the series converges up to x = 1, as
+    b - 2A = g s/2 > 0.  On the Fock space I = J = (2/r) exp((r-s)^2 x / (8r)), and on a
+    product both are the product of the factor values: J/I = 1 for every pair (r, s).
+    Non-integrable pairs (s <= 0, or b <= 1: a radial boundary exponent <= -1) and empty or
+    inadmissible grids are rejected up front."""
+    least_r = max(0.0 if f.kind == KIND_FOCK else 2.0 / (2.0 + f.alpha) for f in space.factors)
+    if not (s > 0 and r > least_r):
+        raise ValueError(f"non-integrable kernel-power integrand for r={r}, s={s} on {space.kind}: "
+                         "the exponents must be positive and the radial boundary exponent > -1")
+    I = 1.0
+    for f, c in zip(space.factors, spaces.coords(space, spaces.probe_points(space, z_grid))):
+        x, g = np.abs(c.reshape(-1)) ** 2, 2.0 + f.alpha
+        I = I * ((2.0 / r) * np.exp((r - s) ** 2 * x / (8.0 * r)) if f.kind == KIND_FOCK else
+                 (f.alpha + 1.0) * _hyp2f1_aa(g * (r - s) / 4.0, g * r / 2.0, x) / (g * r / 2.0 - 1.0))
+    return RudinForelliReport(r, s, I, I, np.ones_like(I), float(np.max(I)))

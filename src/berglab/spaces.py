@@ -90,12 +90,13 @@ class SpaceSpec:
 
     @property
     def kappa(self) -> float:
-        """Size parameter gating the integral-test exponent threshold.
+        """Size parameter of the RKT integral tests: it sets their exponent threshold
+        `analysis.RktReport.p_threshold` = (4 - kappa)/(2 - kappa), which a report's p must
+        exceed to be admissible.
 
-        Fock: 0 (the off-diagonal kernel decay is Gaussian, every positive
-        exponent pair works).  Disc: 2(1+alpha)/(2+alpha), the empirical
-        boundary of the (r, s) region where the normalized kernel-power
-        integrals stay uniformly bounded (see scripts/run_rf_sweep.py).
+        Disc: 2(1+alpha)/(2+alpha), so the threshold is 3 + alpha.  Fock: 0 (the
+        off-diagonal kernel decay is Gaussian), so the threshold is 2.  On a product, the
+        largest over the factors.
         """
         return max(0.0 if f.kind == KIND_FOCK else 2.0 * (1.0 + f.alpha) / (2.0 + f.alpha)
                    for f in self.factors)
@@ -292,8 +293,3 @@ def relative_kernel_tail(space: SpaceSpec, z, n_modes: int) -> np.ndarray:
         p = p * ratio(m)
         active &= p > 1e-17 * tail
     return np.where(head > 0.5, tail, 1.0 - head)
-
-
-def rf_exponent_ok(space: SpaceSpec, r: float) -> bool:
-    """Integrability gate for kernel-power integrals: radial exponent > -1."""
-    return r > 0 and all(f.kind == KIND_FOCK or r > 2.0 / (2.0 + f.alpha) for f in space.factors)

@@ -8,8 +8,7 @@ from berglab.analysis import _lp_norm, _probe_grid
 from berglab.coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers, basis_normalizer,
                             eval_coeffs, kernel_coeff_vector, scalar_basis_matrix)
 from berglab.covering import _localization_plan
-from berglab.operators import (PointMassMeasure, poly_symbol,
-                               scalar_block_to_operator, toeplitz_measure_matrix,
+from berglab.operators import (OperatorMatrix, PointMassMeasure, poly_symbol, toeplitz_measure_matrix,
                                translation_certificate, translation_matrix)
 from berglab.quadrature import build_rule
 
@@ -165,7 +164,7 @@ def certified_projector(basis, cert):
     """Orthogonal projection onto the certified scalar-mode prefix (all components)."""
     prefix = (np.arange(basis.n_modes) < cert.certified_modes).astype(float)
     mask = spaces.kron([prefix] * basis.space.nfactors)
-    return scalar_block_to_operator(basis, np.diag(mask))
+    return OperatorMatrix(basis, np.kron(np.diag(mask), np.eye(basis.space.d)))
 
 
 def per_point_translation_residuals(basis, z_grid):
@@ -223,6 +222,21 @@ def per_cell_localization_error(T, covering):
         res = (X - kron_cols(X, G)).reshape(-1, dim)
         M += res.conj().T @ res
     return float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))
+
+
+def rule_kernel_power_integrals(space, rule, z_grid, r, s):
+    """Oracle for rudin_forelli: I(z) and J(z) summed over the rule's nodes against lambda,
+    one probe point at a time, as arrays (I, J)."""
+    lam = rule.lambda_weights
+    nw_log = np.log(spaces.kernel_norm(space, rule.nodes))
+    I, J = [], []
+    with np.errstate(under="ignore"):
+        for z in z_grid:
+            pair_log = np.log(np.abs(spaces.kernel_eval(space, z, rule.nodes)))
+            nz_log = np.log(spaces.kernel_norm(space, z))
+            I.append(np.sum(lam * np.exp((r + s) / 2.0 * pair_log - s * nz_log - r * nw_log)))
+            J.append(np.sum(lam * np.exp((r - s) / 2.0 * pair_log - r * nw_log)))
+    return np.array(I), np.array(J)
 
 
 def dense_rule_inner(basis, rule, samples):

@@ -48,7 +48,7 @@ from berglab import (
     translation_matrix,
 )
 from berglab.coeffs import eval_coeffs
-from conftest import certified_projector, sample_points, sup_norm
+from conftest import certified_projector, rule_kernel_power_integrals, sample_points, sup_norm
 
 
 def test_criterion_01_kernel_axioms_and_reproducing_property():
@@ -119,12 +119,14 @@ def test_criterion_02_schur_bound_dominates_discretized_norm():
 def test_criterion_03_kernel_power_integrals_are_invariant():
     space = disc_space(0.0, d=1)
     grid = [0.0, 0.35, 0.35 * np.exp(2j * np.pi / 3), 0.6, 0.6 * np.exp(2j * np.pi / 3)]
-    rep = rudin_forelli(space, build_rule(space), grid, 3.0, 3.0)
+    rep = rudin_forelli(space, grid, 3.0, 3.0)
     assert rep.I[0] == pytest.approx(0.5, abs=1e-6)
     assert np.max(np.abs(rep.ratio - 1.0)) < 1e-6
-    fine = rudin_forelli(space, build_rule(space, angular_order=128), grid, 3.0, 3.0)
-    assert np.max(np.abs(rep.I - fine.I)) < 1e-6
-    assert np.max(np.abs(rep.J - fine.J)) < 1e-6
+    # the rule sum at the default and at doubled angular resolution agrees with the exact value
+    for angular in (64, 128):
+        I, J = rule_kernel_power_integrals(space, build_rule(space, angular_order=angular), grid, 3.0, 3.0)
+        assert np.max(np.abs(rep.I - I)) < 1e-6
+        assert np.max(np.abs(rep.J - J)) < 1e-6
 
 
 def test_criterion_04_toeplitz_contraction_and_covariance():

@@ -160,7 +160,7 @@ def test_rkt_checks_reject_an_empty_probe_grid(basis24):
               (lambda z: rkt_product_check(None, I2, I2, z_grid=z), "z_grid"),
               (lambda z: hankel_rkt_check(None, I2, z_grid=z), "z_grid"),
               (lambda z: axiom_checks(basis24, None, z, 0), "z_grid"),
-              (lambda z: rudin_forelli(basis24.space, None, z, 3.0, 3.0), "z_grid"),
+              (lambda z: rudin_forelli(basis24.space, z, 3.0, 3.0), "z_grid"),
               (lambda z: essential_norm_estimate(I, [[p] for p in z]), "boundary_grid")]
     grids = [([], "{} is empty"), ((), "{} is empty"), (np.zeros(0, dtype=complex), "{} is empty"),
              ([0.0, 0.3, 0.95], "outside admissible region")]

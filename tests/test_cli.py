@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -279,10 +280,41 @@ def test_verify_axioms_refuses_an_inadmissible_probe_grid(command, tmp_path, cap
 
 
 def test_resolution_scale_changes_orders(config_path, tmp_path):
+    # covering counts the nodes of its rule: 40 x 64 on the disc, and 60 x 96 at scale 1.5
+    for scale, nodes in (("1", 40 * 64), ("1.5", 60 * 96)):
+        out = tmp_path / scale
+        assert _run("covering", config_path, out, extra=["--resolution-scale", scale]) == 0
+        for cover in _load(out, "covering")[0]["result"]["coverings"]:
+            assert sum(cover["multiplicity_histogram"].values()) == nodes
+
+
+def test_commands_without_integrals_build_no_rule(config_path, tmp_path, monkeypatch):
+    # config symbols (poly, const, ball) never read a rule, and rf is in closed form
+    from berglab import quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_rule called")
+
+    monkeypatch.setattr(quadrature, "build_rule", refuse)
+    cfg = dict(BASE_CONFIG, operator={"type": "toeplitz_product", "symbols": ["drift", "bump"]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("toeplitz", "berezin", "essnorm", "rank1", "rf"):
+        assert _run(command, str(path), tmp_path / "out") == 0, command
+    with pytest.raises(AssertionError, match="build_rule called"):
+        _run("covering", str(path), tmp_path / "out")
+
+
+def test_rf_past_the_series_term_cap_exits_2_and_writes_nothing(tmp_path, capsys):
+    # off the diagonal r = s, where the series is not the constant 1
+    cfg = dict(BASE_CONFIG, space={**BASE_CONFIG["space"], "r_max": 0.999995}, z_grid=[0.99999],
+               rf={"r": 2.0, "s": 1.0})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    assert _run("rf", config_path, out, extra=["--resolution-scale", "1.5"]) == 0
-    report, _ = _load(out, "rf")
-    assert report["result"]["I"][0] == pytest.approx(0.5, abs=1e-8)
+    assert cli.main(["rf", "--config", str(path), "--out", str(out)]) == 2
+    assert "terms" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
 
 
 def test_bad_config_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -422,6 +454,17 @@ def _assert_drift_rejected(drift, tmp_path, capsys):
 ], ids=["no-i", "no-k", "no-c", "no-a", "non-numeric-a"])
 def test_malformed_poly_symbol_exits_2_and_writes_nothing(changes, tmp_path, capsys):
     _assert_drift_rejected(_drift_with_term(**changes), tmp_path, capsys)
+
+
+def test_huge_poly_power_exits_2_before_any_allocation(tmp_path, capsys):
+    # a power of 10^9 would ask for a normalizer table of about 48 GB; it is refused on reading
+    tracemalloc.start()
+    try:
+        _assert_drift_rejected(_drift_with_term(a=10 ** 9, b=10 ** 9), tmp_path, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 22
 
 
 def test_unknown_ball_metric_exits_2_and_writes_nothing(tmp_path, capsys):

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berglab import operators, spaces
-from berglab.coeffs import (BasisSpec, CoeffFunction, eval_coeffs, from_flat,
+from berglab.coeffs import (BasisSpec, CoeffFunction, eval_coeffs,
                             kernel_coeff_vector, rule_gram,
                             random_coeff_function, random_polynomial,
                             scalar_basis_matrix)
-from berglab.operators import (PointMassMeasure, ball_indicator_symbol,
+from berglab.operators import (POLY_POWER_CAP, MatrixSymbol, PointMassMeasure,
+                               ball_indicator_symbol,
                                conjugate_operator,
                                constant_symbol,
                                identity_operator, poly_symbol,
@@ -364,6 +365,41 @@ def test_poly_toeplitz_does_not_depend_on_the_rule(label):
     coarse = toeplitz_matrix(basis, build_rule(space, 4, 8), sym).mat
     fine = toeplitz_matrix(basis, build_rule(space), sym).mat
     assert np.array_equal(coarse, fine)
+
+
+def test_poly_power_above_the_cap_is_refused_before_any_allocation():
+    disc = spaces.disc_space(0.0, d=1)
+    poly_symbol(disc, {(0, 0): {(POLY_POWER_CAP, POLY_POWER_CAP): 1.0}})   # at the cap: accepted
+    tracemalloc.start()
+    try:
+        for power in (POLY_POWER_CAP + 1, 10 ** 9):
+            with pytest.raises(ValueError, match=f"up to {POLY_POWER_CAP}"):
+                poly_symbol(disc, {(0, 0): {(power, power): 1.0}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
+def test_symbol_parts_add_up(disc_basis, disc_rule):
+    # poly, smooth and ball parts of one symbol assemble to the sum of their operators
+    space = disc_basis.space
+    poly = constant_symbol(space, np.eye(2)).poly
+
+    def identity(pts):   # the constant I_2 once more, as a smooth part
+        return np.ones((np.size(pts), 1, 1)) * np.eye(2)
+
+    ball = ball_indicator_symbol(space, 0.2, 0.3, [[1.0, 0.5], [0.0, 2.0]]).balls
+    parts = [MatrixSymbol(space, poly=poly), MatrixSymbol(space, smooth=identity),
+             MatrixSymbol(space, balls=ball)]
+    T = toeplitz_matrix(disc_basis, disc_rule, MatrixSymbol(space, smooth=identity, balls=ball, poly=poly))
+    assert np.array_equal(T.mat, sum(toeplitz_matrix(disc_basis, disc_rule, p).mat for p in parts))
+    both = MatrixSymbol(space, smooth=identity, poly=poly)
+    assert np.array_equal(both.eval([0.3])[0], 2.0 * np.eye(2))
+    assert np.allclose(toeplitz_matrix(disc_basis, disc_rule, both).mat, 2.0 * np.eye(disc_basis.dim),
+                       atol=1e-12)
+    with pytest.raises(ValueError, match="smooth symbol needs a rule"):
+        toeplitz_matrix(disc_basis, None, both)
 
 
 def test_poly_term_outside_the_window_builds_no_table():

@@ -1,5 +1,6 @@
 """Quadrature rules, Schur bounds, and kernel-power integrals."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,11 @@ from scipy.special import eval_genlaguerre, gammaln, roots_jacobi, roots_laguerr
 from berglab import spaces
 from berglab.coeffs import _factor_log_normalizers
 from berglab.operators import _scalar_translation
-from berglab.quadrature import (MatrixKernelSample, QuadratureRule, _radial_rule, ball_rule,
+from berglab.analysis import default_probe_grid
+from berglab.quadrature import (RF_TERM_CAP, MatrixKernelSample, QuadratureRule, _radial_rule, ball_rule,
                                 build_rule, discretized_norm, integrate_lambda,
-                                integrate_sigma, rudin_forelli, schur_test)
-from conftest import euclidean_ball, metric_ball_euclidean
+                                integrate_sigma, rudin_forelli, rule_orders, schur_test)
+from conftest import euclidean_ball, metric_ball_euclidean, rule_kernel_power_integrals
 
 
 def test_sigma_is_probability(all_spaces):
@@ -177,34 +179,77 @@ def test_schur_weight_can_tighten_bound():
 
 def test_kernel_power_integral_origin_value(disc):
     # r = s = 3, alpha = 0: the value at the base point is exactly 1/2
-    rule = build_rule(disc)
-    rep = rudin_forelli(disc, rule, [0.0], 3.0, 3.0)
+    rep = rudin_forelli(disc, [0.0], 3.0, 3.0)
     assert rep.I[0] == pytest.approx(0.5, abs=1e-10)
     assert rep.J[0] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_kernel_power_integral_invariance(disc):
     # for r = s the integral is invariant in z: the ratio J/I stays at 1
-    rule = build_rule(disc)
     zg = [0.0, 0.3, 0.5 * np.exp(1.1j), 0.65]
-    rep = rudin_forelli(disc, rule, zg, 3.0, 3.0)
+    rep = rudin_forelli(disc, zg, 3.0, 3.0)
     assert np.allclose(rep.I, rep.I[0], rtol=1e-10)
     assert np.allclose(rep.ratio, 1.0, atol=1e-10)
 
 
 def test_kernel_power_integral_fock(fock):
-    rule = build_rule(fock)
-    rep = rudin_forelli(fock, rule, [0.0, 0.8, 1.5], 2.0, 2.0)
+    rep = rudin_forelli(fock, [0.0, 0.8, 1.5], 2.0, 2.0)
     assert np.all(rep.I > 0)
     assert np.allclose(rep.I, rep.I[0], rtol=1e-8)
 
 
 def test_kernel_power_rejects_nonintegrable(disc):
-    rule = build_rule(disc)
     with pytest.raises(ValueError):
-        rudin_forelli(disc, rule, [0.0], 0.5, 0.5)
+        rudin_forelli(disc, [0.0], 0.5, 0.5)
     with pytest.raises(ValueError):
-        rudin_forelli(disc, rule, [0.0], -1.0, 2.0)
+        rudin_forelli(disc, [0.0], -1.0, 2.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5, 3.0])
+def test_kernel_power_series_matches_mpmath(alpha):
+    # both hypergeometric forms at 30 digits: J's 2F1(A, A; b; x), which the series sums, and
+    # I's (1-x)^(g s/2) 2F1(c, c; b; x), which Euler's transformation makes the same function
+    space = spaces.disc_space(alpha, d=1, r_max=0.9995)
+    x = np.array([0.0, 0.1, 0.3, 0.5, 0.81, 0.9, 0.95, 0.99, 0.998])
+    z = np.sqrt(x) * np.exp(0.7j)
+    g = 2.0 + alpha
+    for r, s in [(3.0, 3.0), (2.0, 1.0), (1.6, 0.5), (1.2, 3.0)]:
+        rep = rudin_forelli(space, z, r, s)
+        A, c, b = g * (r - s) / 4.0, g * (r + s) / 4.0, g * r / 2.0
+        with mpmath.workdps(30):
+            t = [mpmath.mpf(float(v)) for v in np.abs(z) ** 2]
+            J = [float((alpha + 1) * mpmath.hyp2f1(A, A, b, v) / (b - 1)) for v in t]
+            I = [float((alpha + 1) * (1 - v) ** (g * s / 2) * mpmath.hyp2f1(c, c, b, v) / (b - 1)) for v in t]
+        for ref in (J, I):
+            assert np.max(np.abs(rep.I / np.array(ref) - 1.0)) < 1e-14, (r, s)
+        assert rep.J is rep.I and np.array_equal(rep.ratio, np.ones(len(x)))
+
+
+def test_kernel_power_series_refuses_past_its_term_cap():
+    # at |z|^2 = 0.99998 the series needs about 2e6 terms: refused, never cut short
+    space = spaces.disc_space(0.0, d=1, r_max=0.999995)
+    assert rudin_forelli(space, [0.99], 2.0, 1.0).I[0] > 0
+    with pytest.raises(ValueError, match=f"more than {RF_TERM_CAP} terms"):
+        rudin_forelli(space, [0.0, 0.99999], 2.0, 1.0)
+
+
+@pytest.mark.parametrize("space, scales", [
+    (spaces.disc_space(0.0, d=1), (1, 2, 4)),
+    (spaces.disc_space(1.5, d=1), (1, 2, 4)),
+    (spaces.fock_space(d=1), (1, 2, 4)),
+    (spaces.bidisc_space(0.0, 0.5, d=1), (1, 2)),
+], ids=["disc", "disc-alpha1.5", "fock", "bidisc"])
+def test_rule_sum_converges_to_the_closed_form(space, scales):
+    # the rule-sum oracle on the default rule refined by each scale: its error at least halves
+    # with each refinement until rounding (1e-13); (1.6, 0.5) has a singular boundary factor
+    # (1 - |w|^2)^(-0.4) on the disc, so its error falls only algebraically
+    grid = default_probe_grid(space)
+    radial, angular = rule_orders(space)
+    for r, s in [(3.0, 3.0), (1.6, 0.5)]:
+        exact = rudin_forelli(space, grid, r, s).I
+        errors = np.array([[np.max(np.abs(v / exact - 1.0)) for v in rule_kernel_power_integrals(
+            space, build_rule(space, radial * k, angular * k), grid, r, s)] for k in scales])
+        assert np.all(errors[1:] <= np.maximum(errors[:-1] / 2.0, 1e-13)), (r, s, errors)
 
 
 @settings(deadline=None, max_examples=25)
