@@ -88,7 +88,7 @@ def axiom_checks(basis: BasisSpec, rule: QuadratureRule, z_grid: Sequence,
 
     record("sigma_probability", abs(integrate_sigma(rule, np.ones(rule.n_nodes)) - 1.0), 1e-12)
     record("basis_orthonormality",
-           np.abs(rule_gram(basis, rule) - np.eye(basis.n_scalar)).max(), 1e-10)
+           np.abs(rule_gram(basis, rule, np.ones(rule.n_nodes)) - np.eye(basis.n_scalar)).max(), 1e-10)
     z, w = rand_points(400), rand_points(400)
     zw = spaces.involution(space, z, w)
     record("involutivity", np.max(np.abs(spaces.involution(space, z, zw) - w)), 1e-12)

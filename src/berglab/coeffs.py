@@ -16,7 +16,7 @@ admissible probe point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -43,22 +43,26 @@ class BasisSpec:
         return self.n_scalar * self.space.d
 
 
-@lru_cache(maxsize=None)
+_log_normalizers: dict = {}   # (kind, alpha) -> the longest table built yet, read-only
+
+
 def _factor_log_normalizers(space1: SpaceSpec, n: int) -> np.ndarray:
-    """Read-only log c_m, m < n, on one factor: half the cumulative sum of the log
-    ratios c_k^2 / c_{k-1}^2 = 1 + (1+alpha)/k on a disc, 1/k on the Fock space.
-    Memoized, as every Toeplitz assembly and basis evaluation asks for the same tables."""
+    """Read-only log c_m, m < n, on one factor: half the cumulative sum of the log ratios c_k^2 / c_{k-1}^2
+    = 1 + (1+alpha)/k on a disc, 1/k on the Fock space.  A prefix of the one table kept per (kind, alpha),
+    rebuilt only for a longer n (a prefix is the shorter table bit for bit): every assembly asks for one."""
     if space1.kind not in (KIND_DISC, KIND_FOCK):
         raise ValueError(space1.kind)
-    k = np.arange(1.0, n)
-    steps = np.log1p((1.0 + space1.alpha) / k) if space1.kind == KIND_DISC else -np.log(k)
-    total = np.cumsum(steps)
-    # TwoSum: add back each partial sum's rounding error (log m! ~ 500 at m = 128)
-    added = total[1:] - total[:-1]
-    total[1:] += np.cumsum((total[:-1] - (total[1:] - added)) + (steps[1:] - added))
-    logc = np.concatenate(([0.0], 0.5 * total))
-    logc.setflags(write=False)
-    return logc
+    if len(logc := _log_normalizers.get((space1.kind, space1.alpha), ())) < n:
+        k = np.arange(1.0, n)
+        steps = np.log1p((1.0 + space1.alpha) / k) if space1.kind == KIND_DISC else -np.log(k)
+        total = np.cumsum(steps)
+        # TwoSum: add back each partial sum's rounding error (log m! ~ 500 at m = 128)
+        added = total[1:] - total[:-1]
+        total[1:] += np.cumsum((total[:-1] - (total[1:] - added)) + (steps[1:] - added))
+        logc = np.concatenate(([0.0], 0.5 * total))
+        logc.setflags(write=False)
+        _log_normalizers[space1.kind, space1.alpha] = logc
+    return logc[:n]
 
 
 def basis_normalizer(basis: BasisSpec) -> np.ndarray:
@@ -116,17 +120,19 @@ def eval_coeffs(f: CoeffFunction, points) -> np.ndarray:
 
 
 def factor_samples(basis: BasisSpec, rule: QuadratureRule) -> list:
-    """e_m on each factor rule: (n_modes, n_factor_nodes) per pair of basis.space.factors and
-    rule.factors.  The one place the basis meets a rule: no basis matrix on product nodes."""
+    """e_m on each factor rule: (n_modes, n_factor_nodes) per pair of basis.space.factors and rule.factors.
+    The one place the basis meets a rule (`rule_gram`, `rule_samples`, the localization plan's cores)."""
     return [_factor_basis_matrix(f, basis.n_modes, fr.nodes)
             for f, fr in zip(basis.space.factors, rule.factors)]
 
 
-def rule_gram(basis: BasisSpec, rule: QuadratureRule) -> np.ndarray:
-    """Gram <e_n, e_m> of the basis on the rule: the Kronecker product of the factor Grams
-    sum_u conj(e_m(u)) w_u e_n(u), since a product rule is the tensor mesh of its factors."""
-    return spaces.kron([(E.conj() * fr.sigma_weights) @ E.T
-                        for E, fr in zip(factor_samples(basis, rule), rule.factors)])
+def rule_gram(basis: BasisSpec, rule: QuadratureRule, W) -> np.ndarray:
+    """Grams sum_u w_u W[..., u] conj(e_m(u)) e_k(u), (..., n_nodes) -> (..., m, k); W = 1 gives <e_k, e_m>.
+    One factor of the tensor mesh at a time, last first: (conj(E) w) * W @ E.T, E its `factor_samples`."""
+    X = np.asarray(W).reshape((-1,) + tuple(fr.n_nodes for fr in rule.factors))
+    for j, (E, fr) in enumerate(zip(factor_samples(basis, rule)[::-1], rule.factors[::-1]), 1):
+        X = np.moveaxis((E.conj() * fr.sigma_weights * X[..., None, :]) @ E.T, (-2, -1), (1, 1 + j))
+    return X.reshape(np.shape(W)[:-1] + (basis.n_scalar,) * 2)   # X: (e, m_1, .., m_F, k_1, .., k_F)
 
 
 def _kron_rows(mats, Y: np.ndarray) -> np.ndarray:

@@ -223,9 +223,9 @@ def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = 
     if not all(np.all(m[i, np.arange(i.size)]) for m, i in zip(factor_member, factor_index)):
         raise AssertionError("enlargement must contain its own cell")
     shape = [len(c) for c in factor_cells]
-    keys, index = _first_seen(np.ravel_multi_index(np.ix_(*factor_index), shape).ravel())
-    # a cell is the product of its factor cells: on one factor, that factor cell
-    picks = np.stack(np.unravel_index(keys, shape), axis=1)
+    # factor cells go by first node and all their products hold nodes: lexicographic is first-node order
+    index = np.ravel_multi_index(np.ix_(*factor_index), shape).ravel()
+    picks = np.indices(shape).reshape(len(shape), -1).T   # a cell is the product of its factor cells
     cells = [reduce(lambda a, b: {"kind": "product", "factor1": a, "factor2": b},
                     [c[a] for c, a in zip(factor_cells, pick)]) for pick in picks.tolist()]
     return Covering(space, float(r), rule, cells, index, picks, factor_index, factor_member)

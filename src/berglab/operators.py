@@ -12,7 +12,7 @@ diagonal, with no quadrature rule and no dense block.  So is a ball part: a
 ball is phi_a(D(0, s)), and T[F o phi_a] = U_a T[F] U_a (Zhu, Operator Theory
 in Function Spaces, 2nd ed., 2007, 7.1) gives T[1_ball] = U_a diag(D) U_a, D_j
 the share of mode j's mass inside D(0, s).  Other smooth symbols (pullbacks,
-user-supplied functions) are sampled on the global rule.
+user-supplied functions) weight the basis Gram on a rule (`coeffs.rule_gram`).
 
 Translation operators U_z f = (f o phi_z) k_z are compressions of unitaries
 with closed-form entries, so no quadrature rule enters: on each factor,
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import spaces
 from .coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers,
-                     basis_normalizer, scalar_basis_matrix)
+                     basis_normalizer, rule_gram, scalar_basis_matrix)
 from .quadrature import QuadratureRule
 from .spaces import KIND_DISC, KIND_FOCK, SpaceSpec
 
@@ -270,10 +270,10 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
     The parts of a symbol add up.  Polynomial terms (symbol.poly) are assembled exactly
     from monomial moments, and each ball part B(a, radius) as (U diag(D) U^H) (x) value,
     U the N x K block of U_a and D the shares of `_ball_shares`; neither reads the rule,
-    which may then be None.  A smooth part is sampled on the rule, one GEMM per nonzero
-    (i, k) entry; it is exact whenever radial exactness (degree in t up to
-    2*radial_order - 1) and angular separation (frequency spread less than angular_order)
-    hold, and needs a rule for the basis's measure (ValueError on None or another one).
+    which may then be None.  A smooth part's nonzero (i, k) entries, sampled on the rule, weight one
+    `rule_gram` stack; it is exact whenever radial exactness (degree in t up to 2*radial_order - 1) and
+    angular separation (frequency spread less than angular_order) hold, and needs a rule for the basis's
+    measure on every factor (ValueError on None, another one or a product rule without its factor rules).
     """
     d = basis.space.d
     n = basis.n_scalar
@@ -282,15 +282,12 @@ def toeplitz_matrix(basis: BasisSpec, rule: QuadratureRule, symbol: MatrixSymbol
     if symbol.poly is not None:
         np.add.at(T4, *_poly_scatter(basis, symbol.poly))   # unbuffered: terms add up in order
     if symbol.smooth is not None:
-        if rule is None or (rule.space.kind, rule.space.alphas) != (basis.space.kind, basis.space.alphas):
+        if rule is None or [(fr.space.kind, fr.space.alpha) for fr in rule.factors] != [
+                (f.kind, f.alpha) for f in basis.space.factors]:
             raise ValueError("a smooth symbol needs a rule for the basis's measure")
         vals = symbol.smooth(rule.nodes)
-        E = scalar_basis_matrix(basis, rule.nodes)
-        Ew = E.conj() * rule.sigma_weights[None, :]
-        for i in range(d):
-            for k in range(d):
-                if np.any(vals[:, i, k]):
-                    T4[:, i, :, k] += (Ew * vals[None, :, i, k]) @ E.T
+        i, k = np.nonzero(np.any(vals, axis=0))   # identically zero entries add nothing
+        T4[:, i, :, k] += rule_gram(basis, rule, vals[:, i, k].T)
     for b in symbol.balls:
         D = _ball_shares(basis.space, b.radius)
         W = _scalar_translation(basis.space, basis.n_modes, b.center, D.size) * np.sqrt(D)  # W W^H = U D U^H

@@ -6,7 +6,7 @@ import pytest
 from berglab import spaces
 from berglab.analysis import _lp_norm, _probe_grid
 from berglab.coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers, basis_normalizer,
-                            eval_coeffs, kernel_coeff_vector, scalar_basis_matrix)
+                            eval_coeffs, factor_samples, kernel_coeff_vector, scalar_basis_matrix)
 from berglab.covering import _localization_plan
 from berglab.operators import (OperatorMatrix, PointMassMeasure, poly_symbol, toeplitz_measure_matrix,
                                translation_certificate, translation_matrix)
@@ -249,6 +249,28 @@ def dense_rule_inner(basis, rule, samples):
 def dense_rule_gram(basis, rule):
     """Oracle for rule_gram: the Gram <e_n, e_m> of the basis summed over every rule node."""
     return dense_rule_inner(basis, rule, scalar_basis_matrix(basis, rule.nodes).T)
+
+
+def kron_rule_gram(basis, rule):
+    """Oracle for the unit-weight rule_gram: the Kronecker product of the factor Grams
+    sum_u conj(e_m(u)) w_u e_n(u), as a product rule is the tensor mesh of its factors."""
+    return spaces.kron([(E.conj() * fr.sigma_weights) @ E.T
+                        for E, fr in zip(factor_samples(basis, rule), rule.factors)])
+
+
+def loop_smooth_toeplitz(basis, rule, smooth):
+    """Oracle for a smooth part's Toeplitz matrix: the basis matrix on every rule node (on a
+    product rule, its product nodes) and one GEMM per (i, k) entry not identically zero."""
+    d, n = basis.space.d, basis.n_scalar
+    T4 = np.zeros((n, d, n, d), dtype=complex)
+    vals = smooth(rule.nodes)
+    E = scalar_basis_matrix(basis, rule.nodes)
+    Ew = E.conj() * rule.sigma_weights[None, :]
+    for i in range(d):
+        for k in range(d):
+            if np.any(vals[:, i, k]):
+                T4[:, i, :, k] += (Ew * vals[None, :, i, k]) @ E.T
+    return T4.reshape(basis.dim, basis.dim)
 
 
 def project_grid_function(basis, rule, samples):

@@ -39,7 +39,7 @@ def test_factor_wise_rule_sums_match_the_product_node_oracle(all_spaces):
     for sp in all_spaces:
         basis = BasisSpec(sp, 6 if sp.kind == spaces.KIND_BIDISC else 16)
         rule = build_rule(sp)
-        G, ref = rule_gram(basis, rule), dense_rule_gram(basis, rule)
+        G, ref = rule_gram(basis, rule, np.ones(rule.n_nodes)), dense_rule_gram(basis, rule)
         assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
         if sp.nfactors == 1:
             assert np.array_equal(G, ref)

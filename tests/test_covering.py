@@ -160,6 +160,16 @@ def test_cells_are_numbered_by_their_first_node(disc, disc_rule, fock, fock_rule
             assert np.all(np.diff(first) > 0)
 
 
+def test_product_cells_pair_each_node_with_its_factor_cells(bidisc, bidisc_rule):
+    # every product of factor cells is a cell, once, in lexicographic (= first-node) order
+    for r in RADII:
+        c = build_covering(bidisc, r, bidisc_rule)
+        node_cells = np.stack(np.meshgrid(*c.factor_index, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert np.array_equal(c.pick[c.cell_index], node_cells)
+        assert np.array_equal(np.unique(c.pick, axis=0), c.pick)
+        assert c.n_cells == np.prod([len(m) for m in c.factor_enlargement]) == len(c.cells)
+
+
 def _ref_halfwidth(step, rho):
     if rho <= 1e-12:
         return np.pi

@@ -1,6 +1,7 @@
 """Toeplitz, Hankel, translation, and rank-one operator assembly."""
 
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berglab import operators, spaces
-from berglab.coeffs import (BasisSpec, CoeffFunction, eval_coeffs,
+from berglab import coeffs, operators, spaces
+from berglab.analysis import axiom_checks
+from berglab.coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers, eval_coeffs,
                             kernel_coeff_vector, rule_gram,
                             random_coeff_function, random_polynomial,
                             scalar_basis_matrix)
@@ -23,10 +25,10 @@ from berglab.operators import (POLY_POWER_CAP, MatrixSymbol, PointMassMeasure,
                                toeplitz_measure_matrix,
                                translation_certificate, translation_matrix)
 from berglab.operators import _scalar_translation
-from berglab.quadrature import ball_rule, build_rule
+from berglab.quadrature import QuadratureRule, ball_rule, build_rule
 from conftest import (certified_projector, compile_poly, dense_poly_toeplitz, dense_rank_one_toeplitz_sum,
-                      fft_disc_translation, hankel_apply, metric_ball_euclidean, sample_points,
-                      sup_norm)
+                      dense_rule_gram, fft_disc_translation, hankel_apply, kron_rule_gram,
+                      loop_smooth_toeplitz, metric_ball_euclidean, sample_points, sup_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +232,8 @@ def _region_rule_oracle(basis, ball):
     """T[1_ball] for a Euclidean disc (center, radius), integrated on its own region rule at the
     orders toeplitz_matrix once used; exact only where sigma's density is constant (alpha = 0)."""
     N = basis.n_modes
-    return rule_gram(basis, ball_rule(basis.space, *ball, radial_order=max(40, N + 8),
-                                      angular_order=max(64, 2 * N + 8)))
+    rule = ball_rule(basis.space, *ball, radial_order=max(40, N + 8), angular_order=max(64, 2 * N + 8))
+    return rule_gram(basis, rule, np.ones(rule.n_nodes))
 
 
 @pytest.mark.parametrize("n_modes", [8, 24, 96])
@@ -317,8 +319,8 @@ def test_bidisc_constant_and_shift(bidisc_basis, bidisc_rule):
     assert abs(T4[0, 1, 0, 0, 0, 0]) < 1e-10
 
 
-# Reference for the exact polynomial path and the per-entry GEMM path: every
-# smooth symbol sampled on the rule and contracted in one 4-index einsum.
+# Reference for the exact polynomial path and the smooth path: every symbol
+# sampled on the rule and contracted in one 4-index einsum.
 
 def _einsum_toeplitz(basis, rule, symbol):
     vals = symbol.eval(rule.nodes)
@@ -460,6 +462,97 @@ def test_pullback_toeplitz_matches_einsum_oracle(label, z):
     assert np.abs(T - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def _sparse_pullback(space, seed, z):
+    """A pullback whose entries (0, 1) and, for d > 2, (2, 0) and (1, 2) are identically zero."""
+    entries = _random_poly_entries(space, np.random.default_rng(seed), max_power=2)
+    for key in ((0, 1), (2, 0), (1, 2)):
+        entries.pop(key, None)
+    return pullback_symbol(poly_symbol(space, entries), z)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("space, z", [(spaces.disc_space(0.0), 0.4 * np.exp(0.7j)),
+                                      (spaces.disc_space(1.5), -0.3j), (spaces.fock_space(), 1.2 - 0.5j)],
+                         ids=["disc", "disc1.5", "fock"])
+def test_one_factor_smooth_part_and_gram_match_the_loop_oracles_bit_for_bit(space, z, d):
+    space = replace(space, d=d)
+    basis, rule = BasisSpec(space, 12), build_rule(space)
+    sym = _sparse_pullback(space, 3 + d, z)
+    T = toeplitz_matrix(basis, rule, sym).mat
+    assert np.array_equal(T, loop_smooth_toeplitz(basis, rule, sym.smooth))
+    if d > 1:   # the zero entries stay zero
+        assert not T.reshape(12, d, 12, d)[:, 0, :, 1].any()
+    assert np.array_equal(rule_gram(basis, rule, np.ones(rule.n_nodes)), kron_rule_gram(basis, rule))
+
+
+@pytest.mark.parametrize("n_modes", [4, 6, 8])
+def test_bidisc_smooth_part_and_gram_match_the_product_node_oracles(n_modes):
+    space = spaces.bidisc_space(0.0, 0.5, d=2)
+    basis, rule = BasisSpec(space, n_modes), build_rule(space, 8, 12)   # 96 nodes per factor
+    sym = _sparse_pullback(space, n_modes, np.array([0.3, -0.2j]))
+    T, ref = toeplitz_matrix(basis, rule, sym).mat, _einsum_toeplitz(basis, rule, sym)
+    assert np.abs(T - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert not T.reshape(basis.n_scalar, 2, basis.n_scalar, 2)[:, 0, :, 1].any()
+    G, W = rule_gram(basis, rule, np.ones(rule.n_nodes)), dense_rule_gram(basis, rule)
+    assert np.abs(G - W).max() <= 1e-13 * np.abs(W).max()
+    assert np.abs(G - kron_rule_gram(basis, rule)).max() <= 1e-13
+
+
+def test_assembly_and_axiom_checks_form_no_basis_matrix_on_the_rule(monkeypatch):
+    # the basis meets a rule only through rule_gram's factor samples
+    def refuse(*args):
+        raise AssertionError("a basis matrix on the rule")
+    monkeypatch.setattr(coeffs, "scalar_basis_matrix", refuse)
+    monkeypatch.setattr(operators, "scalar_basis_matrix", refuse)
+    for space, z in ((spaces.disc_space(0.5, d=2), 0.3j), (spaces.fock_space(d=2), 0.8),
+                     (spaces.bidisc_space(0.0, 0.5, d=2), np.array([0.3, 0.2j]))):
+        basis, rule = BasisSpec(space, 4 if space.nfactors > 1 else 10), build_rule(space)
+        poly = poly_symbol(space, _random_poly_entries(space, np.random.default_rng(1)))
+        symbols = [poly, pullback_symbol(poly, z)]
+        if space.nfactors == 1:
+            symbols.append(ball_indicator_symbol(space, 0.2, 0.3, np.eye(2)))
+        for sym in symbols:
+            assert np.all(np.isfinite(toeplitz_matrix(basis, rule, sym).mat))
+        assert all(c["pass"] for c in axiom_checks(basis, rule, [z], seed=0))
+
+
+def test_smooth_assembly_forms_no_product_node_basis_matrix():
+    # at bidisc n = 8 that matrix alone (n_nodes x n_scalar complex) takes 37.7 MB
+    space = spaces.bidisc_space(0.0, 0.5, d=2)
+    basis, rule = BasisSpec(space, 8), build_rule(space)
+    sym = pullback_symbol(poly_symbol(space, _random_poly_entries(space, np.random.default_rng(2))),
+                          np.array([0.3, 0.2j]))
+    toeplitz_matrix(basis, rule, sym)   # warm: normalizer tables
+    tracemalloc.start()
+    try:
+        toeplitz_matrix(basis, rule, sym)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rule.n_nodes * basis.n_scalar * 16
+
+
+def test_normalizer_tables_keep_one_per_measure(monkeypatch):
+    # (a, a) terms near the power cap on discs of d = 1, 2, 3 ask for ever longer alpha = 0
+    # tables; each replaces the last, and shorter requests read its prefix
+    monkeypatch.setattr(coeffs, "_log_normalizers", {})
+    table = 8 * (8 + POLY_POWER_CAP)   # bytes of the longest
+    tracemalloc.start()
+    try:
+        for d, a in ((1, POLY_POWER_CAP - 2), (2, POLY_POWER_CAP - 1), (3, POLY_POWER_CAP)):
+            space = spaces.disc_space(0.0, d=d)
+            toeplitz_matrix(BasisSpec(space, 8), None, poly_symbol(space, {(0, 0): {(a, a): 1.0}}))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table <= retained < 1.25 * table
+    assert len(coeffs._log_normalizers) == 1
+    short = _factor_log_normalizers(spaces.disc_space(0.0, d=2), 100)
+    monkeypatch.setattr(coeffs, "_log_normalizers", {})
+    assert np.array_equal(short, _factor_log_normalizers(spaces.disc_space(0.0), 100))
+    assert not short.flags.writeable
+
+
 @pytest.mark.parametrize("label", list(_POLY_SPACES))
 def test_poly_eval_matches_the_compiled_oracle_bit_for_bit(label):
     # several terms in each entry, four of them on the main diagonal of one entry, conjugate
@@ -489,6 +582,12 @@ def test_smooth_toeplitz_rejects_a_rule_for_another_measure(disc, disc_weighted,
         assert np.abs(T.mat - np.eye(basis.dim)).max() < 1e-12
         with pytest.raises(ValueError):
             toeplitz_matrix(basis, build_rule(other, 6, 12), sym)
+    # a product rule without its one-factor rules cannot be read factor by factor
+    rule = build_rule(bidisc, 6, 12)
+    bare = QuadratureRule(bidisc, rule.nodes, rule.sigma_weights, 6, 12)
+    with pytest.raises(ValueError, match="one-factor rules"):
+        toeplitz_matrix(BasisSpec(bidisc, 4), bare, pullback_symbol(constant_symbol(bidisc, np.eye(2)),
+                                                                    np.array([0.3, 0.3])))
     # polynomial symbols use no rule, so any rule passes, even one of another d
     disc3 = spaces.disc_space(0.0, d=3)
     T = toeplitz_matrix(BasisSpec(disc3, 6), build_rule(fock, 6, 12),
