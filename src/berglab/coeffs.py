@@ -128,10 +128,17 @@ def factor_samples(basis: BasisSpec, rule: QuadratureRule) -> list:
 
 def rule_gram(basis: BasisSpec, rule: QuadratureRule, W) -> np.ndarray:
     """Grams sum_u w_u W[..., u] conj(e_m(u)) e_k(u), (..., n_nodes) -> (..., m, k); W = 1 gives <e_k, e_m>.
-    One factor of the tensor mesh at a time, last first: (conj(E) w) * W @ E.T, E its `factor_samples`."""
+    One factor of the tensor mesh at a time, last first: (conj(E) w) * W @ E.T, E its `factor_samples`;
+    each earlier one in one GEMM against its pair products conj(E[m, u]) w_u E[k, u], whose output is
+    the only temporary it needs (the first step's product is the larger one)."""
     X = np.asarray(W).reshape((-1,) + tuple(fr.n_nodes for fr in rule.factors))
     for j, (E, fr) in enumerate(zip(factor_samples(basis, rule)[::-1], rule.factors[::-1]), 1):
-        X = np.moveaxis((E.conj() * fr.sigma_weights * X[..., None, :]) @ E.T, (-2, -1), (1, 1 + j))
+        if j == 1:
+            X = (E.conj() * fr.sigma_weights * X[..., None, :]) @ E.T
+        else:
+            pairs = (E.conj()[:, None] * fr.sigma_weights * E).reshape(-1, fr.n_nodes)
+            X = (X.reshape(-1, fr.n_nodes) @ pairs.T).reshape(X.shape[:-1] + (len(E),) * 2)
+        X = np.moveaxis(X, (-2, -1), (1, 1 + j))
     return X.reshape(np.shape(W)[:-1] + (basis.n_scalar,) * 2)   # X: (e, m_1, .., m_F, k_1, .., k_F)
 
 

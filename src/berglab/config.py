@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
@@ -285,4 +286,7 @@ def load_config(path: Optional[str]) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {exc}", path=str(path)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", path=str(path)) from exc
-    return config_from_dict(raw)
+    cfg = config_from_dict(raw)
+    if cfg.schur_kernel_file is not None:     # relative to the config file; an absolute path stays
+        cfg.schur_kernel_file = os.path.join(os.path.dirname(path), cfg.schur_kernel_file)
+    return cfg

@@ -27,7 +27,9 @@ the angle, and pseudo-hyperbolic discs are Euclidean discs, so along a radial
 segment it peaks at an end: a disc cell's diameter is over its end rings x its
 angle pairs of widest wrapped index gap; a Fock square's is found by a
 pivot-pruned search (`_diameter`).  The localization plan (factor cells' Grams and
-core factors, stacked, and the cells' chunks) is built once per basis and kept.
+core factors, stacked, and the cells' factor places, grouped by core row counts) is built
+once per basis and kept.  A call cuts each group into chunks of max(256, 4 dim) rows of
+dim entries, so its working memory is a fixed multiple of dim^2 at any dim.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .spaces import KIND_DISC, SpaceSpec
 
 _TWO_PI = 2.0 * np.pi
 _SLACK = 1e-6       # far above the metric rounding (under 1e-13) that _diameter must absorb
-_CHUNK_ROWS = 4096  # rows (of T.dim entries) of a chunk's first product in localization_error
 
 
 def _diameter(space1: SpaceSpec, pts: np.ndarray) -> float:
@@ -250,16 +251,19 @@ def _disc_grams(rule: QuadratureRule, member: np.ndarray, n: int, order: np.ndar
 
 
 def _localization_plan(covering: Covering, basis: BasisSpec) -> tuple:
-    """(factors, chunks): what `localization_error` needs of the covering and a basis alone.
+    """(factors, groups): what `localization_error` needs of the covering and a basis alone.
 
     factors[k] = (stacks, q, pos) for factor k, whose cell a has q[a] = min(nodes, n) core rows.
     stacks[v] = (G, R) holds the cells of v core rows, by first node: G their enlargement Grams
     conj(S) S^T (S the sigma-weighted `factor_samples`; `_disc_grams` on a disc), R their core
     samples or, past n nodes, their QR factors.  pos[a] is cell a's place in its stack.
 
-    A chunk is (Gs, Rs, first, at, cols): the stacks of its cells' row counts, its first-factor
-    cells' places (a run, so a slice), each cell's slot among them (None if all differ) and the
-    later factors' places of its cells.  Places are kept in the smallest unsigned type."""
+    A group is (Gs, Rs, step, places) for the cells of one tuple of core row counts, in
+    first-factor order: the stacks of those row counts, the cells per chunk and, per factor,
+    each cell's place in its stack, in the smallest unsigned type.  A chunk of `step` cells
+    has a first product of at most max(256, 4 dim) rows of dim entries (q_1 dim / n per cell):
+    4 dim rows spread its (2 dim)^2 Gram update, 256 rows its fixed cost.  Chunks are cut as
+    slices of the places at call time, so the plan does not grow with their number."""
     if basis in covering.blocks:
         return covering.blocks[basis]
     n = basis.n_modes
@@ -297,20 +301,15 @@ def _localization_plan(covering: Covering, basis: BasisSpec) -> tuple:
     # the cells grouped by their core factors' row counts, each group in first-factor order
     rows = np.stack([q[a] for (_, q, _), a in zip(factors, covering.pick.T)], axis=1)
     order = np.lexsort((covering.pick[:, 0], *rows.T[::-1]))
-    chunks = []
+    budget = max(256, 4 * basis.dim)
+    groups = []
     for group in np.split(order, np.flatnonzero(np.diff(rows[order], axis=0).any(axis=1)) + 1):
         shape = rows[group[0]].tolist()
         Gs, Rs = zip(*(stacks[v] for (stacks, _, _), v in zip(factors, shape)))
-        step = max(1, _CHUNK_ROWS * n // (shape[0] * basis.n_scalar * basis.space.d))
-        for p in np.split(covering.pick[group], range(step, group.size, step)):
-            at = np.cumsum(np.diff(p[:, 0], prepend=p[0, 0]) > 0)     # p[:, 0] ascends
-            start = int(factors[0][2][p[0, 0]])       # on the tensor mesh, a run of cells
-            first = slice(start, start + int(at[-1]) + 1)
-            at = None if at[-1] + 1 == len(p) else at.astype(small)
-            cols = [pos[a] for (_, _, pos), a in zip(factors[1:], p.T[1:])]
-            chunks.append((Gs, Rs, first, at, cols))
-    covering.blocks[basis] = factors, chunks
-    return factors, chunks
+        places = [pos[a] for (_, _, pos), a in zip(factors, covering.pick[group].T)]
+        groups.append((Gs, Rs, max(1, budget * n // (shape[0] * basis.dim)), places))
+    covering.blocks[basis] = factors, groups
+    return factors, groups
 
 
 def _kron_cols(X: np.ndarray, mats) -> np.ndarray:
@@ -334,9 +333,10 @@ def localization_error(T: OperatorMatrix, covering: Covering) -> float:
 
     On the tensor mesh (the same assumption as `Covering.cell_diameters`) the cell j = (a_1, ...,
     a_k) has G_j = kron of its factor cells' enlargement Grams and Q = kron of their core factors,
-    stacked by the plan the covering keeps per basis (`_localization_plan`) for chunks of at most
-    _CHUNK_ROWS rows of cells of equal core row counts.  A call does per chunk one matmul per factor
-    axis, (Q_{a_1} x I) T once per first-factor cell and one Gram update of [Re res | Im res].
+    stacked by the plan the covering keeps per basis (`_localization_plan`), whose groups of cells
+    of equal core row counts are cut here into chunks of max(256, 4 dim) first-product rows, so
+    the working memory is a few such chunks at any dim.  A call does per chunk one matmul per
+    factor axis, (Q_{a_1} x I) T once per first-factor cell and one Gram update of [Re res | Im res].
     """
     if T.basis.space != covering.space:
         raise ValueError("the operator and the covering are on different spaces")
@@ -344,15 +344,18 @@ def localization_error(T: OperatorMatrix, covering: Covering) -> float:
     # columns as (component, mode): G_j x I_d acts on the last axis, M is permuted alike
     Tp = T.mat.reshape(n_scalar, d, n_scalar, d).transpose(0, 1, 3, 2).reshape(n, -1)
     P = np.zeros((2 * dim, 2 * dim))
-    for (G0, *G), (R0, *R), first, at, cols in _localization_plan(covering, T.basis)[1]:
-        Y = R0[first].reshape(-1, n) @ Tp
-        Y = Y.reshape(-1, R0.shape[1], n_scalar // n, d * dim).swapaxes(1, 2)
-        G0 = G0[first]
-        if at is not None:                               # cells sharing a first-factor cell
-            G0, Y = G0[at], Y[at]
-        Y = _kron_rows([Rk[c] for Rk, c in zip(R, cols)], Y).reshape(len(Y), -1, n_scalar)
-        Y -= _kron_cols(Y, [G0] + [Gk[c] for Gk, c in zip(G, cols)])
-        A = Y.reshape(-1, dim).view(np.float64)          # the residual's Re and Im columns
-        P += A.T @ A
+    for (G0, *G), (R0, *R), step, (first, *later) in _localization_plan(covering, T.basis)[1]:
+        for s in range(0, len(first), step):
+            at, cols = first[s:s + step], [p[s:s + step] for p in later]
+            lo, hi = int(at[0]), int(at[-1]) + 1         # on the tensor mesh, a run of cells
+            Y = R0[lo:hi].reshape(-1, n) @ Tp
+            Y = Y.reshape(-1, R0.shape[1], n_scalar // n, d * dim).swapaxes(1, 2)
+            Gc = G0[lo:hi]
+            if hi - lo < len(at):                        # cells sharing a first-factor cell
+                Gc, Y = Gc[at - lo], Y[at - lo]
+            Y = _kron_rows([Rk[c] for Rk, c in zip(R, cols)], Y).reshape(len(Y), -1, n_scalar)
+            Y -= _kron_cols(Y, [Gc] + [Gk[c] for Gk, c in zip(G, cols)])
+            A = Y.reshape(-1, dim).view(np.float64)      # the residual's Re and Im columns
+            P += A.T @ A
     M = P[::2, ::2] + P[1::2, 1::2] + 1j * (P[::2, 1::2] - P[1::2, ::2])
     return float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))

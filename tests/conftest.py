@@ -258,6 +258,15 @@ def kron_rule_gram(basis, rule):
                         for E, fr in zip(factor_samples(basis, rule), rule.factors)])
 
 
+def stepwise_rule_gram(basis, rule, W):
+    """Oracle for rule_gram on a weight stack: every factor as its first step, (conj(E) w) * X @ E.T
+    batched over the other axes, which on the bidisc holds an (e, N, N, N, n_1) product."""
+    X = np.asarray(W).reshape((-1,) + tuple(fr.n_nodes for fr in rule.factors))
+    for j, (E, fr) in enumerate(zip(factor_samples(basis, rule)[::-1], rule.factors[::-1]), 1):
+        X = np.moveaxis((E.conj() * fr.sigma_weights * X[..., None, :]) @ E.T, (-2, -1), (1, 1 + j))
+    return X.reshape(np.shape(W)[:-1] + (basis.n_scalar,) * 2)
+
+
 def loop_smooth_toeplitz(basis, rule, smooth):
     """Oracle for a smooth part's Toeplitz matrix: the basis matrix on every rule node (on a
     product rule, its product nodes) and one GEMM per (i, k) entry not identically zero."""

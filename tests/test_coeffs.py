@@ -1,5 +1,7 @@
 """Orthonormal coefficient bases and truncated kernel vectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from berglab.coeffs import (BasisSpec, CoeffFunction, _factor_basis_matrix,
                             kernel_coeff_vector, random_coeff_function,
                             random_polynomial, rule_gram, rule_samples, scalar_basis_matrix)
 from berglab.quadrature import build_rule
-from conftest import dense_rule_gram, project_grid_function, sample_points
+from conftest import dense_rule_gram, project_grid_function, sample_points, stepwise_rule_gram
 
 
 @pytest.mark.parametrize("n", [1, 2, 24, 64, 128])
@@ -49,6 +51,26 @@ def test_factor_wise_rule_sums_match_the_product_node_oracle(all_spaces):
         assert got.shape == (3, rule.n_nodes, 4)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert np.abs(rule_samples(basis, rule, C[1]) - want[1]).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_bidisc_rule_gram_of_a_weight_stack_matches_the_stepwise_oracle_in_bounded_memory(bidisc,
+                                                                                          bidisc_rule):
+    # the earlier factor is one GEMM against its pair products: no (e, N, N, N, n_1) product
+    # (50 MB here), so the peak is the last factor's (e, n_1, N, n_2) step and its output
+    basis, rule = BasisSpec(bidisc, 16), bidisc_rule
+    rng = np.random.default_rng(9)
+    W = rng.standard_normal((4, rule.n_nodes)) + 1j * rng.standard_normal((4, rule.n_nodes))
+    tracemalloc.start()
+    try:
+        G = rule_gram(basis, rule, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref = stepwise_rule_gram(basis, rule, W)
+    assert G.shape == ref.shape == (4, basis.n_scalar, basis.n_scalar)
+    assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
+    n_1, n_2 = (fr.n_nodes for fr in rule.factors)
+    assert peak <= 1.25 * len(W) * n_1 * basis.n_modes * n_2 * 16
 
 
 def test_basis_dimensions(disc, bidisc):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from berglab import spaces
-from berglab.covering import (_CHUNK_ROWS, _diameter, _disc_cells, _localization_plan, build_covering,
+from berglab.covering import (_diameter, _disc_cells, _localization_plan, build_covering,
                               localization_error)
 from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_symbol,
                                identity_operator, poly_symbol, toeplitz_matrix)
-from berglab.coeffs import BasisSpec, factor_samples, scalar_basis_matrix
+from berglab.coeffs import BasisSpec, _kron_rows, factor_samples, scalar_basis_matrix
 from berglab.quadrature import QuadratureRule, ball_rule, build_rule
 from conftest import enlargement, per_cell_localization_error
 
@@ -351,9 +351,40 @@ def test_stacked_localization_matches_per_cell_oracle(disc_weighted, fock, fock_
             for (_, q, _), a in zip(_localization_plan(c, T.basis)[0], c.pick.T)]
     shapes, counts = np.unique(np.stack(rows, axis=1), axis=0, return_counts=True)
     assert len(shapes) >= 3
-    assert (counts * shapes.prod(axis=1) * bidisc.d).max() > _CHUNK_ROWS
+    # a group's first products: q_1 * dim / n rows of dim entries per cell
+    assert (counts * shapes[:, 0] * T.dim // T.basis.n_modes).max() > max(256, 4 * T.dim)
     # fewer first-factor cells than cells: chunks share first-factor products
     assert len(np.unique(c.pick[:, 0])) < c.n_cells
+
+
+def test_localization_chunks_follow_the_operator_dimension(disc, disc_rule, bidisc, bidisc_rule,
+                                                           monkeypatch):
+    # every chunk's first product, as handed to _kron_rows, holds at most max(256, 4 dim)
+    # rows of dim entries, and one call (plan already built) peaks at a few such products
+    for space, rule, n, n_cells in ((disc, disc_rule, 16, 257), (bidisc, bidisc_rule, 8, 1617)):
+        c = build_covering(space, 0.5, rule)
+        assert c.n_cells == n_cells
+        T = _random_operator(space, n, 7)
+        budget = max(256, 4 * T.dim)
+        ref = localization_error(T, c)
+        tracemalloc.start()
+        try:
+            assert localization_error(T, c) == ref
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * budget * T.dim * 16
+        seen = []
+
+        def kron_rows(mats, Y):
+            seen.append(Y.size // T.dim)
+            return _kron_rows(mats, Y)
+        monkeypatch.setattr("berglab.covering._kron_rows", kron_rows)
+        assert localization_error(T, c) == ref
+        monkeypatch.undo()
+        assert budget // 2 < max(seen) <= budget
+        q = _localization_plan(c, T.basis)[0][0][1]      # first-factor core rows, per factor cell
+        assert sum(seen) == q[c.pick[:, 0]].sum() * T.dim // n     # each cell in one chunk
 
 
 def test_localization_error_one_cell_bidisc_holds_no_grid_samples(bidisc, bidisc_rule):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -36,8 +37,22 @@ def test_script_runs_and_writes_csv(script, args, tmp_path):
                          ids=lambda path: path.name)
 def test_committed_config_loads_and_its_kernel_file_exists(path):
     cfg = load_config(str(path))
-    # kernel file paths are relative to the repository root, where the report-diff loop runs
-    assert cfg.schur_kernel_file is None or (SCRIPTS.parent / cfg.schur_kernel_file).is_file()
+    # a relative kernel file path is read against the config file's directory
+    kernel = cfg.raw.get("schur_kernel_file")
+    assert kernel is None or (not Path(kernel).is_absolute() and (path.parent / kernel).is_file())
+    assert cfg.schur_kernel_file is None or Path(cfg.schur_kernel_file) == path.parent / kernel
+
+
+def test_schur_reads_the_committed_kernel_file_from_any_working_directory(tmp_path):
+    src = str(SCRIPTS.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "berglab.cli", "schur", "--config",
+                           str(SCRIPTS / "configs" / "fock.json"), "--out", "out"],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out" / "schur.json").read_text())
+    assert report["config"]["schur_kernel_file"] == "kernels/fock_schur.json"
+    assert report["result"]["dominates"] is True
 
 
 def test_axiom_suite_reports_vacuous_translation_check_as_nan(tmp_path):
