@@ -3,8 +3,9 @@
 The axiom suite checks the identities of the model spaces; boundedness
 integrals probe sup_z of kernel-displaced L^p(sigma) quantities; the Berezin
 transform and conjugated-operator shells diagnose compactness at truncation.
-Every probe grid passes one gate, `spaces.probe_points` (non-empty, inside the
-admissible region); its U_z stack comes from the one fold of factor blocks,
+Every probe point passes one gate, `spaces.probe_points` (non-empty, inside the
+admissible region), and the default probe sets are cut to that region's radius
+(`_admissible`); a grid's U_z stack comes from the one fold of factor blocks,
 `operators._translations`, and the symbol checks sample all its pulled-back
 nodes at once.  All randomness is seeded.
 """
@@ -26,13 +27,17 @@ from .spaces import KIND_BIDISC, KIND_DISC, KIND_FOCK, SpaceSpec
 # ---------------------------------------------------------------------------
 # probe grids
 
+def _admissible(space: SpaceSpec, *radii: float) -> List[float]:
+    """Default probe radii cut to `spaces.probe_radius_max`, so that they pass the probe gate."""
+    top = spaces.probe_radius_max(space)
+    return [min(r, top) for r in radii]
+
+
 def default_probe_grid(space: SpaceSpec) -> List:
-    """Small z grid inside the admissible region, origin plus two rings (on the diagonal
-    of a product space, with the first factor's radii)."""
-    if space.factors[0].kind == KIND_DISC:
-        radii = [0.35, 0.6]
-    else:
-        radii = [0.8, min(1.8, space.fock_probe_radius)]
+    """Small z grid inside the admissible region, origin plus two rings of radii 0.35 and 0.6
+    (disc factors) or 0.8 and 1.8 (Fock), each cut to the admissible radius (`_admissible`);
+    on the diagonal of a product space, with the first factor's radii."""
+    radii = _admissible(space, *((0.35, 0.6) if space.factors[0].kind == KIND_DISC else (0.8, 1.8)))
     ang = [1.0 + 0.0j, np.exp(2j * np.pi / 3)]
     grid: List = [0.0 + 0.0j]
     for r in radii:
@@ -42,15 +47,17 @@ def default_probe_grid(space: SpaceSpec) -> List:
 
 def boundary_shells(space: SpaceSpec, radii: Optional[Sequence[float]] = None) -> List[List]:
     """Shells of three z values each, of increasing invariant distance from the origin
-    (diagonal on products)."""
+    (diagonal on products).  Default radii, cut to r_max (`_admissible`): 0.5, 0.65, 0.8 and 0.9
+    on the disc, and 0.5, 0.7, 0.85 and 1 times 0.8 on the bidisc; 0.4, 0.6, 0.8 and 1 times
+    fock_probe_radius on the Fock space."""
     if radii is None:
         if space.kind == KIND_DISC:
-            radii = [0.5, 0.65, 0.8, min(0.9, space.r_max)]
+            radii = _admissible(space, 0.5, 0.65, 0.8, 0.9)
         elif space.kind == KIND_FOCK:
             top = space.fock_probe_radius
             radii = [0.4 * top, 0.6 * top, 0.8 * top, top]
         else:
-            top = min(0.8, space.r_max)
+            top, = _admissible(space, 0.8)
             radii = [0.5 * top, 0.7 * top, 0.85 * top, top]
     angles = np.exp(2j * np.pi * np.arange(3) / 3)
     return [[spaces.point(space, [r * a] * space.nfactors) for a in angles] for r in radii]
@@ -277,13 +284,13 @@ def berezin_decay_profile(T: OperatorMatrix, radii: Optional[Sequence[float]] = 
                           threshold: float = 0.05) -> BerezinProfile:
     """The Berezin matrices of T at r e^(i theta) (on the diagonal of a product space) and,
     per radius, their largest entry modulus.  By default six radii run evenly from 0.15 top
-    to top, with top fock_probe_radius on the Fock space, min(0.85, r_max) on the bidisc and
-    min(0.9, r_max) on the disc, at eight equally spaced angles.  The profile is `decaying`
-    when its last three values fall strictly and the last lies below threshold."""
+    to top, with top fock_probe_radius on the Fock space, 0.85 on the bidisc and 0.9 on the disc,
+    cut to the admissible radius (`_admissible`), at eight equally spaced angles.  The profile is
+    `decaying` when its last three values fall strictly and the last lies below threshold."""
     space = T.basis.space
     if radii is None:
-        top = (space.fock_probe_radius if space.kind == KIND_FOCK
-               else min(0.85 if space.kind == KIND_BIDISC else 0.9, space.r_max))
+        top, = _admissible(space, {KIND_FOCK: space.fock_probe_radius,
+                                   KIND_BIDISC: 0.85}.get(space.kind, 0.9))
         radii = np.linspace(0.15 * top, top, 6)
     if angles is None:
         angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
@@ -372,10 +379,7 @@ class InjectivityReport:
 
 def _spiral_grid(space: SpaceSpec, n_points: int):
     golden = np.pi * (3.0 - np.sqrt(5.0))
-    if space.kind == KIND_FOCK:
-        top = min(2.0, space.fock_probe_radius)
-    else:
-        top = 0.7 * space.r_max
+    top, = _admissible(space, 2.0 if space.kind == KIND_FOCK else 0.7 * space.r_max)
     # further factors use a seeded scatter: coordinates tied to the same
     # spiral parameter satisfy algebraic relations (constant |z1|^2 + |z2|^2,
     # swapped mode pairs) that cost sample rank

@@ -121,19 +121,19 @@ def eval_coeffs(f: CoeffFunction, points) -> np.ndarray:
 
 def factor_samples(basis: BasisSpec, rule: QuadratureRule) -> list:
     """e_m on each factor rule: (n_modes, n_factor_nodes) per pair of basis.space.factors and rule.factors.
-    The one place the basis meets a rule (`rule_gram`, `rule_samples`, the localization plan's cores)."""
+    The one place the basis meets a rule (`rule_gram`, `rule_samples`, the localization plan)."""
     return [_factor_basis_matrix(f, basis.n_modes, fr.nodes)
             for f, fr in zip(basis.space.factors, rule.factors)]
 
 
 def rule_gram(basis: BasisSpec, rule: QuadratureRule, W) -> np.ndarray:
     """Grams sum_u w_u W[..., u] conj(e_m(u)) e_k(u), (..., n_nodes) -> (..., m, k); W = 1 gives <e_k, e_m>.
-    One factor of the tensor mesh at a time, last first: (conj(E) w) * W @ E.T, E its `factor_samples`;
-    each earlier one in one GEMM against its pair products conj(E[m, u]) w_u E[k, u], whose output is
-    the only temporary it needs (the first step's product is the larger one)."""
+    One factor of the tensor mesh at a time, last first, E its `factor_samples`: a one-factor rule as
+    (conj(E) w) * W @ E.T; on a product rule every factor in one GEMM against its pair products
+    conj(E[m, u]) w_u E[k, u], whose output is the only temporary it needs."""
     X = np.asarray(W).reshape((-1,) + tuple(fr.n_nodes for fr in rule.factors))
     for j, (E, fr) in enumerate(zip(factor_samples(basis, rule)[::-1], rule.factors[::-1]), 1):
-        if j == 1:
+        if len(rule.factors) == 1:
             X = (E.conj() * fr.sigma_weights * X[..., None, :]) @ E.T
         else:
             pairs = (E.conj()[:, None] * fr.sigma_weights * E).reshape(-1, fr.n_nodes)
@@ -163,11 +163,11 @@ def kernel_coeff_vector(basis: BasisSpec, z) -> np.ndarray:
     """Scalar coefficients of the normalized kernel direction at z: shape (n_scalar,)
     for one point, (n_scalar, n_points) for an array of points.
 
-    <K_z, e_m> = conj(e_m(z)).  The truncated vector is scaled to unit length,
-    so identity sandwiches stay exact regardless of the truncation slack at z;
-    the slack itself is available from spaces.relative_kernel_tail.
+    <K_z, e_m> = conj(e_m(z)), for z that passes the probe gate, `spaces.probe_points`.  The
+    truncated vector is scaled to unit length, so identity sandwiches stay exact regardless of
+    the truncation slack at z; the slack itself is available from spaces.relative_kernel_tail.
     """
-    spaces.check_probe_point(basis.space, z)
+    z = spaces.probe_points(basis.space, z, "z")
     v = np.conj(scalar_basis_matrix(basis, z))
     v = v / np.linalg.norm(v, axis=0)
     return v[:, 0] if np.ndim(spaces.coords(basis.space, z)[0]) == 0 else v

@@ -41,7 +41,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import spaces
-from .coeffs import BasisSpec, _factor_log_normalizers, _kron_rows, factor_samples
+from .coeffs import BasisSpec, _kron_rows, factor_samples
 from .operators import OperatorMatrix
 from .quadrature import QuadratureRule, build_rule
 from .spaces import KIND_DISC, SpaceSpec
@@ -235,19 +235,17 @@ def build_covering(space: SpaceSpec, r: float, rule: Optional[QuadratureRule] = 
 # ---------------------------------------------------------------------------
 # localization
 
-def _disc_grams(rule: QuadratureRule, member: np.ndarray, n: int, order: np.ndarray) -> np.ndarray:
-    """Disc enlargement Grams c_m c_k H_a[m + k] A_a[k - m], for the cells a in `order`, from ring
-    moments H_a[p] = sum of w rho^p (w a ring node's weight) and angle sums A_a[q] = sum of
-    e^(iq theta) = conj(A_a[-q])."""
-    na = rule.angular_order
+def _disc_grams(rule: QuadratureRule, S: np.ndarray, member: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Disc enlargement Grams conj(S) S^T (S the sigma-weighted `factor_samples`) for the cells a
+    in `order`: ring Grams, the sum over a's rings of s[m] s[k] (s = c_m rho^m sqrt(w), the ring's
+    real samples at angle 0), times angle sums A_a[k - m], A_a[q] = sum of e^(iq theta) = conj(A_a[-q])."""
+    na, n, mode = rule.angular_order, len(S), np.arange(len(S))
     on = member.reshape(len(member), rule.radial_order, na)   # rings x angles, so any() splits it
-    p = np.arange(2 * n - 1)
-    H = on.any(axis=2)[order] @ (rule.sigma_weights[::na, None] * rule.nodes[::na, None].real ** p)
-    A = on.any(axis=1)[order] @ np.exp(1j * _TWO_PI * (np.outer(np.arange(na), p[:n]) % na) / na)
+    s = S[:, ::na].real.T                                     # (rings, n)
+    R = on.any(axis=2)[order] @ (s[:, :, None] * s[:, None, :]).reshape(len(s), -1)
+    A = on.any(axis=1)[order] @ np.exp(1j * _TWO_PI * (np.outer(np.arange(na), mode) % na) / na)
     A = np.concatenate([A[:, :0:-1].conj(), A], axis=1)       # q = 1 - n .. n - 1
-    c, mode = np.exp(_factor_log_normalizers(rule.space, n)), np.arange(n)
-    plus, minus = mode[:, None] + mode, mode - mode[:, None] + n - 1    # m + k and k - m + n - 1
-    return np.outer(c, c) * H.take(plus, axis=1) * A.take(minus, axis=1)
+    return R.reshape(-1, n, n) * A.take(mode - mode[:, None] + n - 1, axis=1)   # A[k - m]
 
 
 def _localization_plan(covering: Covering, basis: BasisSpec) -> tuple:
@@ -276,7 +274,7 @@ def _localization_plan(covering: Covering, basis: BasisSpec) -> tuple:
         q = np.minimum(size, n)
         order = np.argsort(q, kind="stable")          # the cells by row count, then by first node
         if fr.space.kind == KIND_DISC:
-            G = _disc_grams(fr, member, n, order)
+            G = _disc_grams(fr, S, member, order)
         else:
             G = np.empty((order.size, n, n), dtype=complex)
             for i, a in enumerate(order):

@@ -163,24 +163,16 @@ def probe_radius_max(space: SpaceSpec) -> float:
     return space.fock_probe_radius if space.kind == KIND_FOCK else space.r_max
 
 
-def check_probe_point(space: SpaceSpec, z) -> None:
-    """Reject probe points outside the documented admissible region."""
-    r = np.max(point_radius(space, z))
-    lim = probe_radius_max(space)
-    if r > lim + 1e-12:
-        raise ValueError(
-            f"probe point with radius {float(r):.4f} outside admissible region "
-            f"(|z| <= {lim}) for {space.kind}"
-        )
-
-
 def probe_points(space: SpaceSpec, grid, name: str = "z_grid") -> np.ndarray:
-    """The gate of every probe grid: the grid as one point array, after refusing an empty
-    grid (ValueError naming it) and any point outside the admissible region."""
-    if not len(grid):
+    """The one gate of every probe point, a grid or a single point: the input as one point
+    array, after refusing (ValueError) an empty input, by name, and any point of radius above
+    `probe_radius_max`, by that radius."""
+    if not np.size(grid):
         raise ValueError(f"the probe grid {name} is empty")
-    points = as_points(space, grid)
-    check_probe_point(space, points)
+    points, lim = as_points(space, grid), probe_radius_max(space)
+    if (r := np.max(point_radius(space, points))) > lim + 1e-12:
+        raise ValueError(f"probe point with radius {float(r):.4f} outside admissible region "
+                         f"(|z| <= {lim}) for {space.kind}")
     return points
 
 

@@ -224,6 +224,21 @@ def per_cell_localization_error(T, covering):
     return float(np.sqrt(max(np.linalg.eigvalsh(M)[-1], 0.0)))
 
 
+def moment_disc_grams(rule, member, n, order):
+    """Oracle for covering._disc_grams: c_m c_k H_a[m + k] A_a[k - m] for the cells a in `order`,
+    from ring moments H_a[p] = sum of w rho^p (w a ring node's weight) and angle sums
+    A_a[q] = sum of e^(iq theta) = conj(A_a[-q])."""
+    na = rule.angular_order
+    on = member.reshape(len(member), rule.radial_order, na)
+    p = np.arange(2 * n - 1)
+    H = on.any(axis=2)[order] @ (rule.sigma_weights[::na, None] * rule.nodes[::na, None].real ** p)
+    A = on.any(axis=1)[order] @ np.exp(2j * np.pi * (np.outer(np.arange(na), p[:n]) % na) / na)
+    A = np.concatenate([A[:, :0:-1].conj(), A], axis=1)       # q = 1 - n .. n - 1
+    c, mode = np.exp(_factor_log_normalizers(rule.space, n)), np.arange(n)
+    plus, minus = mode[:, None] + mode, mode - mode[:, None] + n - 1    # m + k and k - m + n - 1
+    return np.outer(c, c) * H.take(plus, axis=1) * A.take(minus, axis=1)
+
+
 def rule_kernel_power_integrals(space, rule, z_grid, r, s):
     """Oracle for rudin_forelli: I(z) and J(z) summed over the rule's nodes against lambda,
     one probe point at a time, as arrays (I, J)."""
@@ -264,6 +279,21 @@ def stepwise_rule_gram(basis, rule, W):
     X = np.asarray(W).reshape((-1,) + tuple(fr.n_nodes for fr in rule.factors))
     for j, (E, fr) in enumerate(zip(factor_samples(basis, rule)[::-1], rule.factors[::-1]), 1):
         X = np.moveaxis((E.conj() * fr.sigma_weights * X[..., None, :]) @ E.T, (-2, -1), (1, 1 + j))
+    return X.reshape(np.shape(W)[:-1] + (basis.n_scalar,) * 2)
+
+
+def broadcast_last_rule_gram(basis, rule, W):
+    """Oracle for rule_gram on a product rule: the last factor as (conj(E) w) * X @ E.T, batched
+    over the other axes, which holds an (e, n_1, N, n_2) product, and each earlier factor in one
+    GEMM against its pair products conj(E[m, u]) w_u E[k, u]."""
+    X = np.asarray(W).reshape((-1,) + tuple(fr.n_nodes for fr in rule.factors))
+    for j, (E, fr) in enumerate(zip(factor_samples(basis, rule)[::-1], rule.factors[::-1]), 1):
+        if j == 1:
+            X = (E.conj() * fr.sigma_weights * X[..., None, :]) @ E.T
+        else:
+            pairs = (E.conj()[:, None] * fr.sigma_weights * E).reshape(-1, fr.n_nodes)
+            X = (X.reshape(-1, fr.n_nodes) @ pairs.T).reshape(X.shape[:-1] + (len(E),) * 2)
+        X = np.moveaxis(X, (-2, -1), (1, 1 + j))
     return X.reshape(np.shape(W)[:-1] + (basis.n_scalar,) * 2)
 
 

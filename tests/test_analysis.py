@@ -563,7 +563,38 @@ def test_injectivity_detects_degenerate_grid():
 def test_default_grids_are_admissible(disc2, fock_basis=None):
     for sp in (disc2, spaces.fock_space(d=2), spaces.bidisc_space(0.0, 0.5, d=2)):
         for z in default_probe_grid(sp):
-            spaces.check_probe_point(sp, z)
+            spaces.probe_points(sp, z)
         for shell in boundary_shells(sp):
             for z in shell:
-                spaces.check_probe_point(sp, z)
+                spaces.probe_points(sp, z)
+
+
+@pytest.mark.parametrize("sp", [spaces.disc_space(0.0, d=1, r_max=r) for r in (0.3, 0.5, 0.7)]
+                         + [spaces.bidisc_space(0.0, 0.5, d=1, r_max=r) for r in (0.3, 0.5, 0.7)]
+                         + [spaces.fock_space(d=1, fock_probe_radius=r) for r in (0.5, 1.0)],
+                         ids=lambda sp: f"{sp.kind}-{spaces.probe_radius_max(sp)}")
+def test_default_probe_sets_pass_the_gate_on_every_admissible_radius(sp):
+    # the default grid, shells and Berezin points are cut to the admissible radius, so each
+    # passes the one gate however small r_max or fock_probe_radius is
+    top = spaces.probe_radius_max(sp)
+    for grid in [default_probe_grid(sp), *boundary_shells(sp)]:
+        assert np.max(spaces.point_radius(sp, spaces.probe_points(sp, grid))) <= top
+    prof = berezin_decay_profile(identity_operator(BasisSpec(sp, 4)))
+    assert prof.radii.max() == top
+    np.testing.assert_allclose(prof.matrices, np.ones_like(prof.matrices), atol=1e-12)   # d = 1
+
+
+def test_default_probe_radii_are_unchanged_where_admissible(disc2):
+    # the cut leaves every default radius inside the admissible region as it was written
+    third = np.exp(2j * np.pi / 3)
+    cases = ((disc2, (0.35, 0.6), (0.5, 0.65, 0.8, 0.9), 0.9),
+             (spaces.disc_space(0.0, d=2, r_max=0.85), (0.35, 0.6), (0.5, 0.65, 0.8, 0.85), 0.85),
+             (spaces.fock_space(d=2), (0.8, 1.8), (0.4 * 3.0, 0.6 * 3.0, 0.8 * 3.0, 3.0), 3.0),
+             (spaces.bidisc_space(0.0, 0.5, d=2), (0.35, 0.6),
+              (0.5 * 0.8, 0.7 * 0.8, 0.85 * 0.8, 0.8), 0.85))
+    for sp, rings, shells, top in cases:
+        first = [spaces.coords(sp, z)[0] for z in default_probe_grid(sp)]
+        assert np.array_equal(first, [0.0] + [r * a for r in rings for a in (1.0, third)])
+        assert [spaces.coords(sp, shell[0])[0].real for shell in boundary_shells(sp)] == list(shells)
+        prof = berezin_decay_profile(identity_operator(BasisSpec(sp, 2)))
+        assert np.array_equal(prof.radii, np.linspace(0.15 * top, top, 6))

@@ -279,6 +279,25 @@ def test_verify_axioms_refuses_an_inadmissible_probe_grid(command, tmp_path, cap
         assert not out.exists()
 
 
+@pytest.mark.parametrize("space", [{"kind": "bergman_disc", "alpha": 0.0, "d": 1, "r_max": 0.5},
+                                   {"kind": "fock", "d": 1, "fock_probe_radius": 0.5}],
+                         ids=["disc", "fock"])
+def test_default_probe_sets_admit_a_small_probe_radius(space, tmp_path, capsys):
+    # every default probe set is cut to the admissible radius, so no command refuses a point
+    # the user never gave (0.6 and 0.8 exited 2 here), and each report is strict JSON
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"space": space, "n_modes": 8, "seed": 7}))
+
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+    for command in ("kernel", "rkt", "rf", "essnorm", "berezin", "verify-axioms"):
+        out = tmp_path / command
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code != 2, capsys.readouterr().err
+        text = (out / f"{command.replace('-', '_')}.json").read_text()
+        assert json.loads(text, parse_constant=refuse)["command"] == command
+
+
 def test_resolution_scale_changes_orders(config_path, tmp_path):
     # covering counts the nodes of its rule: 40 x 64 on the disc, and 60 x 96 at scale 1.5
     for scale, nodes in (("1", 40 * 64), ("1.5", 60 * 96)):

@@ -13,7 +13,8 @@ from berglab.coeffs import (BasisSpec, CoeffFunction, _factor_basis_matrix,
                             kernel_coeff_vector, random_coeff_function,
                             random_polynomial, rule_gram, rule_samples, scalar_basis_matrix)
 from berglab.quadrature import build_rule
-from conftest import dense_rule_gram, project_grid_function, sample_points, stepwise_rule_gram
+from conftest import (broadcast_last_rule_gram, dense_rule_gram, project_grid_function, sample_points,
+                      stepwise_rule_gram)
 
 
 @pytest.mark.parametrize("n", [1, 2, 24, 64, 128])
@@ -71,6 +72,32 @@ def test_bidisc_rule_gram_of_a_weight_stack_matches_the_stepwise_oracle_in_bound
     assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
     n_1, n_2 = (fr.n_nodes for fr in rule.factors)
     assert peak <= 1.25 * len(W) * n_1 * basis.n_modes * n_2 * 16
+
+
+@pytest.mark.parametrize("n_modes", [8, 16])
+def test_product_rule_gram_contracts_every_factor_by_its_pair_products(bidisc, bidisc_rule, disc,
+                                                                     disc_rule, n_modes):
+    # no step on a product rule forms the (e, n_1, N, n_2) broadcast product of the last factor
+    # (37.7 MB at N=16): the peak is the first GEMM's output, its contiguous copy, the second
+    # GEMM's output and the pair products
+    basis, rule = BasisSpec(bidisc, n_modes), bidisc_rule
+    rng = np.random.default_rng(9)
+    W = rng.standard_normal((4, rule.n_nodes)) + 1j * rng.standard_normal((4, rule.n_nodes))
+    tracemalloc.start()
+    try:
+        G = rule_gram(basis, rule, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref = broadcast_last_rule_gram(basis, rule, W)
+    assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
+    (n_1, n_2), N, e = (fr.n_nodes for fr in rule.factors), n_modes, len(W)
+    assert peak <= 1.25 * 16 * (2 * e * n_1 * N ** 2 + e * N ** 4 + N ** 2 * n_2)
+    assert peak <= 16 * e * n_1 * N * n_2 / 3
+    # a one-factor rule keeps the broadcast form bit for bit
+    W1 = rng.standard_normal((3, disc_rule.n_nodes))
+    assert np.array_equal(rule_gram(BasisSpec(disc, n_modes), disc_rule, W1),
+                          stepwise_rule_gram(BasisSpec(disc, n_modes), disc_rule, W1))
 
 
 def test_basis_dimensions(disc, bidisc):

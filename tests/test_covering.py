@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from berglab import spaces
-from berglab.covering import (_diameter, _disc_cells, _localization_plan, build_covering,
+from berglab.covering import (_diameter, _disc_cells, _disc_grams, _localization_plan, build_covering,
                               localization_error)
 from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_symbol,
                                identity_operator, poly_symbol, toeplitz_matrix)
 from berglab.coeffs import BasisSpec, _kron_rows, factor_samples, scalar_basis_matrix
 from berglab.quadrature import QuadratureRule, ball_rule, build_rule
-from conftest import enlargement, per_cell_localization_error
+from conftest import enlargement, moment_disc_grams, per_cell_localization_error
 
 RADII = (0.5, 1.0, 2.0, 4.0)
 
@@ -422,6 +422,22 @@ def test_localization_blocks_are_reused_bit_for_bit(disc, disc_rule, disc_weight
     # a disc covering holding a plan for n_modes 8 does not admit an operator on another space
     with pytest.raises(ValueError):
         localization_error(identity_operator(BasisSpec(disc_weighted, 8)), held[disc][1.0])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_disc_grams_from_the_factor_samples_match_the_ring_moment_oracle(alpha):
+    # the plan's disc Grams read the basis only through its factor samples (ring Grams of the
+    # samples at angle 0), and agree with the ring-moment formula c_m c_k H[m + k] A[k - m]
+    space = spaces.disc_space(alpha, d=1)
+    rule = build_rule(space)
+    for n, r in ((8, 0.5), (16, 0.5), (16, 1.0), (16, 2.0), (64, 0.5)):
+        c = build_covering(space, r, rule)
+        member = c.factor_enlargement[0]
+        order = np.argsort(np.minimum(np.bincount(c.factor_index[0]), n), kind="stable")
+        S = factor_samples(BasisSpec(space, n), rule)[0] * np.sqrt(rule.sigma_weights)
+        G, ref = _disc_grams(rule, S, member, order), moment_disc_grams(rule, member, n, order)
+        assert G.shape == ref.shape == (len(member), n, n)
+        assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max(), (n, r)
 
 
 def test_localization_plan_holds_each_factor_cells_blocks(disc, disc_rule, fock, fock_rule, bidisc,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berglab import spaces
+from berglab.coeffs import BasisSpec, kernel_coeff_vector
 from berglab.config import config_from_dict
 from berglab.quadrature import build_rule
 from conftest import sample_points
@@ -163,14 +164,35 @@ def test_kernel_tail_matches_series(disc, fock):
 
 
 def test_probe_gate_rejects_far_points(disc, fock, bidisc):
-    spaces.check_probe_point(disc, 0.85)
+    spaces.probe_points(disc, 0.85)
     with pytest.raises(ValueError):
-        spaces.check_probe_point(disc, 0.95)
-    spaces.check_probe_point(fock, 2.9)
+        spaces.probe_points(disc, 0.95)
+    spaces.probe_points(fock, 2.9)
     with pytest.raises(ValueError):
-        spaces.check_probe_point(fock, 3.5)
+        spaces.probe_points(fock, 3.5)
     with pytest.raises(ValueError):
-        spaces.check_probe_point(bidisc, np.array([0.5, 0.95]))
+        spaces.probe_points(bidisc, np.array([0.5, 0.95]))
+
+
+def test_probe_gate_admits_a_single_point_and_refuses_an_empty_input(disc, bidisc):
+    # one gate for grids and single points: a scalar passes as itself, an empty input is
+    # refused by name, as are points out of reach, by their radius
+    for z in (0.3, 0.3 + 0.1j, np.complex128(-0.2j)):
+        got = spaces.probe_points(disc, z)
+        assert got.shape == () and got == complex(z)
+    assert spaces.probe_points(bidisc, np.array([0.5, 0.2j])).shape == (2,)
+    for sp, empty in ((disc, []), (disc, np.zeros(0)), (bidisc, np.zeros((0, 2)))):
+        with pytest.raises(ValueError, match="the probe grid z_grid is empty"):
+            spaces.probe_points(sp, empty)
+    with pytest.raises(ValueError, match="radius 0.9500 outside admissible region"):
+        spaces.probe_points(disc, [0.1, 0.95j])
+    basis = BasisSpec(disc, 8)
+    with pytest.raises(ValueError, match="the probe grid z is empty"):
+        kernel_coeff_vector(basis, np.zeros(0, dtype=complex))
+    with pytest.raises(ValueError, match="radius 0.9500 outside admissible region"):
+        kernel_coeff_vector(basis, 0.95)
+    assert np.array_equal(kernel_coeff_vector(basis, 0.3),
+                          kernel_coeff_vector(basis, np.array([0.3]))[:, 0])
 
 
 def test_space_dict_round_trip(all_spaces):
