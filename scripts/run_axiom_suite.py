@@ -24,17 +24,19 @@ from berglab import (  # noqa: E402
     BasisSpec, axiom_checks, bidisc_space, build_rule, disc_space, fock_space, kernel_eval,
     random_coeff_function,
 )
+from berglab.analysis import probe_radii  # noqa: E402
 from berglab.coeffs import eval_coeffs, rule_samples  # noqa: E402
 from berglab.reporting import write_csv_atomic  # noqa: E402
-from berglab.spaces import point, probe_radius_max  # noqa: E402
+from berglab.spaces import point  # noqa: E402
 
 
 def reproducing_residual(basis, rule, seed):
-    """max |sum_u w_u f(u) conj(K_z(u)) - f(z)| over eight seeded points z, one product."""
+    """max |sum_u w_u f(u) conj(K_z(u)) - f(z)| over eight seeded points z within the reach
+    of axiom_checks' seeded points, one product."""
     space = basis.space
     rng = np.random.default_rng(seed)
     f = random_coeff_function(basis, rng)
-    lim = 0.8 * probe_radius_max(space)
+    lim, = probe_radii(space, "axiom")
     z = point(space, [lim * np.sqrt(rng.uniform(0, 1, 8)) * np.exp(2j * np.pi * rng.uniform(0, 1, 8))
                       for _ in space.factors])
     K = kernel_eval(space, z[:, None], rule.nodes[None])             # (point, node)

@@ -4,10 +4,9 @@ The axiom suite checks the identities of the model spaces; boundedness
 integrals probe sup_z of kernel-displaced L^p(sigma) quantities; the Berezin
 transform and conjugated-operator shells diagnose compactness at truncation.
 Every probe point passes one gate, `spaces.probe_points` (non-empty, inside the
-admissible region), and the default probe sets are cut to that region's radius
-(`_admissible`); a grid's U_z stack comes from the one fold of factor blocks,
-`operators._translations`, and the symbol checks sample all its pulled-back
-nodes at once.  All randomness is seeded.
+admissible region), and every default probe radius comes from `probe_radii`; a grid's
+U_z stack comes from the one fold of factor blocks, `operators._translations`, and the
+symbol checks sample all its pulled-back nodes at once.  All randomness is seeded.
 """
 
 from __future__ import annotations
@@ -21,44 +20,48 @@ from . import spaces
 from .coeffs import BasisSpec, kernel_coeff_vector, rule_gram, rule_samples
 from .operators import OperatorMatrix, _conjugate_blocks, _translations
 from .quadrature import QuadratureRule, integrate_lambda, integrate_sigma
-from .spaces import KIND_BIDISC, KIND_DISC, KIND_FOCK, SpaceSpec
+from .spaces import KIND_BIDISC, KIND_FOCK, SpaceSpec
 
 
 # ---------------------------------------------------------------------------
 # probe grids
 
-def _admissible(space: SpaceSpec, *radii: float) -> List[float]:
-    """Default probe radii cut to `spaces.probe_radius_max`, so that they pass the probe gate."""
+def probe_radii(space: SpaceSpec, role: str) -> List[float]:
+    """The increasing default radii of a probe role ("grid", "shells", "berezin", "spiral" or
+    "axiom"), each cut to top = `spaces.probe_radius_max`; where the cut makes two equal, radius
+    k of n sits instead at invariant distance (k/n) beta(top), beta = arctanh r on disc factors
+    and r on the plane, and the last at top itself."""
     top = spaces.probe_radius_max(space)
-    return [min(r, top) for r in radii]
+    fock, bidisc = space.kind == KIND_FOCK, space.kind == KIND_BIDISC
+    reach = min(top if fock else 0.85 if bidisc else 0.9, top)     # of the Berezin radii
+    written = np.linspace(0.15 * reach, reach, 6) if role == "berezin" else {
+        "grid": (0.8, 1.8) if fock else (0.35, 0.6),
+        "shells": ([f * top for f in (0.4, 0.6, 0.8, 1.0)] if fock else
+                   [f * min(0.8, top) for f in (0.5, 0.7, 0.85, 1.0)] if bidisc else
+                   (0.5, 0.65, 0.8, 0.9)),
+        "spiral": [2.0 if fock else 0.7 * space.r_max], "axiom": [0.8 * top]}[role]
+    radii = [float(min(r, top)) for r in written]
+    if len(set(radii)) < len(radii):
+        n = len(radii)
+        beta, radius = (float, float) if fock else (np.arctanh, np.tanh)   # beta = r on the plane
+        radii = [float(radius(k / n * beta(top))) for k in range(1, n)] + [top]
+    return radii
 
 
 def default_probe_grid(space: SpaceSpec) -> List:
-    """Small z grid inside the admissible region, origin plus two rings of radii 0.35 and 0.6
-    (disc factors) or 0.8 and 1.8 (Fock), each cut to the admissible radius (`_admissible`);
-    on the diagonal of a product space, with the first factor's radii."""
-    radii = _admissible(space, *((0.35, 0.6) if space.factors[0].kind == KIND_DISC else (0.8, 1.8)))
+    """The origin and two rings at `probe_radii(space, "grid")`, on the diagonal of products."""
     ang = [1.0 + 0.0j, np.exp(2j * np.pi / 3)]
     grid: List = [0.0 + 0.0j]
-    for r in radii:
+    for r in probe_radii(space, "grid"):
         grid.extend(r * a for a in ang)
     return [spaces.point(space, [z] * space.nfactors) for z in grid]
 
 
 def boundary_shells(space: SpaceSpec, radii: Optional[Sequence[float]] = None) -> List[List]:
     """Shells of three z values each, of increasing invariant distance from the origin
-    (diagonal on products).  Default radii, cut to r_max (`_admissible`): 0.5, 0.65, 0.8 and 0.9
-    on the disc, and 0.5, 0.7, 0.85 and 1 times 0.8 on the bidisc; 0.4, 0.6, 0.8 and 1 times
-    fock_probe_radius on the Fock space."""
+    (diagonal on products), by default at `probe_radii(space, "shells")`."""
     if radii is None:
-        if space.kind == KIND_DISC:
-            radii = _admissible(space, 0.5, 0.65, 0.8, 0.9)
-        elif space.kind == KIND_FOCK:
-            top = space.fock_probe_radius
-            radii = [0.4 * top, 0.6 * top, 0.8 * top, top]
-        else:
-            top, = _admissible(space, 0.8)
-            radii = [0.5 * top, 0.7 * top, 0.85 * top, top]
+        radii = probe_radii(space, "shells")
     angles = np.exp(2j * np.pi * np.arange(3) / 3)
     return [[spaces.point(space, [r * a] * space.nfactors) for a in angles] for r in radii]
 
@@ -71,15 +74,16 @@ def axiom_checks(basis: BasisSpec, rule: QuadratureRule, z_grid: Sequence,
     """Residuals of the identities of the model space, each {name, value, tol, pass}.
 
     The sigma mass and the basis Gram on the rule; involutivity, the kernel-involution
-    identity, metric invariance and Cauchy-Schwarz on seeded points within 0.8 of the
-    probe radius; kernel-norm growth along a ray; invariance of the lambda measure (no
-    test function on the bidisc); and unitarity and involutivity of U_z on its certified
-    modes at the non-origin points of z_grid, on the scalar block (U (x) I_d has the same
-    norms), with points_checked: the points with a certified mode, 0 if none.  The whole
+    identity, metric invariance and Cauchy-Schwarz on seeded points within the reach of
+    `probe_radii(space, "axiom")`; kernel-norm growth along a ray; invariance of the lambda
+    measure (no test function on the bidisc); and unitarity and involutivity of U_z on its
+    certified modes at the non-origin points of z_grid, on the scalar block (U (x) I_d has the
+    same norms), with points_checked: the points with a certified mode, 0 if none.  The whole
     grid must be admissible (ValueError), and is checked before any work.
     """
     space = basis.space
     top = spaces.probe_radius_max(space)
+    reach, = probe_radii(space, "axiom")
     points, U, modes = _translations(basis, z_grid)
     rng = np.random.default_rng(seed)
     checks = []
@@ -89,7 +93,7 @@ def axiom_checks(basis: BasisSpec, rule: QuadratureRule, z_grid: Sequence,
                        "pass": bool(value <= tol), **extra})
 
     def rand_points(n):
-        return spaces.point(space, [0.8 * top * np.sqrt(rng.uniform(0, 1, n))
+        return spaces.point(space, [reach * np.sqrt(rng.uniform(0, 1, n))
                                     * np.exp(2j * np.pi * rng.uniform(0, 1, n))
                                     for _ in space.factors])
 
@@ -282,16 +286,12 @@ class BerezinProfile:
 def berezin_decay_profile(T: OperatorMatrix, radii: Optional[Sequence[float]] = None,
                           angles: Optional[Sequence[float]] = None,
                           threshold: float = 0.05) -> BerezinProfile:
-    """The Berezin matrices of T at r e^(i theta) (on the diagonal of a product space) and,
-    per radius, their largest entry modulus.  By default six radii run evenly from 0.15 top
-    to top, with top fock_probe_radius on the Fock space, 0.85 on the bidisc and 0.9 on the disc,
-    cut to the admissible radius (`_admissible`), at eight equally spaced angles.  The profile is
-    `decaying` when its last three values fall strictly and the last lies below threshold."""
+    """The Berezin matrices of T at r e^(i theta), on the diagonal of products, and per radius
+    their largest entry modulus, by default at `probe_radii(space, "berezin")` and eight evenly
+    spaced angles; `decaying` when the last three fall strictly and the last is below threshold."""
     space = T.basis.space
     if radii is None:
-        top, = _admissible(space, {KIND_FOCK: space.fock_probe_radius,
-                                   KIND_BIDISC: 0.85}.get(space.kind, 0.9))
-        radii = np.linspace(0.15 * top, top, 6)
+        radii = probe_radii(space, "berezin")
     if angles is None:
         angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
     radii = np.asarray(radii, dtype=float)
@@ -379,7 +379,7 @@ class InjectivityReport:
 
 def _spiral_grid(space: SpaceSpec, n_points: int):
     golden = np.pi * (3.0 - np.sqrt(5.0))
-    top, = _admissible(space, 2.0 if space.kind == KIND_FOCK else 0.7 * space.r_max)
+    top, = probe_radii(space, "spiral")
     # further factors use a seeded scatter: coordinates tied to the same
     # spiral parameter satisfy algebraic relations (constant |z1|^2 + |z2|^2,
     # swapped mode pairs) that cost sample rank

@@ -9,7 +9,7 @@ from berglab import analysis, operators, spaces
 from berglab.analysis import (axiom_checks, berezin, berezin_decay_profile,
                               berezin_injectivity_probe, boundary_shells,
                               default_probe_grid, essential_norm_estimate,
-                              hankel_rkt_check, rkt_boundedness_check,
+                              hankel_rkt_check, probe_radii, rkt_boundedness_check,
                               rkt_product_check, rkt_toeplitz_symbol_check)
 from berglab.coeffs import BasisSpec, kernel_coeff_vector, random_polynomial
 from berglab.operators import (OperatorMatrix, ball_indicator_symbol, constant_symbol,
@@ -560,27 +560,49 @@ def test_injectivity_detects_degenerate_grid():
 # ---------------------------------------------------------------------------
 # grids
 
-def test_default_grids_are_admissible(disc2, fock_basis=None):
-    for sp in (disc2, spaces.fock_space(d=2), spaces.bidisc_space(0.0, 0.5, d=2)):
-        for z in default_probe_grid(sp):
-            spaces.probe_points(sp, z)
-        for shell in boundary_shells(sp):
-            for z in shell:
-                spaces.probe_points(sp, z)
+def _written_radii(sp):
+    """Each role's default radii as written, before the cut to the admissible radius."""
+    top = spaces.probe_radius_max(sp)
+    if sp.kind == spaces.KIND_FOCK:
+        return {"grid": [0.8, 1.8], "shells": [f * top for f in (0.4, 0.6, 0.8, 1.0)],
+                "berezin": np.linspace(0.15 * top, top, 6), "spiral": [2.0], "axiom": [0.8 * top]}
+    bidisc = sp.kind == spaces.KIND_BIDISC
+    reach = min(0.85 if bidisc else 0.9, top)
+    shells = [f * min(0.8, top) for f in (0.5, 0.7, 0.85, 1.0)] if bidisc else [0.5, 0.65, 0.8, 0.9]
+    return {"grid": [0.35, 0.6], "shells": shells, "berezin": np.linspace(0.15 * reach, reach, 6),
+            "spiral": [0.7 * sp.r_max], "axiom": [0.8 * top]}
 
 
-@pytest.mark.parametrize("sp", [spaces.disc_space(0.0, d=1, r_max=r) for r in (0.3, 0.5, 0.7)]
-                         + [spaces.bidisc_space(0.0, 0.5, d=1, r_max=r) for r in (0.3, 0.5, 0.7)]
-                         + [spaces.fock_space(d=1, fock_probe_radius=r) for r in (0.5, 1.0)],
+@pytest.mark.parametrize("sp", [spaces.disc_space(0.0, d=1, r_max=r) for r in (0.3, 0.5, 0.7, 0.85, 0.9)]
+                         + [spaces.bidisc_space(0.0, 0.5, d=1, r_max=r) for r in (0.3, 0.5, 0.7, 0.85, 0.9)]
+                         + [spaces.fock_space(d=1, fock_probe_radius=r) for r in (0.5, 0.8, 1.0, 3.0)],
                          ids=lambda sp: f"{sp.kind}-{spaces.probe_radius_max(sp)}")
 def test_default_probe_sets_pass_the_gate_on_every_admissible_radius(sp):
-    # the default grid, shells and Berezin points are cut to the admissible radius, so each
-    # passes the one gate however small r_max or fock_probe_radius is
+    # every role's default radii rise strictly and pass the one gate however small r_max or
+    # fock_probe_radius is: cut to the admissible radius top, or, where the cut would make two
+    # equal, radius k of n at invariant distance (k/n) beta(top), the last at top itself
     top = spaces.probe_radius_max(sp)
-    for grid in [default_probe_grid(sp), *boundary_shells(sp)]:
-        assert np.max(spaces.point_radius(sp, spaces.probe_points(sp, grid))) <= top
+    beta, radius = (lambda r: r, lambda b: b) if sp.kind == spaces.KIND_FOCK else (np.arctanh, np.tanh)
+    for role, written in _written_radii(sp).items():
+        radii, cut = probe_radii(sp, role), [min(r, top) for r in written]
+        assert np.all(np.diff(radii) > 0) and radii[-1] <= top, role
+        spaces.probe_points(sp, [spaces.point(sp, [r] * sp.nfactors) for r in radii])
+        if len(set(cut)) == len(cut):
+            assert radii == cut, role
+        else:
+            n = len(radii)
+            np.testing.assert_allclose(radii[:-1], [radius(k / n * beta(top)) for k in range(1, n)],
+                                       rtol=0, atol=1e-15, err_msg=role)
+            assert radii[-1] == top, role
+    # the default sets are built at those radii, and pass the gate as built
+    grid = default_probe_grid(sp)
+    assert [spaces.coords(sp, z)[0].real for z in grid[1::2]] == probe_radii(sp, "grid")
+    shells = boundary_shells(sp)
+    assert [spaces.coords(sp, shell[0])[0].real for shell in shells] == probe_radii(sp, "shells")
+    for points in [grid, *shells, analysis._spiral_grid(sp, 9)]:
+        assert np.max(spaces.point_radius(sp, spaces.probe_points(sp, points))) <= top
     prof = berezin_decay_profile(identity_operator(BasisSpec(sp, 4)))
-    assert prof.radii.max() == top
+    assert prof.radii.tolist() == probe_radii(sp, "berezin")
     np.testing.assert_allclose(prof.matrices, np.ones_like(prof.matrices), atol=1e-12)   # d = 1
 
 

@@ -280,11 +280,15 @@ def test_verify_axioms_refuses_an_inadmissible_probe_grid(command, tmp_path, cap
 
 
 @pytest.mark.parametrize("space", [{"kind": "bergman_disc", "alpha": 0.0, "d": 1, "r_max": 0.5},
-                                   {"kind": "fock", "d": 1, "fock_probe_radius": 0.5}],
-                         ids=["disc", "fock"])
+                                   {"kind": "fock", "d": 1, "fock_probe_radius": 0.5},
+                                   {"kind": "bergman_disc", "alpha": 0.0, "d": 1, "r_max": 0.3},
+                                   {"kind": "fock", "d": 1, "fock_probe_radius": 0.8}],
+                         ids=["disc", "fock", "disc-0.3", "fock-0.8"])
 def test_default_probe_sets_admit_a_small_probe_radius(space, tmp_path, capsys):
     # every default probe set is cut to the admissible radius, so no command refuses a point
-    # the user never gave (0.6 and 0.8 exited 2 here), and each report is strict JSON
+    # the user never gave (0.6 and 0.8 exited 2 here), and each report is strict JSON; where
+    # the cut would merge radii they are respaced, so no two kernel points coincide and the
+    # essnorm shells move out
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"space": space, "n_modes": 8, "seed": 7}))
 
@@ -296,6 +300,10 @@ def test_default_probe_sets_admit_a_small_probe_radius(space, tmp_path, capsys):
         assert code != 2, capsys.readouterr().err
         text = (out / f"{command.replace('-', '_')}.json").read_text()
         assert json.loads(text, parse_constant=refuse)["command"] == command
+    points = _load(tmp_path / "kernel", "kernel")[0]["result"]["points"]
+    points = [json.dumps(z, sort_keys=True) for z in points]
+    assert len(set(points)) == len(points), points
+    assert np.all(np.diff(_load(tmp_path / "essnorm", "essnorm")[0]["result"]["shell_metric"]) > 0)
 
 
 def test_resolution_scale_changes_orders(config_path, tmp_path):
