@@ -11,7 +11,9 @@ place on both sides.  Rounding noise in a value near zero can make that
 change O(1), so the same line also gives the largest scaled change
 |a - b| / max|x|, x over every number in the two files, with its key.  It
 exits 1 on any difference, a file present on one side only included, and 0
-when every file matches.
+when every file matches.  It exits 2, with one line on stderr, on a wrong
+argument count, on a path that is no directory (missing, or a file) and on
+two directories with no file between them, which would match vacuously.
 
 Usage:
     python3 scripts/diff_reports.py reports_a reports_b
@@ -119,7 +121,14 @@ def main(argv) -> int:
         print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
         return 2
     dir_a, dir_b = (Path(p) for p in argv)
+    for d in (dir_a, dir_b):
+        if not d.is_dir():
+            print(f"{d}: no such directory", file=sys.stderr)
+            return 2
     names = sorted({p.name for d in (dir_a, dir_b) for p in d.iterdir() if p.is_file()})
+    if not names:
+        print(f"{dir_a}, {dir_b}: no report files to compare", file=sys.stderr)
+        return 2
     differing = 0
     for name in names:
         a, b = dir_a / name, dir_b / name

@@ -76,12 +76,12 @@ def _rule(cfg, scale: float):
     return build_rule(cfg.space, radial, angular)
 
 
-def _operator(cfg, basis, rule):
+def _operator(cfg, basis):
     """The product of the Toeplitz factors the operator block names (else the identity); config
-    symbols (poly, const, ball) never read the rule, which may be None."""
+    symbols (poly, const, ball) never read a rule."""
     from .operators import identity_operator, toeplitz_matrix
 
-    factors = [toeplitz_matrix(basis, rule, cfg.symbols[name]) for name in cfg.operator or ()]
+    factors = [toeplitz_matrix(basis, None, cfg.symbols[name]) for name in cfg.operator or ()]
     return reduce(lambda a, b: a @ b, factors) if factors else identity_operator(basis)
 
 
@@ -132,7 +132,7 @@ def _run_toeplitz(cfg, args):
     if cfg.operator is None:
         raise ConfigError("toeplitz command needs an operator block")
     basis = _basis(cfg)
-    T = _operator(cfg, basis, None)
+    T = _operator(cfg, basis)
     svs = T.singular_values()
     cutoff = T.dim * sys.float_info.epsilon * float(svs[0])    # below it, SVD rounding
     payload = {
@@ -152,7 +152,7 @@ def _run_toeplitz(cfg, args):
 def _run_berezin(cfg, args):
     from .analysis import berezin_decay_profile
 
-    T = _operator(cfg, _basis(cfg), None)
+    T = _operator(cfg, _basis(cfg))
     prof = berezin_decay_profile(
         T, radii=cfg.radii, angles=cfg.angles, threshold=cfg.berezin_threshold)
     rows = [[r, th, i, k, v.real, v.imag]
@@ -168,7 +168,7 @@ def _run_rkt(cfg, args):
 
     basis, rule = _basis(cfg), _rule(cfg, args.resolution_scale)
     zg = _zgrid(cfg)
-    T = _operator(cfg, basis, rule)
+    T = _operator(cfg, basis)
     reports = {"boundedness": rkt_boundedness_check(basis, rule, T, p=cfg.p, z_grid=zg)}
     names = cfg.operator or ()
     if names:
@@ -194,7 +194,7 @@ def _run_essnorm(cfg, args):
     from .analysis import boundary_shells, essential_norm_estimate
     from .reporting import jsonable
 
-    T = _operator(cfg, _basis(cfg), None)
+    T = _operator(cfg, _basis(cfg))
     shells = boundary_shells(cfg.space, radii=cfg.shells)
     rep = essential_norm_estimate(T, boundary_grid=shells, seed=cfg.seed)
     payload = {**jsonable(rep), "threshold": cfg.essnorm_threshold,
@@ -275,7 +275,7 @@ def _run_localize(cfg, args):
     from .covering import build_covering, localization_error
 
     basis, rule = _basis(cfg), _rule(cfg, args.resolution_scale)
-    T = _operator(cfg, basis, rule)
+    T = _operator(cfg, basis)
     curve = []
     for r in cfg.covering_r:
         c = build_covering(cfg.space, r, rule)

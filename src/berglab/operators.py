@@ -315,11 +315,12 @@ def toeplitz_measure_matrix(basis: BasisSpec, measure: PointMassMeasure) -> Oper
     """Toeplitz operator of a matrix-valued point-mass measure.
 
     (T_mu f)(z) = int <K_w(z) . , .> f(w) d mu(w) collapses to
-    sum_a conj(e_m'(p_a)) M_a e_m(p_a) on basis elements.
+    sum_a conj(e_m'(p_a)) M_a e_m(p_a) on basis elements: one GEMM of E^H, E the basis at
+    the atoms, against the rows M_a (x) e(p_a)^T, one per atom.
     """
     E = scalar_basis_matrix(basis, measure.points)  # (n_scalar, n_atoms)
-    T4 = np.einsum("aj,jik,bj->aibk", E.conj(), measure.matrices, E)
-    return OperatorMatrix(basis, T4.reshape(basis.dim, basis.dim))
+    rows = measure.matrices[:, :, None, :] * E.T[:, None, :, None]   # [a, i, m, k] = M_a[i, k] e_m(p_a)
+    return OperatorMatrix(basis, (E.conj() @ rows.reshape(E.shape[1], -1)).reshape(basis.dim, basis.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -501,25 +502,22 @@ def rank_one_toeplitz_sum(basis: BasisSpec, rule: QuadratureRule,
                           f: CoeffFunction, g: CoeffFunction) -> OperatorMatrix:
     """Factorization of f (x) g through Toeplitz operators and a point mass.
 
-    sum_{i,k} T[f_i E_ii] T[||K_0||^-1 delta_0 E_ii] T[conj(g_k) E_ii] T[E_ik]
-    applied to h evaluates the analytic pairing <h, g> and reinstates f, one
-    component pair at a time.  Assembled are T[diag(f_1, ..., f_d)], each T[conj(g_k) I_d]
-    and T[||K_0||^-1 delta_0 I_d], whose (i, i) blocks F_ii, G_ii, D_ii are those of the E_ii
-    symbols.  D_ii lives on the modes s where the basis is nonzero at the origin (the constant
-    mode), so block (i, k), placed by index as T[E_ik] does, is F_ii[:, s] D_ii[s, s] G_ii[s, :].
+    sum_{i,k} T[f_i E_ii] T[||K_0||^-1 delta_0 E_ii] T[conj(g_k) E_ii] T[E_ik] applied to h
+    evaluates the analytic pairing <h, g> and reinstates f.  Its block (i, k) is F_i D G_k: F_i =
+    T[f_i] and G_k = T[conj(g_k)] are diagonal views of T[diag(f_1, ..., f_d)] and T[diag(conj g_1,
+    ..., conj g_d)], and D = T[||K_0||^-1 delta_0] is assembled once on the scalar basis.  D lives on
+    the modes s where the basis is nonzero at the origin (the constant mode), so one broadcast
+    product forms every F_i[:, s] D[s, s] G_k[s, :].  The symbols are polynomial: `rule` is not read.
     """
     space, d, n = basis.space, basis.space.d, basis.n_scalar
     origin = spaces.point(space, [np.zeros(1)] * space.nfactors)   # one point
     k0 = float(spaces.kernel_norm(space, origin)[0])
-    def diagonal_blocks(T: OperatorMatrix) -> np.ndarray:   # (d, n, n): block (i, i) at [i]
-        return T.mat.reshape(n, d, n, d)[:, range(d), :, range(d)]
-    F = diagonal_blocks(toeplitz_matrix(basis, rule, _diagonal_analytic_symbol(basis, f.coeffs, False)))
-    D = diagonal_blocks(toeplitz_measure_matrix(basis, PointMassMeasure(origin, np.eye(d)[None] / k0)))
-    s = np.flatnonzero(np.any(D != 0, axis=(0, 1)))                  # D's support: the constant mode
-    FD = F[:, :, s] @ D[:, s][:, :, s]                                # (d, n, |s|)
-    total = np.zeros((n, d, n, d), dtype=complex)
-    for k in range(d):
-        G = diagonal_blocks(toeplitz_matrix(basis, rule, _diagonal_analytic_symbol(
-            basis, np.repeat(g.coeffs[:, k, None], d, axis=1), True)))   # conj(g_k) I_d
-        total[:, :, :, k] = np.swapaxes(FD @ G[:, s], 0, 1)          # block (i, k) from the (i, i) product
-    return OperatorMatrix(basis, total.reshape(basis.dim, basis.dim))
+    def diagonal_views(h: CoeffFunction, conjugate: bool) -> np.ndarray:   # (d, n, n): block i at [i]
+        T = toeplitz_matrix(basis, rule, _diagonal_analytic_symbol(basis, h.coeffs, conjugate))
+        return np.moveaxis(np.diagonal(T.mat.reshape(n, d, n, d), axis1=1, axis2=3), -1, 0)
+    F, G = diagonal_views(f, False), diagonal_views(g, True)
+    D = toeplitz_measure_matrix(BasisSpec(replace(space, d=1), basis.n_modes),
+                                PointMassMeasure(origin, [[1.0 / k0]])).mat
+    s = np.flatnonzero(np.any(D != 0, axis=0))                      # D's support: the constant mode
+    blocks = F[:, None, :, s] @ D[np.ix_(s, s)] @ G[None, :, s]     # (d, d, n, n): block (i, k) at [i, k]
+    return OperatorMatrix(basis, blocks.transpose(2, 0, 3, 1).reshape(basis.dim, basis.dim))

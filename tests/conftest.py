@@ -8,7 +8,7 @@ from berglab.analysis import _lp_norm, _probe_grid
 from berglab.coeffs import (BasisSpec, CoeffFunction, _factor_log_normalizers, basis_normalizer,
                             eval_coeffs, factor_samples, kernel_coeff_vector, scalar_basis_matrix)
 from berglab.covering import _localization_plan
-from berglab.operators import (OperatorMatrix, PointMassMeasure, poly_symbol, toeplitz_measure_matrix,
+from berglab.operators import (OperatorMatrix, PointMassMeasure, poly_symbol,
                                translation_certificate, translation_matrix)
 from berglab.quadrature import build_rule
 
@@ -438,6 +438,12 @@ def dense_poly_toeplitz(basis, symbol):
     return T4.reshape(basis.dim, basis.dim)
 
 
+def einsum_measure_toeplitz(basis, measure):
+    """Oracle for toeplitz_measure_matrix: sum_a conj(e_m'(p_a)) M_a e_m(p_a) as one 4-index einsum."""
+    E = scalar_basis_matrix(basis, measure.points)  # (n_scalar, n_atoms)
+    return np.einsum("aj,jik,bj->aibk", E.conj(), measure.matrices, E).reshape(basis.dim, basis.dim)
+
+
 def _analytic_component_entry(basis, scalar_coeffs, conjugate):
     """Monomial power dict for an analytic polynomial given by basis coefficients."""
     c = basis_normalizer(basis)
@@ -450,8 +456,8 @@ def _analytic_component_entry(basis, scalar_coeffs, conjugate):
 
 def dense_rank_one_toeplitz_sum(basis, f, g):
     """Oracle for rank_one_toeplitz_sum: d + d^2 Toeplitz assemblies, each of one (i, i) entry,
-    and the dense product T[f_i E_ii] T[delta_0 E_ii / ||K_0||] T[conj(g_k) E_ii] (I (x) E_ik)
-    for every component pair (i, k)."""
+    d einsum point masses and the dense product
+    T[f_i E_ii] T[delta_0 E_ii / ||K_0||] T[conj(g_k) E_ii] (I (x) E_ik) for every component pair (i, k)."""
     space, d = basis.space, basis.space.d
     origin = spaces.point(space, [np.zeros(1)] * space.nfactors)
     k0 = float(spaces.kernel_norm(space, origin)[0])
@@ -465,7 +471,7 @@ def dense_rank_one_toeplitz_sum(basis, f, g):
         Eii = np.zeros((d, d))
         Eii[i, i] = 1.0
         T_fi = entry_toeplitz(i, f.coeffs[:, i], False)
-        T_delta = toeplitz_measure_matrix(basis, PointMassMeasure(origin, Eii[None, :, :] / k0)).mat
+        T_delta = einsum_measure_toeplitz(basis, PointMassMeasure(origin, Eii[None, :, :] / k0))
         for k in range(d):
             Eik = np.zeros((d, d))
             Eik[i, k] = 1.0

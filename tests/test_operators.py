@@ -27,8 +27,8 @@ from berglab.operators import (POLY_POWER_CAP, MatrixSymbol, PointMassMeasure,
 from berglab.operators import _scalar_translation
 from berglab.quadrature import QuadratureRule, ball_rule, build_rule
 from conftest import (certified_projector, compile_poly, dense_poly_toeplitz, dense_rank_one_toeplitz_sum,
-                      dense_rule_gram, fft_disc_translation, hankel_apply, kron_rule_gram,
-                      loop_smooth_toeplitz, metric_ball_euclidean, sample_points, sup_norm)
+                      dense_rule_gram, einsum_measure_toeplitz, fft_disc_translation, hankel_apply,
+                      kron_rule_gram, loop_smooth_toeplitz, metric_ball_euclidean, sample_points, sup_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,7 +1004,7 @@ def test_rank_one_toeplitz_sum_matches_the_dense_triple_product_oracle(label, d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_rank_one_toeplitz_sum_assembles_1_plus_d_toeplitz_matrices(monkeypatch, d):
+def test_rank_one_toeplitz_sum_assembles_each_factor_once(monkeypatch, d):
     calls = {"toeplitz_matrix": 0, "toeplitz_measure_matrix": 0}
 
     def counted(name):
@@ -1021,4 +1021,16 @@ def test_rank_one_toeplitz_sum_assembles_1_plus_d_toeplitz_matrices(monkeypatch,
     rng = np.random.default_rng(d)
     f, g = random_polynomial(basis, rng, 3), random_polynomial(basis, rng, 3)
     operators.rank_one_toeplitz_sum(basis, None, f, g)
-    assert calls == {"toeplitz_matrix": 1 + d, "toeplitz_measure_matrix": 1}
+    assert calls == {"toeplitz_matrix": 2, "toeplitz_measure_matrix": 1}
+
+
+@pytest.mark.parametrize("label, d", [(label, d) for label in _RANK1_SPACES for d in (1, 2, 3)])
+def test_toeplitz_measure_matrix_matches_the_einsum_oracle(label, d):
+    make, n_modes = _RANK1_SPACES[label]
+    basis = BasisSpec(make(d), n_modes)
+    rng = np.random.default_rng(40 + d)
+    for n_atoms in (1, 7):
+        mats = rng.standard_normal((n_atoms, d, d)) + 1j * rng.standard_normal((n_atoms, d, d))
+        measure = PointMassMeasure(sample_points(basis.space, n_atoms, seed=n_atoms + d), mats)
+        want = einsum_measure_toeplitz(basis, measure)
+        assert np.abs(toeplitz_measure_matrix(basis, measure).mat - want).max() <= 1e-15 * np.abs(want).max()

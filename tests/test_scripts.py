@@ -102,6 +102,35 @@ def test_diff_reports_names_the_file_and_key_of_an_edited_number(tmp_path):
     assert "rkt.csv" not in edited.stdout
 
 
+def _diff_reports(a, b):
+    return subprocess.run([sys.executable, str(SCRIPTS / "diff_reports.py"), str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_diff_reports_exits_2_on_two_empty_directories(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    proc = _diff_reports(a, b)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and str(a) in proc.stderr
+
+
+@pytest.mark.parametrize("bad", ["missing", "file"])
+def test_diff_reports_exits_2_naming_a_path_that_is_no_directory(tmp_path, bad):
+    a = tmp_path / "a"
+    a.mkdir()
+    (a / "r.json").write_text("{}")
+    path = tmp_path / bad
+    if bad == "file":
+        path.write_text("{}")
+    for args in ((a, path), (path, a)):
+        proc = _diff_reports(*args)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()] and str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_diff_reports_scaled_ranking_names_the_change_that_matters(tmp_path):
     # a 1e-17 change to a value of about 1e-17 is the largest relative change, but scaled by
     # the file's largest magnitude it is noise next to a 1e-9 relative change of an O(1) value
